@@ -19,8 +19,10 @@ __all__ = ["LeverageConfig", "UniformConfig", "leverage_sample", "uniform_sample
 class LeverageConfig:
     """Parameters for independent leverage-score row sampling.
 
-    The expected sample size target is ``ceil(oversample_c * d * ln(d) / epsilon)``
-    where ``d`` is the factor rank.
+    The expected sample size target is
+    ``ceil(oversample_c * d * max(1, ln(d)) / epsilon)`` where ``d`` is the
+    factor rank; the floor on the log keeps ranks 1 and 2 from getting an
+    empty or tiny target.
     """
 
     epsilon: float
@@ -36,13 +38,9 @@ class LeverageConfig:
             raise InvalidInputError("rng_seed must be a nonnegative integer")
 
     def target_m(self, rank: int) -> int:
-        m = math.ceil(self.oversample_c * rank * math.log(rank) / self.epsilon)
-        if m < 1:
-            raise InvalidInputError(
-                f"sample-size target {m} is below 1 for rank {rank}; "
-                "increase oversample_c or use more than one dimension"
-            )
-        return m
+        if rank < 1:
+            raise InvalidInputError(f"rank must be at least 1, got {rank}")
+        return math.ceil(self.oversample_c * rank * max(1.0, math.log(rank)) / self.epsilon)
 
 
 @dataclass(frozen=True)

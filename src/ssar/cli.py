@@ -96,19 +96,58 @@ def _print_config(args) -> None:
     print("# config " + json.dumps(resolved, default=str))
 
 
-def _apply_config_file(args) -> None:
-    """Values from the JSON config file take precedence over parsed flags."""
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The subcommand parser that owns ``args``' options."""
+    while parser._subparsers is not None:
+        choice = parser._subparsers._group_actions[0]
+        parser = choice.choices[getattr(args, choice.dest)]
+    return parser
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
+    """Merge the JSON config file into the flags; its values take precedence.
+
+    Every value goes back through the subcommand's parser, so it gets the same
+    type conversion and checks as the flag would.  Switches take JSON booleans.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return
+        return args
     with open(path) as fh:
-        overrides = json.load(fh)
-    known = vars(args)
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise InvalidInputError(f"config file {path} must hold a JSON object")
+    options = {
+        a.dest: a for a in _leaf_parser(parser, args)._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    extra, switches = [], {}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise InvalidInputError(f"config file sets unknown option {key!r}")
-        setattr(args, dest, value)
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            optional = isinstance(action, argparse.BooleanOptionalAction)
+            if not (isinstance(value, bool) or (optional and value is None)):
+                raise InvalidInputError(f"config option {key!r} takes true or false")
+            switches[action.dest] = value
+        elif value is None and action.default is None:
+            switches[action.dest] = None
+        elif isinstance(value, list) and action.nargs == "*":
+            extra += [flag, *(str(v) for v in value)]
+        else:
+            extra.append(f"{flag}={value}")
+    try:
+        merged = parser.parse_args(argv + extra)
+    except SystemExit:
+        raise InvalidInputError(f"config file {path} sets an invalid value") from None
+    for dest, value in switches.items():
+        setattr(merged, dest, value)
+    return merged
 
 
 # ---------------------------------------------------------------- gen
@@ -541,12 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        _apply_config_file(args)
+        args = _apply_config_file(parser, argv, args)
         _print_config(args)
         return args.func(args)
     except InvalidInputError as exc:

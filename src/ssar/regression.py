@@ -224,10 +224,13 @@ def solve_active(
         resid = stacked @ beta - y_full
         loss = float(resid @ resid)
         _, opt = exact_solution(ds, y_full)
-        if opt > 0:
+        # An OPT at round-off level (a consistent system) makes loss / OPT
+        # meaningless, so it is scored like OPT = 0.
+        floor = 1e-12 * max(float(y_full @ y_full), 1.0)
+        if opt > floor:
             ratio = loss / opt
         else:
-            ratio = 1.0 if loss <= 1e-12 * max(float(y_full @ y_full), 1.0) else float("inf")
+            ratio = 1.0 if loss <= floor else float("inf")
 
     return RegressionSolution(
         beta_hat=beta,

@@ -18,7 +18,7 @@ approximation of the unconditional statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -332,13 +332,7 @@ def run_sampler_batch(
     out = []
     for k in range(n_runs):
         seed = derive_seed(cfg.rng_seed, k)
-        run_cfg = AsuraConfig(
-            epsilon=cfg.epsilon,
-            c0=cfg.c0,
-            rng_seed=seed,
-            assert_lemmas=cfg.assert_lemmas,
-            max_restarts=cfg.max_restarts,
-        )
+        run_cfg = replace(cfg, rng_seed=seed)
         out.append(
             asura_sample(
                 svd, run_cfg, n_unlabeled=n_unlabeled, capture_matrices=capture_matrices

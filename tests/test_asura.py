@@ -208,6 +208,39 @@ def test_zero_leverage_rows_are_never_sampled():
     assert np.all(sample.indices >= 4)
 
 
+def _stream_cases():
+    rng = make_rng(61)
+    zero_rows = np.vstack([rng.standard_normal((6, 3)), np.zeros((5, 3)), np.eye(3)])
+    return [
+        pytest.param(rng.standard_normal((12, 4)), 0, id="n1-zero"),
+        pytest.param(rng.standard_normal((16, 4)), 16, id="n2-zero"),
+        pytest.param(rng.standard_normal((20, 1)), 15, id="rank-1"),
+        pytest.param(zero_rows, 11, id="zero-rows"),
+        pytest.param(rng.standard_normal((50, 4)), 45, id="n1-off-block-grid"),
+        pytest.param(rng.standard_normal((500, 5)), 430, id="many-blocks"),
+        pytest.param(rng.standard_normal((40, 6)), None, id="no-unlabeled-split"),
+    ]
+
+
+@pytest.mark.parametrize("x,n1", _stream_cases())
+def test_block_draw_replays_full_row_stream(x, n1):
+    # Replaying the run's uniforms against the full-row distribution at every
+    # captured state reproduces each pick and its probability.
+    svd = thin_svd(x)
+    for seed in (3, 57, 911):
+        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed)
+        _, trace = asura_sample(svd, cfg, n_unlabeled=n1, capture_matrices=True)
+        rng = make_rng(seed)
+        for j in range(trace.m):
+            state = AsuraState(a=trace.a_mats[j], u=float(trace.u[j]), l=float(trace.l[j]), j=j)
+            p = sampling_distribution(svd, state)
+            pick = _draw_index(rng, p)
+            assert trace.sampled_index[j] == pick, (seed, j)
+            assert trace.p_j[j] == pytest.approx(p[pick], rel=1e-12)
+            if n1 is not None:
+                assert trace.px1_sum[j] == pytest.approx(p[:n1].sum(), rel=1e-12, abs=1e-15)
+
+
 # ------------------------------------------------------ well-balancedness
 
 def test_check_well_balanced_rejects_mismatched_artifacts():

@@ -5,7 +5,8 @@ import scipy.stats
 from ssar.baselines import LeverageConfig, leverage_sample, uniform_sample
 from ssar.core import leverage_scores, reduced_rank, thin_svd
 from ssar.errors import InvalidInputError
-from ssar.rngutil import derive_seed
+from ssar.regression import LabelOracle, solve_active
+from ssar.rngutil import derive_seed, make_rng
 
 from conftest import gaussian_dataset
 
@@ -13,10 +14,22 @@ from conftest import gaussian_dataset
 def test_leverage_config_target():
     cfg = LeverageConfig(epsilon=0.5, oversample_c=1.0)
     assert cfg.target_m(4) == int(np.ceil(4 * np.log(4) / 0.5))
-    with pytest.raises(InvalidInputError):
-        cfg.target_m(1)  # log(1) = 0 gives an empty target
+    # The log factor is floored at 1, so rank 1 still gets a positive target.
+    assert cfg.target_m(1) == 2
+    assert cfg.target_m(2) == 4
     with pytest.raises(InvalidInputError):
         LeverageConfig(epsilon=1.5)
+
+
+def test_leverage_solve_on_rank_one_instance():
+    ds = gaussian_dataset(40, 10, 1, seed=8)
+    y1 = make_rng(9).standard_normal(ds.n1)
+    oracle = LabelOracle(np.concatenate([y1, ds.y_labeled]), ds.n1)
+    cfg = LeverageConfig(epsilon=0.25, rng_seed=3)
+    sol = solve_active(ds, oracle, 0.25, sampler="leverage", cfg=cfg)
+    assert sol.iterations >= 1
+    assert 1 <= sol.queries <= ds.n1
+    assert sol.ratio >= 1.0 - 1e-9
 
 
 def test_identity_design_rows_always_included_with_unit_weight():

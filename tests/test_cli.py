@@ -151,6 +151,34 @@ def test_config_file_overrides_flags(manifest, capsys, tmp_path):
     assert records[-1]["trials"] == 3
 
 
+def test_config_file_values_are_parsed_like_flags(manifest, capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": "2", "epsilon": "0.25", "check-balance": True}))
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--seed", "5",
+                        "--config", str(cfg_path))
+    assert code == EXIT_OK
+    records = [json.loads(s) for s in data_lines(out)]
+    assert records[-1]["trials"] == 2
+    assert all(r["well_balanced"] is not None for r in records[:-1])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"func": "x"},
+    {"command": "verify"},
+    {"trials": "many"},
+    {"trials": 1.5},
+    {"sampler": "nope"},
+    {"retry": "yes"},
+    {"epsilon": None},
+    ["trials", 2],
+])
+def test_config_file_bad_key_or_value_is_config_error(manifest, capsys, tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(overrides))
+    code, _ = run_cli(capsys, "run", "--manifest", manifest, "--config", str(cfg_path))
+    assert code == EXIT_CONFIG
+
+
 def test_ssar_seed_env_used_when_flag_absent(manifest, capsys, monkeypatch):
     monkeypatch.setenv("SSAR_SEED", "12345")
     _, out1 = run_cli(capsys, "run", "--manifest", manifest, "--trials", "1")

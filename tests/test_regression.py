@@ -211,6 +211,24 @@ def test_solve_active_ratio_floor_and_samplers():
         assert sol.ratio is not None and sol.ratio >= 1.0 - 1e-9
 
 
+def test_solve_active_square_instance_scores_round_off_opt_as_zero():
+    # With n = d the fit is exact and OPT is round-off, so loss / OPT would be
+    # noise; the ratio reads 1 instead of tripping the ratio floor.
+    ds = Dataset(
+        x_unlabeled=np.array([[-0.10298701, -0.06442248, -0.14489494, -0.63597164]]),
+        x_labeled=np.array([
+            [-0.70321745, 0.02170384, -0.27458445, 0.30600437],
+            [0.29653985, 0.47913959, 0.15971969, 0.36222023],
+            [0.84039213, 0.76335625, -0.09808467, -0.46912912],
+        ]),
+        y_labeled=np.array([-1.94983822, 0.59961341, -1.90236229]),
+    )
+    for seed in range(10):
+        oracle = LabelOracle(np.concatenate([[0.7], ds.y_labeled]), ds.n1)
+        sol = solve_active(ds, oracle, 0.1, cfg=AsuraConfig(epsilon=0.1, rng_seed=seed))
+        assert sol.ratio == 1.0
+
+
 def test_solve_active_deploy_mode_omits_ratio():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=8)
     oracle = LabelOracle(labels, ds.n1, allow_full_loss=False)
