@@ -13,13 +13,11 @@ guarantees.
 
 from .asura import (
     AsuraConfig,
-    AsuraState,
     AsuraTrace,
     SampleSet,
     WellBalancedReport,
     asura_sample,
     check_well_balanced,
-    potential,
     sample_with_retry,
     sampling_distribution,
 )
@@ -38,7 +36,7 @@ from .instances import (
     LowerBoundSpec,
     PackingSet,
     construct_packing,
-    gen_biased_instance,
+    gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
 )

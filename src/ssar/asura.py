@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import SvdFactors, as_matrix, leverage_scores
+from .core import SvdFactors, leverage_scores
 from .errors import (
     BarrierViolationError,
     InsufficientTraceError,
@@ -45,11 +45,9 @@ from .rngutil import derive_seed, make_rng
 
 __all__ = [
     "AsuraConfig",
-    "AsuraState",
     "AsuraTrace",
     "SampleSet",
     "WellBalancedReport",
-    "potential",
     "sampling_distribution",
     "asura_sample",
     "check_well_balanced",
@@ -120,26 +118,6 @@ class AsuraConfig:
 
 
 @dataclass
-class AsuraState:
-    """Barrier state after ``j`` completed iterations."""
-
-    a: np.ndarray
-    u: float
-    l: float
-    j: int = 0
-    phi_cumsum: float = 0.0
-
-    @classmethod
-    def initial(cls, rank: int, gamma: float) -> "AsuraState":
-        if rank < 1:
-            raise InvalidInputError("rank must be at least 1")
-        if not (0.0 < gamma < 1.0):
-            raise InvalidInputError(f"gamma must lie in (0, 1), got {gamma}")
-        edge = 2.0 * rank / gamma
-        return cls(a=np.zeros((rank, rank)), u=edge, l=-edge, j=0, phi_cumsum=0.0)
-
-
-@dataclass
 class AsuraTrace:
     """Per-iteration record of one sampler run.
 
@@ -177,10 +155,6 @@ class AsuraTrace:
     def l_final(self) -> float:
         return float(self.l[-1])
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.u_final + self.l_final)
-
 
 @dataclass
 class SampleSet:
@@ -194,9 +168,6 @@ class SampleSet:
     indices: np.ndarray
     weights: np.ndarray
     coefficients: np.ndarray | None = None
-    gamma: float | None = None
-    u_final: float | None = None
-    l_final: float | None = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -217,37 +188,25 @@ class SampleSet:
         return self.indices.shape[0]
 
 
-def _barrier_decomposition(state: AsuraState):
-    """Eigendecompose the running matrix and return strictly positive barrier gaps."""
-    theta, q = np.linalg.eigh(state.a)
-    gap_u = state.u - theta
-    gap_l = theta - state.l
-    if gap_u.min() <= 0.0 or gap_l.min() <= 0.0:
-        raise BarrierViolationError(
-            f"barrier touched at iteration {state.j}: "
-            f"eigenvalues span [{theta.min():.6g}, {theta.max():.6g}] "
-            f"against window [{state.l:.6g}, {state.u:.6g}]"
-        )
-    return theta, q, gap_u, gap_l
+def _barrier_weights(a: np.ndarray, u: float, l: float, j: int | None = None):
+    """Eigenvectors ``q`` of the running matrix and its barrier weights.
 
-
-def potential(state: AsuraState, m_weight: np.ndarray | None = None) -> float:
-    """Barrier potential ``Tr(M (uI - A)^{-1} + M (A - lI)^{-1})``.
-
-    With ``m_weight`` omitted the weight matrix is the identity, giving
-    ``sum_t [1/(u - theta_t) + 1/(theta_t - l)]`` over eigenvalues of ``A``.
+    ``b = 1/(u - theta) + 1/(theta - l)`` over the eigenvalues ``theta`` of
+    ``a``; the barrier potential is ``b.sum()``.  Touching a barrier raises
+    rather than dividing by a vanishing gap.  ``j`` names the iteration in
+    the error.
     """
-    _, q, gap_u, gap_l = _barrier_decomposition(state)
-    b = 1.0 / gap_u + 1.0 / gap_l
-    if m_weight is None:
-        return float(b.sum())
-    m = as_matrix(m_weight, "m_weight")
-    if m.shape != state.a.shape:
-        raise InvalidInputError(
-            f"weight matrix shape {m.shape} does not match state dimension {state.a.shape}"
+    theta, q = np.linalg.eigh(a)
+    gap_u = u - theta
+    gap_l = theta - l
+    if gap_u.min() <= 0.0 or gap_l.min() <= 0.0:
+        where = "" if j is None else f" at iteration {j}"
+        raise BarrierViolationError(
+            f"barrier touched{where}: "
+            f"eigenvalues span [{theta.min():.6g}, {theta.max():.6g}] "
+            f"against window [{l:.6g}, {u:.6g}]"
         )
-    diag_m = np.einsum("ji,jk,ki->i", q, m, q)
-    return float(diag_m @ b)
+    return q, 1.0 / gap_u + 1.0 / gap_l
 
 
 def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
@@ -302,16 +261,16 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
     return p_raw / total
 
 
-def sampling_distribution(svd: SvdFactors, state: AsuraState) -> np.ndarray:
-    """Row-sampling distribution of the current barrier state.
+def sampling_distribution(svd: SvdFactors, a: np.ndarray, u: float, l: float) -> np.ndarray:
+    """Row-sampling distribution of the barrier state ``(a, u, l)``.
 
     Row ``x`` gets mass proportional to
-    ``U(x)^T [(uI - A)^{-1} + (A - lI)^{-1}] U(x)``.
+    ``U(x)^T [(uI - A)^{-1} + (A - lI)^{-1}] U(x)``.  This scores every row
+    and is the reference for the sampler's block draw.
     """
-    if state.a.shape[0] != svd.rank:
+    if a.shape[0] != svd.rank:
         raise InvalidInputError("state dimension does not match factor rank")
-    _, q, gap_u, gap_l = _barrier_decomposition(state)
-    b = 1.0 / gap_u + 1.0 / gap_l
+    q, b = _barrier_weights(a, u, l)
     g = svd.u @ q
     p_raw = (g * g) @ (b / b.sum())
     return _normalize_probabilities(p_raw)
@@ -388,11 +347,7 @@ def asura_sample(
             raise NumericalBreakdownError(
                 f"stopping rule failed to fire within the {cap}-iteration cap"
             )
-        state = AsuraState(a=a, u=u, l=l, j=j, phi_cumsum=phi_cum)
-        # The decomposition enforces strict containment; touching a barrier
-        # raises rather than dividing by a vanishing gap.
-        _, q, gap_u, gap_l = _barrier_decomposition(state)
-        b = 1.0 / gap_u + 1.0 / gap_l
+        q, b = _barrier_weights(a, u, l, j)
         phi = float(b.sum())
 
         # Row x has mass U(x)^T M U(x); a block's mass is <G_k, M>.  The block
@@ -449,9 +404,6 @@ def asura_sample(
         if capture:
             mats.append(a.copy())
 
-    m = j
-    if m > cap:
-        raise NumericalBreakdownError(f"iteration count {m} exceeded the cap {cap}")
     if checks:
         theta = np.linalg.eigvalsh(a)
         if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
@@ -467,9 +419,6 @@ def asura_sample(
         indices=np.asarray(picks, dtype=np.int64),
         weights=weights,
         coefficients=coefficients,
-        gamma=gamma,
-        u_final=u,
-        l_final=l,
     )
     trace = AsuraTrace(
         gamma=gamma,
@@ -548,8 +497,6 @@ def check_well_balanced(
         raise InvalidInputError("sample and trace come from different runs")
     if trace.n_rows != svd.n or trace.rank != svd.rank:
         raise InvalidInputError("factors do not match the traced run")
-    if sample.gamma is not None and abs(sample.gamma - trace.gamma) > 1e-15:
-        raise InvalidInputError("sample and trace disagree on gamma")
     if sample.coefficients is None:
         raise InvalidInputError("sample carries no coefficients to check")
     if trace.a_mats is None:
@@ -580,9 +527,8 @@ def check_well_balanced(
     lev = lev[live]
     kd_brute = np.empty(trace.m)
     for j in range(trace.m):
-        state = AsuraState(a=trace.a_mats[j], u=float(trace.u[j]), l=float(trace.l[j]), j=j)
-        p = sampling_distribution(svd, state)[live]
-        kd_brute[j] = alpha[j] * float(np.max(lev / p))
+        p = sampling_distribution(svd, trace.a_mats[j], float(trace.u[j]), float(trace.l[j]))
+        kd_brute[j] = alpha[j] * float(np.max(lev / p[live]))
 
     kd_max_closed = float(kd_closed.max()) if trace.m else 0.0
     kd_max_brute = float(kd_brute.max()) if trace.m else 0.0

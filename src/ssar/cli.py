@@ -51,8 +51,13 @@ from .errors import (
     SsarError,
     WellBalancedEventFailedError,
 )
-from .instances import LowerBoundSpec, gen_lower_bound_instance, gen_random_instance
-from .regression import LabelOracle, kernel_ridge_to_ssal, ridge_to_ssal, solve_active
+from .instances import (
+    LowerBoundSpec,
+    gen_kernel_instance,
+    gen_lower_bound_instance,
+    gen_random_instance,
+)
+from .regression import LabelOracle, ridge_to_ssal, solve_active
 from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
@@ -179,18 +184,10 @@ def _cmd_gen(args) -> int:
         sigma = np.linalg.svd(x1, compute_uv=False)
         print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
     elif kind == "kernel":
-        rng = make_rng(seed)
-        if args.rank < 1 or not (0 < args.eig_min <= args.eig_max):
-            raise InvalidInputError("kernel generator needs rank >= 1 and 0 < eig-min <= eig-max")
-        rank = min(args.rank, args.n)
-        eigs = np.geomspace(args.eig_min, args.eig_max, rank)
-        q, _ = np.linalg.qr(rng.standard_normal((args.n, rank)))
-        k = (q * eigs) @ q.T
-        k = 0.5 * (k + k.T)
-        ds = kernel_ridge_to_ssal(k, args.lam)
-        beta = rng.standard_normal(args.n)
-        y1 = k @ beta + args.noise_sigma * rng.standard_normal(args.n)
-        full = np.concatenate([y1, np.zeros(args.n)])
+        ds, full, eigs = gen_kernel_instance(
+            args.n, args.rank, args.lam, make_rng(seed),
+            eig_min=args.eig_min, eig_max=args.eig_max, noise_sigma=args.noise_sigma,
+        )
         manifest = save_dataset(out, ds, full_labels=full, stem="kernel")
         print(f"d_lambda = {effective_dimension(eigs, args.lam):.17g}")
     else:  # pragma: no cover - argparse restricts choices
@@ -202,97 +199,89 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _run_one_trial(payload: tuple) -> dict:
-    """One solve trial; sampler-level failures come back as error records."""
-    (manifest, sampler, epsilon, c0, oversample_c, uniform_m, seed, retry,
-     assert_lemmas, no_ratio, check_balance, want_solution) = payload
-    try:
-        return _run_one_trial_inner(
-            manifest, sampler, epsilon, c0, oversample_c, uniform_m, seed,
-            retry, assert_lemmas, no_ratio, check_balance, want_solution,
+@dataclass(frozen=True)
+class Trial:
+    """Everything one ``run`` trial needs; picklable for worker processes."""
+
+    manifest: str
+    sampler: str
+    cfg: AsuraConfig | LeverageConfig | UniformConfig
+    retry: bool
+    no_ratio: bool
+    check_balance: bool
+
+
+def _sampler_config(args, seed: int):
+    if args.sampler == "asura":
+        return AsuraConfig(
+            epsilon=args.epsilon, c0=args.c0, rng_seed=seed, assert_lemmas=args.assert_lemmas
         )
-    except (BarrierViolationError, NumericalBreakdownError,
-            WellBalancedEventFailedError) as exc:
-        return {"seed": seed, "sampler": sampler, "error": str(exc)}
+    if args.sampler == "leverage":
+        return LeverageConfig(epsilon=args.epsilon, oversample_c=args.oversample_c, rng_seed=seed)
+    return UniformConfig(m=args.uniform_m, rng_seed=seed)
 
 
-def _run_one_trial_inner(manifest, sampler, epsilon, c0, oversample_c,
-                         uniform_m, seed, retry, assert_lemmas, no_ratio,
-                         check_balance, want_solution) -> dict:
-    ds, full = load_dataset(manifest)
+def _run_one_trial(trial: Trial) -> dict:
+    """One solve trial; sampler-level failures come back as error records."""
+    cfg = trial.cfg
+    ds, full = load_dataset(trial.manifest)
     if full is None:
         raise InvalidInputError(
             "manifest has no hidden labels; sampled rows could not be labeled"
         )
-    oracle = LabelOracle(full, ds.n1, allow_full_loss=not no_ratio)
-    gamma = None
-    if sampler == "asura":
-        cfg = AsuraConfig(
-            epsilon=epsilon, c0=c0, rng_seed=seed, assert_lemmas=assert_lemmas
-        )
-        gamma = cfg.gamma
-    elif sampler == "leverage":
-        cfg = LeverageConfig(epsilon=epsilon, oversample_c=oversample_c, rng_seed=seed)
-    elif sampler == "uniform":
-        cfg = UniformConfig(m=uniform_m, rng_seed=seed)
-    else:
-        raise InvalidInputError(f"unknown sampler {sampler!r}")
+    oracle = LabelOracle(full, ds.n1, allow_full_loss=not trial.no_ratio)
+    adaptive = isinstance(cfg, AsuraConfig)
+    try:
+        t0 = time.perf_counter()
+        sol = solve_active(ds, oracle, cfg, retry=trial.retry)
+        runtime_ms = 1000.0 * (time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    sol = solve_active(ds, oracle, epsilon, sampler=sampler, cfg=cfg, retry=retry)
-    runtime_ms = 1000.0 * (time.perf_counter() - t0)
-
-    well_balanced = None
-    if sampler == "asura" and (retry or check_balance):
-        if retry:
+        well_balanced = None
+        if adaptive and trial.retry:
             well_balanced = True
-        elif sol.trace is not None and sol.trace.a_mats is not None:
+        elif adaptive and trial.check_balance and sol.trace.a_mats is not None:
             svd = thin_svd(ds.stacked())
             well_balanced = check_well_balanced(
-                sol.sample, sol.trace, svd, epsilon
+                sol.sample, sol.trace, svd, cfg.epsilon
             ).well_balanced
+    except (BarrierViolationError, NumericalBreakdownError,
+            WellBalancedEventFailedError) as exc:
+        return {"seed": cfg.rng_seed, "sampler": trial.sampler, "error": str(exc)}
     report = asdict(
         TrialReport(
-            seed=seed,
-            sampler=sampler,
+            seed=cfg.rng_seed,
+            sampler=trial.sampler,
             m=sol.iterations,
             queries_billed=sol.queries,
             queries_iteration_level=sol.queries_iteration_level,
             ratio=sol.ratio,
             well_balanced=well_balanced,
-            gamma=gamma,
+            gamma=cfg.gamma if adaptive else None,
             runtime_ms=runtime_ms,
         )
     )
-    if want_solution:
-        report["solution"] = solution_record(sol, seed)
+    report["solution"] = solution_record(sol, cfg.rng_seed)
     return report
 
 
 def _cmd_run(args) -> int:
     base_seed = _base_seed(args)
-    payloads = [
-        (
-            args.manifest,
-            args.sampler,
-            args.epsilon,
-            args.c0,
-            args.oversample_c,
-            args.uniform_m,
-            derive_seed(base_seed, k),
-            args.retry,
-            args.assert_lemmas,
-            args.no_ratio,
-            args.check_balance,
-            args.solutions_out is not None,
+    trials = [
+        Trial(
+            manifest=args.manifest,
+            sampler=args.sampler,
+            cfg=_sampler_config(args, derive_seed(base_seed, k)),
+            retry=args.retry,
+            no_ratio=args.no_ratio,
+            check_balance=args.check_balance,
         )
         for k in range(args.trials)
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_one_trial, payloads))
+            records = list(pool.map(_run_one_trial, trials))
     else:
-        records = [_run_one_trial(p) for p in payloads]
+        records = [_run_one_trial(t) for t in trials]
 
     solutions = [rec.pop("solution") for rec in records if "solution" in rec]
     if args.solutions_out:
@@ -480,6 +469,14 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _count(text: str) -> int:
+    """Argparse type of the trial, job and run counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="base seed (default: SSAR_SEED env var, else 0)")
@@ -531,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--c0", type=float, default=2.0)
     run.add_argument("--oversample-c", type=float, default=15.0)
     run.add_argument("--uniform-m", type=int, default=100)
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--trials", type=_count, default=1)
+    run.add_argument("--jobs", type=_count, default=1)
     run.add_argument("--retry", action="store_true",
                      help="rerun the adaptive sampler until well balanced")
     run.add_argument("--assert-lemmas", action=argparse.BooleanOptionalAction,
@@ -551,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the guarantee checks")
     ver.add_argument("--trace-file", nargs="*", default=None,
                      help="check scalar dumps instead of running inline")
-    ver.add_argument("--runs", type=int, default=30, help="runs per grid cell")
+    ver.add_argument("--runs", type=_count, default=30, help="runs per grid cell")
     ver.add_argument("--d-grid", default="4,8,16")
     ver.add_argument("--eps-grid", default="0.25,0.1")
     ver.add_argument("--c0", type=float, default=2.0)
@@ -569,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sweep.add_argument("--epsilon", type=float, default=0.25)
     sweep.add_argument("--c0", type=float, default=2.0)
-    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--trials", type=_count, default=100)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--append", action="store_true")
     _add_common(sweep)
@@ -589,9 +586,6 @@ def main(argv=None) -> int:
         args = _apply_config_file(parser, argv, args)
         _print_config(args)
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
-from .asura import AsuraTrace, SampleSet
+from .asura import AsuraTrace
 from .core import Dataset
 from .errors import InvalidInputError
 from .verify import LemmaReport
@@ -29,12 +30,8 @@ __all__ = [
     "dump_trace",
     "load_trace",
     "solution_record",
-    "save_sample_set",
-    "load_sample_set",
     "lemma_report_to_dict",
     "write_jsonl",
-    "read_jsonl",
-    "save_packing",
 ]
 
 FLOAT_FMT = "%.17g"
@@ -47,12 +44,26 @@ def save_matrix(path, arr) -> None:
     np.savetxt(path, arr, fmt=FLOAT_FMT, delimiter=",")
 
 
+@contextmanager
+def _reading(path):
+    """Report a file that does not parse, or lacks a key, as bad input naming the file."""
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
 def load_matrix(path, cols: int | None = None) -> np.ndarray:
     if os.path.getsize(path) == 0:
         if cols is None:
             raise InvalidInputError(f"{path} is empty and no column count was given")
         return np.zeros((0, cols))
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
+    with _reading(path):
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
     if cols is not None and arr.shape[1] != cols:
         raise InvalidInputError(f"{path}: expected {cols} columns, found {arr.shape[1]}")
     return arr
@@ -66,7 +77,8 @@ def save_vector(path, vec) -> None:
 def load_vector(path) -> np.ndarray:
     if os.path.getsize(path) == 0:
         return np.zeros(0)
-    return np.loadtxt(path, ndmin=1)
+    with _reading(path):
+        return np.loadtxt(path, ndmin=1)
 
 
 def save_dataset(out_dir, ds: Dataset, full_labels=None, stem: str = "instance") -> str:
@@ -101,21 +113,26 @@ def save_dataset(out_dir, ds: Dataset, full_labels=None, stem: str = "instance")
 
 def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None]:
     """Read a manifest; returns the dataset and, in test mode, the full labels."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    d = int(manifest["d"])
-    x1 = load_matrix(os.path.join(base, manifest["path_x1"]), cols=d)
-    x2 = load_matrix(os.path.join(base, manifest["path_x2"]), cols=d)
-    y2 = load_vector(os.path.join(base, manifest["path_y2"]))
-    if x1.shape[0] != int(manifest["n1"]) or x2.shape[0] != int(manifest["n2"]):
-        raise InvalidInputError("manifest row counts do not match the block files")
+    with open(manifest_path) as fh, _reading(manifest_path):
+        manifest = json.load(fh)
+        d, n1, n2 = (int(manifest[k]) for k in ("d", "n1", "n2"))
+        x1_path, x2_path, y2_path = (
+            os.path.join(base, manifest[k]) for k in ("path_x1", "path_x2", "path_y2")
+        )
+        hidden = manifest.get("path_y1_hidden")
+        y1_path = os.path.join(base, hidden) if hidden else None
+    x1 = load_matrix(x1_path, cols=d)
+    x2 = load_matrix(x2_path, cols=d)
+    y2 = load_vector(y2_path)
+    if x1.shape[0] != n1 or x2.shape[0] != n2:
+        raise InvalidInputError(f"{manifest_path}: row counts do not match the block files")
     ds = Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=y2)
     full = None
-    if manifest.get("path_y1_hidden"):
-        y1 = load_vector(os.path.join(base, manifest["path_y1_hidden"]))
+    if y1_path:
+        y1 = load_vector(y1_path)
         if y1.size != ds.n1:
-            raise InvalidInputError("hidden label file does not match n1")
+            raise InvalidInputError(f"{manifest_path}: hidden label file does not match n1")
         full = np.concatenate([y1, y2])
     return ds, full
 
@@ -161,30 +178,28 @@ def dump_trace(path, trace: AsuraTrace) -> None:
 
 def load_trace(path) -> AsuraTrace:
     """Read a scalar trace dump back; matrices and optional series are absent."""
-    with open(path) as fh:
+    with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "header":
-        raise InvalidInputError(f"{path} is not a trace dump")
-    head = lines[0]
-    m = int(head["m"])
-    body = lines[1:]
-    if len(body) != m + 1:
-        raise InvalidInputError(f"{path}: expected {m + 1} records, found {len(body)}")
-    iters = body[:m]
-    trailer = body[m]
-    n_unl = head.get("n_unlabeled")
-    return AsuraTrace(
-        gamma=float(head["gamma"]),
-        rank=int(head["rank"]),
-        n_rows=int(head["n_rows"]),
-        n_unlabeled=None if n_unl is None else int(n_unl),
-        phi_id=np.array([rec["phi_id"] for rec in iters], dtype=float),
-        u=np.array([rec["u_j"] for rec in iters] + [trailer["u_j"]], dtype=float),
-        l=np.array([rec["l_j"] for rec in iters] + [trailer["l_j"]], dtype=float),
-        sampled_index=np.array([rec["sampled_index"] for rec in iters], dtype=np.int64),
-        p_j=np.array([rec["p_j"] for rec in iters], dtype=float),
-        w_prime=np.zeros(m),
-    )
+        if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
+            raise InvalidInputError(f"{path} is not a trace dump")
+        head, body = lines[0], lines[1:]
+        m = int(head["m"])
+        if m < 0 or len(body) != m + 1:
+            raise InvalidInputError(f"{path}: expected {m + 1} records, found {len(body)}")
+        iters, trailer = body[:m], body[m]
+        n_unl = head.get("n_unlabeled")
+        return AsuraTrace(
+            gamma=float(head["gamma"]),
+            rank=int(head["rank"]),
+            n_rows=int(head["n_rows"]),
+            n_unlabeled=None if n_unl is None else int(n_unl),
+            phi_id=np.array([rec["phi_id"] for rec in iters], dtype=float),
+            u=np.array([rec["u_j"] for rec in iters] + [trailer["u_j"]], dtype=float),
+            l=np.array([rec["l_j"] for rec in iters] + [trailer["l_j"]], dtype=float),
+            sampled_index=np.array([rec["sampled_index"] for rec in iters], dtype=np.int64),
+            p_j=np.array([rec["p_j"] for rec in iters], dtype=float),
+            w_prime=np.zeros(m),
+        )
 
 
 def solution_record(sol, seed: int) -> dict:
@@ -200,38 +215,6 @@ def solution_record(sol, seed: int) -> dict:
     }
 
 
-def save_sample_set(path, sample) -> None:
-    """One JSON record holding indices, weights and optional run metadata."""
-    rec = {
-        "indices": [int(i) for i in sample.indices],
-        "weights": [float(FLOAT_FMT % w) for w in sample.weights],
-        "coefficients": None
-        if sample.coefficients is None
-        else [float(FLOAT_FMT % a) for a in sample.coefficients],
-        "gamma": sample.gamma,
-        "u_final": sample.u_final,
-        "l_final": sample.l_final,
-    }
-    with open(path, "w") as fh:
-        json.dump(rec, fh)
-        fh.write("\n")
-
-
-def load_sample_set(path) -> SampleSet:
-    with open(path) as fh:
-        rec = json.load(fh)
-    return SampleSet(
-        indices=np.asarray(rec["indices"], dtype=np.int64),
-        weights=np.asarray(rec["weights"], dtype=float),
-        coefficients=None
-        if rec.get("coefficients") is None
-        else np.asarray(rec["coefficients"], dtype=float),
-        gamma=rec.get("gamma"),
-        u_final=rec.get("u_final"),
-        l_final=rec.get("l_final"),
-    )
-
-
 def lemma_report_to_dict(rep: LemmaReport) -> dict:
     rec = asdict(rep)
     rec["verdict"] = "pass" if rep.verdict else "fail"
@@ -244,15 +227,3 @@ def write_jsonl(path, records, append: bool = False) -> None:
     with open(path, mode) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-
-
-def read_jsonl(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def save_packing(path, packing) -> None:
-    """One member per line as a +-1 string, e.g. ``+-++-``."""
-    with open(path, "w") as fh:
-        for row in packing.members:
-            fh.write("".join("+" if v > 0 else "-" for v in row) + "\n")

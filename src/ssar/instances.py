@@ -3,9 +3,8 @@
 Provides seeded Gaussian instances for general testing, the hard ridge
 instance built from scaled standard-basis copies with heavy label noise
 (whose exact ridge solution and optimal loss have closed forms), the greedy
-sign-vector packing used to size that instance family, and a biased-labeled-
-subset generator for demonstrating what goes wrong when the pre-labeled block
-covers only a corner of the covariate space.
+sign-vector packing used to size that instance family, and low-rank PSD
+kernel instances for kernel ridge regression.
 
 Every generator is a pure function of its seed.
 """
@@ -19,7 +18,7 @@ import numpy as np
 
 from .core import Dataset
 from .errors import InvalidInputError, NumericalBreakdownError, ResourceLimitError
-from .regression import ridge_to_ssal
+from .regression import kernel_ridge_to_ssal, ridge_to_ssal
 from .rngutil import make_rng
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "gen_lower_bound_instance",
     "PackingSet",
     "construct_packing",
-    "gen_biased_instance",
+    "gen_kernel_instance",
 ]
 
 PACKING_MAX_D = 20
@@ -56,6 +55,35 @@ def gen_random_instance(
         labels = labels + noise_sigma * rng.standard_normal(n1 + n2)
     ds = Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=labels[n1:])
     return ds, labels
+
+
+def gen_kernel_instance(
+    n: int,
+    rank: int,
+    lam: float,
+    rng: np.random.Generator,
+    eig_min: float = 0.25,
+    eig_max: float = 4.0,
+    noise_sigma: float = 1.0,
+) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """Kernel ridge instance on a random low-rank PSD kernel.
+
+    The kernel ``K = Q diag(eigs) Q^T`` has ``min(rank, n)`` eigenvalues
+    spaced geometrically over ``[eig_min, eig_max]`` and a random orthonormal
+    ``Q``; the labels are ``K beta + noise`` for a standard Gaussian ``beta``.
+    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  Returns the
+    kernel-ridge-reduced dataset, the full stacked label vector, and the
+    kernel's nonzero eigenvalues.
+    """
+    if n < 1 or rank < 1 or not (0 < eig_min <= eig_max):
+        raise InvalidInputError("kernel generator needs n, rank >= 1 and 0 < eig-min <= eig-max")
+    eigs = np.geomspace(eig_min, eig_max, min(rank, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
+    k = (q * eigs) @ q.T
+    k = 0.5 * (k + k.T)
+    ds = kernel_ridge_to_ssal(k, lam)
+    y1 = k @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
+    return ds, np.concatenate([y1, np.zeros(n)]), eigs
 
 
 @dataclass(frozen=True)
@@ -133,10 +161,6 @@ class PackingSet:
     @property
     def size(self) -> int:
         return self.members.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.members.shape[1]
 
 
 def packing_threshold(d: int, epsilon: float, lam: float) -> float:
@@ -223,48 +247,3 @@ def construct_packing(d: int, epsilon: float, lam: float) -> PackingSet:
                 f"pairwise separation {min_sq_dist} fell below threshold {threshold}"
             )
     return PackingSet(members=members, separation=threshold)
-
-
-def gen_biased_instance(
-    n1: int,
-    n2: int,
-    d: int,
-    bias_shift,
-    seed: int,
-    noise_sigma: float = 1.0,
-) -> tuple[Dataset, np.ndarray]:
-    """Gaussian instance whose pre-labeled block sits in a shifted, contracted region.
-
-    The unlabeled block is drawn exactly as in :func:`gen_random_instance`.
-    The labeled block is drawn from the same base law, contracted by
-    ``1 / (1 + ||shift||)`` and translated by ``shift``, so a large shift
-    leaves the labeled rows tightly clustered far from the origin.  Labels for
-    both blocks come from a single global linear model plus noise, so any gap
-    between the labeled-block-only fit and the global fit reflects the labeled
-    block's poor coverage, not a change of model.  With ``bias_shift = 0`` the
-    construction coincides with :func:`gen_random_instance`.
-    """
-    if n1 < 1 or n2 < 1 or d < 1 or n1 + n2 < d:
-        raise InvalidInputError("need n1 >= 1, n2 >= 1 and n1 + n2 >= d")
-    if noise_sigma < 0:
-        raise InvalidInputError("noise_sigma must be nonnegative")
-    shift = np.asarray(bias_shift, dtype=float).reshape(-1)
-    if shift.size == 1:
-        shift = np.full(d, float(shift[0]))
-    if shift.size != d:
-        raise InvalidInputError(f"bias_shift must have length {d}, got {shift.size}")
-    if not np.isfinite(shift).all():
-        raise InvalidInputError("bias_shift contains non-finite entries")
-
-    rng = make_rng(seed)
-    x1 = rng.standard_normal((n1, d)) / math.sqrt(d)
-    base2 = rng.standard_normal((n2, d)) / math.sqrt(d)
-    contraction = 1.0 / (1.0 + float(np.linalg.norm(shift)))
-    x2 = shift + base2 * contraction
-    beta0 = rng.standard_normal(d)
-    x = np.vstack([x1, x2])
-    labels = x @ beta0
-    if noise_sigma > 0:
-        labels = labels + noise_sigma * rng.standard_normal(n1 + n2)
-    ds = Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=labels[n1:])
-    return ds, labels

@@ -167,9 +167,7 @@ def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
 def solve_active(
     ds: Dataset,
     oracle: LabelOracle,
-    epsilon: float,
-    sampler: str = "asura",
-    cfg=None,
+    cfg: AsuraConfig | LeverageConfig | UniformConfig,
     retry: bool = False,
 ) -> RegressionSolution:
     """Sample rows of the stacked design, buy the needed labels, and solve.
@@ -179,12 +177,9 @@ def solve_active(
     ds : Dataset
     oracle : LabelOracle
         Must cover all ``ds.n`` stacked rows with ``n_unlabeled == ds.n1``.
-    epsilon : float
-        Target accuracy; used to build a default sampler config when ``cfg``
-        is omitted.
-    sampler : {"asura", "leverage", "uniform"}
-    cfg : optional
-        Sampler-specific configuration; overrides ``epsilon`` when given.
+    cfg : AsuraConfig, LeverageConfig or UniformConfig
+        Its type chooses the sampler: the adaptive sampler, leverage-score
+        sampling or uniform sampling.
     retry : bool
         For the adaptive sampler, rerun until the well-balancedness check
         passes (at most ``cfg.max_restarts`` attempts).
@@ -195,22 +190,17 @@ def solve_active(
     svd = thin_svd(stacked)
 
     trace = None
-    if sampler == "asura":
-        acfg = cfg if cfg is not None else AsuraConfig(epsilon=epsilon)
+    if isinstance(cfg, AsuraConfig):
         if retry:
-            sample, trace, _ = sample_with_retry(svd, acfg, n_unlabeled=ds.n1)
+            sample, trace, _ = sample_with_retry(svd, cfg, n_unlabeled=ds.n1)
         else:
-            sample, trace = asura_sample(svd, acfg, n_unlabeled=ds.n1)
-    elif sampler == "leverage":
-        lcfg = cfg if cfg is not None else LeverageConfig(epsilon=epsilon)
-        sample = leverage_sample(svd, lcfg)
-    elif sampler == "uniform":
-        if cfg is None:
-            raise InvalidInputError("uniform sampling requires a UniformConfig")
-        ucfg: UniformConfig = cfg
-        sample = uniform_sample(ds.n, ucfg.m, ucfg.rng_seed)
+            sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+    elif isinstance(cfg, LeverageConfig):
+        sample = leverage_sample(svd, cfg)
+    elif isinstance(cfg, UniformConfig):
+        sample = uniform_sample(ds.n, cfg.m, cfg.rng_seed)
     else:
-        raise InvalidInputError(f"unknown sampler {sampler!r}")
+        raise InvalidInputError(f"no sampler takes a {type(cfg).__name__} config")
 
     labels = np.array([oracle.label(i) for i in sample.indices])
     if sample.m > 0:

@@ -25,6 +25,7 @@ from ssar.core import (
 from ssar.instances import (
     LowerBoundSpec,
     construct_packing,
+    gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
     packing_threshold,
@@ -266,7 +267,7 @@ def test_criterion_06_query_bound_and_monotonicity():
                 rng_seed=derive_seed(BASE_SEED, 6, int(lam), k),
                 assert_lemmas=False,
             )
-            sols.append(solve_active(ds, oracle, eps, cfg=cfg))
+            sols.append(solve_active(ds, oracle, cfg))
         report = check_query_bound(sols, ds, math.sqrt(eps) / 2.0)
         sd = statistical_dimension(sigma, lam)
         means.append(report.statistic)
@@ -275,15 +276,9 @@ def test_criterion_06_query_bound_and_monotonicity():
         assert report.verdict, f"query bound failed at lam={lam}"
     monotone = all(a > b for a, b in zip(means, means[1:]))
 
-    # Kernel instance: low-rank PSD kernel on 300 points.
-    n, rank = 300, 8
-    eigs = np.geomspace(0.25, 4.0, rank)
-    q, _ = np.linalg.qr(rng.standard_normal((n, rank)))
-    k_mat = (q * eigs) @ q.T
-    k_mat = 0.5 * (k_mat + k_mat.T)
-    ds_k = kernel_ridge_to_ssal(k_mat, 1.0)
-    y_k = k_mat @ rng.standard_normal(n) + rng.standard_normal(n)
-    full_k = np.concatenate([y_k, np.zeros(n)])
+    # Kernel instance: low-rank PSD kernel on 300 points, drawn from the same rng.
+    n = 300
+    ds_k, full_k, _ = gen_kernel_instance(n, 8, 1.0, rng)
     sols_k = []
     for j in range(200):
         oracle = LabelOracle(full_k, n)
@@ -291,9 +286,9 @@ def test_criterion_06_query_bound_and_monotonicity():
             epsilon=eps, c0=2.0, rng_seed=derive_seed(BASE_SEED, 6, 99, j),
             assert_lemmas=False,
         )
-        sols_k.append(solve_active(ds_k, oracle, eps, cfg=cfg))
+        sols_k.append(solve_active(ds_k, oracle, cfg))
     report_k = check_query_bound(sols_k, ds_k, math.sqrt(eps) / 2.0)
-    d_lam = effective_dimension(np.linalg.eigvalsh(k_mat), 1.0)
+    d_lam = effective_dimension(np.linalg.eigvalsh(ds_k.x_unlabeled), 1.0)
     details.append(f"kernel: mean {report_k.statistic:.2f} "
                    f"(d_lambda {d_lam:.2f}, {'ok' if report_k.verdict else 'FAIL'})")
 
@@ -311,23 +306,21 @@ def test_criterion_07_end_to_end_approximation():
     ds = ridge_to_ssal(x1, lam)
     full = np.concatenate([y1, np.zeros(d)])
 
-    def run_band(sampler, cfg_for):
+    def run_band(cfg_for):
         ratios = []
         for k in range(50):
             oracle = LabelOracle(full, n1)
-            sol = solve_active(ds, oracle, eps, sampler=sampler, cfg=cfg_for(k))
+            sol = solve_active(ds, oracle, cfg_for(k))
             ratios.append(sol.ratio)
         ratios = np.array(ratios)
         return float(ratios.mean()), float(np.percentile(ratios, 90))
 
     mean_a, p90_a = run_band(
-        "asura",
         lambda k: AsuraConfig(epsilon=eps, c0=2.0,
                               rng_seed=derive_seed(BASE_SEED, 7, k),
                               assert_lemmas=False),
     )
     mean_l, p90_l = run_band(
-        "leverage",
         lambda k: LeverageConfig(epsilon=eps, oversample_c=15.0,
                                  rng_seed=derive_seed(BASE_SEED, 7, 1, k)),
     )

@@ -4,12 +4,11 @@ import scipy.stats
 
 from ssar.asura import (
     AsuraConfig,
-    AsuraState,
+    _barrier_weights,
     _draw_index,
     _normalize_probabilities,
     asura_sample,
     check_well_balanced,
-    potential,
     sample_with_retry,
     sampling_distribution,
 )
@@ -29,6 +28,17 @@ from conftest import gaussian_dataset
 def _svd(n1=24, n2=8, d=8, seed=5):
     ds = gaussian_dataset(n1, n2, d, seed)
     return ds, thin_svd(ds.stacked())
+
+
+def _initial(rank, gamma):
+    """The sampler's starting state ``(A, u, l)``: ``A = 0`` and ``u = -l = 2 r / gamma``."""
+    edge = 2.0 * rank / gamma
+    return np.zeros((rank, rank)), edge, -edge
+
+
+def _state(trace, j):
+    """The barrier state ``(A, u, l)`` before iteration ``j`` of a captured run."""
+    return trace.a_mats[j], float(trace.u[j]), float(trace.l[j])
 
 
 # ---------------------------------------------------------------- config
@@ -67,36 +77,37 @@ def test_gamma_half_breaks_barrier_update():
 def test_potential_initial_state_closed_forms():
     gamma = 0.2
     d = 6
-    state = AsuraState.initial(d, gamma)
-    assert potential(state) == pytest.approx(gamma, rel=1e-12)
-    m = make_rng(3).standard_normal((d, d))
-    m = m @ m.T
-    assert potential(state, m) == pytest.approx(gamma * np.trace(m) / d, rel=1e-12)
+    q, b = _barrier_weights(*_initial(d, gamma))
+    assert b.sum() == pytest.approx(gamma, rel=1e-12)
+    np.testing.assert_allclose(b, np.full(d, gamma / d), rtol=1e-12)
+    np.testing.assert_allclose(q.T @ q, np.eye(d), atol=1e-12)
 
 
 def test_potential_scalar_case():
-    state = AsuraState(a=np.array([[0.5]]), u=1.0, l=0.0)
-    assert potential(state) == pytest.approx(4.0)
+    _, b = _barrier_weights(np.array([[0.5]]), 1.0, 0.0)
+    assert b.sum() == pytest.approx(4.0)
 
 
 def test_potential_raises_when_barrier_touched():
-    state = AsuraState(a=np.diag([2.0, 0.0]), u=1.0, l=-1.0)
+    a = np.diag([2.0, 0.0])
+    with pytest.raises(BarrierViolationError, match="at iteration 3"):
+        _barrier_weights(a, 1.0, -1.0, 3)
+    svd = thin_svd(np.eye(2))
     with pytest.raises(BarrierViolationError):
-        potential(state)
+        sampling_distribution(svd, a, 1.0, -1.0)
 
 
 # ------------------------------------------------------ distribution
 
 def test_sampling_distribution_initial_identity_design():
     svd = thin_svd(np.eye(5))
-    state = AsuraState.initial(5, 0.25)
-    np.testing.assert_allclose(sampling_distribution(svd, state), np.full(5, 0.2), atol=1e-12)
+    p = sampling_distribution(svd, *_initial(5, 0.25))
+    np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-12)
 
 
 def test_sampling_distribution_initial_state_is_normalized_leverage():
     _, svd = _svd()
-    state = AsuraState.initial(svd.rank, 0.25)
-    p = sampling_distribution(svd, state)
+    p = sampling_distribution(svd, *_initial(svd.rank, 0.25))
     lev = np.einsum("ij,ij->i", svd.u, svd.u)
     np.testing.assert_allclose(p, lev / svd.rank, atol=1e-12)
     assert abs(p.sum() - 1.0) <= 1e-10
@@ -105,7 +116,7 @@ def test_sampling_distribution_initial_state_is_normalized_leverage():
 def test_sampling_distribution_dimension_mismatch():
     _, svd = _svd()
     with pytest.raises(InvalidInputError):
-        sampling_distribution(svd, AsuraState.initial(svd.rank + 1, 0.25))
+        sampling_distribution(svd, *_initial(svd.rank + 1, 0.25))
 
 
 def test_normalize_probabilities_contract():
@@ -121,8 +132,7 @@ def test_drawn_rows_match_distribution_chi_square():
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=123)
     _, trace = asura_sample(svd, cfg)
     j = trace.m // 2
-    state = AsuraState(a=trace.a_mats[j], u=float(trace.u[j]), l=float(trace.l[j]), j=j)
-    p = sampling_distribution(svd, state)
+    p = sampling_distribution(svd, *_state(trace, j))
     rng = make_rng(777)
     n_draws = 100_000
     counts = np.bincount(
@@ -166,7 +176,7 @@ def test_sampler_structural_bounds_over_seed_batch():
         # Potential also dominates the instantaneous gap floor.
         gaps = trace.u[:-1] - trace.l[:-1]
         assert np.all(trace.phi_id >= 4 * d / gaps - 1e-12)
-        mid = trace.mid
+        mid = 0.5 * (trace.u_final + trace.l_final)
         np.testing.assert_allclose(sample.weights * mid, trace.w_prime, rtol=1e-12)
         np.testing.assert_allclose(
             sample.coefficients * mid, gamma / trace.phi_id, rtol=1e-12
@@ -232,8 +242,7 @@ def test_block_draw_replays_full_row_stream(x, n1):
         _, trace = asura_sample(svd, cfg, n_unlabeled=n1, capture_matrices=True)
         rng = make_rng(seed)
         for j in range(trace.m):
-            state = AsuraState(a=trace.a_mats[j], u=float(trace.u[j]), l=float(trace.l[j]), j=j)
-            p = sampling_distribution(svd, state)
+            p = sampling_distribution(svd, *_state(trace, j))
             pick = _draw_index(rng, p)
             assert trace.sampled_index[j] == pick, (seed, j)
             assert trace.p_j[j] == pytest.approx(p[pick], rel=1e-12)

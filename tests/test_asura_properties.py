@@ -53,7 +53,7 @@ def test_sampler_run_invariants(ds, cfg):
 def test_billed_queries_are_distinct_unlabeled_picks(ds, cfg):
     y1 = make_rng(cfg.rng_seed).standard_normal(ds.n1)
     oracle = LabelOracle(np.concatenate([y1, ds.y_labeled]), ds.n1)
-    sol = solve_active(ds, oracle, cfg.epsilon, cfg=cfg)
+    sol = solve_active(ds, oracle, cfg)
     picks = sol.sample.indices
     assert sol.queries == np.unique(picks[picks < ds.n1]).size
     assert sol.queries_iteration_level == np.count_nonzero(picks < ds.n1)

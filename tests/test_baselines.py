@@ -26,7 +26,7 @@ def test_leverage_solve_on_rank_one_instance():
     y1 = make_rng(9).standard_normal(ds.n1)
     oracle = LabelOracle(np.concatenate([y1, ds.y_labeled]), ds.n1)
     cfg = LeverageConfig(epsilon=0.25, rng_seed=3)
-    sol = solve_active(ds, oracle, 0.25, sampler="leverage", cfg=cfg)
+    sol = solve_active(ds, oracle, cfg)
     assert sol.iterations >= 1
     assert 1 <= sol.queries <= ds.n1
     assert sol.ratio >= 1.0 - 1e-9

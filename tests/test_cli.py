@@ -171,12 +171,61 @@ def test_config_file_values_are_parsed_like_flags(manifest, capsys, tmp_path):
     {"retry": "yes"},
     {"epsilon": None},
     ["trials", 2],
+    {"trials": 0},
+    {"jobs": 0},
 ])
 def test_config_file_bad_key_or_value_is_config_error(manifest, capsys, tmp_path, overrides):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(overrides))
     code, _ = run_cli(capsys, "run", "--manifest", manifest, "--config", str(cfg_path))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--trials", "0"], None),
+    (["run", "--jobs", "0"], None),
+    (["verify", "--runs", "0"], None),
+    (["verify"], {"runs": 0}),
+    (["sweep", "d", "--grid", "4", "--trials", "0"], None),
+    (["sweep", "d", "--grid", "4"], {"trials": -1}),
+])
+def test_counts_below_one_are_config_errors(manifest, capsys, tmp_path, argv, config):
+    # A count of 0 would print a summary over nothing and exit 0.
+    if argv[0] == "run":
+        argv = [*argv, "--manifest", manifest]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg_path)]
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert data_lines(out) == []
+
+
+_GOOD_MANIFEST = {"d": 3, "n1": 1, "n2": 1, "path_x1": "x1.csv", "path_x2": "x2.csv",
+                  "path_y2": "y2.csv", "path_y1_hidden": "y1.csv"}
+_BLOCKS = {"x1.csv": "1,2,3\n", "x2.csv": "4,5,6\n", "y2.csv": "1\n", "y1.csv": "2\n"}
+_RUN = ("run", "--manifest", "m.json")
+
+
+@pytest.mark.parametrize("argv,files,bad", [
+    (_RUN, {"m.json": '{"d": 3'}, "m.json"),
+    (_RUN, {"m.json": json.dumps({k: v for k, v in _GOOD_MANIFEST.items() if k != "d"})},
+     "m.json"),
+    (_RUN, {**_BLOCKS, "m.json": json.dumps(_GOOD_MANIFEST), "x1.csv": "a,b,c\n"}, "x1.csv"),
+    (_RUN, {**_BLOCKS, "m.json": json.dumps({**_GOOD_MANIFEST, "path_y1_hidden": 5})},
+     "m.json"),
+    (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": '{"kind": "header"}\n'}, "t.jsonl"),
+], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
+        "dump-without-m"])
+def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    *command, target = argv
+    code = main([*command, str(tmp_path / target)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
 
 
 def test_ssar_seed_env_used_when_flag_absent(manifest, capsys, monkeypatch):

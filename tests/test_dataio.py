@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from ssar.dataio import (
     load_dataset,
     load_matrix,
     load_trace,
-    read_jsonl,
     save_dataset,
     save_matrix,
-    save_packing,
     write_jsonl,
 )
 from ssar.errors import InvalidInputError
-from ssar.instances import construct_packing, gen_random_instance
+from ssar.instances import gen_random_instance
 from ssar.verify import LemmaReport
 
 from conftest import gaussian_dataset
@@ -69,29 +69,13 @@ def test_trace_dump_round_trip(tmp_path):
     assert loaded.a_mats is None
 
 
-def test_sample_set_round_trip(tmp_path):
-    from ssar.dataio import load_sample_set, save_sample_set
-
-    ds = gaussian_dataset(15, 5, 4, seed=12)
-    svd = thin_svd(ds.stacked())
-    sample, _ = asura_sample(svd, AsuraConfig(epsilon=0.25, rng_seed=13))
-    path = tmp_path / "sample.json"
-    save_sample_set(path, sample)
-    loaded = load_sample_set(path)
-    np.testing.assert_array_equal(loaded.indices, sample.indices)
-    np.testing.assert_array_equal(loaded.weights, sample.weights)
-    np.testing.assert_array_equal(loaded.coefficients, sample.coefficients)
-    assert loaded.gamma == sample.gamma
-
-
 def test_solution_record_fields():
     from ssar.dataio import solution_record
     from ssar.instances import gen_random_instance as gri
     from ssar.regression import LabelOracle, solve_active
 
     ds, labels = gri(20, 6, 3, 1.0, seed=14)
-    sol = solve_active(ds, LabelOracle(labels, ds.n1), 0.25,
-                       cfg=AsuraConfig(epsilon=0.25, rng_seed=15))
+    sol = solve_active(ds, LabelOracle(labels, ds.n1), AsuraConfig(epsilon=0.25, rng_seed=15))
     rec = solution_record(sol, seed=15)
     assert set(rec) == {"beta_hat", "loss", "opt", "ratio", "queries",
                         "iterations", "seed"}
@@ -104,11 +88,4 @@ def test_lemma_report_serialization(tmp_path):
     assert rec["verdict"] == "pass" and rec["runs"] == 5
     path = tmp_path / "reports.jsonl"
     write_jsonl(path, [rec])
-    assert read_jsonl(path) == [rec]
-
-
-def test_save_packing_format(tmp_path):
-    packing = construct_packing(2, 0.01, 1.0)
-    path = tmp_path / "packing.txt"
-    save_packing(path, packing)
-    assert path.read_text().splitlines() == ["++", "+-", "-+", "--"]
+    assert [json.loads(line) for line in path.read_text().splitlines()] == [rec]

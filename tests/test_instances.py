@@ -8,7 +8,6 @@ from ssar.instances import (
     _greedy_pack,
     _sign_hypercube,
     construct_packing,
-    gen_biased_instance,
     gen_lower_bound_instance,
     gen_random_instance,
     packing_threshold,
@@ -117,36 +116,3 @@ def test_sign_hypercube_is_lexicographic():
     np.testing.assert_array_equal(
         cube, np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
     )
-
-
-# ---------------------------------------------------------------- biased
-
-def test_biased_zero_shift_matches_plain_generator():
-    plain_ds, plain_labels = gen_random_instance(30, 10, 3, 1.0, seed=21)
-    biased_ds, biased_labels = gen_biased_instance(30, 10, 3, np.zeros(3), seed=21)
-    np.testing.assert_array_equal(plain_ds.stacked(), biased_ds.stacked())
-    np.testing.assert_array_equal(plain_labels, biased_labels)
-
-
-def test_biased_instance_is_seed_deterministic():
-    a = gen_biased_instance(20, 8, 2, [5.0, 0.0], seed=33)
-    b = gen_biased_instance(20, 8, 2, [5.0, 0.0], seed=33)
-    np.testing.assert_array_equal(a[0].stacked(), b[0].stacked())
-    np.testing.assert_array_equal(a[1], b[1])
-
-
-def test_biased_instance_tilts_labeled_only_fit():
-    # With a strong shift the labeled block covers a sliver of the plane, so
-    # the labeled-only fit points far away from the global one.
-    hits = 0
-    seeds = 100
-    for seed in range(seeds):
-        ds, full = gen_biased_instance(200, 10, 2, [50.0, 0.0], seed)
-        b_global, _ = exact_solution(ds, full)
-        b_local, *_ = np.linalg.lstsq(ds.x_labeled, ds.y_labeled, rcond=None)
-        cos = b_global @ b_local / (
-            np.linalg.norm(b_global) * np.linalg.norm(b_local)
-        )
-        angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-        hits += angle > 10.0
-    assert hits / seeds >= 0.9

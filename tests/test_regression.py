@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssar.asura import AsuraConfig
-from ssar.baselines import UniformConfig
+from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.core import Dataset, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_random_instance
@@ -177,8 +177,7 @@ def test_solve_active_zero_queries_when_unlabeled_rows_carry_no_mass():
         y_labeled=np.array([1.0, 2.0, 3.0]),
     )
     oracle = LabelOracle(np.concatenate([np.zeros(4), ds.y_labeled]), 4)
-    sol = solve_active(ds, oracle, 0.25, sampler="asura",
-                       cfg=AsuraConfig(epsilon=0.25, rng_seed=2))
+    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25, rng_seed=2))
     assert sol.queries == 0
     assert sol.queries_iteration_level == 0
 
@@ -189,7 +188,7 @@ def test_solve_active_is_deterministic_and_caches_queries():
     sols = []
     for _ in range(2):
         oracle = LabelOracle(labels, ds.n1)
-        sols.append(solve_active(ds, oracle, 0.25, cfg=cfg))
+        sols.append(solve_active(ds, oracle, cfg))
     a, b = sols
     np.testing.assert_array_equal(a.sample.indices, b.sample.indices)
     np.testing.assert_allclose(a.beta_hat, b.beta_hat)
@@ -201,13 +200,13 @@ def test_solve_active_is_deterministic_and_caches_queries():
 
 def test_solve_active_ratio_floor_and_samplers():
     ds, labels = gen_random_instance(60, 12, 4, noise_sigma=1.0, seed=7)
-    for sampler, cfg in [
-        ("asura", AsuraConfig(epsilon=0.25, rng_seed=3)),
-        ("leverage", None),
-        ("uniform", UniformConfig(m=50, rng_seed=3)),
+    for cfg in [
+        AsuraConfig(epsilon=0.25, rng_seed=3),
+        LeverageConfig(epsilon=0.25),
+        UniformConfig(m=50, rng_seed=3),
     ]:
         oracle = LabelOracle(labels, ds.n1)
-        sol = solve_active(ds, oracle, 0.25, sampler=sampler, cfg=cfg)
+        sol = solve_active(ds, oracle, cfg)
         assert sol.ratio is not None and sol.ratio >= 1.0 - 1e-9
 
 
@@ -225,14 +224,14 @@ def test_solve_active_square_instance_scores_round_off_opt_as_zero():
     )
     for seed in range(10):
         oracle = LabelOracle(np.concatenate([[0.7], ds.y_labeled]), ds.n1)
-        sol = solve_active(ds, oracle, 0.1, cfg=AsuraConfig(epsilon=0.1, rng_seed=seed))
+        sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.1, rng_seed=seed))
         assert sol.ratio == 1.0
 
 
 def test_solve_active_deploy_mode_omits_ratio():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=8)
     oracle = LabelOracle(labels, ds.n1, allow_full_loss=False)
-    sol = solve_active(ds, oracle, 0.25, cfg=AsuraConfig(epsilon=0.25, rng_seed=4))
+    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25, rng_seed=4))
     assert sol.ratio is None and sol.loss is None and sol.opt is None
     assert sol.queries > 0
 
@@ -240,4 +239,11 @@ def test_solve_active_deploy_mode_omits_ratio():
 def test_solve_active_rejects_mismatched_oracle():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=9)
     with pytest.raises(InvalidInputError):
-        solve_active(ds, LabelOracle(labels, ds.n1 - 1), 0.25)
+        solve_active(ds, LabelOracle(labels, ds.n1 - 1), AsuraConfig(epsilon=0.25))
+
+
+def test_solve_active_rejects_a_non_config():
+    # The config's type chooses the sampler; a bare accuracy chooses none.
+    ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=9)
+    with pytest.raises(InvalidInputError, match="float"):
+        solve_active(ds, LabelOracle(labels, ds.n1), 0.25)

@@ -147,7 +147,7 @@ def test_query_bound_forced_pass_without_labeled_block():
     for k in range(25):
         oracle = LabelOracle(labels, ds.n1)
         cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=100 + k, assert_lemmas=False)
-        sols.append(solve_active(ds, oracle, 0.25, cfg=cfg))
+        sols.append(solve_active(ds, oracle, cfg))
     report = check_query_bound(sols, ds, 0.25)
     assert report.verdict
     assert report.statistic <= 2 * 4 / 0.25**2
