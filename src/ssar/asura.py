@@ -100,8 +100,8 @@ class AsuraConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidInputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.c0 <= 0:
-            raise InvalidInputError(f"c0 must be positive, got {self.c0}")
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise InvalidInputError(f"c0 must be finite and positive, got {self.c0}")
         if self.rng_seed < 0:
             raise InvalidInputError("rng_seed must be a nonnegative integer")
         if self.max_restarts < 1:

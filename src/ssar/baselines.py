@@ -32,8 +32,8 @@ class LeverageConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidInputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.oversample_c <= 0:
-            raise InvalidInputError("oversample_c must be positive")
+        if not (math.isfinite(self.oversample_c) and self.oversample_c > 0):
+            raise InvalidInputError("oversample_c must be finite and positive")
         if self.rng_seed < 0:
             raise InvalidInputError("rng_seed must be a nonnegative integer")
 
@@ -75,9 +75,8 @@ def leverage_sample(svd: SvdFactors, cfg: LeverageConfig) -> SampleSet:
     return SampleSet(indices=indices, weights=weights)
 
 
-def uniform_sample(n_rows: int, m: int, rng_seed: int = 0) -> SampleSet:
-    """Draw ``m`` rows uniformly with replacement, each with weight ``n_rows / m``."""
-    cfg = UniformConfig(m=m, rng_seed=rng_seed)
+def uniform_sample(n_rows: int, cfg: UniformConfig) -> SampleSet:
+    """Draw ``cfg.m`` rows uniformly with replacement, each with weight ``n_rows / cfg.m``."""
     if n_rows < 1:
         raise InvalidInputError("n_rows must be at least 1")
     rng = make_rng(cfg.rng_seed)

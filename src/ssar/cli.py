@@ -30,12 +30,7 @@ import numpy as np
 
 from .asura import AsuraConfig, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig
-from .core import (
-    effective_dimension,
-    reduced_rank,
-    statistical_dimension,
-    thin_svd,
-)
+from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
     lemma_report_to_dict,
     load_dataset,
@@ -203,7 +198,8 @@ def _cmd_gen(args) -> int:
 class Trial:
     """Everything one ``run`` trial needs; picklable for worker processes."""
 
-    manifest: str
+    ds: Dataset
+    full_labels: np.ndarray
     sampler: str
     cfg: AsuraConfig | LeverageConfig | UniformConfig
     retry: bool
@@ -223,13 +219,8 @@ def _sampler_config(args, seed: int):
 
 def _run_one_trial(trial: Trial) -> dict:
     """One solve trial; sampler-level failures come back as error records."""
-    cfg = trial.cfg
-    ds, full = load_dataset(trial.manifest)
-    if full is None:
-        raise InvalidInputError(
-            "manifest has no hidden labels; sampled rows could not be labeled"
-        )
-    oracle = LabelOracle(full, ds.n1, allow_full_loss=not trial.no_ratio)
+    cfg, ds = trial.cfg, trial.ds
+    oracle = LabelOracle(trial.full_labels, ds.n1, allow_full_loss=not trial.no_ratio)
     adaptive = isinstance(cfg, AsuraConfig)
     try:
         t0 = time.perf_counter()
@@ -240,9 +231,8 @@ def _run_one_trial(trial: Trial) -> dict:
         if adaptive and trial.retry:
             well_balanced = True
         elif adaptive and trial.check_balance and sol.trace.a_mats is not None:
-            svd = thin_svd(ds.stacked())
             well_balanced = check_well_balanced(
-                sol.sample, sol.trace, svd, cfg.epsilon
+                sol.sample, sol.trace, ds.svd, cfg.epsilon
             ).well_balanced
     except (BarrierViolationError, NumericalBreakdownError,
             WellBalancedEventFailedError) as exc:
@@ -266,20 +256,30 @@ def _run_one_trial(trial: Trial) -> dict:
 
 def _cmd_run(args) -> int:
     base_seed = _base_seed(args)
+    cfgs = [_sampler_config(args, derive_seed(base_seed, k)) for k in range(args.trials)]
+    ds, full = load_dataset(args.manifest)
+    if full is None:
+        raise InvalidInputError(
+            f"{args.manifest} has no hidden labels; sampled rows could not be labeled"
+        )
     trials = [
         Trial(
-            manifest=args.manifest,
+            ds=ds,
+            full_labels=full,
             sampler=args.sampler,
-            cfg=_sampler_config(args, derive_seed(base_seed, k)),
+            cfg=cfg,
             retry=args.retry,
             no_ratio=args.no_ratio,
             check_balance=args.check_balance,
         )
-        for k in range(args.trials)
+        for cfg in cfgs
     ]
     if args.jobs > 1:
+        # One chunk per worker: the trials of a chunk are pickled together, so
+        # the worker unpickles, and factors, the shared dataset once.
+        chunk = math.ceil(len(trials) / args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_one_trial, trials))
+            records = list(pool.map(_run_one_trial, trials, chunksize=chunk))
     else:
         records = [_run_one_trial(t) for t in trials]
 
@@ -310,11 +310,6 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _parse_grid(text: str, cast=float) -> list:
-    items = [tok for tok in text.split(",") if tok.strip()]
-    return [cast(tok) for tok in items]
-
-
 def _cmd_verify(args) -> int:
     base_seed = _base_seed(args)
     reports = []
@@ -326,20 +321,17 @@ def _cmd_verify(args) -> int:
             )
         reports = merge_hard_reports([reports])
     else:
-        d_grid = _parse_grid(args.d_grid, int)
-        eps_grid = _parse_grid(args.eps_grid, float)
-        per_run = []
+        d_grid, per_run = _dims(args.d_grid), []
         for d in d_grid:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, d))
-            svd = thin_svd(ds.stacked())
-            for eps in eps_grid:
+            for eps in args.eps_grid:
                 cfg = AsuraConfig(
                     epsilon=eps, c0=args.c0,
                     rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
                     assert_lemmas=True,
                 )
-                for _, trace in run_sampler_batch(svd, cfg, args.runs, n_unlabeled=ds.n1):
-                    per_run.append(check_hard_lemmas(trace, cfg.gamma, svd.rank))
+                for _, trace in run_sampler_batch(ds.svd, cfg, args.runs, n_unlabeled=ds.n1):
+                    per_run.append(check_hard_lemmas(trace, cfg.gamma, ds.svd.rank))
         reports = merge_hard_reports(per_run)
 
         if args.statistical_runs:
@@ -347,10 +339,8 @@ def _cmd_verify(args) -> int:
                 raise InvalidInputError(
                     f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs"
                 )
-            d = d_grid[0] if d_grid else 8
-            eps = eps_grid[0] if eps_grid else 0.25
+            d, eps = d_grid[0], args.eps_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
-            svd = thin_svd(ds.stacked())
             cfg = AsuraConfig(
                 epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7),
                 assert_lemmas=False,
@@ -358,11 +348,11 @@ def _cmd_verify(args) -> int:
             batch = [
                 t
                 for _, t in run_sampler_batch(
-                    svd, cfg, args.statistical_runs,
+                    ds.svd, cfg, args.statistical_runs,
                     n_unlabeled=ds.n1, capture_matrices=False,
                 )
             ]
-            reports.extend(check_statistical_lemmas(batch, cfg.gamma, svd.rank))
+            reports.extend(check_statistical_lemmas(batch, cfg.gamma, ds.svd.rank))
 
     if args.lemma:
         matched = [r for r in reports if r.lemma_id == args.lemma]
@@ -388,35 +378,28 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_points(args, base_seed):
-    """Yield (label, dataset, epsilon) triples for the requested grid."""
-    grid = _parse_grid(args.grid, float)
+    """(label, dataset, epsilon) triples for the requested grid, built lazily."""
+
+    def ridge_design(d, *key):
+        rng = make_rng(derive_seed(base_seed, 1, *key))
+        return rng.standard_normal((args.n1, d)) / math.sqrt(args.n1)
+
     if args.axis == "lambda":
-        rng = make_rng(derive_seed(base_seed, 1))
-        x1 = rng.standard_normal((args.n1, args.d)) / math.sqrt(args.n1)
-        for lam in grid:
-            yield f"lambda={lam:g}", ridge_to_ssal(x1, lam), args.epsilon
-    elif args.axis == "epsilon":
-        rng = make_rng(derive_seed(base_seed, 1))
-        x1 = rng.standard_normal((args.n1, args.d)) / math.sqrt(args.n1)
-        ds = ridge_to_ssal(x1, args.lam)
-        for eps in grid:
-            yield f"epsilon={eps:g}", ds, eps
-    elif args.axis == "d":
-        for d in grid:
-            d = int(d)
-            rng = make_rng(derive_seed(base_seed, 1, d))
-            x1 = rng.standard_normal((args.n1, d)) / math.sqrt(args.n1)
-            yield f"d={d}", ridge_to_ssal(x1, args.lam), args.epsilon
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown sweep axis {args.axis!r}")
+        x1 = ridge_design(args.d)
+        return ((f"lambda={lam:g}", ridge_to_ssal(x1, lam), args.epsilon) for lam in args.grid)
+    if args.axis == "epsilon":
+        ds = ridge_to_ssal(ridge_design(args.d), args.lam)
+        return ((f"epsilon={eps:g}", ds, eps) for eps in args.grid)
+    dims = _dims(args.grid)
+    return ((f"d={d}", ridge_to_ssal(ridge_design(d, d), args.lam), args.epsilon) for d in dims)
 
 
 def _cmd_sweep(args) -> int:
     base_seed = _base_seed(args)
     rows = []
+    points = _sweep_points(args, base_seed)
     print("point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound")
-    for point_index, (label, ds, eps) in enumerate(_sweep_points(args, base_seed)):
-        svd = thin_svd(ds.stacked())
+    for point_index, (label, ds, eps) in enumerate(points):
         cfg = AsuraConfig(
             epsilon=eps, c0=args.c0,
             rng_seed=derive_seed(base_seed, 2, point_index),
@@ -424,14 +407,14 @@ def _cmd_sweep(args) -> int:
         )
         counts = []
         for _, trace in run_sampler_batch(
-            svd, cfg, args.trials, n_unlabeled=ds.n1, capture_matrices=False
+            ds.svd, cfg, args.trials, n_unlabeled=ds.n1, capture_matrices=False
         ):
             counts.append(
                 int(np.count_nonzero(trace.sampled_index < ds.n1))
             )
         counts = np.array(counts, dtype=float)
         r_x = reduced_rank(ds)
-        mean = float(counts.mean()) if counts.size else 0.0
+        mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(counts.size)) if counts.size > 1 else 0.0
         bound = 4.0 * r_x / cfg.gamma**2
         rows.append(
@@ -448,21 +431,19 @@ def _cmd_sweep(args) -> int:
             f"{label}\t{r_x:.6g}\t{r_x / eps:.6g}\t{mean:.6g}\t{se:.6g}\t{bound:.6g}"
         )
 
-    if rows:
-        xs = np.array([r["r_over_eps"] for r in rows])
-        ys = np.array([r["mean_queries"] for r in rows])
-        denom = float(xs @ xs)
-        fitted = float(xs @ ys) / denom if denom > 0 else float("nan")
-        means = [r["mean_queries"] for r in rows]
-        monotone = all(a > b for a, b in zip(means, means[1:])) or all(
-            a < b for a, b in zip(means, means[1:])
-        )
-        within = all(r["mean_queries"] <= r["bound"] for r in rows)
-        print(f"# fitted queries-per-(r_x/epsilon) constant: {fitted:.6g}")
-        print(f"# monotone trend: {monotone}")
-        print(f"# all points within query bound: {within}")
-        if args.out:
-            write_jsonl(args.out, rows, append=args.append)
+    xs = np.array([r["r_over_eps"] for r in rows])
+    means = [r["mean_queries"] for r in rows]
+    denom = float(xs @ xs)
+    fitted = float(xs @ np.array(means)) / denom if denom > 0 else float("nan")
+    monotone = all(a > b for a, b in zip(means, means[1:])) or all(
+        a < b for a, b in zip(means, means[1:])
+    )
+    within = all(r["mean_queries"] <= r["bound"] for r in rows)
+    print(f"# fitted queries-per-(r_x/epsilon) constant: {fitted:.6g}")
+    print(f"# monotone trend: {monotone}")
+    print(f"# all points within query bound: {within}")
+    if args.out:
+        write_jsonl(args.out, rows, append=args.append)
     return EXIT_OK
 
 
@@ -475,6 +456,21 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _grid(text: str) -> list:
+    """Argparse type of the grids: ``a,b,...`` or ``[a, b, ...]``, non-empty and finite."""
+    values = [float(tok) for tok in text.strip("[] ").split(",") if tok.strip()]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"need a list of finite numbers, got {text!r}")
+    return values
+
+
+def _dims(values: list) -> list:
+    """A grid of dimensions as ints; each must be a whole number of at least 1."""
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise InvalidInputError(f"dimensions must be whole numbers of at least 1, got {values}")
+    return [int(v) for v in values]
 
 
 def _add_common(sub):
@@ -549,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trace-file", nargs="*", default=None,
                      help="check scalar dumps instead of running inline")
     ver.add_argument("--runs", type=_count, default=30, help="runs per grid cell")
-    ver.add_argument("--d-grid", default="4,8,16")
-    ver.add_argument("--eps-grid", default="0.25,0.1")
+    ver.add_argument("--d-grid", type=_grid, default="4,8,16")
+    ver.add_argument("--eps-grid", type=_grid, default="0.25,0.1")
     ver.add_argument("--c0", type=float, default=2.0)
     ver.add_argument("--statistical-runs", type=int, default=0)
     ver.add_argument("--lemma", default=None, help="restrict to one check id")
@@ -560,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid experiment over lambda, epsilon or d")
     sweep.add_argument("axis", choices=("lambda", "epsilon", "d"))
-    sweep.add_argument("--grid", required=True, help="comma-separated values")
+    sweep.add_argument("--grid", type=_grid, required=True, help="comma-separated values")
     sweep.add_argument("--n1", type=int, default=2000)
     sweep.add_argument("--d", type=int, default=10)
     sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)

@@ -1,18 +1,18 @@
 """Dense linear-algebra primitives and instance-level complexity measures.
 
-This module holds the numerical substrate for the rest of the package: a thin
-SVD with relative rank truncation, row leverage scores, the unlabeled-mass
-trace ``reduced_rank`` that governs label-query complexity, the regularized
-spectrum sums ``statistical_dimension`` and ``effective_dimension``, and a
-symmetric PSD matrix square root.
-
-All operations are pure functions of immutable inputs and are safe to call
-concurrently.
+This module holds the numerical substrate for the rest of the package: the
+``Dataset`` instance, which stacks its blocks once and factors the stack once
+(``Dataset.svd``, read by the samplers, OPT and ``reduced_rank``), a thin SVD
+with relative rank truncation, row leverage scores, the unlabeled-mass trace
+``reduced_rank`` that governs label-query complexity, the regularized spectrum
+sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
+PSD matrix square root.  The other operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class Dataset:
     ``x_labeled`` holds the rows whose labels ``y_labeled`` come for free.
     Row ``i`` of the stacked design refers to ``x_unlabeled[i]`` for
     ``i < n1`` and to ``x_labeled[i - n1]`` otherwise.
+
+    The instance owns one read-only stacked design: the two blocks are views
+    of it, and ``svd`` is its thin SVD, computed on first use and kept.
     """
 
     x_unlabeled: np.ndarray
@@ -80,7 +83,7 @@ class Dataset:
         x1 = as_matrix(self.x_unlabeled, "x_unlabeled")
         x2 = as_matrix(self.x_labeled, "x_labeled", allow_empty=True)
         y2 = as_vector(self.y_labeled, "y_labeled", allow_empty=True)
-        if x2.ndim != 2 or x2.shape[1] != x1.shape[1]:
+        if x2.shape[1] != x1.shape[1]:
             raise InvalidInputError(
                 f"column mismatch: x_unlabeled has {x1.shape[1]}, x_labeled has {x2.shape[1]}"
             )
@@ -92,9 +95,16 @@ class Dataset:
             raise InvalidInputError(
                 "underconstrained instance: n1 + n2 must be at least d"
             )
-        object.__setattr__(self, "x_unlabeled", x1)
-        object.__setattr__(self, "x_labeled", x2)
+        stack = np.vstack([x1, x2])
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "x_unlabeled", stack[: x1.shape[0]])
+        object.__setattr__(self, "x_labeled", stack[x1.shape[0]:])
         object.__setattr__(self, "y_labeled", y2)
+
+    def __reduce__(self):
+        # Rebuild from the blocks: pickled views would each be copied apart from the stack.
+        return (Dataset, (self.x_unlabeled, self.x_labeled, self.y_labeled))
 
     @property
     def n1(self) -> int:
@@ -113,8 +123,14 @@ class Dataset:
         return self.n1 + self.n2
 
     def stacked(self) -> np.ndarray:
-        """All rows, unlabeled block first."""
-        return np.vstack([self.x_unlabeled, self.x_labeled])
+        """All rows, unlabeled block first (read-only, not a copy)."""
+        return self._stack
+
+    @cached_property
+    def svd(self) -> SvdFactors:
+        """Thin SVD of the stacked design, computed on first use."""
+        # The cache cannot go stale: the dataclass is frozen and its arrays are read-only.
+        return thin_svd(self._stack)
 
 
 @dataclass(frozen=True)
@@ -163,9 +179,6 @@ class SvdFactors:
             if err > RECONSTRUCTION_TOL * max(np.linalg.norm(x), 1e-300):
                 raise InvalidInputError("factors do not reconstruct the input matrix")
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     """Thin SVD of ``x`` with singular values below ``rank_tol * sigma_max`` dropped.
@@ -185,8 +198,6 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
         raise InvalidInputError(f"rank_tol must lie in (0, 1e-3], got {rank_tol}")
     arr = as_matrix(x, "x")
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise InvalidInputError("matrix has numerical rank zero")
     keep = s > rank_tol * s[0]
     r = int(np.count_nonzero(keep))
     if r == 0:
@@ -209,11 +220,7 @@ def leverage_scores(svd: SvdFactors) -> np.ndarray:
     return np.einsum("ij,ij->i", svd.u, svd.u)
 
 
-def reduced_rank(
-    ds: Dataset,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    method: str = "svd",
-) -> float:
+def reduced_rank(ds: Dataset, method: str = "svd") -> float:
     """Share of the stacked design's spectral mass carried by the unlabeled block.
 
     Defined as ``Tr((X1^T X1 + X2^T X2)^{-1} X1^T X1)``, which equals the sum
@@ -224,24 +231,21 @@ def reduced_rank(
     Parameters
     ----------
     ds : Dataset
-    rank_tol : float
-        Relative rank threshold used by either method.
     method : {"svd", "inverse"}
-        "svd" (default) sums unlabeled-row leverage scores of the stacked
-        design and is well defined even when the stacked Gram matrix is
+        "svd" (default) sums the unlabeled rows' leverage scores in
+        ``ds.svd`` and is well defined even when the stacked Gram matrix is
         singular.  "inverse" evaluates the trace formula directly and raises
         :class:`SingularMatrixError` when the Gram matrix is rank deficient;
         it exists as an independent cross-check of the svd route.
     """
     if method == "svd":
-        svd = thin_svd(ds.stacked(), rank_tol=rank_tol)
-        return float(leverage_scores(svd)[: ds.n1].sum())
+        return float(leverage_scores(ds.svd)[: ds.n1].sum())
     if method == "inverse":
         x1, x2 = ds.x_unlabeled, ds.x_labeled
         g1 = x1.T @ x1
         gram = g1 + x2.T @ x2
         eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= (rank_tol ** 2) * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
+        if eigs[0] <= (DEFAULT_RANK_TOL ** 2) * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
             raise SingularMatrixError(
                 "stacked Gram matrix is numerically singular; use method='svd'"
             )

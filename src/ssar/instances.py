@@ -45,8 +45,8 @@ def gen_random_instance(
     """
     if n1 < 1 or n2 < 0 or d < 1 or n1 + n2 < d:
         raise InvalidInputError("need n1 >= 1, n2 >= 0 and n1 + n2 >= d")
-    if noise_sigma < 0:
-        raise InvalidInputError("noise_sigma must be nonnegative")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidInputError("noise_sigma must be finite and nonnegative")
     rng = make_rng(seed)
     x = rng.standard_normal((n1 + n2, d)) / math.sqrt(d)
     beta0 = rng.standard_normal(d)
@@ -77,6 +77,8 @@ def gen_kernel_instance(
     """
     if n < 1 or rank < 1 or not (0 < eig_min <= eig_max):
         raise InvalidInputError("kernel generator needs n, rank >= 1 and 0 < eig-min <= eig-max")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidInputError("noise_sigma must be finite and nonnegative")
     eigs = np.geomspace(eig_min, eig_max, min(rank, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
     k = (q * eigs) @ q.T

@@ -16,7 +16,7 @@ import numpy as np
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample, sample_with_retry
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import Dataset, as_matrix, as_vector, psd_sqrt, thin_svd
+from .core import Dataset, as_matrix, as_vector, psd_sqrt
 from .errors import InvalidInputError, NumericalBreakdownError
 
 __all__ = [
@@ -52,10 +52,6 @@ class LabelOracle:
     @property
     def query_count(self) -> int:
         return len(self._queried)
-
-    @property
-    def queried_unlabeled(self) -> frozenset[int]:
-        return frozenset(self._queried)
 
     def label(self, index: int) -> float:
         i = int(index)
@@ -120,7 +116,7 @@ def weighted_lsq(points, weights, labels) -> np.ndarray:
 
 
 def exact_solution(ds: Dataset, full_labels) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution on the full instance and its loss."""
+    """Minimum-norm ``lstsq`` solution on the full instance and its loss; the reference for OPT."""
     y = as_vector(full_labels, "full_labels")
     x = ds.stacked()
     if y.size != x.shape[0]:
@@ -187,7 +183,7 @@ def solve_active(
     if oracle.n_unlabeled != ds.n1:
         raise InvalidInputError("oracle and dataset disagree on the unlabeled block size")
     stacked = ds.stacked()
-    svd = thin_svd(stacked)
+    svd = ds.svd
 
     trace = None
     if isinstance(cfg, AsuraConfig):
@@ -198,7 +194,7 @@ def solve_active(
     elif isinstance(cfg, LeverageConfig):
         sample = leverage_sample(svd, cfg)
     elif isinstance(cfg, UniformConfig):
-        sample = uniform_sample(ds.n, cfg.m, cfg.rng_seed)
+        sample = uniform_sample(ds.n, cfg)
     else:
         raise InvalidInputError(f"no sampler takes a {type(cfg).__name__} config")
 
@@ -213,7 +209,9 @@ def solve_active(
         y_full = oracle.full_labels()
         resid = stacked @ beta - y_full
         loss = float(resid @ resid)
-        _, opt = exact_solution(ds, y_full)
+        # The residual taken directly: ||y||^2 - ||U^T y||^2 cancels badly near 0.
+        fit_resid = y_full - svd.u @ (svd.u.T @ y_full)
+        opt = float(fit_resid @ fit_resid)
         # An OPT at round-off level (a consistent system) makes loss / OPT
         # meaningless, so it is scored like OPT = 0.
         floor = 1e-12 * max(float(y_full @ y_full), 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ssar.baselines import LeverageConfig, leverage_sample, uniform_sample
+from ssar.baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from ssar.core import leverage_scores, reduced_rank, thin_svd
 from ssar.errors import InvalidInputError
 from ssar.regression import LabelOracle, solve_active
@@ -88,7 +88,7 @@ def test_per_row_inclusion_frequencies_binomial():
 
 
 def test_uniform_sample_tiny_case():
-    sample = uniform_sample(1, 3, rng_seed=5)
+    sample = uniform_sample(1, UniformConfig(m=3, rng_seed=5))
     np.testing.assert_array_equal(sample.indices, [0, 0, 0])
     np.testing.assert_allclose(sample.weights, np.full(3, 1 / 3))
 
@@ -97,7 +97,7 @@ def test_uniform_sample_is_unbiased_per_row():
     n, m, runs = 6, 12, 3000
     totals = np.zeros(n)
     for k in range(runs):
-        s = uniform_sample(n, m, rng_seed=derive_seed(3, k))
+        s = uniform_sample(n, UniformConfig(m=m, rng_seed=derive_seed(3, k)))
         np.add.at(totals, s.indices, s.weights)
     means = totals / runs
     se = np.sqrt(n / m) / np.sqrt(runs)  # crude per-row scale bound
@@ -106,7 +106,7 @@ def test_uniform_sample_is_unbiased_per_row():
 
 def test_uniform_sample_chi_square_uniformity():
     n = 12
-    s = uniform_sample(n, 100_000, rng_seed=99)
+    s = uniform_sample(n, UniformConfig(m=100_000, rng_seed=99))
     counts = np.bincount(s.indices, minlength=n)
     stat, pvalue = scipy.stats.chisquare(counts)
     assert pvalue > 0.001
@@ -114,6 +114,6 @@ def test_uniform_sample_chi_square_uniformity():
 
 def test_uniform_sample_validation():
     with pytest.raises(InvalidInputError):
-        uniform_sample(0, 3)
+        uniform_sample(0, UniformConfig(m=3))
     with pytest.raises(InvalidInputError):
-        uniform_sample(3, 0)
+        UniformConfig(m=0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,25 @@ def run_cli(capsys, *argv):
 
 def data_lines(out):
     return [line for line in out.splitlines() if line and not line.startswith("#")]
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Count calls to ``ssar.<modules[0]>.<name>`` through any of the modules' bindings.
+
+    Returns a list that gets one entry per call.
+    """
+    import importlib
+
+    target = getattr(importlib.import_module(f"ssar.{modules[0]}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return target(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(f"ssar.{mod}.{name}", counted, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +107,39 @@ def test_run_summary_and_jobs(manifest, capsys, tmp_path):
     summary = lines[-1]
     assert summary["kind"] == "summary" and summary["trials"] == 4
     assert out_file.exists()
+    # Worker processes give the same records as one process.
+    _, serial = run_cli(capsys, "run", "--manifest", manifest, "--trials", "4",
+                        "--jobs", "1", "--seed", "9")
+    serial = [json.loads(s) for s in data_lines(serial)]
+    for rec in lines + serial:
+        rec.pop("runtime_ms", None)
+    assert lines == serial
+
+
+@pytest.mark.parametrize("extra", [[], ["--check-balance"]], ids=["plain", "check-balance"])
+def test_run_loads_and_factors_the_instance_once(manifest, capsys, monkeypatch, extra):
+    loads = count_calls(monkeypatch, "load_dataset", "dataio", "cli")
+    svd_calls = count_calls(monkeypatch, "thin_svd", "core", "regression", "cli")
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "3",
+                        "--seed", "5", *extra)
+    assert code == EXIT_OK
+    assert json.loads(data_lines(out)[-1])["failed_trials"] == 0
+    assert len(loads) == 1 and len(svd_calls) == 1
+
+
+def test_run_deploy_mode_manifest_fails_before_any_trial(capsys, monkeypatch, tmp_path):
+    from ssar.dataio import save_dataset
+    from ssar.instances import gen_random_instance
+
+    ds, _ = gen_random_instance(20, 5, 3, 1.0, seed=2)
+    path = save_dataset(tmp_path, ds)
+    trials = count_calls(monkeypatch, "_run_one_trial", "cli")
+    code = main(["run", "--manifest", path, "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert trials == [] and data_lines(captured.out) == []
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
 
 
 def test_run_writes_solution_records(manifest, capsys, tmp_path):
@@ -179,6 +232,31 @@ def test_config_file_bad_key_or_value_is_config_error(manifest, capsys, tmp_path
     cfg_path.write_text(json.dumps(overrides))
     code, _ = run_cli(capsys, "run", "--manifest", manifest, "--config", str(cfg_path))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--c0", "nan"],
+    ["run", "--c0", "inf"],
+    ["run", "--sampler", "leverage", "--oversample-c", "nan"],
+    ["run", "--sampler", "leverage", "--oversample-c", "inf"],
+    ["sweep", "d", "--grid", "2", "--c0", "nan"],
+    ["gen", "random", "--n1", "6", "--n2", "2", "--d", "2", "--noise-sigma", "nan"],
+    ["gen", "ridge", "--n1", "6", "--d", "2", "--lambda", "1", "--noise-sigma", "nan"],
+    ["gen", "kernel", "--n", "6", "--lambda", "1", "--noise-sigma", "nan"],
+    ["gen", "kernel", "--n", "6", "--lambda", "1", "--noise-sigma", "inf"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a[0].isdigit()))
+def test_non_finite_values_are_config_errors(manifest, capsys, tmp_path, argv):
+    # NaN passes "<= 0" checks, so each of these used to end in a traceback
+    # or, for the generators, in labels that are NaN or silently noise-free.
+    if argv[0] == "run":
+        argv = [*argv, "--manifest", manifest]
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -310,16 +388,62 @@ def test_sweep_epsilon_axis_within_bound(capsys):
     assert "# all points within query bound: True" in out
 
 
-def test_sweep_empty_grid_is_ok(capsys):
-    code, out = run_cli(capsys, "sweep", "lambda", "--grid", "", "--trials", "5")
+def test_sweep_factors_each_grid_point_once(capsys, monkeypatch):
+    svd_calls = count_calls(monkeypatch, "thin_svd", "core", "regression", "cli")
+    code, _ = run_cli(capsys, "sweep", "d", "--grid", "2,3", "--n1", "30",
+                      "--trials", "2", "--seed", "1")
     assert code == EXIT_OK
-    assert data_lines(out) == ["point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound"]
+    assert svd_calls == [1, 1]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify", "--d-grid", "a"),
+    ("verify", "--d-grid", "2.5"),
+    ("verify", "--d-grid", "0"),
+    ("verify", "--d-grid", ","),
+    ("verify", "--eps-grid", "x"),
+    ("verify", "--eps-grid", "nan"),
+    ("sweep d", "--grid", "4,x"),
+    ("sweep d", "--grid", "2.5"),
+    ("sweep d", "--grid", "-4"),
+    ("sweep lambda", "--grid", ","),
+    ("sweep lambda", "--grid", ""),
+], ids=["d-not-numeric", "d-fractional", "d-zero", "d-empty", "eps-not-numeric",
+        "eps-nan", "sweep-not-numeric", "sweep-d-fractional", "sweep-d-negative",
+        "sweep-comma-only", "sweep-empty"])
+def test_bad_or_empty_grid_is_config_error(capsys, tmp_path, command, flag, value):
+    # An empty grid used to exit 0 having checked nothing.
+    code, out = run_cli(capsys, *command.split(), flag, value)
+    assert code == EXIT_CONFIG
+    assert data_lines(out) == []
+    # The same value from a config file takes the same path.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({flag.lstrip("-"): value}))
+    code, out = run_cli(capsys, *command.split(), flag, "1", "--config", str(cfg_path))
+    assert code == EXIT_CONFIG
+    assert data_lines(out) == []
+
+
+def test_grid_from_config_file_takes_the_printed_form(capsys, tmp_path):
+    argv = ["verify", "--runs", "1", "--seed", "1"]
+    code, out = run_cli(capsys, *argv, "--d-grid", "4", "--eps-grid", "0.25")
+    printed = json.loads(out.splitlines()[0].removeprefix("# config "))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({k: printed[k] for k in ("d_grid", "eps_grid")}))
+    code2, out2 = run_cli(capsys, *argv, "--config", str(cfg_path))
+    assert code == code2 == EXIT_OK
+    assert data_lines(out2) == data_lines(out)
 
 
 def test_cli_entry_point_runs_as_module():
+    # The child finds ssar where this process did, installed or not.
+    import ssar
+
+    path = [os.path.dirname(os.path.dirname(ssar.__file__)), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "ssar.cli", "--help"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "sweep" in proc.stdout

@@ -38,7 +38,7 @@ def test_thin_svd_truncates_rank():
 def test_thin_svd_reconstruction_random():
     x = make_rng(7).standard_normal((6, 3))
     f = thin_svd(x)
-    err = np.linalg.norm(f.reconstruct() - x) / np.linalg.norm(x)
+    err = np.linalg.norm((f.u * f.sigma) @ f.v.T - x) / np.linalg.norm(x)
     assert err <= 1e-8
 
 
@@ -83,6 +83,21 @@ def test_leverage_scores_sum_to_rank_and_stay_in_unit_interval(n, d, seed):
     assert np.all(scores >= -1e-12)
     assert np.all(scores <= 1.0 + 1e-12)
     assert abs(scores.sum() - f.rank) <= 1e-10
+
+
+# ---------------------------------------------------------------- Dataset
+
+def test_dataset_owns_one_stack_and_keeps_it_through_pickling():
+    import pickle
+
+    ds = gaussian_dataset(9, 3, 4, seed=5)
+    for inst in (ds, pickle.loads(pickle.dumps(ds))):
+        stack = inst.stacked()
+        assert inst.stacked() is stack and not stack.flags.writeable
+        assert np.shares_memory(inst.x_unlabeled, stack)
+        assert np.shares_memory(inst.x_labeled, stack)
+        np.testing.assert_array_equal(stack, ds.stacked())
+        assert inst.svd is inst.svd
 
 
 # ---------------------------------------------------------------- reduced_rank

@@ -9,6 +9,7 @@ from ssar.core import Dataset, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_random_instance
 from ssar.regression import (
+    RATIO_SLACK,
     LabelOracle,
     exact_solution,
     kernel_ridge_to_ssal,
@@ -96,7 +97,6 @@ def test_oracle_bills_distinct_unlabeled_rows_once():
     assert oracle.query_count == 2
     oracle.label(5)  # labeled block is free
     assert oracle.query_count == 2
-    assert oracle.queried_unlabeled == frozenset({0, 1})
     with pytest.raises(InvalidInputError):
         oracle.label(6)
 
@@ -226,6 +226,30 @@ def test_solve_active_square_instance_scores_round_off_opt_as_zero():
         oracle = LabelOracle(np.concatenate([[0.7], ds.y_labeled]), ds.n1)
         sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.1, rng_seed=seed))
         assert sol.ratio == 1.0
+
+
+def _duplicated_column_instance():
+    ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=11)
+    x = ds.stacked()[:, [0, 1, 2, 2]]
+    return Dataset(x[:30], x[30:], ds.y_labeled), labels
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_instance(40, 10, 4, noise_sigma=1.0, seed=12),
+    _duplicated_column_instance,
+    lambda: gen_random_instance(3, 2, 5, noise_sigma=1.0, seed=13),
+], ids=["full-rank", "rank-deficient", "square"])
+def test_solve_active_opt_matches_lstsq_reference(make):
+    # OPT comes from the instance's factors; exact_solution is the lstsq
+    # reference.  On the square stack both are round-off, under the floor at
+    # which solve_active scores OPT as 0.
+    ds, labels = make()
+    _, reference = exact_solution(ds, labels)
+    floor = 1e-12 * max(float(labels @ labels), 1.0)
+    for cfg in (AsuraConfig(epsilon=0.25, rng_seed=1), UniformConfig(m=20, rng_seed=1)):
+        sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+        assert sol.opt == pytest.approx(reference, rel=RATIO_SLACK, abs=floor)
+    assert ds.svd.rank == np.linalg.matrix_rank(ds.stacked())
 
 
 def test_solve_active_deploy_mode_omits_ratio():
