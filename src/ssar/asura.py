@@ -20,8 +20,9 @@ caps the iteration count with probability one and, after normalizing the
 accumulated weights by the final barrier midpoint, leaves the weighted Gram
 matrix of the sampled rows spectrally close to the identity.
 
-A full per-iteration trace is captured so that every structural guarantee of
-the procedure can be re-verified after the fact (see :mod:`ssar.verify`).
+The per-iteration scalar trace, together with ``U``, determines every running
+matrix ``A_j``; :mod:`ssar.verify` replays it to re-check the structural
+guarantees after the fact.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 from .core import SvdFactors, leverage_scores
 from .errors import (
     BarrierViolationError,
-    InsufficientTraceError,
     InvalidInputError,
     NumericalBreakdownError,
     WellBalancedEventFailedError,
@@ -73,11 +73,13 @@ KD_BOUND_COEFF = 512.0
 # iteration 0.  The two are not expected to agree elsewhere.
 KD_AGREEMENT_TOL = 1e-6
 
-# The barrier-step containment arguments require gamma <= 1/4.
+# The barrier-step containment arguments, and so the matrix checks of a run,
+# require gamma <= 1/4.
 GAMMA_ASSERT_MAX = 0.25
 
-# Lemma assertions (and matrix capture) default on up to this rank.
-ASSERT_RANK_DEFAULT_MAX = 64
+# Bytes of stacked running matrices (plus any per-matrix work the caller
+# declares) that one replay chunk may hold.
+REPLAY_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,15 @@ class AsuraConfig:
 
     ``gamma = sqrt(epsilon) / c0`` controls the barrier speed.  The default
     ``c0 = 2`` is a practical choice; the spectral guarantees only carry their
-    full constants for much larger ``c0`` (slower, tighter runs).
-    ``assert_lemmas=None`` enables per-iteration assertions and matrix capture
-    automatically when the factor rank is at most 64.
+    full constants for much larger ``c0`` (slower, tighter runs).  The
+    sampler runs for any ``gamma < 1/2``; the matrix checks of
+    :func:`check_well_balanced` and :func:`ssar.verify.check_hard_lemmas`
+    need ``gamma <= 1/4``.
     """
 
     epsilon: float
     c0: float = 2.0
     rng_seed: int = 0
-    assert_lemmas: bool | None = None
     max_restarts: int = 10
 
     def __post_init__(self):
@@ -111,22 +113,16 @@ class AsuraConfig:
     def gamma(self) -> float:
         return math.sqrt(self.epsilon) / self.c0
 
-    def checks_active(self, rank: int) -> bool:
-        if self.assert_lemmas is None:
-            return rank <= ASSERT_RANK_DEFAULT_MAX
-        return self.assert_lemmas
-
 
 @dataclass
 class AsuraTrace:
     """Per-iteration record of one sampler run.
 
     ``u`` and ``l`` have length ``m + 1`` (initial through final barrier
-    values); the remaining per-iteration arrays have length ``m``.
-    ``a_mats`` holds the running matrix before each update plus the final one,
-    and is only captured when lemma assertions are active.  ``px1_sum`` and
-    ``phi_d`` are recorded when the caller identifies how many leading rows
-    form the unlabeled block.
+    values); the remaining per-iteration arrays have length ``m``.  No
+    matrix is stored: with the factor ``U``, the trace determines every running
+    matrix (see :func:`_replay`).  ``px1_sum`` and ``phi_d`` are recorded when
+    the caller identifies how many leading rows form the unlabeled block.
     """
 
     gamma: float
@@ -138,14 +134,17 @@ class AsuraTrace:
     l: np.ndarray
     sampled_index: np.ndarray
     p_j: np.ndarray
-    w_prime: np.ndarray
     px1_sum: np.ndarray | None = None
     phi_d: np.ndarray | None = None
-    a_mats: np.ndarray | None = None
 
     @property
     def m(self) -> int:
         return self.phi_id.shape[0]
+
+    @property
+    def w_prime(self) -> np.ndarray:
+        """Update weights ``w'_j = gamma / (phi_j p_j)`` of the rank-one steps."""
+        return self.gamma / (self.phi_id * self.p_j)
 
     @property
     def u_final(self) -> float:
@@ -247,7 +246,7 @@ def _last_positive(mass) -> int:
 
 
 def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
-    """Clamp round-off negatives and renormalize to a probability vector."""
+    """Clamp round-off negatives and renormalize to probability vectors along the last axis."""
     low = float(p_raw.min()) if p_raw.size else 0.0
     if low < P_ERROR_FLOOR:
         raise NumericalBreakdownError(
@@ -255,8 +254,8 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
         )
     if low < 0.0:
         p_raw = np.where(p_raw < 0.0, 0.0, p_raw)
-    total = float(p_raw.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    total = p_raw.sum(axis=-1, keepdims=True)
+    if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise NumericalBreakdownError("sampling probabilities do not sum to a positive value")
     return p_raw / total
 
@@ -280,7 +279,6 @@ def asura_sample(
     svd: SvdFactors,
     cfg: AsuraConfig,
     n_unlabeled: int | None = None,
-    capture_matrices: bool | None = None,
 ) -> tuple[SampleSet, AsuraTrace]:
     """Run the adaptive sampler on the rows of ``svd.u``.
 
@@ -293,9 +291,6 @@ def asura_sample(
         Number of leading rows forming the unlabeled block.  When given, the
         trace records, per iteration, the total sampling mass on that block
         and the matching block-weighted potential.
-    capture_matrices : bool, optional
-        Force per-iteration matrix capture on or off.  Defaults to the
-        lemma-assertion setting.
 
     Returns
     -------
@@ -304,16 +299,9 @@ def asura_sample(
     u_mat = svd.u
     n, r = u_mat.shape
     gamma = cfg.gamma
-    checks = cfg.checks_active(r)
-    capture = checks if capture_matrices is None else capture_matrices
     if gamma >= 0.5:
         raise InvalidInputError(
             f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
-        )
-    if checks and gamma > GAMMA_ASSERT_MAX + 1e-12:
-        raise InvalidInputError(
-            f"gamma={gamma:.4g} exceeds {GAMMA_ASSERT_MAX} with lemma assertions enabled; "
-            "raise c0 or disable assert_lemmas"
         )
     if n_unlabeled is not None and not (0 <= n_unlabeled <= n):
         raise InvalidInputError(f"n_unlabeled must lie in [0, {n}], got {n_unlabeled}")
@@ -336,10 +324,8 @@ def asura_sample(
     ls: list[float] = [l]
     picks: list[int] = []
     pjs: list[float] = []
-    wps: list[float] = []
     px1s: list[float] = []
     phids: list[float] = []
-    mats: list[np.ndarray] = [a.copy()] if capture else []
 
     j = 0
     while (u - l) + phi_cum < budget:
@@ -391,7 +377,6 @@ def asura_sample(
         phis.append(phi)
         picks.append(pick)
         pjs.append(p_pick)
-        wps.append(w_prime)
 
         row = u_mat[pick]
         a = a + w_prime * np.outer(row, row)
@@ -401,25 +386,13 @@ def asura_sample(
         j += 1
         us.append(u)
         ls.append(l)
-        if capture:
-            mats.append(a.copy())
 
-    if checks:
-        theta = np.linalg.eigvalsh(a)
-        if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
-            raise BarrierViolationError("final matrix left the barrier window")
+    theta = np.linalg.eigvalsh(a)
+    if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
+        raise BarrierViolationError("final matrix left the barrier window")
 
     mid = 0.5 * (u + l)
     phis_arr = np.asarray(phis)
-    wps_arr = np.asarray(wps)
-    weights = wps_arr / mid
-    coefficients = (gamma / phis_arr) / mid
-
-    sample = SampleSet(
-        indices=np.asarray(picks, dtype=np.int64),
-        weights=weights,
-        coefficients=coefficients,
-    )
     trace = AsuraTrace(
         gamma=gamma,
         rank=r,
@@ -430,12 +403,42 @@ def asura_sample(
         l=np.asarray(ls),
         sampled_index=np.asarray(picks, dtype=np.int64),
         p_j=np.asarray(pjs),
-        w_prime=wps_arr,
         px1_sum=np.asarray(px1s) if n_unlabeled is not None else None,
         phi_d=np.asarray(phids) if n_unlabeled is not None else None,
-        a_mats=np.asarray(mats) if capture else None,
+    )
+    sample = SampleSet(
+        indices=np.asarray(picks, dtype=np.int64),
+        weights=trace.w_prime / mid,
+        coefficients=(gamma / phis_arr) / mid,
     )
     return sample, trace
+
+
+def _replay(trace: AsuraTrace, u_mat: np.ndarray, extra_bytes: int = 0):
+    """The running matrices ``A_0 .. A_m`` of a traced run, in stacked chunks.
+
+    Yields ``(j0, mats)`` with ``mats[k] = A_{j0 + k}``; consecutive chunks
+    share one matrix (the last of a chunk is the first of the next) and the
+    last chunk ends at ``A_m``.  Each chunk is one cumulative sum of the
+    updates ``w'_j U(x_j) U(x_j)^T`` seeded with the previous chunk's last
+    matrix, which adds in the sampler's order and so reproduces its matrices
+    bit for bit.  A chunk holds at most ``REPLAY_CHUNK_BYTES`` of matrices plus
+    ``extra_bytes`` per matrix of the caller's own work.
+    """
+    r, m = trace.rank, trace.m
+    steps = max(1, REPLAY_CHUNK_BYTES // (8 * r * r + extra_bytes) - 1)
+    rows = u_mat[trace.sampled_index]
+    w = trace.w_prime
+    last = np.zeros((r, r))
+    for j0 in range(0, max(m, 1), steps):
+        j1 = min(j0 + steps, m)
+        mats = np.empty((j1 - j0 + 1, r, r))
+        mats[0] = last
+        sel = rows[j0:j1]
+        np.multiply(w[j0:j1, None, None], sel[:, :, None] * sel[:, None, :], out=mats[1:])
+        np.cumsum(mats, axis=0, out=mats)
+        last = mats[-1].copy()
+        yield j0, mats
 
 
 @dataclass
@@ -477,6 +480,14 @@ class WellBalancedReport:
     well_balanced: bool
 
 
+def _gamma_guard(gamma: float) -> None:
+    if gamma > GAMMA_ASSERT_MAX + 1e-12:
+        raise InvalidInputError(
+            f"gamma={gamma:.4g} exceeds {GAMMA_ASSERT_MAX}, where the matrix checks "
+            "of a run hold; raise c0"
+        )
+
+
 def check_well_balanced(
     sample: SampleSet,
     trace: AsuraTrace,
@@ -490,8 +501,11 @@ def check_well_balanced(
     iteration's coefficient-conditioning product ``alpha_j K_j`` is at most
     ``512 gamma^2``, where ``K_j = max_x ||U(x)||^2 / p_x`` over the rows
     with ``U(x) != 0``.  Condition (iii) is checked on both the closed-form
-    bound and the brute-force sweep, which needs a trace with captured
-    matrices.  See :class:`WellBalancedReport` for how the two relate.
+    bound and a brute-force sweep over the running matrices replayed from the
+    trace, one stacked eigendecomposition per chunk; :func:`sampling_distribution`
+    is its per-iteration reference.  See :class:`WellBalancedReport` for how
+    the two relate.  Needs ``gamma <= 1/4``; a larger ``gamma`` raises
+    :class:`InvalidInputError`.
     """
     if sample.m != trace.m or not np.array_equal(sample.indices, trace.sampled_index):
         raise InvalidInputError("sample and trace come from different runs")
@@ -499,12 +513,8 @@ def check_well_balanced(
         raise InvalidInputError("factors do not match the traced run")
     if sample.coefficients is None:
         raise InvalidInputError("sample carries no coefficients to check")
-    if trace.a_mats is None:
-        raise InsufficientTraceError(
-            "trace lacks per-iteration matrices; rerun with matrix capture enabled"
-        )
-
     gamma = trace.gamma
+    _gamma_guard(gamma)
     u_mat = svd.u
 
     sel = u_mat[sample.indices]
@@ -524,11 +534,22 @@ def check_well_balanced(
     # over rows where some function is nonzero, so they are left out.
     lev = leverage_scores(svd)
     live = lev > 0.0
-    lev = lev[live]
+    u_live, lev = u_mat[live], lev[live]
     kd_brute = np.empty(trace.m)
-    for j in range(trace.m):
-        p = sampling_distribution(svd, trace.a_mats[j], float(trace.u[j]), float(trace.l[j]))
-        kd_brute[j] = alpha[j] * float(np.max(lev / p[live]))
+    for j0, mats in _replay(trace, u_mat, extra_bytes=8 * u_live.size):
+        j1 = j0 + len(mats) - 1
+        theta, q = np.linalg.eigh(mats[:-1])
+        gap_u = trace.u[j0:j1, None] - theta
+        gap_l = theta - trace.l[j0:j1, None]
+        touched = np.flatnonzero((gap_u.min(axis=1) <= 0.0) | (gap_l.min(axis=1) <= 0.0))
+        if touched.size:
+            raise BarrierViolationError(f"barrier touched at iteration {j0 + touched[0]}")
+        b = 1.0 / gap_u + 1.0 / gap_l
+        g = u_live @ q
+        np.square(g, out=g)
+        mix = b / b.sum(axis=1, keepdims=True)
+        p = _normalize_probabilities((g @ mix[:, :, None])[..., 0])
+        kd_brute[j0:j1] = alpha[j0:j1] * np.max(lev / p, axis=1)
 
     kd_max_closed = float(kd_closed.max()) if trace.m else 0.0
     kd_max_brute = float(kd_brute.max()) if trace.m else 0.0
@@ -575,9 +596,7 @@ def sample_with_retry(
     for attempt in range(1, cfg.max_restarts + 1):
         seed = cfg.rng_seed if attempt == 1 else derive_seed(cfg.rng_seed, attempt)
         attempt_cfg = replace(cfg, rng_seed=seed)
-        sample, trace = asura_sample(
-            svd, attempt_cfg, n_unlabeled=n_unlabeled, capture_matrices=True
-        )
+        sample, trace = asura_sample(svd, attempt_cfg, n_unlabeled=n_unlabeled)
         report = check_well_balanced(sample, trace, svd, cfg.epsilon)
         if report.well_balanced:
             return sample, trace, attempt

@@ -131,8 +131,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
             raise InvalidInputError(f"config file sets unknown option {key!r}")
         flag = action.option_strings[0]
         if action.nargs == 0:
-            optional = isinstance(action, argparse.BooleanOptionalAction)
-            if not (isinstance(value, bool) or (optional and value is None)):
+            if not isinstance(value, bool):
                 raise InvalidInputError(f"config option {key!r} takes true or false")
             switches[action.dest] = value
         elif value is None and action.default is None:
@@ -209,9 +208,7 @@ class Trial:
 
 def _sampler_config(args, seed: int):
     if args.sampler == "asura":
-        return AsuraConfig(
-            epsilon=args.epsilon, c0=args.c0, rng_seed=seed, assert_lemmas=args.assert_lemmas
-        )
+        return AsuraConfig(epsilon=args.epsilon, c0=args.c0, rng_seed=seed)
     if args.sampler == "leverage":
         return LeverageConfig(epsilon=args.epsilon, oversample_c=args.oversample_c, rng_seed=seed)
     return UniformConfig(m=args.uniform_m, rng_seed=seed)
@@ -230,7 +227,7 @@ def _run_one_trial(trial: Trial) -> dict:
         well_balanced = None
         if adaptive and trial.retry:
             well_balanced = True
-        elif adaptive and trial.check_balance and sol.trace.a_mats is not None:
+        elif adaptive and trial.check_balance:
             well_balanced = check_well_balanced(
                 sol.sample, sol.trace, ds.svd, cfg.epsilon
             ).well_balanced
@@ -315,12 +312,13 @@ def _cmd_verify(args) -> int:
     reports = []
     if args.trace_file:
         for path in args.trace_file:
-            trace = load_trace(path)
-            reports.extend(
-                check_hard_lemmas(trace, trace.gamma, trace.rank, scalar_only=True)
-            )
+            reports.extend(check_hard_lemmas(load_trace(path)))
         reports = merge_hard_reports([reports])
     else:
+        if args.statistical_runs and args.statistical_runs < MIN_STATISTICAL_RUNS:
+            raise InvalidInputError(
+                f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs"
+            )
         d_grid, per_run = _dims(args.d_grid), []
         for d in d_grid:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, d))
@@ -328,28 +326,18 @@ def _cmd_verify(args) -> int:
                 cfg = AsuraConfig(
                     epsilon=eps, c0=args.c0,
                     rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
-                    assert_lemmas=True,
                 )
                 for _, trace in run_sampler_batch(ds.svd, cfg, args.runs, n_unlabeled=ds.n1):
-                    per_run.append(check_hard_lemmas(trace, cfg.gamma, ds.svd.rank))
+                    per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
         if args.statistical_runs:
-            if args.statistical_runs < MIN_STATISTICAL_RUNS:
-                raise InvalidInputError(
-                    f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs"
-                )
             d, eps = d_grid[0], args.eps_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
-            cfg = AsuraConfig(
-                epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7),
-                assert_lemmas=False,
-            )
+            cfg = AsuraConfig(epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7))
             batch = [
-                t
-                for _, t in run_sampler_batch(
-                    ds.svd, cfg, args.statistical_runs,
-                    n_unlabeled=ds.n1, capture_matrices=False,
+                t for _, t in run_sampler_batch(
+                    ds.svd, cfg, args.statistical_runs, n_unlabeled=ds.n1
                 )
             ]
             reports.extend(check_statistical_lemmas(batch, cfg.gamma, ds.svd.rank))
@@ -401,14 +389,10 @@ def _cmd_sweep(args) -> int:
     print("point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound")
     for point_index, (label, ds, eps) in enumerate(points):
         cfg = AsuraConfig(
-            epsilon=eps, c0=args.c0,
-            rng_seed=derive_seed(base_seed, 2, point_index),
-            assert_lemmas=False,
+            epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 2, point_index)
         )
         counts = []
-        for _, trace in run_sampler_batch(
-            ds.svd, cfg, args.trials, n_unlabeled=ds.n1, capture_matrices=False
-        ):
+        for _, trace in run_sampler_batch(ds.svd, cfg, args.trials, n_unlabeled=ds.n1):
             counts.append(
                 int(np.count_nonzero(trace.sampled_index < ds.n1))
             )
@@ -528,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=_count, default=1)
     run.add_argument("--retry", action="store_true",
                      help="rerun the adaptive sampler until well balanced")
-    run.add_argument("--assert-lemmas", action=argparse.BooleanOptionalAction,
-                     default=None)
     run.add_argument("--check-balance", action="store_true",
                      help="attach the well-balancedness verdict to each trial")
     run.add_argument("--no-ratio", action="store_true",

@@ -142,7 +142,7 @@ def dump_trace(path, trace: AsuraTrace) -> None:
 
     A header record carries the run constants, one record per iteration holds
     the per-iteration scalars, and a trailer record holds the final barrier
-    values.  Captured matrices are not serialized.
+    values.  With the run's factors this determines every running matrix.
     """
     with open(path, "w") as fh:
         header = (
@@ -177,7 +177,7 @@ def dump_trace(path, trace: AsuraTrace) -> None:
 
 
 def load_trace(path) -> AsuraTrace:
-    """Read a scalar trace dump back; matrices and optional series are absent."""
+    """Read a trace dump back; the unlabeled-block series are absent."""
     with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
@@ -198,7 +198,6 @@ def load_trace(path) -> AsuraTrace:
             l=np.array([rec["l_j"] for rec in iters] + [trailer["l_j"]], dtype=float),
             sampled_index=np.array([rec["sampled_index"] for rec in iters], dtype=np.int64),
             p_j=np.array([rec["p_j"] for rec in iters], dtype=float),
-            w_prime=np.zeros(m),
         )
 
 

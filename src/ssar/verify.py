@@ -23,9 +23,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .asura import AsuraConfig, AsuraTrace, EIG_TOL, SampleSet, asura_sample
+from .asura import (
+    EIG_TOL,
+    AsuraConfig,
+    AsuraTrace,
+    SampleSet,
+    _gamma_guard,
+    _replay,
+    asura_sample,
+)
 from .core import Dataset, SvdFactors, reduced_rank
-from .errors import InsufficientSampleError, InsufficientTraceError
+from .errors import InsufficientSampleError, InsufficientTraceError, InvalidInputError
 from .rngutil import derive_seed
 
 __all__ = [
@@ -69,7 +77,8 @@ class LemmaReport:
     verdict: bool
 
 
-def _scalar_hard_reports(trace: AsuraTrace, gamma: float, d: int) -> list[LemmaReport]:
+def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
+    gamma, d = trace.gamma, trace.rank
     cap = math.ceil(2.0 * d / gamma**2)
     m = trace.m
     reports = [
@@ -112,36 +121,33 @@ def _scalar_hard_reports(trace: AsuraTrace, gamma: float, d: int) -> list[LemmaR
     return reports
 
 
-def _matrix_hard_reports(trace: AsuraTrace, gamma: float) -> list[LemmaReport]:
-    mats = trace.a_mats
-    m = trace.m
+def _matrix_hard_reports(trace: AsuraTrace, svd: SvdFactors) -> list[LemmaReport]:
+    """Containment and step checks on the running matrices replayed from the trace."""
+    gamma, m = trace.gamma, trace.m
     eye = np.eye(trace.rank)
+    contain_viol = up_viol = low_viol = 0
+    contain_worst = up_worst = low_worst = -float("inf")
+    for j0, mats in _replay(trace, svd.u):
+        j1 = j0 + len(mats) - 1
+        # Chunks share their edge matrix; only the last chunk checks A_m.
+        held = mats if j1 == m else mats[:-1]
+        theta = np.linalg.eigvalsh(held)
+        k = len(held)
+        over = np.maximum(trace.l[j0:j0 + k] - theta[:, 0], theta[:, -1] - trace.u[j0:j0 + k])
+        contain_worst = max(contain_worst, float(over.max()))
+        contain_viol += int(np.count_nonzero(over > EIG_TOL))
 
-    contain_viol = 0
-    contain_worst = -float("inf")
-    for j in range(m + 1):
-        theta = np.linalg.eigvalsh(mats[j])
-        over = max(float(trace.l[j] - theta[0]), float(theta[-1] - trace.u[j]))
-        contain_worst = max(contain_worst, over)
-        if over > EIG_TOL:
-            contain_viol += 1
-
-    up_viol = low_viol = 0
-    up_worst = low_worst = -float("inf")
-    for j in range(m):
-        step = mats[j + 1] - mats[j]
-        lam_up = float(
-            np.linalg.eigvalsh(step - gamma * (trace.u[j] * eye - mats[j]))[-1]
-        )
-        lam_low = float(
-            np.linalg.eigvalsh(step - 2.0 * gamma * (mats[j] - trace.l[j + 1] * eye))[-1]
-        )
-        up_worst = max(up_worst, lam_up)
-        low_worst = max(low_worst, lam_low)
-        if lam_up > EIG_TOL:
-            up_viol += 1
-        if lam_low > EIG_TOL:
-            low_viol += 1
+        a, step = mats[:-1], mats[1:] - mats[:-1]
+        shifted = trace.u[j0:j1, None, None] * eye - a
+        shifted *= gamma
+        lam_up = np.linalg.eigvalsh(np.subtract(step, shifted, out=shifted))[:, -1]
+        shifted = a - trace.l[j0 + 1:j1 + 1, None, None] * eye
+        shifted *= 2.0 * gamma
+        lam_low = np.linalg.eigvalsh(np.subtract(step, shifted, out=shifted))[:, -1]
+        up_worst = max(up_worst, float(lam_up.max(initial=-np.inf)))
+        low_worst = max(low_worst, float(lam_low.max(initial=-np.inf)))
+        up_viol += int(np.count_nonzero(lam_up > EIG_TOL))
+        low_viol += int(np.count_nonzero(lam_low > EIG_TOL))
 
     return [
         LemmaReport("barrier-containment", 1, contain_viol, contain_worst - EIG_TOL,
@@ -151,28 +157,23 @@ def _matrix_hard_reports(trace: AsuraTrace, gamma: float) -> list[LemmaReport]:
     ]
 
 
-def check_hard_lemmas(
-    trace: AsuraTrace,
-    gamma: float,
-    d: int,
-    scalar_only: bool = False,
-) -> list[LemmaReport]:
-    """Run every probability-one check against one trace.
+def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[LemmaReport]:
+    """Run the probability-one checks against one trace.
 
-    Scalar checks (iteration cap, potential floor, final gap) need only the
-    per-iteration scalars; the containment and step checks need the captured
-    matrices and raise :class:`InsufficientTraceError` without them unless
-    ``scalar_only`` is set.
+    The scalar checks (iteration cap, potential floor, final gap) read only
+    the trace, with ``gamma`` and the rank taken from it.  Given the run's
+    factors, the containment and step checks also run, on the running
+    matrices replayed from the trace with one stacked eigenvalue call per
+    chunk and check.  They need ``gamma <= 1/4``; a larger ``gamma`` raises
+    :class:`InvalidInputError`.
     """
-    reports = _scalar_hard_reports(trace, gamma, d)
-    if scalar_only:
+    reports = _scalar_hard_reports(trace)
+    if svd is None:
         return reports
-    if trace.a_mats is None:
-        raise InsufficientTraceError(
-            "trace lacks per-iteration matrices; rerun with matrix capture or "
-            "pass scalar_only=True"
-        )
-    reports.extend(_matrix_hard_reports(trace, gamma))
+    if trace.n_rows != svd.n or trace.rank != svd.rank:
+        raise InvalidInputError("factors do not match the traced run")
+    _gamma_guard(trace.gamma)
+    reports.extend(_matrix_hard_reports(trace, svd))
     return reports
 
 
@@ -326,16 +327,11 @@ def run_sampler_batch(
     cfg: AsuraConfig,
     n_runs: int,
     n_unlabeled: int | None = None,
-    capture_matrices: bool | None = None,
 ) -> list[tuple[SampleSet, AsuraTrace]]:
     """Run ``n_runs`` independent sampler runs with per-trial derived seeds."""
     out = []
     for k in range(n_runs):
         seed = derive_seed(cfg.rng_seed, k)
         run_cfg = replace(cfg, rng_seed=seed)
-        out.append(
-            asura_sample(
-                svd, run_cfg, n_unlabeled=n_unlabeled, capture_matrices=capture_matrices
-            )
-        )
+        out.append(asura_sample(svd, run_cfg, n_unlabeled=n_unlabeled))
     return out

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ssar.asura import AsuraConfig, asura_sample, check_well_balanced
+from ssar.asura import AsuraConfig, _replay, asura_sample, check_well_balanced
 from ssar.baselines import LeverageConfig, leverage_sample
 from ssar.core import (
     Dataset,
@@ -76,22 +76,25 @@ def hard_grid():
             cfg = AsuraConfig(
                 epsilon=eps, c0=2.0,
                 rng_seed=derive_seed(BASE_SEED, 3, d, int(1000 * eps)),
-                assert_lemmas=True,
             )
             t0 = time.perf_counter()
             runs = run_sampler_batch(svd, cfg, 84, n_unlabeled=ds.n1)
-            per_run = [check_hard_lemmas(t, cfg.gamma, svd.rank) for _, t in runs]
+            per_run = [check_hard_lemmas(t, svd) for _, t in runs]
             hard_elapsed += time.perf_counter() - t0
             cells[(d, eps)] = merge_hard_reports(per_run)
             # Independent route for the per-iteration mass identity: explicit
-            # inverses against the row sums recorded by the sampler itself.
+            # inverses of the replayed matrices against the row sums recorded
+            # by the sampler itself.
             for _, t in runs:
-                for j in range(t.m):
-                    b = np.linalg.inv(t.u[j] * eye - t.a_mats[j]) + np.linalg.inv(
-                        t.a_mats[j] - t.l[j] * eye
+                for j0, mats in _replay(t, svd.u):
+                    j1 = j0 + len(mats) - 1
+                    a = mats[:-1]
+                    b = np.linalg.inv(t.u[j0:j1, None, None] * eye - a) + np.linalg.inv(
+                        a - t.l[j0:j1, None, None] * eye
                     )
-                    dev = abs(t.px1_sum[j] - float(np.trace(d_mat @ b) / np.trace(b)))
-                    mass_worst = max(mass_worst, dev)
+                    ratio = np.trace(d_mat @ b, axis1=1, axis2=2) / np.trace(b, axis1=1, axis2=2)
+                    dev = np.abs(t.px1_sum[j0:j1] - ratio)
+                    mass_worst = max(mass_worst, float(dev.max(initial=0.0)))
                 iterations += t.m
     return {
         "cells": cells,
@@ -107,16 +110,9 @@ def statistical_batch():
     """2000 runs at d=8, epsilon=0.25, c0=2 on a fixed Gaussian instance."""
     ds, _ = gen_random_instance(60, 20, 8, 1.0, derive_seed(BASE_SEED, 5))
     svd = thin_svd(ds.stacked())
-    cfg = AsuraConfig(
-        epsilon=0.25, c0=2.0, rng_seed=derive_seed(BASE_SEED, 5, 1),
-        assert_lemmas=False,
-    )
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(BASE_SEED, 5, 1))
     t0 = time.perf_counter()
-    traces = [
-        t for _, t in run_sampler_batch(
-            svd, cfg, 2000, n_unlabeled=ds.n1, capture_matrices=False
-        )
-    ]
+    traces = [t for _, t in run_sampler_batch(svd, cfg, 2000, n_unlabeled=ds.n1)]
     return {
         "svd": svd,
         "gamma": cfg.gamma,
@@ -265,7 +261,6 @@ def test_criterion_06_query_bound_and_monotonicity():
             cfg = AsuraConfig(
                 epsilon=eps, c0=2.0,
                 rng_seed=derive_seed(BASE_SEED, 6, int(lam), k),
-                assert_lemmas=False,
             )
             sols.append(solve_active(ds, oracle, cfg))
         report = check_query_bound(sols, ds, math.sqrt(eps) / 2.0)
@@ -284,7 +279,6 @@ def test_criterion_06_query_bound_and_monotonicity():
         oracle = LabelOracle(full_k, n)
         cfg = AsuraConfig(
             epsilon=eps, c0=2.0, rng_seed=derive_seed(BASE_SEED, 6, 99, j),
-            assert_lemmas=False,
         )
         sols_k.append(solve_active(ds_k, oracle, cfg))
     report_k = check_query_bound(sols_k, ds_k, math.sqrt(eps) / 2.0)
@@ -317,8 +311,7 @@ def test_criterion_07_end_to_end_approximation():
 
     mean_a, p90_a = run_band(
         lambda k: AsuraConfig(epsilon=eps, c0=2.0,
-                              rng_seed=derive_seed(BASE_SEED, 7, k),
-                              assert_lemmas=False),
+                              rng_seed=derive_seed(BASE_SEED, 7, k)),
     )
     mean_l, p90_l = run_band(
         lambda k: LeverageConfig(epsilon=eps, oversample_c=15.0,

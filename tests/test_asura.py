@@ -7,6 +7,7 @@ from ssar.asura import (
     _barrier_weights,
     _draw_index,
     _normalize_probabilities,
+    _replay,
     asura_sample,
     check_well_balanced,
     sample_with_retry,
@@ -15,12 +16,12 @@ from ssar.asura import (
 from ssar.core import SvdFactors, thin_svd
 from ssar.errors import (
     BarrierViolationError,
-    InsufficientTraceError,
     InvalidInputError,
     NumericalBreakdownError,
     WellBalancedEventFailedError,
 )
 from ssar.rngutil import derive_seed, make_rng
+from ssar.verify import check_hard_lemmas
 
 from conftest import gaussian_dataset
 
@@ -36,9 +37,15 @@ def _initial(rank, gamma):
     return np.zeros((rank, rank)), edge, -edge
 
 
-def _state(trace, j):
-    """The barrier state ``(A, u, l)`` before iteration ``j`` of a captured run."""
-    return trace.a_mats[j], float(trace.u[j]), float(trace.l[j])
+def _matrices(trace, svd):
+    """The running matrices ``A_0 .. A_m`` of a run, replayed from its trace."""
+    chunks = [mats for _, mats in _replay(trace, svd.u)]
+    return np.concatenate([c[:-1] for c in chunks] + [chunks[-1][-1:]])
+
+
+def _state(trace, mats, j):
+    """The barrier state ``(A, u, l)`` before iteration ``j`` of a run."""
+    return mats[j], float(trace.u[j]), float(trace.l[j])
 
 
 # ---------------------------------------------------------------- config
@@ -56,18 +63,23 @@ def test_config_validation():
 
 
 def test_gamma_cap_applies_only_with_assertions():
-    _, svd = _svd()
-    hot = AsuraConfig(epsilon=0.81, c0=2.0, rng_seed=1, assert_lemmas=True)  # gamma 0.45
-    with pytest.raises(InvalidInputError):
-        asura_sample(svd, hot)
-    relaxed = AsuraConfig(epsilon=0.81, c0=2.0, rng_seed=1, assert_lemmas=False)
-    sample, _ = asura_sample(svd, relaxed)
-    assert sample.m >= 1
+    # The sampler runs at any gamma < 1/2 on either side of rank 64; gamma <= 1/4
+    # is asserted only by the matrix checks, whose arguments need it.
+    hot = AsuraConfig(epsilon=0.81, c0=2.0, rng_seed=1)  # gamma 0.45
+    for d in (8, 65):
+        _, svd = _svd(n1=2 * d, n2=d, d=d)
+        sample, trace = asura_sample(svd, hot)
+        assert sample.m >= 1 and svd.rank == d
+        assert len(check_hard_lemmas(trace)) == 3
+        with pytest.raises(InvalidInputError):
+            check_hard_lemmas(trace, svd)
+        with pytest.raises(InvalidInputError):
+            check_well_balanced(sample, trace, svd, 0.81)
 
 
 def test_gamma_half_breaks_barrier_update():
     _, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.81, c0=1.5, rng_seed=1, assert_lemmas=False)  # gamma 0.6
+    cfg = AsuraConfig(epsilon=0.81, c0=1.5, rng_seed=1)  # gamma 0.6
     with pytest.raises(InvalidInputError):
         asura_sample(svd, cfg)
 
@@ -132,7 +144,7 @@ def test_drawn_rows_match_distribution_chi_square():
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=123)
     _, trace = asura_sample(svd, cfg)
     j = trace.m // 2
-    p = sampling_distribution(svd, *_state(trace, j))
+    p = sampling_distribution(svd, *_state(trace, _matrices(trace, svd), j))
     rng = make_rng(777)
     n_draws = 100_000
     counts = np.bincount(
@@ -201,8 +213,9 @@ def test_unlabeled_mass_identity_against_inverse_oracle():
     eye = np.eye(svd.rank)
     u1 = svd.u[: ds.n1]
     d_mat = u1.T @ u1
+    mats = _matrices(trace, svd)
     for j in (0, trace.m // 2, trace.m - 1):
-        a, u, l = trace.a_mats[j], float(trace.u[j]), float(trace.l[j])
+        a, u, l = _state(trace, mats, j)
         b_mat = np.linalg.inv(u * eye - a) + np.linalg.inv(a - l * eye)
         oracle = float(np.trace(d_mat @ b_mat) / np.trace(b_mat))
         assert trace.px1_sum[j] == pytest.approx(oracle, abs=1e-10)
@@ -235,14 +248,15 @@ def _stream_cases():
 @pytest.mark.parametrize("x,n1", _stream_cases())
 def test_block_draw_replays_full_row_stream(x, n1):
     # Replaying the run's uniforms against the full-row distribution at every
-    # captured state reproduces each pick and its probability.
+    # replayed state reproduces each pick and its probability.
     svd = thin_svd(x)
     for seed in (3, 57, 911):
         cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed)
-        _, trace = asura_sample(svd, cfg, n_unlabeled=n1, capture_matrices=True)
+        _, trace = asura_sample(svd, cfg, n_unlabeled=n1)
+        mats = _matrices(trace, svd)
         rng = make_rng(seed)
         for j in range(trace.m):
-            p = sampling_distribution(svd, *_state(trace, j))
+            p = sampling_distribution(svd, *_state(trace, mats, j))
             pick = _draw_index(rng, p)
             assert trace.sampled_index[j] == pick, (seed, j)
             assert trace.p_j[j] == pytest.approx(p[pick], rel=1e-12)
@@ -259,14 +273,6 @@ def test_check_well_balanced_rejects_mismatched_artifacts():
     s2, t2 = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=32))
     with pytest.raises(InvalidInputError):
         check_well_balanced(s1, t2, svd, 0.25)
-
-
-def test_check_well_balanced_needs_matrices():
-    _, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=33)
-    s, t = asura_sample(svd, cfg, capture_matrices=False)
-    with pytest.raises(InsufficientTraceError):
-        check_well_balanced(s, t, svd, 0.25)
 
 
 def test_conditioning_closed_form_initial_iteration():
@@ -349,7 +355,7 @@ def test_small_gamma_runs_are_well_balanced():
 def test_condition_number_bound_in_small_gamma_regime():
     _, svd = _svd(n1=12, n2=4, d=4, seed=3)
     cfg = AsuraConfig(epsilon=0.25, c0=16.0, rng_seed=5)  # gamma = 1/32
-    _, t = asura_sample(svd, cfg, capture_matrices=False)
+    _, t = asura_sample(svd, cfg)
     assert t.l_final > 0
     assert t.u_final / t.l_final <= 1 + 3456 * cfg.gamma
 

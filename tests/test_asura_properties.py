@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssar.asura import AsuraConfig, asura_sample
+from ssar.asura import AsuraConfig, _replay, asura_sample
 from ssar.core import thin_svd
 from ssar.regression import LabelOracle, solve_active
 from ssar.rngutil import make_rng
@@ -46,6 +46,51 @@ def test_sampler_run_invariants(ds, cfg):
     np.testing.assert_array_equal(again.weights, sample.weights)
     np.testing.assert_array_equal(trace_again.p_j, trace.p_j)
     np.testing.assert_array_equal(trace_again.px1_sum, trace.px1_sum)
+
+
+def _loop_matrices(trace, svd):
+    """``A_0 .. A_m`` accumulated one rank-one update at a time, as the sampler does."""
+    a = np.zeros((svd.rank, svd.rank))
+    mats = [a]
+    for pick, w in zip(trace.sampled_index, trace.w_prime):
+        row = svd.u[pick]
+        a = a + w * np.outer(row, row)
+        mats.append(a)
+    return np.array(mats)
+
+
+def _replayed(trace, svd):
+    """The replay's chunks and the matrices ``A_0 .. A_m`` they hold."""
+    chunks = [mats for _, mats in _replay(trace, svd.u)]
+    return chunks, np.concatenate([c[:-1] for c in chunks] + [chunks[-1][-1:]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=instances(), cfg=configs)
+def test_replayed_matrices_are_the_loop_matrices_inside_the_window(ds, cfg):
+    svd = thin_svd(ds.stacked())
+    _, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+    _, mats = _replayed(trace, svd)
+    np.testing.assert_array_equal(mats, _loop_matrices(trace, svd))
+    theta = np.linalg.eigvalsh(mats)
+    assert np.all(theta[:, 0] > trace.l) and np.all(theta[:, -1] < trace.u)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    d=st.integers(48, 64),
+    n2=st.integers(0, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_replay_is_exact_across_chunk_boundaries(d, n2, seed):
+    # At rank 48 or more a run's matrices outgrow one chunk of the default cap.
+    svd = thin_svd(gaussian_dataset(d, n2, d, seed).stacked())
+    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
+    chunks, mats = _replayed(trace, svd)
+    assert len(chunks) >= 2
+    for prev, nxt in zip(chunks, chunks[1:]):
+        np.testing.assert_array_equal(prev[-1], nxt[0])
+    np.testing.assert_array_equal(mats, _loop_matrices(trace, svd))
 
 
 @settings(max_examples=25, deadline=None)

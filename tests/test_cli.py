@@ -226,6 +226,7 @@ def test_config_file_values_are_parsed_like_flags(manifest, capsys, tmp_path):
     ["trials", 2],
     {"trials": 0},
     {"jobs": 0},
+    {"assert-lemmas": True},
 ])
 def test_config_file_bad_key_or_value_is_config_error(manifest, capsys, tmp_path, overrides):
     cfg_path = tmp_path / "cfg.json"
@@ -306,6 +307,22 @@ def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad
     assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
 
 
+def test_run_check_balance_works_above_rank_64(capsys, tmp_path):
+    code, _ = run_cli(capsys, "gen", "random", "--n1", "130", "--n2", "5", "--d", "65",
+                      "--seed", "4", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    code, out = run_cli(capsys, "run", "--manifest", str(tmp_path / "random_manifest.json"),
+                        "--seed", "5", "--check-balance")
+    assert code == EXIT_OK
+    assert isinstance(json.loads(data_lines(out)[0])["well_balanced"], bool)
+
+
+def test_assert_lemmas_flag_is_gone(manifest, capsys):
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--assert-lemmas")
+    assert code == EXIT_CONFIG
+    assert data_lines(out) == []
+
+
 def test_ssar_seed_env_used_when_flag_absent(manifest, capsys, monkeypatch):
     monkeypatch.setenv("SSAR_SEED", "12345")
     _, out1 = run_cli(capsys, "run", "--manifest", manifest, "--trials", "1")
@@ -324,6 +341,23 @@ def test_verify_small_inline_suite_passes(capsys):
     assert code == EXIT_OK
     recs = [json.loads(s) for s in data_lines(out)]
     assert all(r["verdict"] == "pass" for r in recs)
+
+
+def test_verify_above_the_gamma_cap_is_config_error(capsys):
+    # c0 = 1.5 gives gamma = 1/3: the sampler runs, the matrix checks refuse.
+    code, out = run_cli(capsys, "verify", "--c0", "1.5", "--eps-grid", "0.25",
+                        "--d-grid", "4", "--runs", "2")
+    assert code == EXIT_CONFIG
+    assert data_lines(out) == []
+
+
+def test_verify_too_few_statistical_runs_fails_before_the_grid(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    code = main(["verify", "--statistical-runs", "5"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
 
 
 def test_verify_lemma_filter(capsys):
@@ -350,8 +384,7 @@ def test_verify_corrupted_trace_fixture_fails(capsys, tmp_path):
 
     ds, _ = gen_random_instance(12, 4, 4, 1.0, seed=6)
     svd = thin_svd(ds.stacked())
-    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, rng_seed=6),
-                            capture_matrices=False)
+    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, rng_seed=6))
     u = trace.u.copy()
     u[-1] = trace.l[-1] + 10 * svd.rank / trace.gamma
     path = tmp_path / "bad_trace.jsonl"

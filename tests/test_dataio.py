@@ -66,7 +66,7 @@ def test_trace_dump_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.u, trace.u)
     np.testing.assert_array_equal(loaded.l, trace.l)
     np.testing.assert_array_equal(loaded.sampled_index, trace.sampled_index)
-    assert loaded.a_mats is None
+    np.testing.assert_array_equal(loaded.w_prime, trace.w_prime)
 
 
 def test_solution_record_fields():

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ssar.asura import AsuraConfig, asura_sample
+from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
 from ssar.core import Dataset, thin_svd
-from ssar.errors import InsufficientSampleError, InsufficientTraceError
+from ssar.dataio import dump_trace, load_trace
+from ssar.errors import InsufficientSampleError, InsufficientTraceError, InvalidInputError
 from ssar.regression import LabelOracle, solve_active
 from ssar.verify import (
     HARD_LEMMA_IDS,
@@ -30,21 +31,33 @@ def good_run():
 
 def test_hard_lemmas_pass_on_good_runs(good_run):
     ds, svd, cfg, _, trace = good_run
-    reports = check_hard_lemmas(trace, cfg.gamma, svd.rank)
+    reports = check_hard_lemmas(trace, svd)
     assert {r.lemma_id for r in reports} == set(HARD_LEMMA_IDS)
     assert all(r.verdict for r in reports)
     assert all(r.violations == 0 for r in reports)
 
 
 def test_hard_lemmas_need_matrices(good_run):
-    ds, svd, cfg, _, _ = good_run
-    _, bare = asura_sample(svd, cfg, capture_matrices=False)
-    with pytest.raises(InsufficientTraceError):
-        check_hard_lemmas(bare, cfg.gamma, svd.rank)
-    scalar = check_hard_lemmas(bare, cfg.gamma, svd.rank, scalar_only=True)
+    # Without the factors no running matrix can be replayed: scalar checks only.
+    ds, svd, cfg, _, trace = good_run
+    scalar = check_hard_lemmas(trace)
     assert {r.lemma_id for r in scalar} == {
         "iteration-cap", "potential-floor", "gap-bound",
     }
+
+
+def test_hard_lemmas_reject_factors_of_another_run(good_run):
+    ds, svd, cfg, _, trace = good_run
+    other = thin_svd(gaussian_dataset(24, 8, 7, seed=5).stacked())
+    with pytest.raises(InvalidInputError):
+        check_hard_lemmas(trace, other)
+
+
+def test_hard_lemmas_on_a_loaded_dump_match_the_run(good_run, tmp_path):
+    ds, svd, cfg, _, trace = good_run
+    path = tmp_path / "trace.jsonl"
+    dump_trace(path, trace)
+    assert check_hard_lemmas(load_trace(path), svd) == check_hard_lemmas(trace, svd)
 
 
 def test_gap_lemma_fails_on_corrupted_trace(good_run):
@@ -52,7 +65,7 @@ def test_gap_lemma_fails_on_corrupted_trace(good_run):
     u = trace.u.copy()
     u[-1] = trace.l[-1] + 10 * svd.rank / cfg.gamma
     bad = dataclasses.replace(trace, u=u)
-    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, cfg.gamma, svd.rank)}
+    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}
     assert not reports["gap-bound"].verdict
     assert reports["gap-bound"].violations == 1
 
@@ -62,23 +75,52 @@ def test_potential_floor_fails_on_corrupted_trace(good_run):
     phi = trace.phi_id.copy()
     phi[3] = cfg.gamma / 4
     bad = dataclasses.replace(trace, phi_id=phi)
-    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, cfg.gamma, svd.rank)}
+    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}
     assert not reports["potential-floor"].verdict
 
 
 def test_containment_and_steps_fail_on_corrupted_matrices(good_run):
     ds, svd, cfg, _, trace = good_run
-    mats = trace.a_mats.copy()
-    mats[-1] *= 50.0  # final matrix blows through the upper barrier
-    bad = dataclasses.replace(trace, a_mats=mats)
-    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, cfg.gamma, svd.rank)}
+    p_j = trace.p_j.copy()
+    p_j[-1] /= 50.0  # the last step is 50 times too large and blows through the upper barrier
+    bad = dataclasses.replace(trace, p_j=p_j)
+    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}
     assert not reports["barrier-containment"].verdict
     assert not reports["step-upper"].verdict
 
 
+def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
+    # At rank 48 the replay spans chunks, and a corrupted step mid-run makes
+    # every later matrix a violation: each A_j must be checked exactly once.
+    svd = thin_svd(gaussian_dataset(48, 4, 48, seed=3).stacked())
+    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=3))
+    p_j = trace.p_j.copy()
+    p_j[trace.m // 2] /= 50.0
+    bad = dataclasses.replace(trace, p_j=p_j)
+    assert len(list(_replay(bad, svd.u))) >= 2
+
+    mats = [np.zeros((48, 48))]
+    for pick, w in zip(bad.sampled_index, bad.w_prime):
+        mats.append(mats[-1] + w * np.outer(svd.u[pick], svd.u[pick]))
+    eye, gamma = np.eye(48), bad.gamma
+    theta = [np.linalg.eigvalsh(a) for a in mats]
+    contain = [max(bad.l[j] - t[0], t[-1] - bad.u[j]) for j, t in enumerate(theta)]
+    up = [np.linalg.eigvalsh(mats[j + 1] - mats[j] - gamma * (bad.u[j] * eye - mats[j]))[-1]
+          for j in range(bad.m)]
+    low = [np.linalg.eigvalsh(
+               mats[j + 1] - mats[j] - 2.0 * gamma * (mats[j] - bad.l[j + 1] * eye))[-1]
+           for j in range(bad.m)]
+
+    reports = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}
+    for lemma_id, values in (("barrier-containment", contain), ("step-upper", up),
+                             ("step-lower", low)):
+        assert reports[lemma_id].violations == sum(v > EIG_TOL for v in values) > 0
+        assert reports[lemma_id].statistic == max(values)
+
+
 def test_merge_hard_reports_accumulates(good_run):
     ds, svd, cfg, _, trace = good_run
-    per_run = [check_hard_lemmas(trace, cfg.gamma, svd.rank) for _ in range(3)]
+    per_run = [check_hard_lemmas(trace, svd) for _ in range(3)]
     merged = merge_hard_reports(per_run)
     assert all(r.runs_checked == 3 for r in merged)
     assert all(r.verdict for r in merged)
@@ -93,7 +135,7 @@ def test_statistical_checks_reject_small_batches(good_run):
 def test_statistical_checks_small_batch_override():
     ds = gaussian_dataset(24, 8, 8, seed=6)
     svd = thin_svd(ds.stacked())
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7, assert_lemmas=False)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7)
     batch = [t for _, t in run_sampler_batch(svd, cfg, 60, n_unlabeled=ds.n1)]
     reports = check_statistical_lemmas(batch, cfg.gamma, svd.rank, min_batch=50)
     by_id = {r.lemma_id: r for r in reports}
@@ -105,7 +147,7 @@ def test_statistical_checks_small_batch_override():
 def test_statistical_checks_need_unlabeled_series():
     ds = gaussian_dataset(24, 8, 8, seed=8)
     svd = thin_svd(ds.stacked())
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=9, assert_lemmas=False)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=9)
     batch = [t for _, t in run_sampler_batch(svd, cfg, 5)]
     with pytest.raises(InsufficientTraceError):
         check_statistical_lemmas(batch, cfg.gamma, svd.rank, min_batch=5)
@@ -114,7 +156,7 @@ def test_statistical_checks_need_unlabeled_series():
 def test_drift_check_rejects_increasing_potentials():
     ds = gaussian_dataset(24, 8, 8, seed=10)
     svd = thin_svd(ds.stacked())
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11, assert_lemmas=False)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
     batch = [t for _, t in run_sampler_batch(svd, cfg, 50, n_unlabeled=ds.n1)]
     rigged = [
         dataclasses.replace(
@@ -146,7 +188,7 @@ def test_query_bound_forced_pass_without_labeled_block():
     sols = []
     for k in range(25):
         oracle = LabelOracle(labels, ds.n1)
-        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=100 + k, assert_lemmas=False)
+        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=100 + k)
         sols.append(solve_active(ds, oracle, cfg))
     report = check_query_bound(sols, ds, 0.25)
     assert report.verdict
