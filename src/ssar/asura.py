@@ -20,9 +20,11 @@ caps the iteration count with probability one and, after normalizing the
 accumulated weights by the final barrier midpoint, leaves the weighted Gram
 matrix of the sampled rows spectrally close to the identity.
 
-The per-iteration scalar trace, together with ``U``, determines every running
-matrix ``A_j``; :mod:`ssar.verify` replays it to re-check the structural
-guarantees after the fact.
+The sampler takes the instance and returns one :class:`AsuraTrace` per run.
+The trace, together with ``U``, determines every quantity the analysis
+checks: the running matrices ``A_j``, the weights, the midpoint-normalized
+coefficients and the unlabeled-block series.  :func:`check_well_balanced`
+and :mod:`ssar.verify` read them from the trace and the factors alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import SvdFactors, leverage_scores
+from .core import Dataset, SvdFactors, leverage_scores
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -116,26 +118,27 @@ class AsuraConfig:
 
 @dataclass
 class AsuraTrace:
-    """Per-iteration record of one sampler run.
+    """The record of one sampler run.
 
     ``u`` and ``l`` have length ``m + 1`` (initial through final barrier
-    values); the remaining per-iteration arrays have length ``m``.  No
-    matrix is stored: with the factor ``U``, the trace determines every running
-    matrix (see :func:`_replay`).  ``px1_sum`` and ``phi_d`` are recorded when
-    the caller identifies how many leading rows form the unlabeled block.
+    values); the remaining per-iteration arrays have length ``m``.
+    ``px1_sum`` is the sampling mass on the ``n_unlabeled`` leading rows and
+    ``phi_d`` the matching block-weighted potential.  No matrix is stored:
+    with the factor ``U``, the trace determines every running matrix (see
+    :func:`_replay`), and the weights and coefficients derive from it.
     """
 
     gamma: float
     rank: int
     n_rows: int
-    n_unlabeled: int | None
+    n_unlabeled: int
     phi_id: np.ndarray
     u: np.ndarray
     l: np.ndarray
     sampled_index: np.ndarray
     p_j: np.ndarray
-    px1_sum: np.ndarray | None = None
-    phi_d: np.ndarray | None = None
+    px1_sum: np.ndarray
+    phi_d: np.ndarray
 
     @property
     def m(self) -> int:
@@ -154,19 +157,27 @@ class AsuraTrace:
     def l_final(self) -> float:
         return float(self.l[-1])
 
+    @property
+    def mid(self) -> float:
+        """Final barrier midpoint, which normalizes the weights and coefficients."""
+        return 0.5 * (self.u_final + self.l_final)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Midpoint-normalized coefficients ``alpha_j = (gamma / phi_j) / mid``."""
+        return (self.gamma / self.phi_id) / self.mid
+
 
 @dataclass
 class SampleSet:
     """Sampled row indices with their loss weights.
 
-    ``weights`` multiply squared residuals directly.  ``coefficients`` are the
-    midpoint-normalized per-iteration coefficients of the adaptive sampler and
-    are unset for the non-sequential baselines.
+    ``weights`` multiply squared residuals directly.  For the adaptive
+    sampler they are ``trace.w_prime / trace.mid`` of its run's trace.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -175,35 +186,36 @@ class SampleSet:
             raise InvalidInputError("indices and weights must have equal length")
         if self.weights.size and np.any(self.weights <= 0):
             raise InvalidInputError("weights must be positive")
-        if self.coefficients is not None:
-            self.coefficients = np.asarray(self.coefficients, dtype=float)
-            if self.coefficients.shape != self.indices.shape:
-                raise InvalidInputError("coefficients must match indices in length")
-            if self.coefficients.size and np.any(self.coefficients <= 0):
-                raise InvalidInputError("coefficients must be positive")
 
     @property
     def m(self) -> int:
         return self.indices.shape[0]
 
 
-def _barrier_weights(a: np.ndarray, u: float, l: float, j: int | None = None):
+def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray,
+                     j: int | None = None):
     """Eigenvectors ``q`` of the running matrix and its barrier weights.
 
     ``b = 1/(u - theta) + 1/(theta - l)`` over the eigenvalues ``theta`` of
-    ``a``; the barrier potential is ``b.sum()``.  Touching a barrier raises
-    rather than dividing by a vanishing gap.  ``j`` names the iteration in
-    the error.
+    ``a``; the barrier potential is ``b.sum()``.  ``a`` is one ``(r, r)``
+    state with float barriers, or a ``(k, r, r)`` stack with ``(k,)``
+    barrier arrays, giving ``(k, r, r)`` and ``(k, r)`` results.  Touching a
+    barrier raises rather than dividing by a vanishing gap; ``j`` is the
+    iteration of the first state, and the error names the first touched one.
     """
     theta, q = np.linalg.eigh(a)
+    if theta.ndim > 1:
+        u, l = u[:, None], l[:, None]
     gap_u = u - theta
     gap_l = theta - l
     if gap_u.min() <= 0.0 or gap_l.min() <= 0.0:
-        where = "" if j is None else f" at iteration {j}"
+        k = int(np.argmax(np.minimum(gap_u, gap_l).min(axis=-1) <= 0.0))
+        eigs = np.atleast_2d(theta)[k]
+        where = "" if j is None else f" at iteration {j + k}"
         raise BarrierViolationError(
             f"barrier touched{where}: "
-            f"eigenvalues span [{theta.min():.6g}, {theta.max():.6g}] "
-            f"against window [{l:.6g}, {u:.6g}]"
+            f"eigenvalues span [{eigs.min():.6g}, {eigs.max():.6g}] "
+            f"against window [{np.ravel(l)[k]:.6g}, {np.ravel(u)[k]:.6g}]"
         )
     return q, 1.0 / gap_u + 1.0 / gap_l
 
@@ -275,44 +287,32 @@ def sampling_distribution(svd: SvdFactors, a: np.ndarray, u: float, l: float) ->
     return _normalize_probabilities(p_raw)
 
 
-def asura_sample(
-    svd: SvdFactors,
-    cfg: AsuraConfig,
-    n_unlabeled: int | None = None,
-) -> tuple[SampleSet, AsuraTrace]:
-    """Run the adaptive sampler on the rows of ``svd.u``.
+def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
+    """Run the adaptive sampler on the rows of ``ds.svd.u``.
 
-    Parameters
-    ----------
-    svd : SvdFactors
-        Thin SVD of the stacked design.
-    cfg : AsuraConfig
-    n_unlabeled : int, optional
-        Number of leading rows forming the unlabeled block.  When given, the
-        trace records, per iteration, the total sampling mass on that block
-        and the matching block-weighted potential.
+    The trace records, per iteration, the sampling mass on the ``ds.n1``
+    unlabeled rows and the matching block-weighted potential.  The sample is
+    the trace's picks with weights ``trace.w_prime / trace.mid``.
 
     Returns
     -------
     (SampleSet, AsuraTrace)
     """
-    u_mat = svd.u
+    u_mat = ds.svd.u
     n, r = u_mat.shape
+    n1 = ds.n1
     gamma = cfg.gamma
     if gamma >= 0.5:
         raise InvalidInputError(
             f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
         )
-    if n_unlabeled is not None and not (0 <= n_unlabeled <= n):
-        raise InvalidInputError(f"n_unlabeled must lie in [0, {n}], got {n_unlabeled}")
 
     cap = math.ceil(2.0 * r / gamma**2)
     budget = 8.0 * r / gamma
     rng = make_rng(cfg.rng_seed)
 
-    split = n if n_unlabeled is None else n_unlabeled
-    edges, grams = _row_blocks(u_mat, split)
-    n_blocks_unlabeled = edges.index(split) if n_unlabeled else 0
+    edges, grams = _row_blocks(u_mat, n1)
+    n_blocks_unlabeled = edges.index(n1)
 
     a = np.zeros((r, r))
     u = 2.0 * r / gamma
@@ -369,10 +369,9 @@ def asura_sample(
             raise NumericalBreakdownError("sampled a zero-probability row")
         w_prime = gamma / (phi * p_pick)
 
-        if n_unlabeled is not None:
-            mass_unlabeled = cum[n_blocks_unlabeled - 1] if n_blocks_unlabeled else 0.0
-            px1s.append(mass_unlabeled / total)
-            phids.append(phi * mass_unlabeled)
+        mass_unlabeled = cum[n_blocks_unlabeled - 1]
+        px1s.append(mass_unlabeled / total)
+        phids.append(phi * mass_unlabeled)
 
         phis.append(phi)
         picks.append(pick)
@@ -391,27 +390,20 @@ def asura_sample(
     if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
         raise BarrierViolationError("final matrix left the barrier window")
 
-    mid = 0.5 * (u + l)
-    phis_arr = np.asarray(phis)
     trace = AsuraTrace(
         gamma=gamma,
         rank=r,
         n_rows=n,
-        n_unlabeled=n_unlabeled,
-        phi_id=phis_arr,
+        n_unlabeled=n1,
+        phi_id=np.asarray(phis),
         u=np.asarray(us),
         l=np.asarray(ls),
         sampled_index=np.asarray(picks, dtype=np.int64),
         p_j=np.asarray(pjs),
-        px1_sum=np.asarray(px1s) if n_unlabeled is not None else None,
-        phi_d=np.asarray(phids) if n_unlabeled is not None else None,
+        px1_sum=np.asarray(px1s),
+        phi_d=np.asarray(phids),
     )
-    sample = SampleSet(
-        indices=np.asarray(picks, dtype=np.int64),
-        weights=trace.w_prime / mid,
-        coefficients=(gamma / phis_arr) / mid,
-    )
-    return sample, trace
+    return SampleSet(trace.sampled_index, trace.w_prime / trace.mid), trace
 
 
 def _replay(trace: AsuraTrace, u_mat: np.ndarray, extra_bytes: int = 0):
@@ -476,7 +468,6 @@ class WellBalancedReport:
     kd_agree: bool
     kd_ok: bool
     gamma: float
-    epsilon: float
     well_balanced: bool
 
 
@@ -488,12 +479,7 @@ def _gamma_guard(gamma: float) -> None:
         )
 
 
-def check_well_balanced(
-    sample: SampleSet,
-    trace: AsuraTrace,
-    svd: SvdFactors,
-    epsilon: float,
-) -> WellBalancedReport:
+def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedReport:
     """Check the three well-balancedness conditions on a completed run.
 
     (i) the eigenvalues of the reweighted Gram matrix of the sampled rows lie
@@ -502,28 +488,28 @@ def check_well_balanced(
     ``512 gamma^2``, where ``K_j = max_x ||U(x)||^2 / p_x`` over the rows
     with ``U(x) != 0``.  Condition (iii) is checked on both the closed-form
     bound and a brute-force sweep over the running matrices replayed from the
-    trace, one stacked eigendecomposition per chunk; :func:`sampling_distribution`
-    is its per-iteration reference.  See :class:`WellBalancedReport` for how
-    the two relate.  Needs ``gamma <= 1/4``; a larger ``gamma`` raises
+    trace, one barrier step per chunk; :func:`sampling_distribution` is its
+    per-iteration reference.  See :class:`WellBalancedReport` for how the two
+    relate.  Needs ``gamma <= 1/4``; a larger ``gamma`` raises
     :class:`InvalidInputError`.
+
+    Everything is read from the trace and the run's factors ``svd``: the
+    sampled rows, their weights ``trace.w_prime / trace.mid`` and the
+    coefficients ``trace.alpha``.
     """
-    if sample.m != trace.m or not np.array_equal(sample.indices, trace.sampled_index):
-        raise InvalidInputError("sample and trace come from different runs")
     if trace.n_rows != svd.n or trace.rank != svd.rank:
         raise InvalidInputError("factors do not match the traced run")
-    if sample.coefficients is None:
-        raise InvalidInputError("sample carries no coefficients to check")
     gamma = trace.gamma
     _gamma_guard(gamma)
     u_mat = svd.u
 
-    sel = u_mat[sample.indices]
-    gram = (sel * sample.weights[:, None]).T @ sel
+    sel = u_mat[trace.sampled_index]
+    gram = (sel * (trace.w_prime / trace.mid)[:, None]).T @ sel
     eigs = np.linalg.eigvalsh(gram)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     spectral_ok = SPECTRAL_LO <= min_eig and max_eig <= SPECTRAL_HI
 
-    alpha = sample.coefficients
+    alpha = trace.alpha
     alpha_sum = float(alpha.sum())
     alpha_ok = alpha_sum <= ALPHA_SUM_BOUND
 
@@ -538,13 +524,7 @@ def check_well_balanced(
     kd_brute = np.empty(trace.m)
     for j0, mats in _replay(trace, u_mat, extra_bytes=8 * u_live.size):
         j1 = j0 + len(mats) - 1
-        theta, q = np.linalg.eigh(mats[:-1])
-        gap_u = trace.u[j0:j1, None] - theta
-        gap_l = theta - trace.l[j0:j1, None]
-        touched = np.flatnonzero((gap_u.min(axis=1) <= 0.0) | (gap_l.min(axis=1) <= 0.0))
-        if touched.size:
-            raise BarrierViolationError(f"barrier touched at iteration {j0 + touched[0]}")
-        b = 1.0 / gap_u + 1.0 / gap_l
+        q, b = _barrier_weights(mats[:-1], trace.u[j0:j1], trace.l[j0:j1], j0)
         g = u_live @ q
         np.square(g, out=g)
         mix = b / b.sum(axis=1, keepdims=True)
@@ -575,16 +555,11 @@ def check_well_balanced(
         kd_agree=kd_agree,
         kd_ok=kd_ok,
         gamma=gamma,
-        epsilon=float(epsilon),
         well_balanced=spectral_ok and alpha_ok and kd_ok,
     )
 
 
-def sample_with_retry(
-    svd: SvdFactors,
-    cfg: AsuraConfig,
-    n_unlabeled: int | None = None,
-) -> tuple[SampleSet, AsuraTrace, int]:
+def sample_with_retry(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace, int]:
     """Rerun the sampler with derived seeds until a run passes the balance check.
 
     The first attempt uses ``cfg.rng_seed`` directly, so a run that passes on
@@ -596,8 +571,8 @@ def sample_with_retry(
     for attempt in range(1, cfg.max_restarts + 1):
         seed = cfg.rng_seed if attempt == 1 else derive_seed(cfg.rng_seed, attempt)
         attempt_cfg = replace(cfg, rng_seed=seed)
-        sample, trace = asura_sample(svd, attempt_cfg, n_unlabeled=n_unlabeled)
-        report = check_well_balanced(sample, trace, svd, cfg.epsilon)
+        sample, trace = asura_sample(ds, attempt_cfg)
+        report = check_well_balanced(trace, ds.svd)
         if report.well_balanced:
             return sample, trace, attempt
         reports.append(report)

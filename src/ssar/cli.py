@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asura import AsuraConfig, check_well_balanced
+from .asura import AsuraConfig, _gamma_guard, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig
 from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
@@ -56,6 +56,7 @@ from .regression import LabelOracle, ridge_to_ssal, solve_active
 from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
+    MIN_STATISTICAL_RUNS,
     check_hard_lemmas,
     check_statistical_lemmas,
     merge_hard_reports,
@@ -66,8 +67,6 @@ EXIT_OK = 0
 EXIT_HARD_FAIL = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
-
-MIN_STATISTICAL_RUNS = 2000
 
 
 @dataclass
@@ -136,7 +135,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
             switches[action.dest] = value
         elif value is None and action.default is None:
             switches[action.dest] = None
-        elif isinstance(value, list) and action.nargs == "*":
+        elif isinstance(value, list) and action.nargs == "+":
             extra += [flag, *(str(v) for v in value)]
         else:
             extra.append(f"{flag}={value}")
@@ -228,9 +227,7 @@ def _run_one_trial(trial: Trial) -> dict:
         if adaptive and trial.retry:
             well_balanced = True
         elif adaptive and trial.check_balance:
-            well_balanced = check_well_balanced(
-                sol.sample, sol.trace, ds.svd, cfg.epsilon
-            ).well_balanced
+            well_balanced = check_well_balanced(sol.trace, ds.svd).well_balanced
     except (BarrierViolationError, NumericalBreakdownError,
             WellBalancedEventFailedError) as exc:
         return {"seed": cfg.rng_seed, "sampler": trial.sampler, "error": str(exc)}
@@ -254,6 +251,8 @@ def _run_one_trial(trial: Trial) -> dict:
 def _cmd_run(args) -> int:
     base_seed = _base_seed(args)
     cfgs = [_sampler_config(args, derive_seed(base_seed, k)) for k in range(args.trials)]
+    if args.sampler == "asura" and (args.check_balance or args.retry):
+        _gamma_guard(cfgs[0].gamma)
     ds, full = load_dataset(args.manifest)
     if full is None:
         raise InvalidInputError(
@@ -309,16 +308,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     base_seed = _base_seed(args)
-    reports = []
     if args.trace_file:
-        for path in args.trace_file:
-            reports.extend(check_hard_lemmas(load_trace(path)))
-        reports = merge_hard_reports([reports])
+        reports = merge_hard_reports([check_hard_lemmas(load_trace(p)) for p in args.trace_file])
     else:
         if args.statistical_runs and args.statistical_runs < MIN_STATISTICAL_RUNS:
             raise InvalidInputError(
                 f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs"
             )
+        for eps in args.eps_grid:
+            _gamma_guard(AsuraConfig(epsilon=eps, c0=args.c0).gamma)
         d_grid, per_run = _dims(args.d_grid), []
         for d in d_grid:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, d))
@@ -327,7 +325,7 @@ def _cmd_verify(args) -> int:
                     epsilon=eps, c0=args.c0,
                     rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
                 )
-                for _, trace in run_sampler_batch(ds.svd, cfg, args.runs, n_unlabeled=ds.n1):
+                for _, trace in run_sampler_batch(ds, cfg, args.runs):
                     per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
@@ -335,12 +333,8 @@ def _cmd_verify(args) -> int:
             d, eps = d_grid[0], args.eps_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
             cfg = AsuraConfig(epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7))
-            batch = [
-                t for _, t in run_sampler_batch(
-                    ds.svd, cfg, args.statistical_runs, n_unlabeled=ds.n1
-                )
-            ]
-            reports.extend(check_statistical_lemmas(batch, cfg.gamma, ds.svd.rank))
+            batch = [t for _, t in run_sampler_batch(ds, cfg, args.statistical_runs)]
+            reports.extend(check_statistical_lemmas(batch))
 
     if args.lemma:
         matched = [r for r in reports if r.lemma_id == args.lemma]
@@ -392,7 +386,7 @@ def _cmd_sweep(args) -> int:
             epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 2, point_index)
         )
         counts = []
-        for _, trace in run_sampler_batch(ds.svd, cfg, args.trials, n_unlabeled=ds.n1):
+        for _, trace in run_sampler_batch(ds, cfg, args.trials):
             counts.append(
                 int(np.count_nonzero(trace.sampled_index < ds.n1))
             )
@@ -524,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     ver = sub.add_parser("verify", help="run the guarantee checks")
-    ver.add_argument("--trace-file", nargs="*", default=None,
+    ver.add_argument("--trace-file", nargs="+", default=None,
                      help="check scalar dumps instead of running inline")
     ver.add_argument("--runs", type=_count, default=30, help="runs per grid cell")
     ver.add_argument("--d-grid", type=_grid, default="4,8,16")

@@ -4,6 +4,8 @@ Matrices are header-less CSV with floats printed at 17 significant digits
 (lossless float64 round-trip).  A dataset manifest is a JSON object with the
 dimensions and relative paths of the block files.  Traces and report streams
 are JSON lines, one record per line, so long sweeps can append and resume.
+A trace dump holds every field of an :class:`~ssar.asura.AsuraTrace`, so a
+loaded dump equals the live trace.
 """
 
 from __future__ import annotations
@@ -141,26 +143,21 @@ def dump_trace(path, trace: AsuraTrace) -> None:
     """Write one run's scalar trace as JSON lines.
 
     A header record carries the run constants, one record per iteration holds
-    the per-iteration scalars, and a trailer record holds the final barrier
+    the per-iteration scalars (including the unlabeled-block series
+    ``px1_sum`` and ``phi_d``), and a trailer record holds the final barrier
     values.  With the run's factors this determines every running matrix.
     """
     with open(path, "w") as fh:
         header = (
             '{"kind": "header", "gamma": %s, "rank": %d, "n_rows": %d, '
-            '"n_unlabeled": %s, "m": %d}'
-            % (
-                FLOAT_FMT % trace.gamma,
-                trace.rank,
-                trace.n_rows,
-                "null" if trace.n_unlabeled is None else str(int(trace.n_unlabeled)),
-                trace.m,
-            )
+            '"n_unlabeled": %d, "m": %d}'
+            % (FLOAT_FMT % trace.gamma, trace.rank, trace.n_rows, trace.n_unlabeled, trace.m)
         )
         fh.write(header + "\n")
         for j in range(trace.m):
             fh.write(
                 '{"j": %d, "phi_id": %s, "sampled_index": %d, "p_j": %s, '
-                '"u_j": %s, "l_j": %s}\n'
+                '"u_j": %s, "l_j": %s, "px1_sum": %s, "phi_d": %s}\n'
                 % (
                     j,
                     FLOAT_FMT % trace.phi_id[j],
@@ -168,6 +165,8 @@ def dump_trace(path, trace: AsuraTrace) -> None:
                     FLOAT_FMT % trace.p_j[j],
                     FLOAT_FMT % trace.u[j],
                     FLOAT_FMT % trace.l[j],
+                    FLOAT_FMT % trace.px1_sum[j],
+                    FLOAT_FMT % trace.phi_d[j],
                 )
             )
         fh.write(
@@ -177,7 +176,7 @@ def dump_trace(path, trace: AsuraTrace) -> None:
 
 
 def load_trace(path) -> AsuraTrace:
-    """Read a trace dump back; the unlabeled-block series are absent."""
+    """Read a trace dump back; the result equals the dumped trace field for field."""
     with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
@@ -187,17 +186,18 @@ def load_trace(path) -> AsuraTrace:
         if m < 0 or len(body) != m + 1:
             raise InvalidInputError(f"{path}: expected {m + 1} records, found {len(body)}")
         iters, trailer = body[:m], body[m]
-        n_unl = head.get("n_unlabeled")
         return AsuraTrace(
             gamma=float(head["gamma"]),
             rank=int(head["rank"]),
             n_rows=int(head["n_rows"]),
-            n_unlabeled=None if n_unl is None else int(n_unl),
+            n_unlabeled=int(head["n_unlabeled"]),
             phi_id=np.array([rec["phi_id"] for rec in iters], dtype=float),
             u=np.array([rec["u_j"] for rec in iters] + [trailer["u_j"]], dtype=float),
             l=np.array([rec["l_j"] for rec in iters] + [trailer["l_j"]], dtype=float),
             sampled_index=np.array([rec["sampled_index"] for rec in iters], dtype=np.int64),
             p_j=np.array([rec["p_j"] for rec in iters], dtype=float),
+            px1_sum=np.array([rec["px1_sum"] for rec in iters], dtype=float),
+            phi_d=np.array([rec["phi_d"] for rec in iters], dtype=float),
         )
 
 

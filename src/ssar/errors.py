@@ -25,10 +25,6 @@ class NumericalBreakdownError(SsarError):
     """An internal quantity left its mathematically guaranteed range by more than round-off."""
 
 
-class InsufficientTraceError(SsarError):
-    """A trace lacks the per-iteration data required by the requested check."""
-
-
 class InsufficientSampleError(SsarError):
     """A statistical check was requested on a batch smaller than its minimum size."""
 

@@ -188,9 +188,9 @@ def solve_active(
     trace = None
     if isinstance(cfg, AsuraConfig):
         if retry:
-            sample, trace, _ = sample_with_retry(svd, cfg, n_unlabeled=ds.n1)
+            sample, trace, _ = sample_with_retry(ds, cfg)
         else:
-            sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+            sample, trace = asura_sample(ds, cfg)
     elif isinstance(cfg, LeverageConfig):
         sample = leverage_sample(svd, cfg)
     elif isinstance(cfg, UniformConfig):

@@ -10,6 +10,9 @@ bound.  Statistical checks carry explicit slack (a 0.05 frequency allowance
 and three standard errors) because a finite batch cannot certify an exact
 inequality between expectations.
 
+Every check reads its run constants (``gamma``, the rank) and series from
+the traces; the matrix checks also take the run's factors.
+
 The supermartingale check compares iterations ``j`` and ``j + 1`` only over
 runs still active at ``j + 1``, which conditions on survival; treat it as an
 approximation of the unconditional statement.
@@ -33,7 +36,7 @@ from .asura import (
     asura_sample,
 )
 from .core import Dataset, SvdFactors, reduced_rank
-from .errors import InsufficientSampleError, InsufficientTraceError, InvalidInputError
+from .errors import InsufficientSampleError, InvalidInputError
 from .rngutil import derive_seed
 
 __all__ = [
@@ -49,6 +52,11 @@ __all__ = [
 MASS_IDENTITY_TOL = 1e-10
 FREQUENCY_SLACK = 0.05
 SE_MULTIPLIER = 3.0
+
+# The statistical checks are calibrated for batches of at least this many runs.
+MIN_STATISTICAL_RUNS = 2000
+# Quantile levels of the final-barrier lower-tail check.
+TAIL_P_GRID = (0.25, 0.5)
 
 HARD_LEMMA_IDS = (
     "iteration-cap",
@@ -233,28 +241,25 @@ def _martingale_report(series: list[np.ndarray], lemma_id: str) -> LemmaReport:
     )
 
 
-def check_statistical_lemmas(
-    batch: Sequence[AsuraTrace],
-    gamma: float,
-    d: int,
-    p_grid: Sequence[float] = (0.25, 0.5),
-    min_batch: int = 2000,
-) -> list[LemmaReport]:
+def check_statistical_lemmas(batch: Sequence[AsuraTrace]) -> list[LemmaReport]:
     """Batch-level checks: final-barrier lower tail, potential drift, mass identity.
 
-    Requires at least ``min_batch`` runs (the statistical tests are calibrated
-    for batches of 2000 or more).  The drift checks need the per-iteration
-    potentials recorded at sample time; the unlabeled-block variants need the
-    run to have been told the unlabeled row count.
+    Requires at least ``MIN_STATISTICAL_RUNS`` runs, read at call time.
+    ``gamma`` and the rank ``d`` come from the traces, so the batch must hold
+    runs of one ``gamma`` and one rank; a mixed batch raises
+    :class:`InvalidInputError`.
     """
-    if len(batch) < min_batch:
+    if len(batch) < MIN_STATISTICAL_RUNS:
         raise InsufficientSampleError(
-            f"statistical checks need at least {min_batch} runs, got {len(batch)}"
+            f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs, got {len(batch)}"
         )
+    if len({(t.gamma, t.rank) for t in batch}) > 1:
+        raise InvalidInputError("statistical batch mixes runs of different gamma or rank")
+    gamma, d = batch[0].gamma, batch[0].rank
     reports = []
 
     u_final = np.array([t.u_final for t in batch])
-    for p in p_grid:
+    for p in TAIL_P_GRID:
         threshold = p * p * d / (8.0 * gamma**2)
         freq = float(np.mean(u_final >= threshold))
         required = 1.0 - p - FREQUENCY_SLACK
@@ -270,12 +275,6 @@ def check_statistical_lemmas(
         )
 
     reports.append(_martingale_report([t.phi_id for t in batch], "potential-drift-identity"))
-
-    if any(t.phi_d is None for t in batch):
-        raise InsufficientTraceError(
-            "batch contains runs without unlabeled-block potentials; "
-            "pass n_unlabeled when sampling"
-        )
     reports.append(_martingale_report([t.phi_d for t in batch], "potential-drift-unlabeled"))
 
     worst_dev = 0.0
@@ -323,15 +322,12 @@ def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
 
 
 def run_sampler_batch(
-    svd: SvdFactors,
-    cfg: AsuraConfig,
-    n_runs: int,
-    n_unlabeled: int | None = None,
+    ds: Dataset, cfg: AsuraConfig, n_runs: int
 ) -> list[tuple[SampleSet, AsuraTrace]]:
-    """Run ``n_runs`` independent sampler runs with per-trial derived seeds."""
+    """Run ``n_runs`` independent sampler runs on ``ds`` with per-trial derived seeds."""
     out = []
     for k in range(n_runs):
         seed = derive_seed(cfg.rng_seed, k)
         run_cfg = replace(cfg, rng_seed=seed)
-        out.append(asura_sample(svd, run_cfg, n_unlabeled=n_unlabeled))
+        out.append(asura_sample(ds, run_cfg))
     return out

@@ -68,7 +68,7 @@ def hard_grid():
     hard_elapsed = 0.0
     for d in (4, 8, 16):
         ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(BASE_SEED, 3, d))
-        svd = thin_svd(ds.stacked())
+        svd = ds.svd
         u1 = svd.u[: ds.n1]
         d_mat = u1.T @ u1
         eye = np.eye(svd.rank)
@@ -78,7 +78,7 @@ def hard_grid():
                 rng_seed=derive_seed(BASE_SEED, 3, d, int(1000 * eps)),
             )
             t0 = time.perf_counter()
-            runs = run_sampler_batch(svd, cfg, 84, n_unlabeled=ds.n1)
+            runs = run_sampler_batch(ds, cfg, 84)
             per_run = [check_hard_lemmas(t, svd) for _, t in runs]
             hard_elapsed += time.perf_counter() - t0
             cells[(d, eps)] = merge_hard_reports(per_run)
@@ -109,13 +109,10 @@ def hard_grid():
 def statistical_batch():
     """2000 runs at d=8, epsilon=0.25, c0=2 on a fixed Gaussian instance."""
     ds, _ = gen_random_instance(60, 20, 8, 1.0, derive_seed(BASE_SEED, 5))
-    svd = thin_svd(ds.stacked())
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(BASE_SEED, 5, 1))
     t0 = time.perf_counter()
-    traces = [t for _, t in run_sampler_batch(svd, cfg, 2000, n_unlabeled=ds.n1)]
+    traces = [t for _, t in run_sampler_batch(ds, cfg, 2000)]
     return {
-        "svd": svd,
-        "gamma": cfg.gamma,
         "traces": traces,
         "elapsed": time.perf_counter() - t0,
     }
@@ -229,10 +226,7 @@ def test_criterion_04_unlabeled_mass_identity_every_iteration(hard_grid):
 
 
 def test_criterion_05_statistical_lemmas(statistical_batch):
-    reports = check_statistical_lemmas(
-        statistical_batch["traces"], statistical_batch["gamma"],
-        statistical_batch["svd"].rank,
-    )
+    reports = check_statistical_lemmas(statistical_batch["traces"])
     elapsed = statistical_batch["elapsed"]
     failed = [r.lemma_id for r in reports if not r.verdict]
     ok = not failed and elapsed < 900.0
@@ -405,7 +399,7 @@ def test_criterion_10_well_balancedness_at_practical_constants():
     # sweep is at most half the closed form, with equality at iteration 0
     # where A = 0.  The window fraction is asserted at c0 = 8.
     ds, _ = gen_random_instance(60, 20, 8, 1.0, derive_seed(BASE_SEED, 10))
-    svd = thin_svd(ds.stacked())
+    svd = ds.svd
     runs = 200
     tol = 1e-6
 
@@ -414,8 +408,8 @@ def test_criterion_10_well_balancedness_at_practical_constants():
         for k in range(runs):
             cfg = AsuraConfig(epsilon=0.25, c0=c0,
                               rng_seed=derive_seed(BASE_SEED, 10, k))
-            sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
-            reports.append(check_well_balanced(sample, trace, svd, 0.25))
+            _, trace = asura_sample(ds, cfg)
+            reports.append(check_well_balanced(trace, svd))
         return reports
 
     fast = batch(2.0)

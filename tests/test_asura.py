@@ -13,7 +13,7 @@ from ssar.asura import (
     sample_with_retry,
     sampling_distribution,
 )
-from ssar.core import SvdFactors, thin_svd
+from ssar.core import Dataset, thin_svd
 from ssar.errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -28,7 +28,13 @@ from conftest import gaussian_dataset
 
 def _svd(n1=24, n2=8, d=8, seed=5):
     ds = gaussian_dataset(n1, n2, d, seed)
-    return ds, thin_svd(ds.stacked())
+    return ds, ds.svd
+
+
+def _dataset(x, n1=None):
+    """The instance whose first ``n1`` rows of ``x`` (default: all) are unlabeled."""
+    n1 = len(x) if n1 is None else n1
+    return Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=np.zeros(len(x) - n1))
 
 
 def _initial(rank, gamma):
@@ -67,21 +73,21 @@ def test_gamma_cap_applies_only_with_assertions():
     # is asserted only by the matrix checks, whose arguments need it.
     hot = AsuraConfig(epsilon=0.81, c0=2.0, rng_seed=1)  # gamma 0.45
     for d in (8, 65):
-        _, svd = _svd(n1=2 * d, n2=d, d=d)
-        sample, trace = asura_sample(svd, hot)
+        ds, svd = _svd(n1=2 * d, n2=d, d=d)
+        sample, trace = asura_sample(ds, hot)
         assert sample.m >= 1 and svd.rank == d
         assert len(check_hard_lemmas(trace)) == 3
         with pytest.raises(InvalidInputError):
             check_hard_lemmas(trace, svd)
         with pytest.raises(InvalidInputError):
-            check_well_balanced(sample, trace, svd, 0.81)
+            check_well_balanced(trace, svd)
 
 
 def test_gamma_half_breaks_barrier_update():
-    _, svd = _svd()
+    ds, _ = _svd()
     cfg = AsuraConfig(epsilon=0.81, c0=1.5, rng_seed=1)  # gamma 0.6
     with pytest.raises(InvalidInputError):
-        asura_sample(svd, cfg)
+        asura_sample(ds, cfg)
 
 
 # ---------------------------------------------------------------- potential
@@ -107,6 +113,22 @@ def test_potential_raises_when_barrier_touched():
     svd = thin_svd(np.eye(2))
     with pytest.raises(BarrierViolationError):
         sampling_distribution(svd, a, 1.0, -1.0)
+    # On a stack, the error names the first touched state's iteration.
+    ok = np.diag([0.5, 0.0])
+    with pytest.raises(BarrierViolationError, match="at iteration 4"):
+        _barrier_weights(np.stack([ok, a, a]), np.ones(3), -np.ones(3), 3)
+
+
+def test_barrier_weights_on_a_stack_match_each_state():
+    ds, svd = _svd()
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7))
+    mats = _matrices(trace, svd)[:-1]
+    q_stack, b_stack = _barrier_weights(mats, trace.u[:-1], trace.l[:-1])
+    assert q_stack.shape == mats.shape and b_stack.shape == (trace.m, svd.rank)
+    for j in range(trace.m):
+        q, b = _barrier_weights(*_state(trace, mats, j))
+        np.testing.assert_array_equal(b_stack[j], b)
+        np.testing.assert_array_equal(np.abs(q_stack[j]), np.abs(q))
 
 
 # ------------------------------------------------------ distribution
@@ -142,7 +164,7 @@ def test_normalize_probabilities_contract():
 def test_drawn_rows_match_distribution_chi_square():
     ds, svd = _svd(n1=12, n2=4, d=4, seed=9)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=123)
-    _, trace = asura_sample(svd, cfg)
+    _, trace = asura_sample(ds, cfg)
     j = trace.m // 2
     p = sampling_distribution(svd, *_state(trace, _matrices(trace, svd), j))
     rng = make_rng(777)
@@ -158,18 +180,18 @@ def test_drawn_rows_match_distribution_chi_square():
 # ---------------------------------------------------------------- sampler
 
 def test_sampler_single_column_terminates_within_cap():
-    svd = thin_svd(make_rng(2).standard_normal((10, 1)))
+    ds = _dataset(make_rng(2).standard_normal((10, 1)))
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=4)
-    sample, trace = asura_sample(svd, cfg)
+    sample, trace = asura_sample(ds, cfg)
     assert trace.m <= int(np.ceil(2 * 1 / cfg.gamma**2))
     assert np.all(sample.weights > 0)
 
 
 def test_sampler_is_deterministic_given_seed():
-    _, svd = _svd()
+    ds, _ = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=99)
-    s1, t1 = asura_sample(svd, cfg)
-    s2, t2 = asura_sample(svd, cfg)
+    s1, t1 = asura_sample(ds, cfg)
+    s2, t2 = asura_sample(ds, cfg)
     np.testing.assert_array_equal(s1.indices, s2.indices)
     np.testing.assert_array_equal(s1.weights, s2.weights)
     np.testing.assert_array_equal(t1.phi_id, t2.phi_id)
@@ -180,7 +202,7 @@ def test_sampler_structural_bounds_over_seed_batch():
     d = svd.rank
     for k in range(25):
         cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(1000, k))
-        sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+        sample, trace = asura_sample(ds, cfg)
         gamma = cfg.gamma
         assert trace.m <= int(np.ceil(2 * d / gamma**2))
         assert trace.u_final - trace.l_final <= 9 * d / gamma
@@ -189,10 +211,17 @@ def test_sampler_structural_bounds_over_seed_batch():
         gaps = trace.u[:-1] - trace.l[:-1]
         assert np.all(trace.phi_id >= 4 * d / gaps - 1e-12)
         mid = 0.5 * (trace.u_final + trace.l_final)
+        assert trace.mid == mid
         np.testing.assert_allclose(sample.weights * mid, trace.w_prime, rtol=1e-12)
-        np.testing.assert_allclose(
-            sample.coefficients * mid, gamma / trace.phi_id, rtol=1e-12
-        )
+        np.testing.assert_allclose(trace.alpha * mid, gamma / trace.phi_id, rtol=1e-12)
+
+
+def test_sample_is_derived_from_the_trace():
+    ds, _ = _svd()
+    for seed in (1, 2, 3):
+        sample, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
+        np.testing.assert_array_equal(sample.indices, trace.sampled_index)
+        np.testing.assert_array_equal(sample.weights, trace.w_prime / trace.mid)
 
 
 def test_final_barrier_always_clears_trivial_tail_threshold():
@@ -200,7 +229,7 @@ def test_final_barrier_always_clears_trivial_tail_threshold():
     # so the tail event holds on every run.
     ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=8)
-    _, trace = asura_sample(svd, cfg)
+    _, trace = asura_sample(ds, cfg)
     d, gamma = svd.rank, cfg.gamma
     for p in (0.25, 0.5, 0.9):
         assert trace.u_final >= p * p * d / (8 * gamma**2)
@@ -209,7 +238,7 @@ def test_final_barrier_always_clears_trivial_tail_threshold():
 def test_unlabeled_mass_identity_against_inverse_oracle():
     ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=21)
-    _, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+    _, trace = asura_sample(ds, cfg)
     eye = np.eye(svd.rank)
     u1 = svd.u[: ds.n1]
     d_mat = u1.T @ u1
@@ -225,9 +254,8 @@ def test_unlabeled_mass_identity_against_inverse_oracle():
 
 def test_zero_leverage_rows_are_never_sampled():
     x = np.vstack([np.zeros((4, 3)), np.eye(3)])
-    svd = thin_svd(x)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=17)
-    sample, _ = asura_sample(svd, cfg, n_unlabeled=4)
+    sample, _ = asura_sample(_dataset(x, 4), cfg)
     assert np.all(sample.indices >= 4)
 
 
@@ -235,13 +263,11 @@ def _stream_cases():
     rng = make_rng(61)
     zero_rows = np.vstack([rng.standard_normal((6, 3)), np.zeros((5, 3)), np.eye(3)])
     return [
-        pytest.param(rng.standard_normal((12, 4)), 0, id="n1-zero"),
         pytest.param(rng.standard_normal((16, 4)), 16, id="n2-zero"),
         pytest.param(rng.standard_normal((20, 1)), 15, id="rank-1"),
         pytest.param(zero_rows, 11, id="zero-rows"),
         pytest.param(rng.standard_normal((50, 4)), 45, id="n1-off-block-grid"),
         pytest.param(rng.standard_normal((500, 5)), 430, id="many-blocks"),
-        pytest.param(rng.standard_normal((40, 6)), None, id="no-unlabeled-split"),
     ]
 
 
@@ -249,10 +275,11 @@ def _stream_cases():
 def test_block_draw_replays_full_row_stream(x, n1):
     # Replaying the run's uniforms against the full-row distribution at every
     # replayed state reproduces each pick and its probability.
-    svd = thin_svd(x)
+    ds = _dataset(x, n1)
+    svd = ds.svd
     for seed in (3, 57, 911):
         cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed)
-        _, trace = asura_sample(svd, cfg, n_unlabeled=n1)
+        _, trace = asura_sample(ds, cfg)
         mats = _matrices(trace, svd)
         rng = make_rng(seed)
         for j in range(trace.m):
@@ -260,26 +287,24 @@ def test_block_draw_replays_full_row_stream(x, n1):
             pick = _draw_index(rng, p)
             assert trace.sampled_index[j] == pick, (seed, j)
             assert trace.p_j[j] == pytest.approx(p[pick], rel=1e-12)
-            if n1 is not None:
-                assert trace.px1_sum[j] == pytest.approx(p[:n1].sum(), rel=1e-12, abs=1e-15)
+            assert trace.px1_sum[j] == pytest.approx(p[:n1].sum(), rel=1e-12, abs=1e-15)
 
 
 # ------------------------------------------------------ well-balancedness
 
 def test_check_well_balanced_rejects_mismatched_artifacts():
-    ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=31)
-    s1, t1 = asura_sample(svd, cfg)
-    s2, t2 = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=32))
-    with pytest.raises(InvalidInputError):
-        check_well_balanced(s1, t2, svd, 0.25)
+    ds, _ = _svd()
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=31))
+    for other in (_svd(d=7)[1], _svd(n1=20)[1]):
+        with pytest.raises(InvalidInputError):
+            check_well_balanced(trace, other)
 
 
 def test_conditioning_closed_form_initial_iteration():
-    _, svd = _svd()
+    ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=34)
-    s, t = asura_sample(svd, cfg)
-    rep = check_well_balanced(s, t, svd, 0.25)
+    _, t = asura_sample(ds, cfg)
+    rep = check_well_balanced(t, svd)
     d = svd.rank
     expected0 = cfg.gamma * (4 * d / cfg.gamma) / (t.u_final + t.l_final)
     assert rep.kd_closed[0] == pytest.approx(expected0, rel=1e-12)
@@ -290,10 +315,10 @@ def test_conditioning_sweep_is_at_most_half_the_closed_form():
     # p_x >= lambda_min(B_j) ||U(x)||^2 / phi_j with lambda_min(B_j) >=
     # 4 / (u_j - l_j), while the closed form assumes only 2 / (u_j - l_j).
     # At iteration 0, A = 0 and B_0 is a multiple of the identity.
-    _, svd = _svd()
+    ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=34)
-    s, t = asura_sample(svd, cfg)
-    rep = check_well_balanced(s, t, svd, 0.25)
+    _, t = asura_sample(ds, cfg)
+    rep = check_well_balanced(t, svd)
     half = rep.kd_closed / 2
     assert np.all(rep.kd_brute <= half + 1e-12)
     assert rep.kd_brute[0] == pytest.approx(half[0], rel=1e-12)
@@ -304,16 +329,16 @@ def test_conditioning_sweep_is_at_most_half_the_closed_form():
 def test_conditioning_sweep_skips_zero_rows():
     # Appending a zero row to X appends a zero row to U; it has p_x = 0 and
     # ||U(x)||^2 = 0 and is left out of the sweep rather than divided 0/0.
-    _, svd = _svd()
-    padded = SvdFactors(
-        u=np.vstack([svd.u, np.zeros((1, svd.rank))]),
-        sigma=svd.sigma,
-        v=svd.v,
-        rank_tol=svd.rank_tol,
+    ds, _ = _svd()
+    padded = Dataset(
+        x_unlabeled=ds.x_unlabeled,
+        x_labeled=np.vstack([ds.x_labeled, np.zeros((1, ds.d))]),
+        y_labeled=np.append(ds.y_labeled, 0.0),
     )
+    assert not padded.svd.u[-1].any()
     cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=35)
-    s, t = asura_sample(padded, cfg)
-    rep = check_well_balanced(s, t, padded, 0.25)
+    _, t = asura_sample(padded, cfg)
+    rep = check_well_balanced(t, padded.svd)
     assert np.all(np.isfinite(rep.kd_brute))
     assert rep.kd_ok
 
@@ -326,15 +351,15 @@ def test_dominant_row_run_in_window_is_well_balanced():
     # instead would reject runs that are inside the window.
     x = make_rng(36).standard_normal((1000, 1))
     x[0] *= 1e3
-    svd = thin_svd(x)
+    ds = _dataset(x)
     cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=37)
-    s, t = asura_sample(svd, cfg)
-    rep = check_well_balanced(s, t, svd, 0.25)
+    _, t = asura_sample(ds, cfg)
+    rep = check_well_balanced(t, ds.svd)
     assert rep.spectral_ok
     assert rep.kd_max_brute <= rep.kd_max_closed / 2 + 1e-12
     assert rep.kd_ok
     assert rep.well_balanced
-    _, _, attempts = sample_with_retry(svd, cfg)
+    _, _, attempts = sample_with_retry(ds, cfg)
     assert attempts == 1
 
 
@@ -346,16 +371,16 @@ def test_small_gamma_runs_are_well_balanced():
     runs = 30
     for k in range(runs):
         cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(2000, k))
-        s, t = asura_sample(svd, cfg)
-        rep = check_well_balanced(s, t, svd, 0.25)
+        _, t = asura_sample(ds, cfg)
+        rep = check_well_balanced(t, svd)
         ok += rep.well_balanced
     assert ok / runs >= 0.75
 
 
 def test_condition_number_bound_in_small_gamma_regime():
-    _, svd = _svd(n1=12, n2=4, d=4, seed=3)
+    ds, _ = _svd(n1=12, n2=4, d=4, seed=3)
     cfg = AsuraConfig(epsilon=0.25, c0=16.0, rng_seed=5)  # gamma = 1/32
-    _, t = asura_sample(svd, cfg)
+    _, t = asura_sample(ds, cfg)
     assert t.l_final > 0
     assert t.u_final / t.l_final <= 1 + 3456 * cfg.gamma
 
@@ -363,19 +388,19 @@ def test_condition_number_bound_in_small_gamma_regime():
 def test_sample_with_retry_first_attempt_matches_plain_run():
     ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=41)
-    sample, trace, attempts = sample_with_retry(svd, cfg)
+    sample, trace, attempts = sample_with_retry(ds, cfg)
     assert attempts == 1
-    plain, _ = asura_sample(svd, cfg)
+    plain, _ = asura_sample(ds, cfg)
     np.testing.assert_array_equal(sample.indices, plain.indices)
 
 
 def test_sample_with_retry_exhaustion_carries_reports():
     # At gamma = 1/4 the spectral window is essentially never met, so every
     # attempt fails and the error carries one report per attempt.
-    _, svd = _svd()
+    ds, _ = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=43, max_restarts=3)
     with pytest.raises(WellBalancedEventFailedError) as err:
-        sample_with_retry(svd, cfg)
+        sample_with_retry(ds, cfg)
     assert len(err.value.reports) == 3
 
 
@@ -384,7 +409,6 @@ def test_sample_with_retry_never_exhausts_in_guaranteed_regime():
     # ten restarts are never exhausted across seeded instances.
     for k in range(20):
         ds = gaussian_dataset(12, 4, 4, seed=3000 + k)
-        svd = thin_svd(ds.stacked())
         cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(4000, k), max_restarts=10)
-        _, _, attempts = sample_with_retry(svd, cfg)
+        _, _, attempts = sample_with_retry(ds, cfg)
         assert attempts <= 10

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssar.asura import AsuraConfig, _replay, asura_sample
-from ssar.core import thin_svd
 from ssar.regression import LabelOracle, solve_active
 from ssar.rngutil import make_rng
 
@@ -34,14 +33,13 @@ configs = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(ds=instances(), cfg=configs)
 def test_sampler_run_invariants(ds, cfg):
-    svd = thin_svd(ds.stacked())
-    sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
-    assert sample.m == trace.m <= math.ceil(2.0 * svd.rank / cfg.gamma**2)
+    sample, trace = asura_sample(ds, cfg)
+    assert sample.m == trace.m <= math.ceil(2.0 * ds.svd.rank / cfg.gamma**2)
     assert np.all(sample.weights > 0)
-    assert np.all(sample.coefficients > 0)
+    assert np.all(trace.alpha > 0)
     assert np.all((sample.indices >= 0) & (sample.indices < ds.n))
 
-    again, trace_again = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+    again, trace_again = asura_sample(ds, cfg)
     np.testing.assert_array_equal(again.indices, sample.indices)
     np.testing.assert_array_equal(again.weights, sample.weights)
     np.testing.assert_array_equal(trace_again.p_j, trace.p_j)
@@ -68,8 +66,8 @@ def _replayed(trace, svd):
 @settings(max_examples=40, deadline=None)
 @given(ds=instances(), cfg=configs)
 def test_replayed_matrices_are_the_loop_matrices_inside_the_window(ds, cfg):
-    svd = thin_svd(ds.stacked())
-    _, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
+    svd = ds.svd
+    _, trace = asura_sample(ds, cfg)
     _, mats = _replayed(trace, svd)
     np.testing.assert_array_equal(mats, _loop_matrices(trace, svd))
     theta = np.linalg.eigvalsh(mats)
@@ -84,8 +82,9 @@ def test_replayed_matrices_are_the_loop_matrices_inside_the_window(ds, cfg):
 )
 def test_replay_is_exact_across_chunk_boundaries(d, n2, seed):
     # At rank 48 or more a run's matrices outgrow one chunk of the default cap.
-    svd = thin_svd(gaussian_dataset(d, n2, d, seed).stacked())
-    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
+    ds = gaussian_dataset(d, n2, d, seed)
+    svd = ds.svd
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
     chunks, mats = _replayed(trace, svd)
     assert len(chunks) >= 2
     for prev, nxt in zip(chunks, chunks[1:]):

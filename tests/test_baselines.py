@@ -38,7 +38,6 @@ def test_identity_design_rows_always_included_with_unit_weight():
     sample = leverage_sample(svd, cfg)
     np.testing.assert_array_equal(sample.indices, np.arange(4))
     np.testing.assert_allclose(sample.weights, np.ones(4))
-    assert sample.coefficients is None
 
 
 def test_clamped_rows_always_included():

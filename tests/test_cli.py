@@ -285,6 +285,12 @@ _GOOD_MANIFEST = {"d": 3, "n1": 1, "n2": 1, "path_x1": "x1.csv", "path_x2": "x2.
                   "path_y2": "y2.csv", "path_y1_hidden": "y1.csv"}
 _BLOCKS = {"x1.csv": "1,2,3\n", "x2.csv": "4,5,6\n", "y2.csv": "1\n", "y1.csv": "2\n"}
 _RUN = ("run", "--manifest", "m.json")
+_DUMP_WITHOUT_PX1_SUM = "\n".join([
+    '{"kind": "header", "gamma": 0.25, "rank": 1, "n_rows": 2, "n_unlabeled": 1, "m": 1}',
+    '{"j": 0, "phi_id": 0.25, "sampled_index": 0, "p_j": 0.5, "u_j": 8, "l_j": -8, '
+    '"phi_d": 0.1}',
+    '{"j": 1, "u_j": 9, "l_j": -7}',
+]) + "\n"
 
 
 @pytest.mark.parametrize("argv,files,bad", [
@@ -295,8 +301,9 @@ _RUN = ("run", "--manifest", "m.json")
     (_RUN, {**_BLOCKS, "m.json": json.dumps({**_GOOD_MANIFEST, "path_y1_hidden": 5})},
      "m.json"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": '{"kind": "header"}\n'}, "t.jsonl"),
+    (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _DUMP_WITHOUT_PX1_SUM}, "t.jsonl"),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
-        "dump-without-m"])
+        "dump-without-m", "dump-without-px1-sum"])
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -343,12 +350,46 @@ def test_verify_small_inline_suite_passes(capsys):
     assert all(r["verdict"] == "pass" for r in recs)
 
 
-def test_verify_above_the_gamma_cap_is_config_error(capsys):
-    # c0 = 1.5 gives gamma = 1/3: the sampler runs, the matrix checks refuse.
-    code, out = run_cli(capsys, "verify", "--c0", "1.5", "--eps-grid", "0.25",
-                        "--d-grid", "4", "--runs", "2")
+def test_verify_above_the_gamma_cap_is_config_error(capsys, monkeypatch):
+    # c0 = 1.5 gives gamma = 1/3 at eps = 0.25: the sampler would run, but the
+    # matrix checks refuse, so the grid is refused before its first batch.
+    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    code = main(["verify", "--c0", "1.5", "--eps-grid", "0.1,0.25", "--d-grid", "4",
+                 "--runs", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert data_lines(captured.out) == []
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag", ["--check-balance", "--retry"])
+def test_run_above_the_gamma_cap_fails_before_sampling(manifest, capsys, monkeypatch, flag):
+    calls = count_calls(monkeypatch, "asura_sample", "asura", "regression", "verify")
+    code = main(["run", "--manifest", manifest, "--epsilon", "0.81", flag])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert data_lines(captured.out) == []
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_verify_trace_file_without_paths_is_config_error(capsys, monkeypatch, tmp_path, how):
+    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    argv = ["verify", "--runs", "2", "--d-grid", "4", "--eps-grid", "0.25"]
+    if how == "flag":
+        argv.append("--trace-file")
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"trace-file": []}))
+        argv += ["--config", str(config)]
+    code, out = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert data_lines(out) == []
+    assert calls == []
 
 
 def test_verify_too_few_statistical_runs_fails_before_the_grid(capsys, monkeypatch):
@@ -379,14 +420,12 @@ def test_verify_corrupted_trace_fixture_fails(capsys, tmp_path):
     import dataclasses
 
     from ssar.asura import AsuraConfig, asura_sample
-    from ssar.core import thin_svd
     from ssar.instances import gen_random_instance
 
     ds, _ = gen_random_instance(12, 4, 4, 1.0, seed=6)
-    svd = thin_svd(ds.stacked())
-    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, rng_seed=6))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=6))
     u = trace.u.copy()
-    u[-1] = trace.l[-1] + 10 * svd.rank / trace.gamma
+    u[-1] = trace.l[-1] + 10 * trace.rank / trace.gamma
     path = tmp_path / "bad_trace.jsonl"
     dump_trace(path, dataclasses.replace(trace, u=u))
 

@@ -1,10 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ssar.asura import AsuraConfig, asura_sample
-from ssar.core import thin_svd
 from ssar.dataio import (
     dump_trace,
     lemma_report_to_dict,
@@ -56,16 +56,17 @@ def test_dataset_round_trip_deploy_mode(tmp_path):
 
 def test_trace_dump_round_trip(tmp_path):
     ds = gaussian_dataset(15, 5, 4, seed=4)
-    svd = thin_svd(ds.stacked())
-    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, rng_seed=5), n_unlabeled=15)
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=5))
     path = tmp_path / "trace.jsonl"
     dump_trace(path, trace)
     loaded = load_trace(path)
-    assert loaded.m == trace.m
-    np.testing.assert_array_equal(loaded.phi_id, trace.phi_id)
-    np.testing.assert_array_equal(loaded.u, trace.u)
-    np.testing.assert_array_equal(loaded.l, trace.l)
-    np.testing.assert_array_equal(loaded.sampled_index, trace.sampled_index)
+    for field in dataclasses.fields(trace):
+        got, want = getattr(loaded, field.name), getattr(trace, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            np.testing.assert_array_equal(got, want, err_msg=field.name, strict=True)
+        else:
+            assert type(got) is type(want) and got == want, field.name
     np.testing.assert_array_equal(loaded.w_prime, trace.w_prime)
 
 

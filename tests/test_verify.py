@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
-from ssar.core import Dataset, thin_svd
+from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
-from ssar.errors import InsufficientSampleError, InsufficientTraceError, InvalidInputError
+from ssar.errors import InsufficientSampleError, InvalidInputError
 from ssar.regression import LabelOracle, solve_active
+from ssar import verify
 from ssar.verify import (
     HARD_LEMMA_IDS,
     check_hard_lemmas,
@@ -23,10 +24,9 @@ from conftest import gaussian_dataset
 @pytest.fixture(scope="module")
 def good_run():
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    svd = thin_svd(ds.stacked())
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=61)
-    sample, trace = asura_sample(svd, cfg, n_unlabeled=ds.n1)
-    return ds, svd, cfg, sample, trace
+    sample, trace = asura_sample(ds, cfg)
+    return ds, ds.svd, cfg, sample, trace
 
 
 def test_hard_lemmas_pass_on_good_runs(good_run):
@@ -48,7 +48,7 @@ def test_hard_lemmas_need_matrices(good_run):
 
 def test_hard_lemmas_reject_factors_of_another_run(good_run):
     ds, svd, cfg, _, trace = good_run
-    other = thin_svd(gaussian_dataset(24, 8, 7, seed=5).stacked())
+    other = gaussian_dataset(24, 8, 7, seed=5).svd
     with pytest.raises(InvalidInputError):
         check_hard_lemmas(trace, other)
 
@@ -92,8 +92,9 @@ def test_containment_and_steps_fail_on_corrupted_matrices(good_run):
 def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
     # At rank 48 the replay spans chunks, and a corrupted step mid-run makes
     # every later matrix a violation: each A_j must be checked exactly once.
-    svd = thin_svd(gaussian_dataset(48, 4, 48, seed=3).stacked())
-    _, trace = asura_sample(svd, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=3))
+    ds = gaussian_dataset(48, 4, 48, seed=3)
+    svd = ds.svd
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=3))
     p_j = trace.p_j.copy()
     p_j[trace.m // 2] /= 50.0
     bad = dataclasses.replace(trace, p_j=p_j)
@@ -129,35 +130,38 @@ def test_merge_hard_reports_accumulates(good_run):
 def test_statistical_checks_reject_small_batches(good_run):
     ds, svd, cfg, _, trace = good_run
     with pytest.raises(InsufficientSampleError):
-        check_statistical_lemmas([trace] * 10, cfg.gamma, svd.rank)
+        check_statistical_lemmas([trace] * 10)
 
 
-def test_statistical_checks_small_batch_override():
+def test_statistical_checks_small_batch_override(monkeypatch):
+    monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=6)
-    svd = thin_svd(ds.stacked())
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7)
-    batch = [t for _, t in run_sampler_batch(svd, cfg, 60, n_unlabeled=ds.n1)]
-    reports = check_statistical_lemmas(batch, cfg.gamma, svd.rank, min_batch=50)
+    batch = [t for _, t in run_sampler_batch(ds, cfg, 60)]
+    reports = check_statistical_lemmas(batch)
     by_id = {r.lemma_id: r for r in reports}
     assert by_id["unlabeled-mass-identity"].verdict
     assert by_id["final-barrier-tail-p0.25"].verdict
     assert by_id["final-barrier-tail-p0.5"].verdict
 
 
-def test_statistical_checks_need_unlabeled_series():
-    ds = gaussian_dataset(24, 8, 8, seed=8)
-    svd = thin_svd(ds.stacked())
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=9)
-    batch = [t for _, t in run_sampler_batch(svd, cfg, 5)]
-    with pytest.raises(InsufficientTraceError):
-        check_statistical_lemmas(batch, cfg.gamma, svd.rank, min_batch=5)
+def test_statistical_checks_reject_a_mixed_batch(good_run, monkeypatch):
+    # gamma and the rank come from the traces, so a batch must agree on both.
+    ds, svd, cfg, _, trace = good_run
+    monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 2)
+    other_gamma = dataclasses.replace(trace, gamma=trace.gamma / 2)
+    other_rank = dataclasses.replace(trace, rank=trace.rank - 1)
+    for mixed in ([trace, other_gamma], [trace, other_rank]):
+        with pytest.raises(InvalidInputError):
+            check_statistical_lemmas(mixed)
+    assert check_statistical_lemmas([trace, trace])
 
 
-def test_drift_check_rejects_increasing_potentials():
+def test_drift_check_rejects_increasing_potentials(monkeypatch):
+    monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=10)
-    svd = thin_svd(ds.stacked())
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
-    batch = [t for _, t in run_sampler_batch(svd, cfg, 50, n_unlabeled=ds.n1)]
+    batch = [t for _, t in run_sampler_batch(ds, cfg, 50)]
     rigged = [
         dataclasses.replace(
             t,
@@ -173,7 +177,7 @@ def test_drift_check_rejects_increasing_potentials():
     ]
     reports = {
         r.lemma_id: r
-        for r in check_statistical_lemmas(rigged, cfg.gamma, svd.rank, min_batch=50)
+        for r in check_statistical_lemmas(rigged)
     }
     assert not reports["potential-drift-identity"].verdict
 
