@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-gen      write a synthetic instance (manifest + CSV blocks) and print its
+gen      write a synthetic instance (manifest + ``.npy`` blocks) and print its
          complexity measures
 run      run seeded solve trials against a manifest and stream trial reports
 verify   re-check the sampler's guarantees, inline or against trace dumps
@@ -35,6 +35,7 @@ from .dataio import (
     lemma_report_to_dict,
     load_dataset,
     load_trace,
+    save_block,
     save_dataset,
     solution_record,
     write_jsonl,
@@ -165,7 +166,7 @@ def _cmd_gen(args) -> int:
         )
         ds, full, beta_tilde = gen_lower_bound_instance(spec)
         manifest = save_dataset(out, ds, full_labels=full, stem="lower_bound")
-        np.savetxt(os.path.join(out, "lower_bound_beta_tilde.csv"), beta_tilde, fmt="%.17g")
+        save_block(out, "lower_bound_beta_tilde", beta_tilde)
         sigma = np.linalg.svd(ds.x_unlabeled, compute_uv=False)
         print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
     elif kind == "ridge":

@@ -36,18 +36,18 @@ DEFAULT_RANK_TOL = 1e-10
 # Tolerances baked into the SvdFactors contract.
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
+VALIDATE_BLOCK_BYTES = 1 << 20  # validate never forms more of the n x d reconstruction
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
-    """Coerce ``x`` to a read-only float64 2-D array, rejecting non-finite entries."""
-    arr = np.array(x, dtype=float, order="C")
+    """``x`` as a float64 2-D array, rejecting non-finite entries; a float64 array is not copied."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0 and not allow_empty:
         raise InvalidInputError(f"{name} must be non-empty")
     if arr.size and not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
@@ -92,10 +92,9 @@ class Dataset:
                 f"y_labeled has {y2.shape[0]} entries for {x2.shape[0]} labeled rows"
             )
         if x1.shape[0] + x2.shape[0] < x1.shape[1]:
-            raise InvalidInputError(
-                "underconstrained instance: n1 + n2 must be at least d"
-            )
-        stack = np.vstack([x1, x2])
+            raise InvalidInputError("underconstrained instance: n1 + n2 must be at least d")
+        # The one copy of the blocks; vstack keeps Fortran order when both blocks have it.
+        stack = np.ascontiguousarray(np.vstack([x1, x2]))
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "x_unlabeled", stack[: x1.shape[0]])
@@ -175,7 +174,11 @@ class SvdFactors:
             raise InvalidInputError("right factor columns are not orthonormal")
         if x is not None:
             x = np.asarray(x, dtype=float)
-            err = np.linalg.norm((u * s) @ v.T - x)
+            if x.shape != (self.n, self.d):
+                raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
+            step = max(1, VALIDATE_BLOCK_BYTES // (8 * self.d))
+            err = np.linalg.norm([np.linalg.norm((u[i:i + step] * s) @ v.T - x[i:i + step])
+                                  for i in range(0, self.n, step)])
             if err > RECONSTRUCTION_TOL * max(np.linalg.norm(x), 1e-300):
                 raise InvalidInputError("factors do not reconstruct the input matrix")
 
@@ -186,7 +189,7 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     Parameters
     ----------
     x : array_like, shape (n, d)
-        Design matrix.  All entries must be finite.
+        Design matrix.  All entries must be finite; a float64 array is not copied.
     rank_tol : float
         Relative truncation threshold, required in (0, 1e-3].
 

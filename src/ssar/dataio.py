@@ -1,11 +1,11 @@
-"""On-disk formats: CSV matrices, dataset manifests, trace dumps, record streams.
+"""On-disk formats: instance blocks, dataset manifests, trace dumps, record streams.
 
-Matrices are header-less CSV with floats printed at 17 significant digits
-(lossless float64 round-trip).  A dataset manifest is a JSON object with the
-dimensions and relative paths of the block files.  Traces and report streams
-are JSON lines, one record per line, so long sweeps can append and resume.
-A trace dump holds every field of an :class:`~ssar.asura.AsuraTrace`, so a
-loaded dump equals the live trace.
+Instance blocks are written as ``.npy`` and read by suffix, as ``.npy`` or else as
+header-less CSV at 17 significant digits; both round-trip float64 exactly.  A
+dataset manifest is a JSON object with the dimensions and relative paths of the
+block files.  Traces and report streams are JSON lines, one record per line, so
+long sweeps can append and resume.  A trace dump holds every field of an
+:class:`~ssar.asura.AsuraTrace`, so a loaded dump equals the live trace.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .errors import InvalidInputError
 from .verify import LemmaReport
 
 __all__ = [
-    "save_matrix",
+    "save_block",
     "load_matrix",
-    "save_vector",
     "load_vector",
     "save_dataset",
     "load_dataset",
@@ -39,11 +38,10 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 
-def save_matrix(path, arr) -> None:
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInputError("save_matrix expects a 2-D array")
-    np.savetxt(path, arr, fmt=FLOAT_FMT, delimiter=",")
+def save_block(out_dir, name: str, arr) -> str:
+    """Write ``arr`` as the float64 block ``<name>.npy`` in ``out_dir``; returns the file name."""
+    np.save(os.path.join(out_dir, f"{name}.npy"), np.asarray(arr, dtype=float))
+    return f"{name}.npy"
 
 
 @contextmanager
@@ -55,57 +53,60 @@ def _reading(path):
         raise
     except KeyError as exc:
         raise InvalidInputError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (EOFError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def load_matrix(path, cols: int | None = None) -> np.ndarray:
+def _load_block(path, ndim: int) -> np.ndarray | None:
+    """A float64 array of ``ndim`` dimensions from ``.npy`` or CSV; None for an empty CSV."""
+    if str(path).endswith(".npy"):
+        with _reading(path):
+            arr = np.load(path, allow_pickle=False)
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != ndim:
+            raise InvalidInputError(f"{path}: expected a {ndim}-D float64 array")
+        return arr
     if os.path.getsize(path) == 0:
+        return None
+    with _reading(path):
+        return np.loadtxt(path, delimiter="," if ndim == 2 else None, ndmin=ndim)
+
+
+def load_matrix(path, cols: int | None = None) -> np.ndarray:
+    arr = _load_block(path, ndim=2)
+    if arr is None:
         if cols is None:
             raise InvalidInputError(f"{path} is empty and no column count was given")
         return np.zeros((0, cols))
-    with _reading(path):
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
     if cols is not None and arr.shape[1] != cols:
         raise InvalidInputError(f"{path}: expected {cols} columns, found {arr.shape[1]}")
     return arr
 
 
-def save_vector(path, vec) -> None:
-    vec = np.asarray(vec, dtype=float).reshape(-1)
-    np.savetxt(path, vec, fmt=FLOAT_FMT)
-
-
 def load_vector(path) -> np.ndarray:
-    if os.path.getsize(path) == 0:
-        return np.zeros(0)
-    with _reading(path):
-        return np.loadtxt(path, ndmin=1)
+    arr = _load_block(path, ndim=1)
+    return np.zeros(0) if arr is None else arr
 
 
 def save_dataset(out_dir, ds: Dataset, full_labels=None, stem: str = "instance") -> str:
-    """Write block CSVs plus a JSON manifest; returns the manifest path.
+    """Write the blocks as ``.npy`` files plus a JSON manifest; returns the manifest path.
 
     When ``full_labels`` is given, the hidden labels of the unlabeled block are
     stored alongside (test mode); without it the manifest describes a
     deploy-mode instance whose unlabeled rows cannot be evaluated offline.
     """
     os.makedirs(out_dir, exist_ok=True)
-    names = {
-        "path_x1": f"{stem}_x1.csv",
-        "path_x2": f"{stem}_x2.csv",
-        "path_y2": f"{stem}_y2.csv",
+    manifest = {
+        "d": ds.d, "n1": ds.n1, "n2": ds.n2,
+        "path_x1": save_block(out_dir, f"{stem}_x1", ds.x_unlabeled),
+        "path_x2": save_block(out_dir, f"{stem}_x2", ds.x_labeled),
+        "path_y2": save_block(out_dir, f"{stem}_y2", ds.y_labeled),
+        "path_y1_hidden": None,
     }
-    save_matrix(os.path.join(out_dir, names["path_x1"]), ds.x_unlabeled)
-    save_matrix(os.path.join(out_dir, names["path_x2"]), ds.x_labeled)
-    save_vector(os.path.join(out_dir, names["path_y2"]), ds.y_labeled)
-    manifest = {"d": ds.d, "n1": ds.n1, "n2": ds.n2, **names, "path_y1_hidden": None}
     if full_labels is not None:
         y = np.asarray(full_labels, dtype=float).reshape(-1)
         if y.size != ds.n:
             raise InvalidInputError(f"full_labels must have length {ds.n}")
-        manifest["path_y1_hidden"] = f"{stem}_y1_hidden.csv"
-        save_vector(os.path.join(out_dir, manifest["path_y1_hidden"]), y[: ds.n1])
+        manifest["path_y1_hidden"] = save_block(out_dir, f"{stem}_y1_hidden", y[: ds.n1])
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)

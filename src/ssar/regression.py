@@ -151,13 +151,7 @@ def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
     root = psd_sqrt(k)
-    k_arr = as_matrix(k, "k")
-    n = k_arr.shape[0]
-    return Dataset(
-        x_unlabeled=k_arr,
-        x_labeled=np.sqrt(lam) * root,
-        y_labeled=np.zeros(n),
-    )
+    return Dataset(x_unlabeled=k, x_labeled=np.sqrt(lam) * root, y_labeled=np.zeros(len(root)))
 
 
 def solve_active(

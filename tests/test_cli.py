@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
@@ -54,8 +56,8 @@ def test_gen_random_is_byte_identical_on_rerun(tmp_path, capsys):
     code1, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))
     code2, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b"))
     assert code1 == code2 == EXIT_OK
-    for name in ("random_manifest.json", "random_x1.csv", "random_x2.csv",
-                 "random_y2.csv", "random_y1_hidden.csv"):
+    for name in ("random_manifest.json", "random_x1.npy", "random_x2.npy",
+                 "random_y2.npy", "random_y1_hidden.npy"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -66,6 +68,8 @@ def test_gen_lower_bound_prints_instance_measure(tmp_path, capsys):
     assert code == EXIT_OK
     value = float(out.split("sd_lambda = ")[1].splitlines()[0])
     assert value == pytest.approx(8 / 3, rel=1e-10)
+    beta_tilde = np.load(tmp_path / "lower_bound_beta_tilde.npy", allow_pickle=False)
+    assert beta_tilde.shape == (8,) and set(np.abs(beta_tilde)) == {3.0}
 
 
 def test_gen_ridge_zero_lambda_prints_rank(tmp_path, capsys):
@@ -125,6 +129,26 @@ def test_run_loads_and_factors_the_instance_once(manifest, capsys, monkeypatch, 
     assert code == EXIT_OK
     assert json.loads(data_lines(out)[-1])["failed_trials"] == 0
     assert len(loads) == 1 and len(svd_calls) == 1
+
+
+def test_csv_and_npy_blocks_are_the_same_instance(manifest, capsys, tmp_path):
+    with open(manifest) as fh:
+        entries = json.load(fh)
+    base = os.path.dirname(manifest)
+    for key in ("path_x1", "path_x2", "path_y2", "path_y1_hidden"):
+        block = np.load(os.path.join(base, entries[key]), allow_pickle=False)
+        entries[key] = entries[key].replace(".npy", ".csv")
+        np.savetxt(tmp_path / entries[key], block, fmt="%.17g", delimiter=",")
+    csv_manifest = tmp_path / "csv_manifest.json"
+    csv_manifest.write_text(json.dumps(entries))
+    records = []
+    for path in (manifest, str(csv_manifest)):
+        code, out = run_cli(capsys, "run", "--manifest", path, "--trials", "2", "--seed", "3")
+        assert code == EXIT_OK
+        records.append([json.loads(s) for s in data_lines(out)])
+        for rec in records[-1]:
+            rec.pop("runtime_ms", None)
+    assert len(records[0]) == 3 and records[0] == records[1]
 
 
 def test_run_deploy_mode_manifest_fails_before_any_trial(capsys, monkeypatch, tmp_path):
@@ -284,7 +308,23 @@ def test_counts_below_one_are_config_errors(manifest, capsys, tmp_path, argv, co
 _GOOD_MANIFEST = {"d": 3, "n1": 1, "n2": 1, "path_x1": "x1.csv", "path_x2": "x2.csv",
                   "path_y2": "y2.csv", "path_y1_hidden": "y1.csv"}
 _BLOCKS = {"x1.csv": "1,2,3\n", "x2.csv": "4,5,6\n", "y2.csv": "1\n", "y1.csv": "2\n"}
+_NPY_MANIFEST = json.dumps({**_GOOD_MANIFEST, "path_x1": "x1.npy"})
 _RUN = ("run", "--manifest", "m.json")
+
+
+def _npy(arr, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
+def _npz() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, x1=np.ones((1, 3)))
+    return buf.getvalue()
+
+
+_GOOD_NPY = _npy(np.array([[1.0, 2.0, 3.0]]))
 _DUMP_WITHOUT_PX1_SUM = "\n".join([
     '{"kind": "header", "gamma": 0.25, "rank": 1, "n_rows": 2, "n_unlabeled": 1, "m": 1}',
     '{"j": 0, "phi_id": 0.25, "sampled_index": 0, "p_j": 0.5, "u_j": 8, "l_j": -8, '
@@ -302,11 +342,24 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
      "m.json"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": '{"kind": "header"}\n'}, "t.jsonl"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _DUMP_WITHOUT_PX1_SUM}, "t.jsonl"),
+    *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, "x1.npy") for data in (
+        b"",
+        b"1,2,3\n",
+        _GOOD_NPY[:20],
+        _GOOD_NPY[:-8],
+        _npy(np.array([[{"a": 1}, 2, 3]], dtype=object), allow_pickle=True),
+        _npy(np.array([[1, 2, 3]])),
+        _npy(np.array([1.0, 2.0, 3.0])),
+        _npy(np.array([[1.0, 2.0]])),
+        _npz(),
+    )),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
-        "dump-without-m", "dump-without-px1-sum"])
+        "dump-without-m", "dump-without-px1-sum", "npy-empty", "npy-holding-csv",
+        "npy-truncated-header", "npy-truncated-data", "npy-pickled-objects", "npy-int64",
+        "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz"])
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     *command, target = argv
     code = main([*command, str(tmp_path / target)])
     err = capsys.readouterr().err.splitlines()

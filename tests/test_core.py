@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,17 @@ def test_svd_factors_validate_rejects_non_orthonormal():
         bad.validate()
 
 
+def test_svd_factors_validate_checks_every_entry_of_the_input():
+    x = make_rng(6).standard_normal((40_000, 10))
+    f = thin_svd(x)
+    bad = x.copy()
+    bad[-1, -1] += 1e-6 * np.linalg.norm(x)
+    with pytest.raises(InvalidInputError, match="reconstruct"):
+        f.validate(bad)
+    with pytest.raises(InvalidInputError):
+        f.validate(x[:-1])
+
+
 # ---------------------------------------------------------------- leverage
 
 def test_leverage_identity_rows():
@@ -98,6 +111,28 @@ def test_dataset_owns_one_stack_and_keeps_it_through_pickling():
         assert np.shares_memory(inst.x_labeled, stack)
         np.testing.assert_array_equal(stack, ds.stacked())
         assert inst.svd is inst.svd
+
+
+def test_dataset_and_its_svd_copy_the_blocks_once():
+    x1 = make_rng(8).standard_normal((100_000, 10))
+    x2 = make_rng(9).standard_normal((20, 10))
+    stack_bytes = x1.nbytes + x2.nbytes
+    tracemalloc.start()
+    try:
+        ds = Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=np.zeros(20))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert ds.svd.rank == 10
+        svd_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # The stack plus the finiteness masks; then LAPACK's u plus one row block
+    # of the reconstruction check, with no copy of the stack.
+    assert build_peak < 1.25 * stack_bytes
+    assert svd_peak < 2 * stack_bytes
+    fortran = Dataset(np.asfortranarray(x1[:50]), np.asfortranarray(x2), np.zeros(20))
+    assert fortran.stacked().flags.c_contiguous
 
 
 # ---------------------------------------------------------------- reduced_rank

@@ -11,8 +11,8 @@ from ssar.dataio import (
     load_dataset,
     load_matrix,
     load_trace,
+    load_vector,
     save_dataset,
-    save_matrix,
     write_jsonl,
 )
 from ssar.errors import InvalidInputError
@@ -25,13 +25,23 @@ from conftest import gaussian_dataset
 def test_matrix_round_trip_is_exact(tmp_path):
     arr = np.random.default_rng(0).standard_normal((7, 3)) * 1e-7
     path = tmp_path / "m.csv"
-    save_matrix(path, arr)
+    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
     np.testing.assert_array_equal(load_matrix(path), arr)
+
+
+def test_npy_blocks_round_trip_exactly(tmp_path):
+    arr = np.random.default_rng(1).standard_normal((7, 3)) * 1e-7
+    np.save(tmp_path / "m.npy", arr)
+    np.save(tmp_path / "v.npy", arr[:, 0])
+    np.save(tmp_path / "empty.npy", np.zeros((0, 3)))
+    np.testing.assert_array_equal(load_matrix(tmp_path / "m.npy", cols=3), arr, strict=True)
+    np.testing.assert_array_equal(load_vector(tmp_path / "v.npy"), arr[:, 0], strict=True)
+    assert load_matrix(tmp_path / "empty.npy", cols=3).shape == (0, 3)
 
 
 def test_empty_matrix_round_trip(tmp_path):
     path = tmp_path / "empty.csv"
-    save_matrix(path, np.zeros((0, 4)))
+    np.savetxt(path, np.zeros((0, 4)), fmt="%.17g", delimiter=",")
     out = load_matrix(path, cols=4)
     assert out.shape == (0, 4)
     with pytest.raises(InvalidInputError):
@@ -44,6 +54,10 @@ def test_dataset_round_trip_with_hidden_labels(tmp_path):
     loaded, full = load_dataset(manifest)
     np.testing.assert_array_equal(loaded.stacked(), ds.stacked())
     np.testing.assert_array_equal(full, labels)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "instance_manifest.json", "instance_x1.npy", "instance_x2.npy",
+        "instance_y1_hidden.npy", "instance_y2.npy",
+    ]
 
 
 def test_dataset_round_trip_deploy_mode(tmp_path):
