@@ -61,6 +61,7 @@ from .verify import (
     check_hard_lemmas,
     check_statistical_lemmas,
     merge_hard_reports,
+    query_bound,
     run_sampler_batch,
 )
 
@@ -395,7 +396,7 @@ def _cmd_sweep(args) -> int:
         r_x = reduced_rank(ds)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(counts.size)) if counts.size > 1 else 0.0
-        bound = 4.0 * r_x / cfg.gamma**2
+        bound = query_bound(r_x, cfg.gamma)
         rows.append(
             {
                 "point": label,
@@ -417,6 +418,7 @@ def _cmd_sweep(args) -> int:
     monotone = all(a > b for a, b in zip(means, means[1:])) or all(
         a < b for a, b in zip(means, means[1:])
     )
+    # No standard-error slack, unlike check_query_bound, so that --trials 1 is allowed.
     within = all(r["mean_queries"] <= r["bound"] for r in rows)
     print(f"# fitted queries-per-(r_x/epsilon) constant: {fitted:.6g}")
     print(f"# monotone trend: {monotone}")

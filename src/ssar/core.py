@@ -7,6 +7,13 @@ with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
 sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
 PSD matrix square root.  The other operations are pure functions.
+
+``thin_svd`` has two paths, chosen by the spectrum of the min(n, d)-square
+Gram matrix.  An input of full numerical rank gets LAPACK's thin SVD.  A
+rank-deficient one, such as a kernel-ridge stack whose rank is the effective
+dimension, is factored on the Gram eigenvectors it has weight on, so no n x d
+``u`` is formed; those factors are accepted only if their residual is below
+``rank_tol * sigma_max``, and otherwise the full SVD decides.
 """
 
 from __future__ import annotations
@@ -36,7 +43,10 @@ DEFAULT_RANK_TOL = 1e-10
 # Tolerances baked into the SvdFactors contract.
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
-VALIDATE_BLOCK_BYTES = 1 << 20  # validate never forms more of the n x d reconstruction
+VALIDATE_BLOCK_BYTES = 1 << 20  # residual never forms more of the n x d reconstruction
+# thin_svd trusts a Gram eigenvalue above this share of the largest one; eigh
+# resolves them to about eps * theta_max, so this leaves a wide margin.
+GRAM_TRUST = 1e-12
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -172,19 +182,34 @@ class SvdFactors:
             raise InvalidInputError("left factor columns are not orthonormal")
         if np.max(np.abs(v.T @ v - eye)) > ORTHONORMALITY_TOL:
             raise InvalidInputError("right factor columns are not orthonormal")
-        if x is not None:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (self.n, self.d):
-                raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
-            step = max(1, VALIDATE_BLOCK_BYTES // (8 * self.d))
-            err = np.linalg.norm([np.linalg.norm((u[i:i + step] * s) @ v.T - x[i:i + step])
-                                  for i in range(0, self.n, step)])
-            if err > RECONSTRUCTION_TOL * max(np.linalg.norm(x), 1e-300):
-                raise InvalidInputError("factors do not reconstruct the input matrix")
+        if x is None:
+            return
+        if self.residual(x) > RECONSTRUCTION_TOL * max(np.linalg.norm(x), 1e-300):
+            raise InvalidInputError("factors do not reconstruct the input matrix")
+
+    def residual(self, x) -> float:
+        """Frobenius norm of ``x - U diag(sigma) V^T``, formed in row blocks of at most 1 MB."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n, self.d):
+            raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
+        step = max(1, VALIDATE_BLOCK_BYTES // (8 * self.d))
+        return float(np.linalg.norm([
+            np.linalg.norm((self.u[i:i + step] * self.sigma) @ self.v.T - x[i:i + step])
+            for i in range(0, self.n, step)
+        ]))
 
 
 def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     """Thin SVD of ``x`` with singular values below ``rank_tol * sigma_max`` dropped.
+
+    The eigenvalues ``theta`` of the min(n, d)-square Gram matrix pick the path.
+    If every ``theta`` exceeds ``GRAM_TRUST * theta_max``, ``x`` has full
+    numerical rank and gets LAPACK's thin SVD, truncated.  Otherwise only the
+    Gram eigenvectors above that level, ``W_k``, are kept: the SVD of the
+    n x k block ``x W_k = U Sigma Z^T`` gives ``V = W_k Z``.  Those factors are
+    accepted only if ``||x - U Sigma V^T||_F <= rank_tol * sigma_max``, which
+    caps every dropped singular value at the truncation threshold, so the rank
+    is the one the full SVD gives; if not, the full SVD is taken after all.
 
     Parameters
     ----------
@@ -200,19 +225,43 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     if not (0.0 < rank_tol <= 1e-3):
         raise InvalidInputError(f"rank_tol must lie in (0, 1e-3], got {rank_tol}")
     arr = as_matrix(x, "x")
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    keep = s > rank_tol * s[0]
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        raise InvalidInputError("matrix has numerical rank zero")
-    factors = SvdFactors(
-        u=np.ascontiguousarray(u[:, :r]),
-        sigma=np.ascontiguousarray(s[:r]),
-        v=np.ascontiguousarray(vt[:r].T),
-        rank_tol=float(rank_tol),
-    )
+    factors = _range_factors(arr, rank_tol)  # its Gram eigenvectors are freed on return
+    if factors is None:
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        factors = _truncated(u, s, vt.T, rank_tol)
     factors.validate(arr)
     return factors
+
+
+def _range_factors(arr: np.ndarray, rank_tol: float) -> SvdFactors | None:
+    """Factors of ``arr`` on its screened Gram range; None at full rank or on a large residual."""
+    wide = arr.shape[0] < arr.shape[1]
+    tall = arr.T if wide else arr
+    theta, w = np.linalg.eigh(tall.T @ tall)
+    keep = theta > GRAM_TRUST * theta[-1]
+    if keep.all() or not keep.any():
+        return None
+    w_k = w[:, keep]
+    u, s, zt = np.linalg.svd(tall @ w_k, full_matrices=False)
+    factors = _truncated(u, s, w_k @ zt.T, rank_tol)
+    if factors.residual(tall) > rank_tol * s[0]:
+        return None
+    if wide:
+        return SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u, rank_tol=factors.rank_tol)
+    return factors
+
+
+def _truncated(u, s, v, rank_tol: float) -> SvdFactors:
+    """The singular triplets above ``rank_tol * s[0]`` as contiguous factors."""
+    r = np.count_nonzero(s > rank_tol * s[0])
+    if r == 0:
+        raise InvalidInputError("matrix has numerical rank zero")
+    return SvdFactors(
+        u=np.ascontiguousarray(u[:, :r]),
+        sigma=np.ascontiguousarray(s[:r]),
+        v=np.ascontiguousarray(v[:, :r]),
+        rank_tol=float(rank_tol),
+    )
 
 
 def leverage_scores(svd: SvdFactors) -> np.ndarray:

@@ -60,6 +60,10 @@ def _reading(path):
 def _load_block(path, ndim: int) -> np.ndarray | None:
     """A float64 array of ``ndim`` dimensions from ``.npy`` or CSV; None for an empty CSV."""
     if str(path).endswith(".npy"):
+        magic = np.lib.format.MAGIC_PREFIX  # b"\x93NUMPY"
+        with open(path, "rb") as fh:
+            if fh.read(len(magic)) != magic:
+                raise InvalidInputError(f"{path}: not a .npy file")
         with _reading(path):
             arr = np.load(path, allow_pickle=False)
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != ndim:

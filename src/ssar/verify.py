@@ -45,6 +45,7 @@ __all__ = [
     "check_hard_lemmas",
     "check_statistical_lemmas",
     "check_query_bound",
+    "query_bound",
     "run_sampler_batch",
     "merge_hard_reports",
 ]
@@ -297,6 +298,11 @@ def check_statistical_lemmas(batch: Sequence[AsuraTrace]) -> list[LemmaReport]:
     return reports
 
 
+def query_bound(r_x: float, gamma: float) -> float:
+    """The mean unlabeled-query bound ``4 r_x / gamma^2`` for an instance with trace ``r_x``."""
+    return 4.0 * r_x / gamma**2
+
+
 def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
     """Mean iteration-level unlabeled-sample count against ``4 R / gamma^2 + 3 SE``.
 
@@ -306,8 +312,7 @@ def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
     counts = np.array([float(r.queries_iteration_level) for r in batch])
     if counts.size < 2:
         raise InsufficientSampleError("query-bound check needs at least 2 runs")
-    r_x = reduced_rank(ds)
-    bound = 4.0 * r_x / gamma**2
+    bound = query_bound(reduced_rank(ds), gamma)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1)) / math.sqrt(counts.size)
     margin = mean - (bound + SE_MULTIPLIER * se)

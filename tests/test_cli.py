@@ -342,16 +342,16 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
      "m.json"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": '{"kind": "header"}\n'}, "t.jsonl"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _DUMP_WITHOUT_PX1_SUM}, "t.jsonl"),
-    *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, "x1.npy") for data in (
-        b"",
-        b"1,2,3\n",
-        _GOOD_NPY[:20],
-        _GOOD_NPY[:-8],
-        _npy(np.array([[{"a": 1}, 2, 3]], dtype=object), allow_pickle=True),
-        _npy(np.array([[1, 2, 3]])),
-        _npy(np.array([1.0, 2.0, 3.0])),
-        _npy(np.array([[1.0, 2.0]])),
-        _npz(),
+    *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, bad) for data, bad in (
+        (b"", "x1.npy: not a .npy file"),
+        (b"1,2,3\n", "x1.npy: not a .npy file"),
+        (_GOOD_NPY[:20], "x1.npy"),
+        (_GOOD_NPY[:-8], "x1.npy"),
+        (_npy(np.array([[{"a": 1}, 2, 3]], dtype=object), allow_pickle=True), "x1.npy"),
+        (_npy(np.array([[1, 2, 3]])), "x1.npy"),
+        (_npy(np.array([1.0, 2.0, 3.0])), "x1.npy"),
+        (_npy(np.array([[1.0, 2.0]])), "x1.npy"),
+        (_npz(), "x1.npy: not a .npy file"),
     )),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
         "dump-without-m", "dump-without-px1-sum", "npy-empty", "npy-holding-csv",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssar.core import (
+    DEFAULT_RANK_TOL,
     Dataset,
     SvdFactors,
     effective_dimension,
@@ -53,6 +54,64 @@ def test_thin_svd_rejects_bad_inputs():
         thin_svd(np.eye(2), rank_tol=0.1)
     with pytest.raises(InvalidInputError):
         thin_svd(np.zeros((3, 2)))
+
+
+def _lapack_truncated(x):
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    r = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
+    return u[:, :r], s[:r], vt[:r].T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_thin_svd_rank_and_spectrum_match_lapack(n, d, seed):
+    # Spectra spread over 1e-14..1, some with exact zeros, so that inputs of
+    # full rank, of a clean low rank and with values in the gray zone between
+    # rank_tol and the Gram screen all occur, tall and wide.
+    rng = make_rng(seed)
+    k = min(n, d)
+    s = 10.0 ** rng.uniform(-14, 0, size=k)
+    s[rng.random(k) < rng.uniform(0, 0.8)] = 0.0
+    if rng.random() < 0.5:
+        s[(s > 1e-10) & (s < 1e-6)] = 0.0
+    s[rng.integers(k)] = 1.0
+    q1 = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    x = (q1 * s) @ q2.T
+    _, ref, _ = _lapack_truncated(x)
+    f = thin_svd(x)
+    assert f.rank == ref.size
+    assert np.max(np.abs(f.sigma - ref)) <= 1e-9 * ref[0]
+    f.validate(x)
+
+
+@pytest.mark.parametrize("shape", [(300, 12), (12, 30), (50, 50)])
+def test_thin_svd_of_a_full_rank_input_is_lapacks(shape):
+    rng = make_rng(21)
+    x = rng.standard_normal(shape)
+    x[:, 0] *= 1e-5  # ill-conditioned, but the Gram screen still sees full rank
+    f = thin_svd(x)
+    u, s, v = _lapack_truncated(x)
+    np.testing.assert_array_equal(f.u, u)
+    np.testing.assert_array_equal(f.sigma, s)
+    np.testing.assert_array_equal(f.v, v)
+
+
+def test_thin_svd_falls_back_on_a_gray_zone_spectrum(monkeypatch):
+    svd_shapes = []
+    lapack_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    # 1e-8 is above rank_tol but its Gram eigenvalue 1e-16 is below the screen:
+    # the range factors leave a residual of 1e-8, so the full SVD decides.
+    f = thin_svd(np.diag([1.0, 1e-8, 0.0, 0.0, 0.0]))
+    assert svd_shapes == [(5, 1), (5, 5)]
+    assert f.rank == 2
+    np.testing.assert_allclose(f.sigma, [1.0, 1e-8], rtol=1e-12)
 
 
 def test_svd_factors_validate_rejects_non_orthonormal():
@@ -131,6 +190,19 @@ def test_dataset_and_its_svd_copy_the_blocks_once():
     # of the reconstruction check, with no copy of the stack.
     assert build_peak < 1.25 * stack_bytes
     assert svd_peak < 2 * stack_bytes
+    # A rank-deficient stack of kernel shape (d = n/2) is factored on its
+    # range: the d x d Gram and its eigenvectors, but no n x d u.
+    rng = make_rng(10)
+    low = rng.standard_normal((1_200, 12)) @ rng.standard_normal((12, 600))
+    kernel = Dataset(low[:1_000], low[1_000:], np.zeros(200))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert kernel.svd.rank == 12
+        kernel_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert kernel_peak < 1.25 * kernel.stacked().nbytes
     fortran = Dataset(np.asfortranarray(x1[:50]), np.asfortranarray(x2), np.zeros(20))
     assert fortran.stacked().flags.c_contiguous
 
