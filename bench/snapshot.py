@@ -2,17 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 bench/snapshot.py LABEL [--seed 1] [--seconds 20] [--checkout DIR]
+    python3 bench/snapshot.py LABEL [--checkout DIR]
 
 Runs ``perfbench/run.py`` of the checkout (by default, this repository) for
-every workload its ``BENCHMARK.json`` lists, once at ``--trace 0`` and once at
-``--trace 1``, each in its own process and one after another.  The file goes to
+every workload its ``BENCHMARK.json`` lists, at seed 1 for 20 s, once at
+``--trace 0`` and once at ``--trace 1``, each in its own process and one after
+another.  The checkout must be a git work tree whose tracked files match its
+commit, so that every snapshot names the code it measured.  The file goes to
 the root of this repository.  It holds the machine record of the first run
-(CPU, caches, Python, numpy, BLAS and its thread count), the checkout's commit
-and whether its tracked files differ from it, the settings, and for every run
-its check counts, its ``outputs_sha256`` and every metric with its unit.  Two
-snapshots compare only when their machine records agree, the BLAS thread count
-above all.  A run that fails to set up or to check its outputs writes no file.
+(CPU, caches, Python, numpy, BLAS and its thread count), the checkout's commit,
+the settings, and for every run its check counts, its ``outputs_sha256`` and
+every metric with its unit.  Two snapshots compare only when their machine
+records agree, the BLAS thread count above all.  A run that fails to set up or
+to check its outputs writes no file.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACES = (0, 1)
+SEED = 1
+SECONDS = 20.0
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, trace: int) -> dict:
     """One ``perfbench/run.py`` process; returns the full record it wrote."""
-    stem = f"{workload}-seed{seed}-trace{trace}"
+    stem = f"{workload}-seed{SEED}-trace{trace}"
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -44,27 +48,30 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return record
 
 
-def source_state(checkout: Path) -> dict:
-    """The checkout's commit, and whether tracked files differ from it."""
-    if not (checkout / ".git").exists():
-        return {"commit": None, "dirty": None}
+def clean_commit(checkout: Path) -> str:
+    """The checkout's commit; raises if it is not a git work tree or its tracked files differ."""
     head = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
+    if head.returncode != 0:
+        raise RuntimeError(f"{checkout}: not a git work tree: {head.stderr.strip()}")
     status = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain",
                              "--untracked-files=no"], capture_output=True, text=True)
-    return {"commit": head.stdout.strip() or None, "dirty": bool(status.stdout.strip())}
+    if status.returncode != 0 or status.stdout.strip():
+        raise RuntimeError(f"{checkout}: tracked files differ from the commit; "
+                           "commit them or snapshot a clean clone with --checkout")
+    return head.stdout.strip()
 
 
-def snapshot(label: str, checkout: Path, seed: int, seconds: float) -> dict:
+def snapshot(label: str, checkout: Path) -> dict:
+    commit = clean_commit(checkout)
     with open(checkout / "BENCHMARK.json") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    records = [run_once(checkout, name, seed, seconds, trace)
-               for name in workloads for trace in TRACES]
+    records = [run_once(checkout, name, trace) for name in workloads for trace in TRACES]
     return {
         "label": label,
-        **source_state(checkout),
-        "seed": seed,
-        "seconds": seconds,
+        "commit": commit,
+        "seed": SEED,
+        "seconds": SECONDS,
         "machine": records[0]["machine"],
         "runs": [
             {
@@ -83,13 +90,11 @@ def snapshot(label: str, checkout: Path, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="the source tree whose perfbench/run.py is run")
     args = parser.parse_args(argv)
     try:
-        snap = snapshot(args.label, args.checkout.resolve(), args.seed, args.seconds)
+        snap = snapshot(args.label, args.checkout.resolve())
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,9 @@ Gram matrix.  An input of full numerical rank gets LAPACK's thin SVD.  A
 rank-deficient one, such as a kernel-ridge stack whose rank is the effective
 dimension, is factored on the Gram eigenvectors it has weight on, so no n x d
 ``u`` is formed; those factors are accepted only if their residual is below
-``rank_tol * sigma_max``, and otherwise the full SVD decides.
+``rank_tol * sigma_max``, and otherwise the full SVD decides.  An input whose
+largest |entry| is beyond 1e100 or below 1e-100, whose Gram matrix would
+overflow or turn denormal, always goes to LAPACK.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ VALIDATE_BLOCK_BYTES = 1 << 20  # residual never forms more of the n x d reconst
 # thin_svd trusts a Gram eigenvalue above this share of the largest one; eigh
 # resolves them to about eps * theta_max, so this leaves a wide margin.
 GRAM_TRUST = 1e-12
+# The Gram path is taken only when the largest |entry| lies in this range, so
+# that squaring it neither overflows nor makes the Gram entries denormal.
+GRAM_SAFE_SCALE = (1e-100, 1e100)
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -204,7 +209,9 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
 
     The eigenvalues ``theta`` of the min(n, d)-square Gram matrix pick the path.
     If every ``theta`` exceeds ``GRAM_TRUST * theta_max``, ``x`` has full
-    numerical rank and gets LAPACK's thin SVD, truncated.  Otherwise only the
+    numerical rank and gets LAPACK's thin SVD, truncated; so does an ``x``
+    whose largest |entry| lies outside ``GRAM_SAFE_SCALE``, where the Gram
+    matrix would overflow or turn denormal.  Otherwise only the
     Gram eigenvectors above that level, ``W_k``, are kept: the SVD of the
     n x k block ``x W_k = U Sigma Z^T`` gives ``V = W_k Z``.  Those factors are
     accepted only if ``||x - U Sigma V^T||_F <= rank_tol * sigma_max``, which
@@ -234,7 +241,11 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
 
 
 def _range_factors(arr: np.ndarray, rank_tol: float) -> SvdFactors | None:
-    """Factors of ``arr`` on its screened Gram range; None at full rank or on a large residual."""
+    """Factors of ``arr`` on its screened Gram range; None at full rank, at an
+    unsafe scale or on a large residual."""
+    lo, hi = GRAM_SAFE_SCALE
+    if not lo < max(arr.max(), -arr.min()) < hi:
+        return None
     wide = arr.shape[0] < arr.shape[1]
     tall = arr.T if wide else arr
     theta, w = np.linalg.eigh(tall.T @ tall)

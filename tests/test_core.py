@@ -114,6 +114,26 @@ def test_thin_svd_falls_back_on_a_gray_zone_spectrum(monkeypatch):
     np.testing.assert_allclose(f.sigma, [1.0, 1e-8], rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_thin_svd_leaves_an_extreme_scale_to_lapack(monkeypatch, scale):
+    svd_shapes = []
+    lapack_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    rng = make_rng(22)
+    x = (rng.standard_normal((40, 3)) @ rng.standard_normal((3, 20))) * scale
+    _, ref, _ = _lapack_truncated(x)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    # The Gram matrix of x would overflow or be denormal, so no screen is tried.
+    f = thin_svd(x)
+    assert svd_shapes == [(40, 20)]
+    assert f.rank == ref.size == 3
+    np.testing.assert_array_equal(f.sigma, ref)
+
+
 def test_svd_factors_validate_rejects_non_orthonormal():
     f = thin_svd(make_rng(3).standard_normal((5, 3)))
     bad = SvdFactors(u=f.u * 1.5, sigma=f.sigma, v=f.v, rank_tol=f.rank_tol)
