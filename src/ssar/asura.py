@@ -1,10 +1,12 @@
 """Adaptive barrier-potential row sampling with a budgeted stopping rule.
 
 The sampler maintains a running d x d matrix ``A`` squeezed between two moving
-scalar barriers ``l`` and ``u``.  Each iteration samples one row of the left
-singular factor with probability proportional to how much it would push ``A``
-toward a barrier, adds the rescaled rank-one update, and advances the barriers
-asymmetrically.
+scalar barriers ``l`` and ``u``.  Each iteration samples one row ``x`` of the left
+singular factor with probability proportional to ``U(x)^T M U(x)``, how much it
+would push ``A`` toward a barrier, adds the rescaled rank-one update, and advances
+the barriers asymmetrically.  The mixture ``M = (uI - A)^{-1} + (A - lI)^{-1} =
+(u - l) P^{-1}`` is a Cholesky-checked inverse of ``P = (uI - A)(A - lI)``, which
+is positive definite exactly while ``A`` is inside; ``tr M`` is the potential.
 
 The draw is two-level.  The rows are split once per run into contiguous blocks
 of about ``sqrt(n)`` rows (at least ``2d``), with a block edge at the end of the
@@ -194,30 +196,33 @@ class SampleSet:
 
 def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray,
                      j: int | None = None):
-    """Eigenvectors ``q`` of the running matrix and its barrier weights.
+    """The normalized barrier mixture ``M / phi`` of the running matrix, and ``phi = tr M``.
 
-    ``b = 1/(u - theta) + 1/(theta - l)`` over the eigenvalues ``theta`` of
-    ``a``; the barrier potential is ``b.sum()``.  ``a`` is one ``(r, r)``
-    state with float barriers, or a ``(k, r, r)`` stack with ``(k,)``
-    barrier arrays, giving ``(k, r, r)`` and ``(k, r)`` results.  Touching a
-    barrier raises rather than dividing by a vanishing gap; ``j`` is the
-    iteration of the first state, and the error names the first touched one.
+    ``M = (uI - A)^{-1} + (A - lI)^{-1} = (u - l) P^{-1}``, and ``P = (uI - A)(A - lI)
+    = h^2 I - (A - cI)^2``, with ``c`` and ``h`` the window's midpoint and half-width,
+    is positive definite exactly when every eigenvalue of ``a`` lies in ``(l, u)``:
+    its Cholesky factorization is the containment check, one inverse gives ``M``.
+    ``a`` is one ``(r, r)`` state with float barriers or a ``(k, r, r)`` stack with
+    ``(k,)`` barrier arrays.  Touching a barrier raises; ``j`` is the iteration of
+    the first state, and the error names the first touched one.
     """
-    theta, q = np.linalg.eigh(a)
-    if theta.ndim > 1:
-        u, l = u[:, None], l[:, None]
-    gap_u = u - theta
-    gap_l = theta - l
-    if gap_u.min() <= 0.0 or gap_l.min() <= 0.0:
-        k = int(np.argmax(np.minimum(gap_u, gap_l).min(axis=-1) <= 0.0))
-        eigs = np.atleast_2d(theta)[k]
+    ub, lb = (u, l) if a.ndim == 2 else (u[:, None, None], l[:, None, None])
+    eye = np.eye(a.shape[-1])
+    p = (ub * eye - a) @ (a - lb * eye)
+    try:
+        np.linalg.cholesky(p)
+        m = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        theta, u, l = np.linalg.eigvalsh(a).reshape(-1, a.shape[-1]), np.ravel(u), np.ravel(l)
+        margin = np.minimum(u - theta[:, -1], theta[:, 0] - l)
+        k = int(np.argmax(margin <= max(margin.min(), 0.0)))  # first touched, else closest
         where = "" if j is None else f" at iteration {j + k}"
         raise BarrierViolationError(
-            f"barrier touched{where}: "
-            f"eigenvalues span [{eigs.min():.6g}, {eigs.max():.6g}] "
-            f"against window [{np.ravel(l)[k]:.6g}, {np.ravel(u)[k]:.6g}]"
-        )
-    return q, 1.0 / gap_u + 1.0 / gap_l
+            f"barrier touched{where}: eigenvalues span [{theta[k, 0]:.6g}, {theta[k, -1]:.6g}] "
+            f"against window [{l[k]:.6g}, {u[k]:.6g}]"
+        ) from None
+    tr = m.trace(axis1=-2, axis2=-1)
+    return m / tr[..., None, None], (u - l) * tr
 
 
 def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
@@ -275,15 +280,14 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
 def sampling_distribution(svd: SvdFactors, a: np.ndarray, u: float, l: float) -> np.ndarray:
     """Row-sampling distribution of the barrier state ``(a, u, l)``.
 
-    Row ``x`` gets mass proportional to
-    ``U(x)^T [(uI - A)^{-1} + (A - lI)^{-1}] U(x)``.  This scores every row
-    and is the reference for the sampler's block draw.
+    Row ``x`` gets mass ``U(x)^T (M / phi) U(x)`` for the mixture of
+    :func:`_barrier_weights`, which raises on a touched barrier.  This scores
+    every row and is the reference for the sampler's block draw.
     """
     if a.shape[0] != svd.rank:
         raise InvalidInputError("state dimension does not match factor rank")
-    q, b = _barrier_weights(a, u, l)
-    g = svd.u @ q
-    p_raw = (g * g) @ (b / b.sum())
+    mix, _ = _barrier_weights(a, u, l)
+    p_raw = np.einsum("ij,ij->i", svd.u @ mix, svd.u)
     return _normalize_probabilities(p_raw)
 
 
@@ -333,12 +337,10 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
             raise NumericalBreakdownError(
                 f"stopping rule failed to fire within the {cap}-iteration cap"
             )
-        q, b = _barrier_weights(a, u, l, j)
-        phi = float(b.sum())
+        mix, phi = _barrier_weights(a, u, l, j)
 
         # Row x has mass U(x)^T M U(x); a block's mass is <G_k, M>.  The block
         # level runs on Python lists, which beat numpy calls at this length.
-        mix = (q * (b / phi)) @ q.T
         mass = (grams @ mix.ravel()).tolist()
         low = min(mass)
         if low < P_ERROR_FLOOR:
@@ -488,10 +490,11 @@ def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedRepor
     ``512 gamma^2``, where ``K_j = max_x ||U(x)||^2 / p_x`` over the rows
     with ``U(x) != 0``.  Condition (iii) is checked on both the closed-form
     bound and a brute-force sweep over the running matrices replayed from the
-    trace, one barrier step per chunk; :func:`sampling_distribution` is its
-    per-iteration reference.  See :class:`WellBalancedReport` for how the two
-    relate.  Needs ``gamma <= 1/4``; a larger ``gamma`` raises
-    :class:`InvalidInputError`.
+    trace: one barrier step per chunk gives each state's Cholesky-checked
+    mixture ``M / phi`` (:func:`_barrier_weights`) and ``p_x = U(x)^T (M / phi)
+    U(x)``, with :func:`sampling_distribution` as its per-iteration reference.
+    See :class:`WellBalancedReport` for how the two relate.  Needs
+    ``gamma <= 1/4``; a larger ``gamma`` raises :class:`InvalidInputError`.
 
     Everything is read from the trace and the run's factors ``svd``: the
     sampled rows, their weights ``trace.w_prime / trace.mid`` and the
@@ -524,11 +527,8 @@ def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedRepor
     kd_brute = np.empty(trace.m)
     for j0, mats in _replay(trace, u_mat, extra_bytes=8 * u_live.size):
         j1 = j0 + len(mats) - 1
-        q, b = _barrier_weights(mats[:-1], trace.u[j0:j1], trace.l[j0:j1], j0)
-        g = u_live @ q
-        np.square(g, out=g)
-        mix = b / b.sum(axis=1, keepdims=True)
-        p = _normalize_probabilities((g @ mix[:, :, None])[..., 0])
+        mix, _ = _barrier_weights(mats[:-1], trace.u[j0:j1], trace.l[j0:j1], j0)
+        p = _normalize_probabilities(np.einsum("kij,ij->ki", u_live @ mix, u_live))
         kd_brute[j0:j1] = alpha[j0:j1] * np.max(lev / p, axis=1)
 
     kd_max_closed = float(kd_closed.max()) if trace.m else 0.0

@@ -20,6 +20,7 @@ overflow or turn denormal, always goes to LAPACK.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -189,19 +190,29 @@ class SvdFactors:
             raise InvalidInputError("right factor columns are not orthonormal")
         if x is None:
             return
-        if self.residual(x) > RECONSTRUCTION_TOL * max(np.linalg.norm(x), 1e-300):
+        if self.residual(x) > RECONSTRUCTION_TOL:
             raise InvalidInputError("factors do not reconstruct the input matrix")
 
     def residual(self, x) -> float:
-        """Frobenius norm of ``x - U diag(sigma) V^T``, formed in row blocks of at most 1 MB."""
+        """Frobenius norm of ``x - U diag(sigma) V^T`` relative to that of ``x``.
+
+        Both norms are summed in row blocks of at most 1 MB over entries
+        divided by ``max |x|``, so that no square overflows or underflows at an
+        extreme scale.  A zero ``x`` gives ``inf``.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.d):
             raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
+        scale = max(x.max(), -x.min()) or 1.0
+        sigma = self.sigma / scale
         step = max(1, VALIDATE_BLOCK_BYTES // (8 * self.d))
-        return float(np.linalg.norm([
-            np.linalg.norm((self.u[i:i + step] * self.sigma) @ self.v.T - x[i:i + step])
-            for i in range(0, self.n, step)
-        ]))
+        err = size = 0.0
+        for i in range(0, self.n, step):
+            block = x[i:i + step] / scale
+            diff = (self.u[i:i + step] * sigma) @ self.v.T - block
+            err += float(np.vdot(diff, diff))
+            size += float(np.vdot(block, block))
+        return math.sqrt(err / size) if size else math.inf
 
 
 def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
@@ -255,7 +266,8 @@ def _range_factors(arr: np.ndarray, rank_tol: float) -> SvdFactors | None:
     w_k = w[:, keep]
     u, s, zt = np.linalg.svd(tall @ w_k, full_matrices=False)
     factors = _truncated(u, s, w_k @ zt.T, rank_tol)
-    if factors.residual(tall) > rank_tol * s[0]:
+    # residual is relative; theta sums to ||tall||_F^2.
+    if factors.residual(tall) * math.sqrt(theta.sum()) > rank_tol * s[0]:
         return None
     if wide:
         return SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u, rank_tol=factors.rank_tol)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssar.asura import (
     AsuraConfig,
@@ -95,15 +97,58 @@ def test_gamma_half_breaks_barrier_update():
 def test_potential_initial_state_closed_forms():
     gamma = 0.2
     d = 6
-    q, b = _barrier_weights(*_initial(d, gamma))
-    assert b.sum() == pytest.approx(gamma, rel=1e-12)
-    np.testing.assert_allclose(b, np.full(d, gamma / d), rtol=1e-12)
-    np.testing.assert_allclose(q.T @ q, np.eye(d), atol=1e-12)
+    mix, phi = _barrier_weights(*_initial(d, gamma))
+    assert phi == pytest.approx(gamma, rel=1e-12)
+    np.testing.assert_allclose(mix, np.eye(d) / d, rtol=0, atol=1e-12)
 
 
 def test_potential_scalar_case():
-    _, b = _barrier_weights(np.array([[0.5]]), 1.0, 0.0)
-    assert b.sum() == pytest.approx(4.0)
+    mix, phi = _barrier_weights(np.array([[0.5]]), 1.0, 0.0)
+    assert phi == pytest.approx(4.0)
+    np.testing.assert_allclose(mix, [[1.0]], rtol=1e-12)
+
+
+def _eigh_barrier_weights(a, u, l):
+    """Reference mixture and potential through the eigenpairs of ``a``:
+    ``b = 1/(u - theta) + 1/(theta - l)``, ``M = Q diag(b) Q^T``."""
+    theta, q = np.linalg.eigh(a)
+    b = 1.0 / (u - theta) + 1.0 / (theta - l)
+    return (q * (b / b.sum())) @ q.T, b.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.5, 6.0))
+def test_barrier_weights_match_the_eigh_reference(r, seed, log_ratio):
+    # A state whose smallest barrier gap is (u - l) / 10**log_ratio, with some
+    # eigenvalues spread between that gap and the middle of the window.
+    rng = make_rng(seed)
+    h = 10.0 ** rng.uniform(-2, 3)
+    l = rng.uniform(-2, 2) * h - h
+    u = l + 2.0 * h
+    gap = 2.0 * h / 10.0**log_ratio
+    theta = rng.uniform(l + gap, u - gap, size=r)
+    near = rng.random(r) < 0.5
+    near[0] = True
+    dist = np.minimum(h, gap * 10.0 ** rng.uniform(0, log_ratio, size=r))
+    dist[0] = gap
+    theta[near] = np.where(rng.random(r) < 0.5, u - dist, l + dist)[near]
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    a = (q * theta) @ q.T
+    a = 0.5 * (a + a.T)
+
+    mix, phi = _barrier_weights(a, u, l)
+    mix_ref, phi_ref = _eigh_barrier_weights(a, u, l)
+    # Both routes move a gap g by about eps * max(|u|, |l|), so near a barrier
+    # they agree only to that share of g; 1e-12 binds while kappa <= 280.
+    kappa = max(abs(u), abs(l)) / gap
+    tol = max(1e-12, 16 * np.finfo(float).eps * kappa)
+    assert np.max(np.abs(mix - mix_ref)) <= tol * np.linalg.norm(mix_ref)
+    assert abs(phi - phi_ref) <= tol * phi_ref
+
+    # Pushing the nearest eigenvalue past its barrier by the same gap.
+    theta[0] += 2 * gap if theta[0] > 0.5 * (u + l) else -2 * gap
+    with pytest.raises(BarrierViolationError):
+        _barrier_weights((q * theta) @ q.T, u, l)
 
 
 def test_potential_raises_when_barrier_touched():
@@ -123,12 +168,31 @@ def test_barrier_weights_on_a_stack_match_each_state():
     ds, svd = _svd()
     _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7))
     mats = _matrices(trace, svd)[:-1]
-    q_stack, b_stack = _barrier_weights(mats, trace.u[:-1], trace.l[:-1])
-    assert q_stack.shape == mats.shape and b_stack.shape == (trace.m, svd.rank)
+    mix_stack, phi_stack = _barrier_weights(mats, trace.u[:-1], trace.l[:-1])
+    assert mix_stack.shape == mats.shape and phi_stack.shape == (trace.m,)
     for j in range(trace.m):
-        q, b = _barrier_weights(*_state(trace, mats, j))
-        np.testing.assert_array_equal(b_stack[j], b)
-        np.testing.assert_array_equal(np.abs(q_stack[j]), np.abs(q))
+        mix, phi = _barrier_weights(*_state(trace, mats, j))
+        np.testing.assert_array_equal(mix_stack[j], mix)
+        assert phi_stack[j] == phi
+
+
+def test_sampler_computes_no_eigenpairs(monkeypatch):
+    ds, _ = _svd()  # factored before the spy: the Gram screen of thin_svd calls eigh
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7))
+    # One final containment check, however many iterations ran.
+    assert trace.m > 10 and calls == ["eigvalsh"]
 
 
 # ------------------------------------------------------ distribution

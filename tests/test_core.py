@@ -152,6 +152,18 @@ def test_svd_factors_validate_checks_every_entry_of_the_input():
         f.validate(x[:-1])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e170])
+def test_svd_factors_validate_rejects_wrong_factors_at_an_extreme_scale(scale):
+    # Unscaled sums of squares overflow to inf or underflow to 0 here, and
+    # either would let factors with twice the singular values pass.
+    x = make_rng(7).standard_normal((30, 4)) * scale
+    f = thin_svd(x)
+    f.validate(x)
+    bad = SvdFactors(u=f.u, sigma=2.0 * f.sigma, v=f.v, rank_tol=f.rank_tol)
+    with pytest.raises(InvalidInputError, match="reconstruct"):
+        bad.validate(x)
+
+
 # ---------------------------------------------------------------- leverage
 
 def test_leverage_identity_rows():
