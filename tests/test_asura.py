@@ -138,8 +138,8 @@ def test_barrier_weights_match_the_eigh_reference(r, seed, log_ratio):
 
     mix, phi = _barrier_weights(a, u, l)
     mix_ref, phi_ref = _eigh_barrier_weights(a, u, l)
-    # Both routes move a gap g by about eps * max(|u|, |l|), so near a barrier
-    # they agree only to that share of g; 1e-12 binds while kappa <= 280.
+    # Both routes perturb a barrier gap g by about eps * max(|u|, |l|), so near
+    # a barrier they agree only to about eps * kappa; 1e-12 binds while kappa <= 280.
     kappa = max(abs(u), abs(l)) / gap
     tol = max(1e-12, 16 * np.finfo(float).eps * kappa)
     assert np.max(np.abs(mix - mix_ref)) <= tol * np.linalg.norm(mix_ref)
