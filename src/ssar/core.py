@@ -8,14 +8,16 @@ with relative rank truncation, row leverage scores, the unlabeled-mass trace
 sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
 PSD matrix square root.  The other operations are pure functions.
 
-``thin_svd`` has two paths, chosen by the spectrum of the min(n, d)-square
-Gram matrix.  An input of full numerical rank gets LAPACK's thin SVD.  A
-rank-deficient one, such as a kernel-ridge stack whose rank is the effective
-dimension, is factored on the Gram eigenvectors it has weight on, so no n x d
-``u`` is formed; those factors are accepted only if their residual is below
-``rank_tol * sigma_max``, and otherwise the full SVD decides.  An input whose
-largest |entry| is beyond 1e100 or below 1e-100, whose Gram matrix would
-overflow or turn denormal, always goes to LAPACK.
+``thin_svd`` has three routes.  A rank-deficient input, such as a
+kernel-ridge stack whose rank is the effective dimension, is factored on its
+range, so no n x d ``u`` is formed: at a short side of at most
+``SKETCH_MIN_SIDE`` that range comes from the eigenvectors of the Gram matrix
+(the Gram screen), and above it from a Gaussian sketch of a fixed seed (the
+sketch).  Range factors are accepted only if their residual is below
+``rank_tol * sigma_max``.  Everything else goes to LAPACK's thin SVD: an input
+of full numerical rank, one whose range factors miss that residual, and one
+whose largest |entry| is beyond 1e100 or below 1e-100, where a Gram matrix
+would overflow or turn denormal.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotPsdError, SingularMatrixError
+from .rngutil import make_rng
 
 __all__ = [
     "Dataset",
@@ -53,6 +56,12 @@ GRAM_TRUST = 1e-12
 # The Gram path is taken only when the largest |entry| lies in this range, so
 # that squaring it neither overflows nor makes the Gram entries denormal.
 GRAM_SAFE_SCALE = (1e-100, 1e100)
+# Above this short side the range comes from a sketch of SKETCH_START columns,
+# doubled while short of the rank; at half the short side LAPACK takes over.
+# The fixed seed keeps thin_svd a pure function of its input.
+SKETCH_MIN_SIDE = 128
+SKETCH_START = 64
+SKETCH_SEED = 20110501
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -173,8 +182,9 @@ class SvdFactors:
     def d(self) -> int:
         return self.v.shape[0]
 
-    def validate(self, x: np.ndarray | None = None) -> None:
-        """Check orthonormality, ordering and (optionally) reconstruction error."""
+    def validate(self, x: np.ndarray | None = None, residual: float | None = None) -> None:
+        """Check orthonormality, ordering and, given ``x`` or its already
+        computed ``residual(x)``, the reconstruction error."""
         u, s, v = self.u, self.sigma, self.v
         r = self.rank
         if u.shape != (self.n, r) or v.shape != (self.d, r):
@@ -188,9 +198,9 @@ class SvdFactors:
             raise InvalidInputError("left factor columns are not orthonormal")
         if np.max(np.abs(v.T @ v - eye)) > ORTHONORMALITY_TOL:
             raise InvalidInputError("right factor columns are not orthonormal")
-        if x is None:
-            return
-        if self.residual(x) > RECONSTRUCTION_TOL:
+        if x is not None:
+            residual = self.residual(x)
+        if residual is not None and residual > RECONSTRUCTION_TOL:
             raise InvalidInputError("factors do not reconstruct the input matrix")
 
     def residual(self, x) -> float:
@@ -218,16 +228,30 @@ class SvdFactors:
 def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     """Thin SVD of ``x`` with singular values below ``rank_tol * sigma_max`` dropped.
 
-    The eigenvalues ``theta`` of the min(n, d)-square Gram matrix pick the path.
-    If every ``theta`` exceeds ``GRAM_TRUST * theta_max``, ``x`` has full
-    numerical rank and gets LAPACK's thin SVD, truncated; so does an ``x``
-    whose largest |entry| lies outside ``GRAM_SAFE_SCALE``, where the Gram
-    matrix would overflow or turn denormal.  Otherwise only the
-    Gram eigenvectors above that level, ``W_k``, are kept: the SVD of the
-    n x k block ``x W_k = U Sigma Z^T`` gives ``V = W_k Z``.  Those factors are
-    accepted only if ``||x - U Sigma V^T||_F <= rank_tol * sigma_max``, which
-    caps every dropped singular value at the truncation threshold, so the rank
-    is the one the full SVD gives; if not, the full SVD is taken after all.
+    Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
+    its short side is its d columns.  The range of ``t`` is found one of two
+    ways, and the factors of ``t`` on it are its SVD in those coordinates:
+
+    * Gram screen (d <= ``SKETCH_MIN_SIDE``): the eigenvalues ``theta`` of
+      ``t^T t``.  If every ``theta`` exceeds ``GRAM_TRUST * theta_max``,
+      ``t`` has full numerical rank and goes to LAPACK.  Otherwise only the
+      eigenvectors above that level, ``W_k``, are kept: the SVD of the n x k
+      block ``t W_k = U Sigma Z^T`` gives ``V = W_k Z``.
+    * Sketch (d above it): Halko, Martinsson and Tropp's range finder
+      (SIAM Review 53(2), 2011, Alg. 4.1 with the growth of section 4.4).
+      ``Q`` is an orthonormal basis of ``t Omega`` for a Gaussian d x k
+      ``Omega`` of seed ``SKETCH_SEED``, and the SVD
+      ``B = Q^T t = U_B Sigma V^T`` gives ``U = Q U_B``.  ``k`` starts at
+      ``SKETCH_START`` and doubles while the smallest singular value of ``B``
+      is above ``rank_tol * sigma_max``, that is while the sketch may not yet
+      hold the range; once ``k`` would exceed d / 2, LAPACK decides.
+
+    Range factors are accepted only if ``||x - U Sigma V^T||_F <= rank_tol *
+    sigma_max``, which caps every dropped singular value at the truncation
+    threshold, so the rank is the one the full SVD gives; if not, LAPACK's
+    thin SVD is taken after all, as it is for an ``x`` whose largest |entry|
+    lies outside ``GRAM_SAFE_SCALE``.  Every result is validated, with the
+    residual computed once.
 
     Parameters
     ----------
@@ -243,35 +267,57 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     if not (0.0 < rank_tol <= 1e-3):
         raise InvalidInputError(f"rank_tol must lie in (0, 1e-3], got {rank_tol}")
     arr = as_matrix(x, "x")
-    factors = _range_factors(arr, rank_tol)  # its Gram eigenvectors are freed on return
-    if factors is None:
+    found = _range_factors(arr, rank_tol)  # its range basis is freed on return
+    if found is None:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
         factors = _truncated(u, s, vt.T, rank_tol)
-    factors.validate(arr)
+        residual = factors.residual(arr)
+    else:
+        factors, residual = found
+    factors.validate(residual=residual)
     return factors
 
 
-def _range_factors(arr: np.ndarray, rank_tol: float) -> SvdFactors | None:
-    """Factors of ``arr`` on its screened Gram range; None at full rank, at an
-    unsafe scale or on a large residual."""
+def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float] | None:
+    """Factors of ``arr`` on its screened Gram range or its sketched range, with
+    their relative residual; None at full rank, at an unsafe scale or on a
+    large residual."""
     lo, hi = GRAM_SAFE_SCALE
     if not lo < max(arr.max(), -arr.min()) < hi:
         return None
     wide = arr.shape[0] < arr.shape[1]
     tall = arr.T if wide else arr
-    theta, w = np.linalg.eigh(tall.T @ tall)
-    keep = theta > GRAM_TRUST * theta[-1]
-    if keep.all() or not keep.any():
-        return None
-    w_k = w[:, keep]
-    u, s, zt = np.linalg.svd(tall @ w_k, full_matrices=False)
-    factors = _truncated(u, s, w_k @ zt.T, rank_tol)
-    # residual is relative; theta sums to ||tall||_F^2.
-    if factors.residual(tall) * math.sqrt(theta.sum()) > rank_tol * s[0]:
+    d = tall.shape[1]
+    if d <= SKETCH_MIN_SIDE:
+        theta, w = np.linalg.eigh(tall.T @ tall)
+        keep = theta > GRAM_TRUST * theta[-1]
+        if keep.all() or not keep.any():
+            return None
+        w_k = w[:, keep]
+        u, s, zt = np.linalg.svd(tall @ w_k, full_matrices=False)
+        factors = _truncated(u, s, w_k @ zt.T, rank_tol)
+        norm = math.sqrt(theta.sum())  # theta sums to ||tall||_F^2
+    else:
+        k = SKETCH_START
+        while True:
+            if 2 * k > d:
+                return None
+            omega = make_rng(SKETCH_SEED).standard_normal((d, k))
+            q = np.linalg.qr(tall @ omega)[0]
+            # The SVD of B^T = tall^T Q, the orientation LAPACK takes faster.
+            v, s, u_bt = np.linalg.svd(tall.T @ q, full_matrices=False)
+            if s[-1] <= rank_tol * s[0]:
+                break
+            k *= 2
+        factors = _truncated(q @ u_bt.T, s, v, rank_tol)
+        norm = float(np.linalg.norm(tall))
+    residual = factors.residual(tall)
+    if residual * norm > rank_tol * factors.sigma[0]:
         return None
     if wide:
-        return SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u, rank_tol=factors.rank_tol)
-    return factors
+        factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u,
+                             rank_tol=factors.rank_tol)
+    return factors, residual
 
 
 def _truncated(u, s, v, rank_tol: float) -> SvdFactors:

@@ -10,6 +10,7 @@ regularizer exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +163,15 @@ def solve_active(
 ) -> RegressionSolution:
     """Sample rows of the stacked design, buy the needed labels, and solve.
 
+    The weighted problem on the sampled rows is solved in the rank
+    coordinates of ``ds.svd = U Sigma V^T``: ``weighted_lsq`` gets the m x r
+    rows ``U_S Sigma`` and returns ``t``, and ``beta = V t`` is the
+    minimum-norm solution of the problem in the ambient columns.  With
+    full-loss access, ``loss`` and ``opt`` are the squared residuals of
+    ``beta`` and of the least-squares fit; the ratio is taken on labels
+    divided by a power of two near their largest |entry|, and an OPT below
+    ``1e-12 * ||y||^2`` counts as 0 (ratio 1 if the loss is too, else inf).
+
     Parameters
     ----------
     ds : Dataset
@@ -194,25 +204,35 @@ def solve_active(
 
     labels = np.array([oracle.label(i) for i in sample.indices])
     if sample.m > 0:
-        beta = weighted_lsq(stacked[sample.indices], sample.weights, labels)
+        # Solved for t = V^T beta: ||V t|| = ||t||, so the minimum-norm t
+        # maps to the minimum-norm beta even where the sampled rows lose rank.
+        rows = svd.u[sample.indices] * svd.sigma
+        beta = svd.v @ weighted_lsq(rows, sample.weights, labels)
     else:
         beta = np.zeros(ds.d)
 
     loss = opt = ratio = None
     if oracle.allow_full_loss:
         y_full = oracle.full_labels()
-        resid = stacked @ beta - y_full
-        loss = float(resid @ resid)
+        # Scored in units of a power of two near max|y|: the division is exact,
+        # and no square overflows or underflows at an extreme label scale.
+        top = max(y_full.max(), -y_full.min())
+        scale = math.ldexp(1.0, math.frexp(top)[1]) if top else 1.0
+        y_unit = y_full / scale
+        resid = (stacked @ beta) / scale - y_unit
+        loss_unit = float(resid @ resid)
         # The residual taken directly: ||y||^2 - ||U^T y||^2 cancels badly near 0.
-        fit_resid = y_full - svd.u @ (svd.u.T @ y_full)
-        opt = float(fit_resid @ fit_resid)
+        fit_resid = y_unit - svd.u @ (svd.u.T @ y_unit)
+        opt_unit = float(fit_resid @ fit_resid)
         # An OPT at round-off level (a consistent system) makes loss / OPT
         # meaningless, so it is scored like OPT = 0.
-        floor = 1e-12 * max(float(y_full @ y_full), 1.0)
-        if opt > floor:
-            ratio = loss / opt
+        floor = 1e-12 * float(y_unit @ y_unit)
+        if opt_unit > floor:
+            ratio = loss_unit / opt_unit
         else:
-            ratio = 1.0 if loss <= floor else float("inf")
+            ratio = 1.0 if loss_unit <= floor else float("inf")
+        loss = loss_unit * scale * scale
+        opt = opt_unit * scale * scale
 
     return RegressionSolution(
         beta_hat=beta,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ssar.core import (
     DEFAULT_RANK_TOL,
+    SKETCH_MIN_SIDE,
     Dataset,
     SvdFactors,
     effective_dimension,
@@ -62,12 +63,16 @@ def _lapack_truncated(x):
     return u[:, :r], s[:r], vt[:r].T
 
 
+SIDES = st.integers(2, 40) | st.integers(SKETCH_MIN_SIDE + 1, 300)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1))
+@given(SIDES, SIDES, st.integers(0, 2**32 - 1))
 def test_thin_svd_rank_and_spectrum_match_lapack(n, d, seed):
     # Spectra spread over 1e-14..1, some with exact zeros, so that inputs of
     # full rank, of a clean low rank and with values in the gray zone between
-    # rank_tol and the Gram screen all occur, tall and wide.
+    # rank_tol and the Gram screen all occur, tall and wide; short sides above
+    # SKETCH_MIN_SIDE take the sketch.
     rng = make_rng(seed)
     k = min(n, d)
     s = 10.0 ** rng.uniform(-14, 0, size=k)
@@ -112,6 +117,48 @@ def test_thin_svd_falls_back_on_a_gray_zone_spectrum(monkeypatch):
     assert svd_shapes == [(5, 1), (5, 5)]
     assert f.rank == 2
     np.testing.assert_allclose(f.sigma, [1.0, 1e-8], rtol=1e-12)
+
+
+def _spectral_matrix(shape, s, seed):
+    """``Q1 diag(s) Q2^T`` of the given shape with random orthonormal ``Q1``, ``Q2``."""
+    rng = make_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((shape[0], s.size)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((shape[1], s.size)))[0]
+    return (q1 * s) @ q2.T
+
+
+@pytest.mark.parametrize("shape, s, svd_shapes", [
+    # Rank 40 is inside a 64-column sketch, whose 200 x 64 SVD is the only one.
+    ((400, 200), np.geomspace(1.0, 1e-3, 40), [(200, 64)]),
+    # Rank 100 is not, so the sketch doubles to 128 columns (of the transpose).
+    ((260, 500), np.geomspace(1.0, 1e-4, 100), [(260, 64), (260, 128)]),
+    # Full rank: 128 columns would exceed half the short side, so LAPACK decides.
+    ((300, 150), np.geomspace(1.0, 1e-2, 150), [(150, 64), (300, 150)]),
+    # 200 values at half the truncation threshold: the 64-column sketch ends
+    # below it, but they leave a residual above it, so LAPACK decides.
+    ((250, 600), np.concatenate([np.geomspace(1.0, 1e-2, 40), np.full(200, 5e-11)]),
+     [(250, 64), (250, 600)]),
+], ids=["rank-40", "rank-100-doubled", "full-rank", "gray-zone"])
+def test_thin_svd_sketch_path(monkeypatch, shape, s, svd_shapes):
+    x = _spectral_matrix(shape, s, seed=23)
+    _, ref, _ = _lapack_truncated(x)
+    seen = []
+    lapack_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    f = thin_svd(x)
+    assert seen == svd_shapes
+    assert f.rank == ref.size == np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
+    assert np.max(np.abs(f.sigma - ref)) <= 1e-9 * ref[0]
+    f.validate(x)
+    # The sketch's seed is fixed, so thin_svd is a pure function of its input.
+    again = thin_svd(x)
+    for got, want in ((again.u, f.u), (again.sigma, f.sigma), (again.v, f.v)):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
@@ -223,7 +270,7 @@ def test_dataset_and_its_svd_copy_the_blocks_once():
     assert build_peak < 1.25 * stack_bytes
     assert svd_peak < 2 * stack_bytes
     # A rank-deficient stack of kernel shape (d = n/2) is factored on its
-    # range: the d x d Gram and its eigenvectors, but no n x d u.
+    # sketched range: n x k and d x k blocks, but no n x d u.
     rng = make_rng(10)
     low = rng.standard_normal((1_200, 12)) @ rng.standard_normal((12, 600))
     kernel = Dataset(low[:1_000], low[1_000:], np.zeros(200))

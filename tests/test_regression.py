@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ssar import regression
 from ssar.asura import AsuraConfig
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.core import Dataset, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
-from ssar.instances import gen_random_instance
+from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
     RATIO_SLACK,
     LabelOracle,
@@ -271,3 +274,60 @@ def test_solve_active_rejects_a_non_config():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=9)
     with pytest.raises(InvalidInputError, match="float"):
         solve_active(ds, LabelOracle(labels, ds.n1), 0.25)
+
+
+def _kernel_instance():
+    ds, labels, _ = gen_kernel_instance(200, 10, 0.5, make_rng(14))
+    return ds, labels
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: gen_random_instance(60, 20, 8, noise_sigma=1.0, seed=15),
+     AsuraConfig(epsilon=0.25, rng_seed=2)),
+    (_kernel_instance, AsuraConfig(epsilon=0.25, rng_seed=2)),
+    (_kernel_instance, UniformConfig(m=6, rng_seed=2)),
+], ids=["full-rank", "kernel-rank-deficient", "uniform-below-rank"])
+def test_solve_active_solves_in_rank_coordinates(monkeypatch, make, cfg):
+    # beta = V t for the t that weighted_lsq finds on the m x r rows U_S Sigma;
+    # it is the minimum-norm solution in the ambient columns, also where the
+    # m sampled rows span less than the rank.
+    ds, labels = make()
+    shapes = []
+
+    def spy(points, weights, y):
+        shapes.append(np.shape(points))
+        return weighted_lsq(points, weights, y)
+
+    monkeypatch.setattr(regression, "weighted_lsq", spy)
+    sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+    idx = sol.sample.indices
+    assert shapes == [(sol.sample.m, ds.svd.rank)]
+    reference = weighted_lsq(ds.stacked()[idx], sol.sample.weights, labels[idx])
+    assert np.linalg.norm(sol.beta_hat - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+SCALE_CONFIGS = (
+    AsuraConfig(epsilon=0.25, rng_seed=1),
+    LeverageConfig(epsilon=0.25),
+    UniformConfig(m=6, rng_seed=1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-520, 520))
+@example(-520).via("labels times 2**-520 read as a perfect ratio")
+@example(-24).via("labels near 1e-7 sat under an absolute OPT floor")
+@example(520).via("labels times 2**520 overflowed loss and OPT")
+def test_solve_active_ratio_is_free_of_the_label_scale(power):
+    # Labels times a power of two are exact in floating point, so the picks
+    # and the ratio must be those at unit scale, with no overflow warning.
+    ds, labels = gen_random_instance(40, 20, 5, noise_sigma=1.0, seed=2)
+    scale = 2.0 ** power
+    scaled = Dataset(ds.x_unlabeled, ds.x_labeled, ds.y_labeled * scale)
+    for cfg in SCALE_CONFIGS:
+        unit = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_active(scaled, LabelOracle(labels * scale, ds.n1), cfg)
+        np.testing.assert_array_equal(sol.sample.indices, unit.sample.indices)
+        assert sol.ratio == pytest.approx(unit.ratio, rel=1e-6)
