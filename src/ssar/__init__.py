@@ -19,7 +19,6 @@ from .asura import (
     asura_sample,
     check_well_balanced,
     sample_with_retry,
-    sampling_distribution,
 )
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import (
@@ -34,8 +33,6 @@ from .core import (
 )
 from .instances import (
     LowerBoundSpec,
-    PackingSet,
-    construct_packing,
     gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
@@ -43,7 +40,6 @@ from .instances import (
 from .regression import (
     LabelOracle,
     RegressionSolution,
-    exact_solution,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
     solve_active,
@@ -52,7 +48,6 @@ from .regression import (
 from .verify import (
     LemmaReport,
     check_hard_lemmas,
-    check_query_bound,
     check_statistical_lemmas,
     run_sampler_batch,
 )

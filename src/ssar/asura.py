@@ -52,7 +52,6 @@ __all__ = [
     "AsuraTrace",
     "SampleSet",
     "WellBalancedReport",
-    "sampling_distribution",
     "asura_sample",
     "check_well_balanced",
     "sample_with_retry",
@@ -225,16 +224,6 @@ def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray
     return m / tr[..., None, None], (u - l) * tr
 
 
-def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
-    """Draw one index from a probability vector via its cumulative sums.
-
-    This is the full-row reference draw; the sampler's block draw consumes the
-    same single uniform and lands on the same index.
-    """
-    pick = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    return min(pick, p.size - 1)
-
-
 def _row_blocks(u_mat: np.ndarray, split: int) -> tuple[list[int], np.ndarray]:
     """Contiguous row blocks with an edge at ``split``, and their flattened Grams.
 
@@ -275,20 +264,6 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
     if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise NumericalBreakdownError("sampling probabilities do not sum to a positive value")
     return p_raw / total
-
-
-def sampling_distribution(svd: SvdFactors, a: np.ndarray, u: float, l: float) -> np.ndarray:
-    """Row-sampling distribution of the barrier state ``(a, u, l)``.
-
-    Row ``x`` gets mass ``U(x)^T (M / phi) U(x)`` for the mixture of
-    :func:`_barrier_weights`, which raises on a touched barrier.  This scores
-    every row and is the reference for the sampler's block draw.
-    """
-    if a.shape[0] != svd.rank:
-        raise InvalidInputError("state dimension does not match factor rank")
-    mix, _ = _barrier_weights(a, u, l)
-    p_raw = np.einsum("ij,ij->i", svd.u @ mix, svd.u)
-    return _normalize_probabilities(p_raw)
 
 
 def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
@@ -492,8 +467,9 @@ def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedRepor
     bound and a brute-force sweep over the running matrices replayed from the
     trace: one barrier step per chunk gives each state's Cholesky-checked
     mixture ``M / phi`` (:func:`_barrier_weights`) and ``p_x = U(x)^T (M / phi)
-    U(x)``, with :func:`sampling_distribution` as its per-iteration reference.
-    See :class:`WellBalancedReport` for how the two relate.  Needs
+    U(x)``.  See :class:`WellBalancedReport` for how the two relate.  The
+    per-iteration reference for ``p_x``, which scores every row of one state,
+    is the test-side ``sampling_distribution`` (``tests/reference.py``).  Needs
     ``gamma <= 1/4``; a larger ``gamma`` raises :class:`InvalidInputError`.
 
     Everything is read from the trace and the run's factors ``svd``: the

@@ -418,7 +418,7 @@ def _cmd_sweep(args) -> int:
     monotone = all(a > b for a, b in zip(means, means[1:])) or all(
         a < b for a, b in zip(means, means[1:])
     )
-    # No standard-error slack, unlike check_query_bound, so that --trials 1 is allowed.
+    # The bound without standard-error slack, so that --trials 1 is allowed.
     within = all(r["mean_queries"] <= r["bound"] for r in rows)
     print(f"# fitted queries-per-(r_x/epsilon) constant: {fitted:.6g}")
     print(f"# monotone trend: {monotone}")
@@ -432,7 +432,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _count(text: str) -> int:
-    """Argparse type of the trial, job and run counts: an integer of at least 1."""
+    """Argparse type of the counts and of sweep's sizes: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="grid experiment over lambda, epsilon or d")
     sweep.add_argument("axis", choices=("lambda", "epsilon", "d"))
     sweep.add_argument("--grid", type=_grid, required=True, help="comma-separated values")
-    sweep.add_argument("--n1", type=int, default=2000)
-    sweep.add_argument("--d", type=int, default=10)
+    sweep.add_argument("--n1", type=_count, default=2000)
+    sweep.add_argument("--d", type=_count, default=10)
     sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sweep.add_argument("--epsilon", type=float, default=0.25)
     sweep.add_argument("--c0", type=float, default=2.0)

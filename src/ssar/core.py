@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPsdError, SingularMatrixError
+from .errors import InvalidInputError, NotPsdError
 from .rngutil import make_rng
 
 __all__ = [
@@ -62,6 +62,11 @@ GRAM_SAFE_SCALE = (1e-100, 1e100)
 SKETCH_MIN_SIDE = 128
 SKETCH_START = 64
 SKETCH_SEED = 20110501
+# psd_sqrt's tolerances, relative to the largest entry (asymmetry) or the
+# largest eigenvalue (negative and zero modes).
+PSD_ASYM_TOL = 1e-8
+PSD_NEG_EIG_TOL = 1e-8
+PSD_ZERO_TOL = 1e-12
 
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
@@ -341,7 +346,7 @@ def leverage_scores(svd: SvdFactors) -> np.ndarray:
     return np.einsum("ij,ij->i", svd.u, svd.u)
 
 
-def reduced_rank(ds: Dataset, method: str = "svd") -> float:
+def reduced_rank(ds: Dataset) -> float:
     """Share of the stacked design's spectral mass carried by the unlabeled block.
 
     Defined as ``Tr((X1^T X1 + X2^T X2)^{-1} X1^T X1)``, which equals the sum
@@ -349,29 +354,11 @@ def reduced_rank(ds: Dataset, method: str = "svd") -> float:
     lies in [0, min(d, n1)] and upper-bounds how much label-querying an
     importance sampler must do relative to the labeled block.
 
-    Parameters
-    ----------
-    ds : Dataset
-    method : {"svd", "inverse"}
-        "svd" (default) sums the unlabeled rows' leverage scores in
-        ``ds.svd`` and is well defined even when the stacked Gram matrix is
-        singular.  "inverse" evaluates the trace formula directly and raises
-        :class:`SingularMatrixError` when the Gram matrix is rank deficient;
-        it exists as an independent cross-check of the svd route.
+    It is summed from the unlabeled rows' leverage scores in ``ds.svd``, so
+    it is well defined even when the stacked Gram matrix is singular, where
+    the trace formula is not.
     """
-    if method == "svd":
-        return float(leverage_scores(ds.svd)[: ds.n1].sum())
-    if method == "inverse":
-        x1, x2 = ds.x_unlabeled, ds.x_labeled
-        g1 = x1.T @ x1
-        gram = g1 + x2.T @ x2
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= (DEFAULT_RANK_TOL ** 2) * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
-            raise SingularMatrixError(
-                "stacked Gram matrix is numerically singular; use method='svd'"
-            )
-        return float(np.trace(np.linalg.solve(gram, g1)))
-    raise InvalidInputError(f"unknown method {method!r}")
+    return float(leverage_scores(ds.svd)[: ds.n1].sum())
 
 
 def statistical_dimension(sigma, lam: float) -> float:
@@ -405,19 +392,14 @@ def effective_dimension(eigs, lam: float) -> float:
     return float(np.sum(e / (e + lam)))
 
 
-def psd_sqrt(
-    k,
-    rel_asym_tol: float = 1e-8,
-    neg_eig_tol: float = 1e-8,
-    zero_tol: float = 1e-12,
-) -> np.ndarray:
+def psd_sqrt(k) -> np.ndarray:
     """Symmetric PSD square root ``Z`` of a kernel matrix, ``Z @ Z = K``.
 
-    Eigenvalues in ``[-neg_eig_tol * ||K||_2, 0)`` are clamped to zero;
+    Eigenvalues in ``[-PSD_NEG_EIG_TOL * ||K||_2, 0)`` are clamped to zero;
     anything lower raises :class:`NotPsdError`.  Asymmetry beyond
-    ``rel_asym_tol`` relative to the largest entry is rejected.
+    ``PSD_ASYM_TOL`` relative to the largest entry is rejected.
 
-    Eigenvalues within ``zero_tol * ||K||_2`` of zero are treated as exact
+    Eigenvalues within ``PSD_ZERO_TOL * ||K||_2`` of zero are treated as exact
     zero modes.  Keeping them would turn eigendecomposition round-off of
     order ``eps`` into spurious ``sqrt(eps)``-sized directions of ``Z``,
     inflating the numerical rank of anything built on top of the root.
@@ -427,15 +409,15 @@ def psd_sqrt(
     if n0 != n1:
         raise InvalidInputError(f"kernel matrix must be square, got {arr.shape}")
     scale = max(float(np.max(np.abs(arr))), 1e-300)
-    if np.max(np.abs(arr - arr.T)) > rel_asym_tol * scale:
+    if np.max(np.abs(arr - arr.T)) > PSD_ASYM_TOL * scale:
         raise InvalidInputError("kernel matrix is not symmetric")
     sym = 0.5 * (arr + arr.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     top = max(float(eigvals[-1]), 0.0)
-    if eigvals[0] < -neg_eig_tol * max(top, 1e-300):
+    if eigvals[0] < -PSD_NEG_EIG_TOL * max(top, 1e-300):
         raise NotPsdError(
             f"kernel matrix has eigenvalue {eigvals[0]:.3e}, below the PSD tolerance"
         )
-    clamped = np.where(eigvals <= zero_tol * top, 0.0, eigvals)
+    clamped = np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals)
     root = (eigvecs * np.sqrt(clamped)) @ eigvecs.T
     return 0.5 * (root + root.T)

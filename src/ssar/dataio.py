@@ -181,7 +181,11 @@ def dump_trace(path, trace: AsuraTrace) -> None:
 
 
 def load_trace(path) -> AsuraTrace:
-    """Read a trace dump back; the result equals the dumped trace field for field."""
+    """Read a trace dump back; the result equals the dumped trace field for field.
+
+    A dump with ``gamma`` outside (0, 1/2), a rank below 1 or a non-finite
+    float is refused as bad input naming the file.
+    """
     with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
@@ -191,7 +195,7 @@ def load_trace(path) -> AsuraTrace:
         if m < 0 or len(body) != m + 1:
             raise InvalidInputError(f"{path}: expected {m + 1} records, found {len(body)}")
         iters, trailer = body[:m], body[m]
-        return AsuraTrace(
+        trace = AsuraTrace(
             gamma=float(head["gamma"]),
             rank=int(head["rank"]),
             n_rows=int(head["n_rows"]),
@@ -204,6 +208,18 @@ def load_trace(path) -> AsuraTrace:
             px1_sum=np.array([rec["px1_sum"] for rec in iters], dtype=float),
             phi_d=np.array([rec["phi_d"] for rec in iters], dtype=float),
         )
+    # The sampler only runs at 0 < gamma < 1/2, and the checks divide by gamma
+    # and compare the series: a NaN there would pass every check.
+    if not 0.0 < trace.gamma < 0.5:
+        raise InvalidInputError(f"{path}: gamma must lie in (0, 1/2), got {trace.gamma}")
+    if trace.rank < 1:
+        raise InvalidInputError(f"{path}: rank must be at least 1, got {trace.rank}")
+    series = {"phi_id": trace.phi_id, "p_j": trace.p_j, "u_j": trace.u, "l_j": trace.l,
+              "px1_sum": trace.px1_sum, "phi_d": trace.phi_d}
+    for name, values in series.items():
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"{path}: non-finite {name}")
+    return trace
 
 
 def solution_record(sol, seed: int) -> dict:

@@ -9,10 +9,6 @@ class InvalidInputError(SsarError, ValueError):
     """Malformed or out-of-range input (non-finite entries, bad shapes, bad parameters)."""
 
 
-class SingularMatrixError(SsarError):
-    """A matrix required to be invertible is numerically rank deficient."""
-
-
 class NotPsdError(SsarError):
     """A matrix required to be symmetric PSD has a materially negative eigenvalue."""
 
@@ -27,10 +23,6 @@ class NumericalBreakdownError(SsarError):
 
 class InsufficientSampleError(SsarError):
     """A statistical check was requested on a batch smaller than its minimum size."""
-
-
-class ResourceLimitError(SsarError):
-    """The request would exhaust the configured compute budget (e.g. exhaustive enumeration)."""
 
 
 class WellBalancedEventFailedError(SsarError):

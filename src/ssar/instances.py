@@ -2,9 +2,10 @@
 
 Provides seeded Gaussian instances for general testing, the hard ridge
 instance built from scaled standard-basis copies with heavy label noise
-(whose exact ridge solution and optimal loss have closed forms), the greedy
-sign-vector packing used to size that instance family, and low-rank PSD
-kernel instances for kernel ridge regression.
+(whose exact ridge solution and optimal loss have closed forms), and low-rank
+PSD kernel instances for kernel ridge regression.  The sign-vector packing
+that sizes the hard instance family belongs to the lower-bound proof and is
+checked in the tests (``tests/reference.py``), not built here.
 
 Every generator is a pure function of its seed.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import InvalidInputError, NumericalBreakdownError, ResourceLimitError
+from .errors import InvalidInputError
 from .regression import kernel_ridge_to_ssal, ridge_to_ssal
 from .rngutil import make_rng
 
@@ -25,12 +26,8 @@ __all__ = [
     "gen_random_instance",
     "LowerBoundSpec",
     "gen_lower_bound_instance",
-    "PackingSet",
-    "construct_packing",
     "gen_kernel_instance",
 ]
-
-PACKING_MAX_D = 20
 
 
 def gen_random_instance(
@@ -144,108 +141,3 @@ def gen_lower_bound_instance(
     ds = ridge_to_ssal(x1, lam)
     full_labels = np.concatenate([y1, np.zeros(d)])
     return ds, full_labels, beta_tilde
-
-
-@dataclass
-class PackingSet:
-    """A maximal set of pairwise well-separated sign vectors.
-
-    ``members`` is an (n_members, d) array with entries in {-1, +1};
-    ``separation`` is the squared-distance threshold below which vectors were
-    merged during construction, measured through the basis-copy design (where
-    the squared distance between sign vectors is four times their Hamming
-    distance).
-    """
-
-    members: np.ndarray
-    separation: float
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
-
-
-def packing_threshold(d: int, epsilon: float, lam: float) -> float:
-    """Squared-distance merge threshold of the packing construction."""
-    return 0.002 * d * (epsilon * lam * (1.0 + lam) + 1.0 + lam)
-
-
-def packing_cardinality_bound(d: int, lam: float) -> float:
-    """Guaranteed lower bound on the packing size."""
-    return 2.0 ** ((1.0 - 0.011 * (1.0 + lam)) * d - 1.0)
-
-
-def _sign_hypercube(d: int) -> np.ndarray:
-    """All sign vectors of length ``d`` in lexicographic order (+1 before -1)."""
-    idx = np.arange(2**d, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
-def _greedy_pack(cube: np.ndarray, threshold: float) -> np.ndarray:
-    """Greedy packing over sign vectors at a squared-distance threshold.
-
-    Keeps the first surviving vector, discards every remaining vector whose
-    squared distance (four times the Hamming distance) is at most the
-    threshold, and repeats.
-    """
-    d = cube.shape[1]
-    # Squared distance 4h <= threshold means inner product >= d - threshold/2.
-    dot_cut = d - threshold / 2.0
-    alive = np.ones(cube.shape[0], dtype=bool)
-    kept: list[int] = []
-    cube16 = cube.astype(np.int16)
-    while alive.any():
-        i = int(np.argmax(alive))
-        kept.append(i)
-        dots = cube16[alive] @ cube16[i]
-        drop = np.flatnonzero(alive)[dots >= dot_cut]
-        alive[drop] = False
-    return cube[np.asarray(kept, dtype=np.int64)]
-
-
-def construct_packing(d: int, epsilon: float, lam: float) -> PackingSet:
-    """Greedy maximal packing of the sign hypercube at the instance threshold.
-
-    Iterates the hypercube in lexicographic order; each surviving vector is
-    kept and every remaining vector within the squared-distance threshold is
-    discarded.  Verifies the pairwise-separation and cardinality guarantees
-    before returning.
-    """
-    if d < 1:
-        raise InvalidInputError("d must be at least 1")
-    if d > PACKING_MAX_D:
-        raise ResourceLimitError(
-            f"exhaustive enumeration limited to d <= {PACKING_MAX_D}, got {d}"
-        )
-    if not (0.0 < epsilon <= 0.01):
-        raise InvalidInputError(f"epsilon must lie in (0, 1/100], got {epsilon}")
-    if not (1.0 <= lam <= 50.0):
-        raise InvalidInputError(f"lam must lie in [1, 50], got {lam}")
-
-    threshold = packing_threshold(d, epsilon, lam)
-    cube = _sign_hypercube(d)
-
-    if threshold < 4.0:
-        # Distinct sign vectors are at squared distance >= 4, so every pick
-        # removes only itself and the packing is the whole hypercube.
-        members = cube
-    else:
-        members = _greedy_pack(cube, threshold)
-
-    n_members = members.shape[0]
-    bound = packing_cardinality_bound(d, lam)
-    if n_members < bound:
-        raise NumericalBreakdownError(
-            f"packing size {n_members} fell below its guaranteed bound {bound:.3f}"
-        )
-    if n_members <= 4096 and n_members > 1:
-        m16 = members.astype(np.int16)
-        dots = m16 @ m16.T
-        np.fill_diagonal(dots, -d)
-        min_sq_dist = 2.0 * (d - int(dots.max()))
-        if min_sq_dist < threshold:
-            raise NumericalBreakdownError(
-                f"pairwise separation {min_sq_dist} fell below threshold {threshold}"
-            )
-    return PackingSet(members=members, separation=threshold)

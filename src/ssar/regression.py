@@ -24,7 +24,6 @@ __all__ = [
     "LabelOracle",
     "RegressionSolution",
     "weighted_lsq",
-    "exact_solution",
     "solve_active",
     "ridge_to_ssal",
     "kernel_ridge_to_ssal",
@@ -114,17 +113,6 @@ def weighted_lsq(points, weights, labels) -> np.ndarray:
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
     return beta
-
-
-def exact_solution(ds: Dataset, full_labels) -> tuple[np.ndarray, float]:
-    """Minimum-norm ``lstsq`` solution on the full instance and its loss; the reference for OPT."""
-    y = as_vector(full_labels, "full_labels")
-    x = ds.stacked()
-    if y.size != x.shape[0]:
-        raise InvalidInputError(f"expected {x.shape[0]} labels, got {y.size}")
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = x @ beta - y
-    return beta, float(resid @ resid)
 
 
 def ridge_to_ssal(x1, lam: float) -> Dataset:

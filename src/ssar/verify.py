@@ -4,11 +4,12 @@ Hard checks are probability-one statements about a single run (iteration cap,
 potential floor, barrier containment, rank-one step domination, final gap
 bound) and must show zero violations.  Statistical checks aggregate batches of
 independent runs: a lower tail bound on the final upper barrier, the
-supermartingale property of the potentials, the identity tying the sampling
-mass on the unlabeled block to a potential ratio, and the mean label-query
-bound.  Statistical checks carry explicit slack (a 0.05 frequency allowance
-and three standard errors) because a finite batch cannot certify an exact
-inequality between expectations.
+supermartingale property of the potentials, and the identity tying the
+sampling mass on the unlabeled block to a potential ratio.  Statistical checks
+carry explicit slack (a 0.05 frequency allowance and three standard errors)
+because a finite batch cannot certify an exact inequality between
+expectations.  ``query_bound`` is the mean label-query bound that ``sweep``
+reports against.
 
 Every check reads its run constants (``gamma``, the rank) and series from
 the traces; the matrix checks also take the run's factors.
@@ -35,7 +36,7 @@ from .asura import (
     _replay,
     asura_sample,
 )
-from .core import Dataset, SvdFactors, reduced_rank
+from .core import Dataset, SvdFactors
 from .errors import InsufficientSampleError, InvalidInputError
 from .rngutil import derive_seed
 
@@ -44,7 +45,6 @@ __all__ = [
     "HARD_LEMMA_IDS",
     "check_hard_lemmas",
     "check_statistical_lemmas",
-    "check_query_bound",
     "query_bound",
     "run_sampler_batch",
     "merge_hard_reports",
@@ -301,29 +301,6 @@ def check_statistical_lemmas(batch: Sequence[AsuraTrace]) -> list[LemmaReport]:
 def query_bound(r_x: float, gamma: float) -> float:
     """The mean unlabeled-query bound ``4 r_x / gamma^2`` for an instance with trace ``r_x``."""
     return 4.0 * r_x / gamma**2
-
-
-def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
-    """Mean iteration-level unlabeled-sample count against ``4 R / gamma^2 + 3 SE``.
-
-    ``batch`` is a sequence of solve results exposing
-    ``queries_iteration_level``; ``R`` is the instance's unlabeled-mass trace.
-    """
-    counts = np.array([float(r.queries_iteration_level) for r in batch])
-    if counts.size < 2:
-        raise InsufficientSampleError("query-bound check needs at least 2 runs")
-    bound = query_bound(reduced_rank(ds), gamma)
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1)) / math.sqrt(counts.size)
-    margin = mean - (bound + SE_MULTIPLIER * se)
-    return LemmaReport(
-        lemma_id="unlabeled-query-bound",
-        runs_checked=int(counts.size),
-        violations=int(margin > 0),
-        worst_margin=margin,
-        statistic=mean,
-        verdict=margin <= 0,
-    )
 
 
 def run_sampler_batch(

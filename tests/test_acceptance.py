@@ -24,15 +24,12 @@ from ssar.core import (
 )
 from ssar.instances import (
     LowerBoundSpec,
-    construct_packing,
     gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
-    packing_threshold,
 )
 from ssar.regression import (
     LabelOracle,
-    exact_solution,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
     solve_active,
@@ -40,10 +37,17 @@ from ssar.regression import (
 from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import (
     check_hard_lemmas,
-    check_query_bound,
     check_statistical_lemmas,
     merge_hard_reports,
     run_sampler_batch,
+)
+
+from reference import (
+    check_query_bound,
+    construct_packing,
+    exact_solution,
+    packing_threshold,
+    reduced_rank_inverse,
 )
 
 BASE_SEED = 20250808
@@ -168,7 +172,7 @@ def test_criterion_02_unlabeled_mass_consistency():
         oracle = float((u[:n1] ** 2).sum())
         rr = reduced_rank(ds)
         worst_random = max(worst_random, abs(rr - oracle))
-        worst_random = max(worst_random, abs(rr - reduced_rank(ds, method="inverse")))
+        worst_random = max(worst_random, abs(rr - reduced_rank_inverse(ds)))
     worst_ridge = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 7))

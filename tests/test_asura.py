@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from ssar.asura import (
     AsuraConfig,
     _barrier_weights,
-    _draw_index,
     _normalize_probabilities,
     _replay,
     asura_sample,
     check_well_balanced,
     sample_with_retry,
-    sampling_distribution,
 )
 from ssar.core import Dataset, thin_svd
 from ssar.errors import (
@@ -26,6 +24,7 @@ from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import check_hard_lemmas
 
 from conftest import gaussian_dataset
+from reference import _draw_index, sampling_distribution
 
 
 def _svd(n1=24, n2=8, d=8, seed=5):

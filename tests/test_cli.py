@@ -291,6 +291,8 @@ def test_non_finite_values_are_config_errors(manifest, capsys, tmp_path, argv):
     (["verify"], {"runs": 0}),
     (["sweep", "d", "--grid", "4", "--trials", "0"], None),
     (["sweep", "d", "--grid", "4"], {"trials": -1}),
+    (["sweep", "lambda", "--grid", "1", "--n1", "-1"], None),
+    (["sweep", "lambda", "--grid", "1", "--d", "-1"], None),
 ])
 def test_counts_below_one_are_config_errors(manifest, capsys, tmp_path, argv, config):
     # A count of 0 would print a summary over nothing and exit 0.
@@ -333,6 +335,17 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
 ]) + "\n"
 
 
+def _dump(gamma="0.25", rank="1", phi_id="0.25", u_j="8") -> str:
+    """A one-iteration trace dump with the given fields written verbatim."""
+    return "\n".join([
+        f'{{"kind": "header", "gamma": {gamma}, "rank": {rank}, "n_rows": 2, '
+        f'"n_unlabeled": 1, "m": 1}}',
+        f'{{"j": 0, "phi_id": {phi_id}, "sampled_index": 0, "p_j": 0.5, "u_j": {u_j}, '
+        f'"l_j": -8, "px1_sum": 0.4, "phi_d": 0.1}}',
+        '{"j": 1, "u_j": 9, "l_j": -7}',
+    ]) + "\n"
+
+
 @pytest.mark.parametrize("argv,files,bad", [
     (_RUN, {"m.json": '{"d": 3'}, "m.json"),
     (_RUN, {"m.json": json.dumps({k: v for k, v in _GOOD_MANIFEST.items() if k != "d"})},
@@ -342,6 +355,9 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
      "m.json"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": '{"kind": "header"}\n'}, "t.jsonl"),
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _DUMP_WITHOUT_PX1_SUM}, "t.jsonl"),
+    *((("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _dump(**field)}, "t.jsonl")
+      for field in ({"phi_id": "NaN"}, {"u_j": "NaN"}, {"gamma": "0"}, {"gamma": "NaN"},
+                    {"rank": "0"})),
     *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, bad) for data, bad in (
         (b"", "x1.npy: not a .npy file"),
         (b"1,2,3\n", "x1.npy: not a .npy file"),
@@ -354,7 +370,8 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
         (_npz(), "x1.npy: not a .npy file"),
     )),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
-        "dump-without-m", "dump-without-px1-sum", "npy-empty", "npy-holding-csv",
+        "dump-without-m", "dump-without-px1-sum", "dump-nan-phi", "dump-nan-u",
+        "dump-zero-gamma", "dump-nan-gamma", "dump-zero-rank", "npy-empty", "npy-holding-csv",
         "npy-truncated-header", "npy-truncated-data", "npy-pickled-objects", "npy-int64",
         "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz"])
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):

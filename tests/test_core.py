@@ -17,11 +17,12 @@ from ssar.core import (
     statistical_dimension,
     thin_svd,
 )
-from ssar.errors import InvalidInputError, NotPsdError, SingularMatrixError
+from ssar.errors import InvalidInputError, NotPsdError
 from ssar.regression import kernel_ridge_to_ssal, ridge_to_ssal
 from ssar.rngutil import make_rng
 
 from conftest import gaussian_dataset
+from reference import SingularMatrixError, reduced_rank_inverse
 
 
 # ---------------------------------------------------------------- thin_svd
@@ -314,7 +315,7 @@ def test_reduced_rank_matches_independent_oracles():
     u, _, _ = np.linalg.svd(ds.stacked(), full_matrices=False)
     oracle = float((u[: ds.n1] ** 2).sum())
     # Oracle 2: the explicit trace formula.
-    via_inverse = reduced_rank(ds, method="inverse")
+    via_inverse = reduced_rank_inverse(ds)
     assert reduced_rank(ds) == pytest.approx(oracle, abs=1e-8)
     assert reduced_rank(ds) == pytest.approx(via_inverse, abs=1e-8)
 
@@ -323,7 +324,7 @@ def test_reduced_rank_inverse_mode_raises_on_singular_gram():
     x1 = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
     ds = Dataset(x_unlabeled=x1, x_labeled=np.zeros((0, 3)), y_labeled=np.zeros(0))
     with pytest.raises(SingularMatrixError):
-        reduced_rank(ds, method="inverse")
+        reduced_rank_inverse(ds)
     # The svd route stays well defined.
     assert 0.0 < reduced_rank(ds) <= 2.0 + 1e-9
 

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from ssar.core import leverage_scores, reduced_rank, statistical_dimension, thin_svd
-from ssar.errors import InvalidInputError, ResourceLimitError
-from ssar.instances import (
-    LowerBoundSpec,
+from ssar.errors import InvalidInputError
+from ssar.instances import LowerBoundSpec, gen_lower_bound_instance, gen_random_instance
+
+from reference import (
+    ResourceLimitError,
     _greedy_pack,
     _sign_hypercube,
     construct_packing,
-    gen_lower_bound_instance,
-    gen_random_instance,
+    exact_solution,
     packing_threshold,
 )
-from ssar.regression import exact_solution
 
 
 # ---------------------------------------------------------------- random

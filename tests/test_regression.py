@@ -14,13 +14,14 @@ from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
     RATIO_SLACK,
     LabelOracle,
-    exact_solution,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
     solve_active,
     weighted_lsq,
 )
 from ssar.rngutil import make_rng
+
+from reference import exact_solution
 
 
 # ------------------------------------------------------------ weighted_lsq

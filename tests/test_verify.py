@@ -12,13 +12,13 @@ from ssar import verify
 from ssar.verify import (
     HARD_LEMMA_IDS,
     check_hard_lemmas,
-    check_query_bound,
     check_statistical_lemmas,
     merge_hard_reports,
     run_sampler_batch,
 )
 
 from conftest import gaussian_dataset
+from reference import check_query_bound
 
 
 @pytest.fixture(scope="module")
