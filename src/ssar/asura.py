@@ -22,6 +22,15 @@ caps the iteration count with probability one and, after normalizing the
 accumulated weights by the final barrier midpoint, leaves the weighted Gram
 matrix of the sampled rows spectrally close to the identity.
 
+Many independent runs of one instance can go in lockstep
+(:func:`asura_sample_batch`): each iteration shares its numpy calls across
+the active runs, every run keeping its own generator, and each run gives
+the picks and trace of :func:`asura_sample` bit for bit.  At small rank an
+iteration is mostly numpy call overhead, so a stack of 30 runs samples
+several times faster than the runs in turn.  A stack of one or two runs
+pays the stack's own calls with too little to share them across and is
+slower than :func:`asura_sample`, which stays the one-run sampler.
+
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
 checks: the running matrices ``A_j``, the weights, the midpoint-normalized
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -43,6 +53,7 @@ from .errors import (
     BarrierViolationError,
     InvalidInputError,
     NumericalBreakdownError,
+    SsarError,
     WellBalancedEventFailedError,
 )
 from .rngutil import derive_seed, make_rng
@@ -53,6 +64,7 @@ __all__ = [
     "SampleSet",
     "WellBalancedReport",
     "asura_sample",
+    "asura_sample_batch",
     "check_well_balanced",
     "sample_with_retry",
 ]
@@ -83,6 +95,18 @@ GAMMA_ASSERT_MAX = 0.25
 # Bytes of stacked running matrices (plus any per-matrix work the caller
 # declares) that one replay chunk may hold.
 REPLAY_CHUNK_BYTES = 1 << 22
+
+# Bytes of per-run state, scratch and record that one lockstep stack may hold.
+LOCKSTEP_BYTES = 1 << 20
+
+# Uniforms each run of a lockstep stack draws from its generator at a time,
+# and the iterations its record grows by.
+UNIFORM_CHUNK = 64
+
+# The fewest runs a lockstep stack should hold: a stack of one or two runs
+# makes the same numpy calls per iteration with too little to share them
+# across, and is slower than running them in turn.
+LOCKSTEP_MIN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -202,8 +226,11 @@ def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray
     is positive definite exactly when every eigenvalue of ``a`` lies in ``(l, u)``:
     its Cholesky factorization is the containment check, one inverse gives ``M``.
     ``a`` is one ``(r, r)`` state with float barriers or a ``(k, r, r)`` stack with
-    ``(k,)`` barrier arrays.  Touching a barrier raises; ``j`` is the iteration of
-    the first state, and the error names the first touched one.
+    ``(k,)`` barrier arrays.  Touching a barrier raises and the error names the
+    first touched state.  For a stack of one run's iterations, ``j`` is the
+    iteration of the first state and the error names the touched one's
+    iteration.  A stack of several runs passes no ``j``: the lockstep sampler
+    redoes a failed stack state by state, each with its run's iteration.
     """
     ub, lb = (u, l) if a.ndim == 2 else (u[:, None, None], l[:, None, None])
     eye = np.eye(a.shape[-1])
@@ -242,13 +269,13 @@ def _row_blocks(u_mat: np.ndarray, split: int) -> tuple[list[int], np.ndarray]:
     return edges, grams.reshape(-1, r * r)
 
 
-def _last_positive(mass) -> int:
-    """Index of the last positive entry: where a draw lands when round-off
-    leaves the cumulative sum short of the target."""
+def _last_positive(mass, j: int) -> int:
+    """Index of the last positive entry: where iteration ``j``'s draw lands
+    when round-off leaves the cumulative sum short of the target."""
     for i in range(len(mass) - 1, -1, -1):
         if mass[i] > 0.0:
             return i
-    raise NumericalBreakdownError("sampled a zero-probability row")
+    raise NumericalBreakdownError(f"sampled a zero-probability row at iteration {j}")
 
 
 def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
@@ -266,6 +293,16 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
     return p_raw / total
 
 
+def _limits(cfg: AsuraConfig, r: int) -> tuple[float, int, float]:
+    """``gamma``, the iteration cap and the potential budget of a run at rank ``r``."""
+    gamma = cfg.gamma
+    if gamma >= 0.5:
+        raise InvalidInputError(
+            f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
+        )
+    return gamma, math.ceil(2.0 * r / gamma**2), 8.0 * r / gamma
+
+
 def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
     """Run the adaptive sampler on the rows of ``ds.svd.u``.
 
@@ -280,14 +317,7 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
     u_mat = ds.svd.u
     n, r = u_mat.shape
     n1 = ds.n1
-    gamma = cfg.gamma
-    if gamma >= 0.5:
-        raise InvalidInputError(
-            f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
-        )
-
-    cap = math.ceil(2.0 * r / gamma**2)
-    budget = 8.0 * r / gamma
+    gamma, cap, budget = _limits(cfg, r)
     rng = make_rng(cfg.rng_seed)
 
     edges, grams = _row_blocks(u_mat, n1)
@@ -320,30 +350,33 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
         low = min(mass)
         if low < P_ERROR_FLOOR:
             raise NumericalBreakdownError(
-                f"block sampling mass {low:.3e} fell below the breakdown threshold"
+                f"block sampling mass {low:.3e} fell below the breakdown threshold "
+                f"at iteration {j}"
             )
         if low < 0.0:
             mass = [max(x, 0.0) for x in mass]
         cum = list(accumulate(mass))
         total = cum[-1]
         if not math.isfinite(total) or total <= 0.0:
-            raise NumericalBreakdownError("sampling probabilities do not sum to a positive value")
+            raise NumericalBreakdownError(
+                f"sampling probabilities do not sum to a positive value at iteration {j}"
+            )
 
         target = rng.random() * total
         k = bisect_right(cum, target)
         if k == len(cum):
-            k = _last_positive(mass)
+            k = _last_positive(mass, j)
         start = edges[k]
         rows = u_mat[start : edges[k + 1]]
         score = np.maximum(np.einsum("ij,ij->i", rows @ mix, rows), 0.0)
         offset = cum[k - 1] if k else 0.0
         i = int(np.searchsorted(np.cumsum(score), target - offset, side="right"))
         if i == score.size:
-            i = _last_positive(score)
+            i = _last_positive(score, j)
         pick = start + i
         p_pick = float(score[i]) / total
         if p_pick <= 0.0:
-            raise NumericalBreakdownError("sampled a zero-probability row")
+            raise NumericalBreakdownError(f"sampled a zero-probability row at iteration {j}")
         w_prime = gamma / (phi * p_pick)
 
         mass_unlabeled = cum[n_blocks_unlabeled - 1]
@@ -365,7 +398,7 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
 
     theta = np.linalg.eigvalsh(a)
     if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
-        raise BarrierViolationError("final matrix left the barrier window")
+        raise BarrierViolationError(f"final matrix left the barrier window after {j} iterations")
 
     trace = AsuraTrace(
         gamma=gamma,
@@ -381,6 +414,227 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
         phi_d=np.asarray(phids),
     )
     return SampleSet(trace.sampled_index, trace.w_prime / trace.mid), trace
+
+
+def asura_sample_batch(
+    ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]
+) -> list[tuple[SampleSet, AsuraTrace]]:
+    """Run the sampler once per seed, advancing the runs in lockstep.
+
+    Run ``k`` is ``asura_sample(ds, replace(cfg, rng_seed=seeds[k]))``, with
+    the same picks, trace and checks, bit for bit.  Each iteration shares
+    its numpy calls across the active runs: one stacked barrier step, one
+    stacked product from the states to every block mass, the block draw as
+    a count of cumulative masses at or below each target, one gather and
+    scoring of the picked blocks per block length, and one stacked rank-one
+    update.  The products are the ones :func:`asura_sample` takes, a
+    matrix-vector product per state and a product per block of its own row
+    count, since BLAS can round a product of another shape differently in
+    the last bit.  Each run keeps its own generator and draws its uniforms
+    ``UNIFORM_CHUNK`` at a time, the same stream as its one-by-one draws.  A
+    run that meets its budget leaves the stack after its final containment
+    check, stacked over the runs that stop together.
+
+    A stack holds about ``LOCKSTEP_BYTES`` of per-run work, so a large batch
+    runs as consecutive stacks.  A run that fails does not stop the others
+    of its stack; at the end of the stack the batch raises the error of its
+    lowest-indexed failing run, the error that running the seeds in turn
+    would raise, and runs no later stack.
+    """
+    r = ds.svd.rank
+    gamma, cap, budget = _limits(cfg, r)
+    edges, grams = _row_blocks(ds.svd.u, ds.n1)
+    starts, lengths = np.asarray(edges[:-1]), np.diff(edges)
+    blocks = (grams, starts, lengths, edges.index(ds.n1))
+    # Floats a run holds in a stack: its state and the barrier step's scratch
+    # (about 10 r^2), its gathered block and that block's product, scores and
+    # masses, its uniforms, and its first UNIFORM_CHUNK iterations of record.
+    size = int(lengths.max())
+    per_run = 10 * r * r + 2 * (r + 2) * size + 3 * len(lengths) + 8 * UNIFORM_CHUNK
+    # Stacks of near-equal size, none below LOCKSTEP_MIN_RUNS unless the batch is.
+    n_runs = len(seeds)
+    n_stacks = max(1, min(-(-n_runs * 8 * per_run // LOCKSTEP_BYTES), n_runs // LOCKSTEP_MIN_RUNS))
+    cuts = [n_runs * s // n_stacks for s in range(n_stacks + 1)]
+    out = []
+    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+        if s1 > s0:
+            out += _lockstep(ds, blocks, gamma, cap, budget, seeds[s0:s1])
+    return out
+
+
+def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, AsuraTrace]]:
+    """One stack of :func:`asura_sample_batch`: the runs of ``seeds`` side by side."""
+    u_mat = ds.svd.u
+    n, r = u_mat.shape
+    grams, starts, lengths, n_blocks_unlabeled = blocks
+    n_blocks, size = len(lengths), int(lengths.max())
+    # For each block length (at most three), the row indices of every block
+    # read that long, clipped at the last row; only blocks of that length use them.
+    rows_of = {
+        rows_in_block: np.minimum(starts[:, None] + np.arange(rows_in_block), n - 1)
+        for rows_in_block in set(lengths.tolist())
+    }
+    gens = [make_rng(seed) for seed in seeds]
+
+    # The active runs, compacted as runs leave: their ids (positions in
+    # ``seeds``), states, barriers, spent potential and unused uniforms.
+    ids = np.arange(len(seeds))
+    at = np.arange(ids.size)
+    a = np.zeros((ids.size, r, r))
+    u = np.full(ids.size, 2.0 * r / gamma)
+    l = -u
+    phi_cum = np.zeros(ids.size)
+    uniforms = np.empty((ids.size, 0))
+
+    m = np.zeros(ids.size, dtype=np.int64)
+    errors: dict[int, SsarError] = {}
+    failed: set[int] = set()  # stack positions that failed this iteration
+    # Per field, run and iteration: the potential, pick, pick probability,
+    # unlabeled mass share, block potential and the barriers after the step.
+    record = np.empty((7, ids.size, UNIFORM_CHUNK))
+
+    def fail(p, exc):
+        # A run's first error is the one it raises alone; it leaves the stack
+        # at the next iteration, and its work until then is never read.
+        if p not in failed:
+            failed.add(p)
+            errors[int(ids[p])] = exc
+
+    j = 0
+    while True:
+        keep = (u - l) + phi_cum < budget
+        if failed or not keep.all():
+            stop = ~keep
+            gone = list(failed)
+            keep[gone], stop[gone] = False, False
+            failed.clear()
+            if stop.any():
+                theta = np.linalg.eigvalsh(a[stop])
+                outside = (theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)
+                for run in ids[stop][outside]:
+                    errors[int(run)] = BarrierViolationError(
+                        f"final matrix left the barrier window after {j} iterations"
+                    )
+                m[ids[stop]] = j
+            ids, a, u, l = ids[keep], a[keep], u[keep], l[keep]
+            phi_cum, uniforms = phi_cum[keep], uniforms[keep]
+            at = np.arange(ids.size)
+            if not ids.size:
+                break
+        if j >= cap:
+            for run in ids:
+                errors[int(run)] = NumericalBreakdownError(
+                    f"stopping rule failed to fire within the {cap}-iteration cap"
+                )
+            break
+        if j % UNIFORM_CHUNK == 0:
+            uniforms = np.array([gens[run].random(UNIFORM_CHUNK) for run in ids])
+
+        try:
+            mix, phi = _barrier_weights(a, u, l)
+        except BarrierViolationError:
+            # State by state, so that each error names its own run's iteration.
+            mix, phi = np.empty_like(a), np.empty(ids.size)
+            for p in range(ids.size):
+                try:
+                    mix[p], phi[p] = _barrier_weights(a[p], u[p], l[p], j)
+                except BarrierViolationError as exc:
+                    fail(p, exc)
+                    mix[p], phi[p] = np.eye(r) / r, 1.0
+
+        mass = np.matmul(grams, mix.reshape(-1, r * r, 1)).reshape(ids.size, n_blocks)
+        if mass.min() < max(P_ERROR_FLOOR, 0.0):  # a breakdown, or round-off negatives
+            low = mass.min(axis=1)
+            for p in np.flatnonzero(low < P_ERROR_FLOOR):
+                fail(p, NumericalBreakdownError(
+                    f"block sampling mass {low[p]:.3e} fell below the breakdown threshold "
+                    f"at iteration {j}"
+                ))
+            mass = np.maximum(mass, 0.0)
+        cum = np.zeros((ids.size, n_blocks + 1))
+        np.cumsum(mass, axis=1, out=cum[:, 1:])
+        total = cum[:, -1]
+        if not (total.min() > 0.0 and total.max() < math.inf):
+            for p in np.flatnonzero(~((total > 0.0) & (total < math.inf))):
+                fail(p, NumericalBreakdownError(
+                    f"sampling probabilities do not sum to a positive value at iteration {j}"
+                ))
+                mass[p] = 1.0
+                cum[p] = np.arange(n_blocks + 1)
+
+        target = uniforms[:, j % UNIFORM_CHUNK] * total
+        k = np.count_nonzero(cum[:, 1:] <= target[:, None], axis=1)
+        if k.max() == n_blocks:
+            for p in np.flatnonzero(k == n_blocks):
+                k[p] = _last_positive(mass[p], j)
+
+        # One product per block length: BLAS can round a product of more rows
+        # differently in the last bit, so these are the products asura_sample takes.
+        length = lengths[k]
+        score = np.zeros((ids.size, size))
+        for rows_in_block, block_rows in rows_of.items():
+            sub = np.flatnonzero(length == rows_in_block)
+            if sub.size:
+                rows = u_mat[block_rows[k[sub]]]
+                score[sub, :rows_in_block] = np.einsum("kij,kij->ki", rows @ mix[sub], rows)
+        np.maximum(score, 0.0, out=score)
+        rest = target - cum[at, k]
+        i = np.count_nonzero(np.cumsum(score, axis=1) <= rest[:, None], axis=1)
+        for p in np.flatnonzero(i >= length):
+            try:
+                i[p] = _last_positive(score[p, : length[p]], j)
+            except NumericalBreakdownError as exc:
+                fail(p, exc)
+                i[p] = 0
+        pick = starts[k] + i
+        p_pick = score[at, i] / total
+        if not p_pick.min() > 0.0:
+            for p in np.flatnonzero(p_pick <= 0.0):
+                fail(p, NumericalBreakdownError(f"sampled a zero-probability row at iteration {j}"))
+                p_pick[p] = 1.0
+        w_prime = gamma / (phi * p_pick)
+
+        mass_unlabeled = cum[:, n_blocks_unlabeled]
+        sel = u_mat[pick]
+        update = np.einsum("ki,kj->kij", sel, sel)
+        update *= w_prime[:, None, None]
+        a = np.add(a, update, out=update)
+        u = u + gamma / ((1.0 - 2.0 * gamma) * phi)
+        l = l + gamma / ((1.0 + 2.0 * gamma) * phi)
+        phi_cum = phi_cum + phi
+        if j == record.shape[2]:
+            record = np.concatenate([record, np.empty((7, len(seeds), UNIFORM_CHUNK))], axis=2)
+        record[:, ids, j] = (phi, pick, p_pick, mass_unlabeled / total,
+                             phi * mass_unlabeled, u, l)
+        j += 1
+
+    if errors:
+        raise errors[min(errors)]
+    return _unstack(record, m, ds, gamma)
+
+
+def _unstack(record, m, ds: Dataset, gamma: float) -> list[tuple[SampleSet, AsuraTrace]]:
+    """Each run's sample and trace from the per-iteration record of a lockstep stack."""
+    r = ds.svd.rank
+    phis, picks, pjs, px1s, phids, us, ls = record
+    u0 = 2.0 * r / gamma
+    out = []
+    for k, mk in enumerate(m):
+        trace = AsuraTrace(
+            gamma=gamma,
+            rank=r,
+            n_rows=ds.n,
+            n_unlabeled=ds.n1,
+            phi_id=phis[k, :mk].copy(),
+            u=np.concatenate(([u0], us[k, :mk])),
+            l=np.concatenate(([-u0], ls[k, :mk])),
+            sampled_index=picks[k, :mk].astype(np.int64),
+            p_j=pjs[k, :mk].copy(),
+            px1_sum=px1s[k, :mk].copy(),
+            phi_d=phids[k, :mk].copy(),
+        )
+        out.append((SampleSet(trace.sampled_index, trace.w_prime / trace.mid), trace))
+    return out
 
 
 def _replay(trace: AsuraTrace, u_mat: np.ndarray, extra_bytes: int = 0):

@@ -88,8 +88,14 @@ class TrialReport:
 
 def _base_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(os.environ.get("SSAR_SEED", "0"))
+        return args.seed
+    text = os.environ.get("SSAR_SEED", "0")
+    try:
+        return _seed(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise InvalidInputError(
+            f"SSAR_SEED must be a non-negative integer, got {text!r}"
+        ) from None
 
 
 def _print_config(args) -> None:
@@ -439,6 +445,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """Argparse type of ``--seed`` (and the check of ``SSAR_SEED``): an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _grid(text: str) -> list:
     """Argparse type of the grids: ``a,b,...`` or ``[a, b, ...]``, non-empty and finite."""
     values = [float(tok) for tok in text.strip("[] ").split(",") if tok.strip()]
@@ -455,7 +469,7 @@ def _dims(values: list) -> list:
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_seed, default=None,
                      help="base seed (default: SSAR_SEED env var, else 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file whose entries override the flags")

@@ -29,12 +29,14 @@ import numpy as np
 
 from .asura import (
     EIG_TOL,
+    LOCKSTEP_MIN_RUNS,
     AsuraConfig,
     AsuraTrace,
     SampleSet,
     _gamma_guard,
     _replay,
     asura_sample,
+    asura_sample_batch,
 )
 from .core import Dataset, SvdFactors
 from .errors import InsufficientSampleError, InvalidInputError
@@ -306,10 +308,18 @@ def query_bound(r_x: float, gamma: float) -> float:
 def run_sampler_batch(
     ds: Dataset, cfg: AsuraConfig, n_runs: int
 ) -> list[tuple[SampleSet, AsuraTrace]]:
-    """Run ``n_runs`` independent sampler runs on ``ds`` with per-trial derived seeds."""
-    out = []
-    for k in range(n_runs):
-        seed = derive_seed(cfg.rng_seed, k)
-        run_cfg = replace(cfg, rng_seed=seed)
-        out.append(asura_sample(ds, run_cfg))
-    return out
+    """Run ``n_runs`` independent sampler runs on ``ds`` with per-trial derived seeds.
+
+    Run ``k`` uses seed ``derive_seed(cfg.rng_seed, k)`` and gives what
+    :func:`asura_sample` gives on it.  A batch of at least
+    ``LOCKSTEP_MIN_RUNS`` runs goes in lockstep
+    (:func:`ssar.asura.asura_sample_batch`), which shares each numpy call
+    across the runs.  Smaller batches run one at a time: a lockstep
+    iteration makes the same numpy calls however few runs it holds, and two
+    runs do not share them well enough to beat :func:`asura_sample`.  Either
+    way a failing run raises the error of the lowest-indexed failing run.
+    """
+    seeds = [derive_seed(cfg.rng_seed, k) for k in range(n_runs)]
+    if n_runs < LOCKSTEP_MIN_RUNS:
+        return [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
+    return asura_sample_batch(ds, cfg, seeds)

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssar import asura
 from ssar.asura import (
     AsuraConfig,
     _barrier_weights,
     _normalize_probabilities,
     _replay,
+    _row_blocks,
     asura_sample,
+    asura_sample_batch,
     check_well_balanced,
     sample_with_retry,
 )
@@ -21,7 +26,8 @@ from ssar.errors import (
     WellBalancedEventFailedError,
 )
 from ssar.rngutil import derive_seed, make_rng
-from ssar.verify import check_hard_lemmas
+from ssar.instances import gen_random_instance
+from ssar.verify import check_hard_lemmas, run_sampler_batch
 
 from conftest import gaussian_dataset
 from reference import _draw_index, sampling_distribution
@@ -351,6 +357,165 @@ def test_block_draw_replays_full_row_stream(x, n1):
             assert trace.sampled_index[j] == pick, (seed, j)
             assert trace.p_j[j] == pytest.approx(p[pick], rel=1e-12)
             assert trace.px1_sum[j] == pytest.approx(p[:n1].sum(), rel=1e-12, abs=1e-15)
+
+
+# ------------------------------------------------------------ lockstep
+
+def _assert_same_run(got, want):
+    """Same picks and iteration count; every float of the trace within a few ulp."""
+    (sample, trace), (sample_ref, trace_ref) = got, want
+    assert trace.m == trace_ref.m
+    np.testing.assert_array_equal(trace.sampled_index, trace_ref.sampled_index)
+    np.testing.assert_array_equal(sample.indices, sample_ref.indices)
+    ulps = 8 * np.finfo(float).eps
+    for name in ("phi_id", "u", "l", "p_j", "px1_sum", "phi_d"):
+        np.testing.assert_allclose(getattr(trace, name), getattr(trace_ref, name),
+                                   rtol=ulps, atol=0, err_msg=name)
+    np.testing.assert_allclose(sample.weights, sample_ref.weights, rtol=ulps, atol=0)
+
+
+def _lockstep_cases():
+    rng = make_rng(71)
+    rank_deficient = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6))
+    return [
+        pytest.param(gen_random_instance(12, 4, 4, 1.0, 1)[0], 0.1, id="verify-d4"),
+        pytest.param(gen_random_instance(48, 16, 16, 1.0, 2)[0], 0.25, id="verify-d16"),
+        pytest.param(_dataset(rng.standard_normal((24, 5))), 0.25, id="n2-zero"),
+        pytest.param(_dataset(rank_deficient, 34), 0.25, id="rank-deficient"),
+        # 45-row blocks, with the unlabeled edge at 1930 leaving blocks of 40
+        # and 25 rows: picks from blocks of three lengths in one iteration.
+        pytest.param(_dataset(rng.standard_normal((2000, 5)), 1930), 0.25,
+                     id="tall-many-blocks"),
+    ]
+
+
+@pytest.mark.parametrize("n_runs", [2, 7, 30])
+@pytest.mark.parametrize("ds,epsilon", _lockstep_cases())
+def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
+    # Called directly, the lockstep path runs at every batch size.
+    cfg = AsuraConfig(epsilon=epsilon, c0=2.0, rng_seed=13)
+    seeds = [derive_seed(13, k) for k in range(n_runs)]
+    batch = asura_sample_batch(ds, cfg, seeds)
+    assert len(batch) == n_runs
+    for got, seed in zip(batch, seeds):
+        _assert_same_run(got, asura_sample(ds, replace(cfg, rng_seed=seed)))
+    for got, ref in zip(run_sampler_batch(ds, cfg, n_runs), batch):
+        _assert_same_run(got, ref)
+
+
+def test_lockstep_case_blocks_have_three_lengths():
+    ds = dict((p.id, p.values[0]) for p in _lockstep_cases())["tall-many-blocks"]
+    edges, _ = _row_blocks(ds.svd.u, ds.n1)
+    assert sorted(set(np.diff(edges))) == [25, 40, 45]
+
+
+class _Skewed:
+    """A generator whose uniforms are squared ``times`` times, scalar or array alike."""
+
+    def __init__(self, rng, times):
+        self.rng, self.times = rng, times
+
+    def random(self, size=None):
+        value = self.rng.random(size)
+        for _ in range(self.times):
+            value = value * value
+        return value
+
+
+def test_lockstep_runs_of_different_lengths_leave_the_stack_in_turn(monkeypatch):
+    # Skewing a run's uniforms toward 0 concentrates its picks on the first
+    # rows and lengthens it; runs skewed 0-5 times stop over a wide spread of
+    # iterations, so the stack loses runs at many different iterations.
+    x = make_rng(5).standard_normal((40, 4)) * np.exp(make_rng(6).standard_normal((40, 1)))
+    ds = _dataset(x, 36)
+    cfg = AsuraConfig(epsilon=0.1, c0=2.0, rng_seed=17)
+    seeds = [derive_seed(17, k) for k in range(12)]
+    times = {seed: k % 6 for k, seed in enumerate(seeds)}
+    make = asura.make_rng
+    monkeypatch.setattr(asura, "make_rng", lambda seed: _Skewed(make(seed), times[seed]))
+    want = [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
+    lengths = {t.m for _, t in want}
+    assert len(lengths) >= 6 and max(lengths) - min(lengths) >= 20
+    for got, ref in zip(asura_sample_batch(ds, cfg, seeds), want):
+        _assert_same_run(got, ref)
+
+
+def test_lockstep_stacks_split_by_the_byte_budget(monkeypatch):
+    # A budget below one run's work splits the batch into the most stacks
+    # that keep LOCKSTEP_MIN_RUNS runs each, of near-equal size.
+    ds = gaussian_dataset(12, 4, 4, seed=8)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=19)
+    seeds = [derive_seed(19, k) for k in range(7)]
+    whole = asura_sample_batch(ds, cfg, seeds)
+    stacks = []
+    lockstep = asura._lockstep
+    monkeypatch.setattr(asura, "_lockstep",
+                        lambda *args: stacks.append(len(args[-1])) or lockstep(*args))
+    monkeypatch.setattr(asura, "LOCKSTEP_BYTES", 1)
+    for got, ref in zip(asura_sample_batch(ds, cfg, seeds), whole):
+        _assert_same_run(got, ref)
+    assert stacks == [3, 4]
+
+
+def _fails_in_turn(ds, cfg, seeds):
+    """Each seed's error when its run goes alone (None for a run that finishes)."""
+    errors = []
+    for seed in seeds:
+        try:
+            asura_sample(ds, replace(cfg, rng_seed=seed))
+            errors.append(None)
+        except (BarrierViolationError, NumericalBreakdownError) as exc:
+            errors.append(exc)
+    return errors
+
+
+def test_lockstep_raises_the_lowest_failing_runs_barrier_error(monkeypatch):
+    # Run 2 touches a squeezed barrier late and run 5 early: the batch meets
+    # run 5's error first but raises run 2's, the error that running the
+    # seeds in turn raises, naming run 2's own iteration.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    seeds = [derive_seed(11, k) for k in range(7)]
+    plain = [asura_sample(ds, replace(cfg, rng_seed=seed))[1] for seed in seeds]
+    late, early = (2, plain[2].m - 3), (5, 4)
+    doomed = [float(plain[k].u[j]) for k, j in (late, early)]
+    real = asura._barrier_weights
+
+    def squeezed(a, u, l, j=None):
+        # The doomed states see an upper barrier just above the lower one.
+        hit = np.isin(u, doomed)
+        return real(a, np.where(hit, l + 1e-9 * (u - l), u) if hit.any() else u, l, j)
+
+    monkeypatch.setattr(asura, "_barrier_weights", squeezed)
+    in_turn = _fails_in_turn(ds, cfg, seeds)
+    assert [k for k, exc in enumerate(in_turn) if exc is not None] == [2, 5]
+    with pytest.raises(BarrierViolationError) as err:
+        run_sampler_batch(ds, cfg, len(seeds))
+    assert str(err.value) == str(in_turn[2])
+    assert f"at iteration {late[1]}:" in str(err.value)
+
+
+def test_lockstep_raises_the_lowest_failing_runs_breakdown(monkeypatch):
+    # A breakdown floor between the runs' smallest block masses fails only
+    # the runs whose masses dip below it, each at its own iteration.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    seeds = [derive_seed(11, k) for k in range(7)]
+    _, grams = _row_blocks(ds.svd.u, ds.n1)
+    lowest = []
+    for seed in seeds:
+        _, trace = asura_sample(ds, replace(cfg, rng_seed=seed))
+        mix, _ = _barrier_weights(_matrices(trace, ds.svd)[:-1], trace.u[:-1], trace.l[:-1])
+        lowest.append(float((mix.reshape(trace.m, -1) @ grams.T).min()))
+    order = np.sort(lowest)
+    monkeypatch.setattr(asura, "P_ERROR_FLOOR", 0.5 * (order[2] + order[3]))
+    in_turn = _fails_in_turn(ds, cfg, seeds)
+    failing = [k for k, exc in enumerate(in_turn) if exc is not None]
+    assert len(failing) == 3
+    with pytest.raises(NumericalBreakdownError) as err:
+        asura_sample_batch(ds, cfg, seeds)
+    assert str(err.value) == str(in_turn[failing[0]])
+    assert "fell below the breakdown threshold at iteration" in str(err.value)
 
 
 # ------------------------------------------------------ well-balancedness

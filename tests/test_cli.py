@@ -410,6 +410,25 @@ def test_ssar_seed_env_used_when_flag_absent(manifest, capsys, monkeypatch):
     assert rec1["seed"] != rec2["seed"]
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["sweep", "d", "--grid", "4", "--n1", "20", "--trials", "1", "--seed", "-3"], None),
+    (["verify", "--runs", "1", "--d-grid", "4", "--eps-grid", "0.25", "--seed", "-1"], None),
+    (["sweep", "d", "--grid", "4", "--n1", "20", "--trials", "1"], "abc"),
+    (["gen", "random", "--n1", "10", "--n2", "2", "--d", "2", "--seed", "-1"], None),
+])
+def test_bad_seed_is_config_error(capsys, monkeypatch, tmp_path, argv, env):
+    # A negative or non-integer seed would reach numpy's seeding and end in a traceback.
+    if env is not None:
+        monkeypatch.setenv("SSAR_SEED", env)
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert data_lines(captured.out) == []
+    assert "Traceback" not in captured.err and "seed" in captured.err.lower()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_small_inline_suite_passes(capsys):
