@@ -25,8 +25,8 @@ from ssar.errors import (
     NumericalBreakdownError,
     WellBalancedEventFailedError,
 )
-from ssar.rngutil import derive_seed, make_rng
 from ssar.instances import gen_random_instance
+from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import check_hard_lemmas, run_sampler_batch
 
 from conftest import gaussian_dataset
@@ -403,9 +403,11 @@ def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
         _assert_same_run(got, ref)
 
 
-def test_lockstep_case_blocks_have_three_lengths():
-    ds = dict((p.id, p.values[0]) for p in _lockstep_cases())["tall-many-blocks"]
-    edges, _ = _row_blocks(ds.svd.u, ds.n1)
+def test_lockstep_cases_are_what_they_say():
+    cases = {p.id: p.values[0] for p in _lockstep_cases()}
+    assert cases["rank-deficient"].svd.rank == 3 < cases["rank-deficient"].d
+    tall = cases["tall-many-blocks"]
+    edges, _ = _row_blocks(tall.svd.u, tall.n1)
     assert sorted(set(np.diff(edges))) == [25, 40, 45]
 
 
