@@ -29,7 +29,8 @@ the picks and trace of :func:`asura_sample` bit for bit.  At small rank an
 iteration is mostly numpy call overhead, so a stack of 30 runs samples
 several times faster than the runs in turn.  A stack of one or two runs
 pays the stack's own calls with too little to share them across and is
-slower than :func:`asura_sample`, which stays the one-run sampler.
+slower than :func:`asura_sample`, which stays the one-run sampler and runs
+such batches; a stack in which any run fails reruns its seeds with it, in turn.
 
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
@@ -229,8 +230,8 @@ def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray
     ``(k,)`` barrier arrays.  Touching a barrier raises and the error names the
     first touched state.  For a stack of one run's iterations, ``j`` is the
     iteration of the first state and the error names the touched one's
-    iteration.  A stack of several runs passes no ``j``: the lockstep sampler
-    redoes a failed stack state by state, each with its run's iteration.
+    iteration.  A stack of several runs passes no ``j``: when it fails, the
+    lockstep sampler reruns its seeds in turn, whose errors name the iteration.
     """
     ub, lb = (u, l) if a.ndim == 2 else (u[:, None, None], l[:, None, None])
     eye = np.eye(a.shape[-1])
@@ -435,12 +436,21 @@ def asura_sample_batch(
     run that meets its budget leaves the stack after its final containment
     check, stacked over the runs that stop together.
 
-    A stack holds about ``LOCKSTEP_BYTES`` of per-run work, so a large batch
-    runs as consecutive stacks.  A run that fails does not stop the others
-    of its stack; at the end of the stack the batch raises the error of its
-    lowest-indexed failing run, the error that running the seeds in turn
-    would raise, and runs no later stack.
+    A batch of fewer than ``LOCKSTEP_MIN_RUNS`` seeds runs them in turn with
+    :func:`asura_sample`.  A stack holds about ``LOCKSTEP_BYTES`` of per-run
+    work, so a larger batch runs as consecutive stacks, none of fewer than
+    ``LOCKSTEP_MIN_RUNS`` runs.  A stack stops at the first failure of any of
+    its runs and reruns its seeds in turn, so the batch raises the error of
+    its lowest-indexed failing run, with :func:`asura_sample`'s own class
+    and message, and runs no later stack.
     """
+
+    def in_turn(chunk):
+        return [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in chunk]
+
+    n_runs = len(seeds)
+    if n_runs < LOCKSTEP_MIN_RUNS:
+        return in_turn(seeds)
     r = ds.svd.rank
     gamma, cap, budget = _limits(cfg, r)
     edges, grams = _row_blocks(ds.svd.u, ds.n1)
@@ -451,19 +461,22 @@ def asura_sample_batch(
     # masses, its uniforms, and its first UNIFORM_CHUNK iterations of record.
     size = int(lengths.max())
     per_run = 10 * r * r + 2 * (r + 2) * size + 3 * len(lengths) + 8 * UNIFORM_CHUNK
-    # Stacks of near-equal size, none below LOCKSTEP_MIN_RUNS unless the batch is.
-    n_runs = len(seeds)
-    n_stacks = max(1, min(-(-n_runs * 8 * per_run // LOCKSTEP_BYTES), n_runs // LOCKSTEP_MIN_RUNS))
+    # Stacks of near-equal size, none below LOCKSTEP_MIN_RUNS.
+    n_stacks = min(-(-n_runs * 8 * per_run // LOCKSTEP_BYTES), n_runs // LOCKSTEP_MIN_RUNS)
     cuts = [n_runs * s // n_stacks for s in range(n_stacks + 1)]
     out = []
     for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        if s1 > s0:
+        try:
             out += _lockstep(ds, blocks, gamma, cap, budget, seeds[s0:s1])
+        except SsarError:
+            out += in_turn(seeds[s0:s1])
     return out
 
 
 def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, AsuraTrace]]:
-    """One stack of :func:`asura_sample_batch`: the runs of ``seeds`` side by side."""
+    """One stack of :func:`asura_sample_batch`: the runs of ``seeds`` side by side.
+
+    Raises an :class:`SsarError` at the first failure of any run."""
     u_mat = ds.svd.u
     n, r = u_mat.shape
     grams, starts, lengths, n_blocks_unlabeled = blocks
@@ -487,80 +500,40 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, As
     uniforms = np.empty((ids.size, 0))
 
     m = np.zeros(ids.size, dtype=np.int64)
-    errors: dict[int, SsarError] = {}
-    failed: set[int] = set()  # stack positions that failed this iteration
     # Per field, run and iteration: the potential, pick, pick probability,
     # unlabeled mass share, block potential and the barriers after the step.
     record = np.empty((7, ids.size, UNIFORM_CHUNK))
 
-    def fail(p, exc):
-        # A run's first error is the one it raises alone; it leaves the stack
-        # at the next iteration, and its work until then is never read.
-        if p not in failed:
-            failed.add(p)
-            errors[int(ids[p])] = exc
-
     j = 0
     while True:
         keep = (u - l) + phi_cum < budget
-        if failed or not keep.all():
+        if not keep.all():
             stop = ~keep
-            gone = list(failed)
-            keep[gone], stop[gone] = False, False
-            failed.clear()
-            if stop.any():
-                theta = np.linalg.eigvalsh(a[stop])
-                outside = (theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)
-                for run in ids[stop][outside]:
-                    errors[int(run)] = BarrierViolationError(
-                        f"final matrix left the barrier window after {j} iterations"
-                    )
-                m[ids[stop]] = j
+            theta = np.linalg.eigvalsh(a[stop])
+            if np.any((theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)):
+                raise SsarError("a final matrix left the barrier window")
+            m[ids[stop]] = j
             ids, a, u, l = ids[keep], a[keep], u[keep], l[keep]
             phi_cum, uniforms = phi_cum[keep], uniforms[keep]
             at = np.arange(ids.size)
             if not ids.size:
                 break
         if j >= cap:
-            for run in ids:
-                errors[int(run)] = NumericalBreakdownError(
-                    f"stopping rule failed to fire within the {cap}-iteration cap"
-                )
-            break
+            raise SsarError("the stopping rule failed to fire within the cap")
         if j % UNIFORM_CHUNK == 0:
             uniforms = np.array([gens[run].random(UNIFORM_CHUNK) for run in ids])
 
-        try:
-            mix, phi = _barrier_weights(a, u, l)
-        except BarrierViolationError:
-            # State by state, so that each error names its own run's iteration.
-            mix, phi = np.empty_like(a), np.empty(ids.size)
-            for p in range(ids.size):
-                try:
-                    mix[p], phi[p] = _barrier_weights(a[p], u[p], l[p], j)
-                except BarrierViolationError as exc:
-                    fail(p, exc)
-                    mix[p], phi[p] = np.eye(r) / r, 1.0
-
+        mix, phi = _barrier_weights(a, u, l)
         mass = np.matmul(grams, mix.reshape(-1, r * r, 1)).reshape(ids.size, n_blocks)
         if mass.min() < max(P_ERROR_FLOOR, 0.0):  # a breakdown, or round-off negatives
-            low = mass.min(axis=1)
-            for p in np.flatnonzero(low < P_ERROR_FLOOR):
-                fail(p, NumericalBreakdownError(
-                    f"block sampling mass {low[p]:.3e} fell below the breakdown threshold "
-                    f"at iteration {j}"
-                ))
+            if mass.min() < P_ERROR_FLOOR:
+                raise SsarError("a block sampling mass fell below the breakdown threshold")
             mass = np.maximum(mass, 0.0)
         cum = np.zeros((ids.size, n_blocks + 1))
         np.cumsum(mass, axis=1, out=cum[:, 1:])
         total = cum[:, -1]
         if not (total.min() > 0.0 and total.max() < math.inf):
-            for p in np.flatnonzero(~((total > 0.0) & (total < math.inf))):
-                fail(p, NumericalBreakdownError(
-                    f"sampling probabilities do not sum to a positive value at iteration {j}"
-                ))
-                mass[p] = 1.0
-                cum[p] = np.arange(n_blocks + 1)
+            raise SsarError("sampling probabilities do not sum to a positive value")
 
         target = uniforms[:, j % UNIFORM_CHUNK] * total
         k = np.count_nonzero(cum[:, 1:] <= target[:, None], axis=1)
@@ -581,17 +554,11 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, As
         rest = target - cum[at, k]
         i = np.count_nonzero(np.cumsum(score, axis=1) <= rest[:, None], axis=1)
         for p in np.flatnonzero(i >= length):
-            try:
-                i[p] = _last_positive(score[p, : length[p]], j)
-            except NumericalBreakdownError as exc:
-                fail(p, exc)
-                i[p] = 0
+            i[p] = _last_positive(score[p, : length[p]], j)
         pick = starts[k] + i
         p_pick = score[at, i] / total
         if not p_pick.min() > 0.0:
-            for p in np.flatnonzero(p_pick <= 0.0):
-                fail(p, NumericalBreakdownError(f"sampled a zero-probability row at iteration {j}"))
-                p_pick[p] = 1.0
+            raise SsarError("sampled a zero-probability row")
         w_prime = gamma / (phi * p_pick)
 
         mass_unlabeled = cum[:, n_blocks_unlabeled]
@@ -608,8 +575,6 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, As
                              phi * mass_unlabeled, u, l)
         j += 1
 
-    if errors:
-        raise errors[min(errors)]
     return _unstack(record, m, ds, gamma)
 
 

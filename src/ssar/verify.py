@@ -22,20 +22,18 @@ approximation of the unconditional statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .asura import (
     EIG_TOL,
-    LOCKSTEP_MIN_RUNS,
     AsuraConfig,
     AsuraTrace,
     SampleSet,
     _gamma_guard,
     _replay,
-    asura_sample,
     asura_sample_batch,
 )
 from .core import Dataset, SvdFactors
@@ -311,15 +309,9 @@ def run_sampler_batch(
     """Run ``n_runs`` independent sampler runs on ``ds`` with per-trial derived seeds.
 
     Run ``k`` uses seed ``derive_seed(cfg.rng_seed, k)`` and gives what
-    :func:`asura_sample` gives on it.  A batch of at least
-    ``LOCKSTEP_MIN_RUNS`` runs goes in lockstep
-    (:func:`ssar.asura.asura_sample_batch`), which shares each numpy call
-    across the runs.  Smaller batches run one at a time: a lockstep
-    iteration makes the same numpy calls however few runs it holds, and two
-    runs do not share them well enough to beat :func:`asura_sample`.  Either
-    way a failing run raises the error of the lowest-indexed failing run.
+    :func:`ssar.asura.asura_sample` gives on it.  The runs go through
+    :func:`ssar.asura.asura_sample_batch`, which decides when they share a
+    lockstep stack; a failing batch raises the error of its lowest-indexed
+    failing run.
     """
-    seeds = [derive_seed(cfg.rng_seed, k) for k in range(n_runs)]
-    if n_runs < LOCKSTEP_MIN_RUNS:
-        return [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
-    return asura_sample_batch(ds, cfg, seeds)
+    return asura_sample_batch(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(n_runs)])

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ssar.asura import AsuraConfig, _replay, asura_sample, check_well_balanced
+from ssar.asura import AsuraConfig, _replay, asura_sample_batch, check_well_balanced
 from ssar.baselines import LeverageConfig, leverage_sample
 from ssar.core import (
     Dataset,
@@ -407,14 +407,12 @@ def test_criterion_10_well_balancedness_at_practical_constants():
     runs = 200
     tol = 1e-6
 
+    seeds = [derive_seed(BASE_SEED, 10, k) for k in range(runs)]
+
     def batch(c0):
-        reports = []
-        for k in range(runs):
-            cfg = AsuraConfig(epsilon=0.25, c0=c0,
-                              rng_seed=derive_seed(BASE_SEED, 10, k))
-            _, trace = asura_sample(ds, cfg)
-            reports.append(check_well_balanced(trace, svd))
-        return reports
+        cfg = AsuraConfig(epsilon=0.25, c0=c0)
+        return [check_well_balanced(trace, svd)
+                for _, trace in asura_sample_batch(ds, cfg, seeds)]
 
     fast = batch(2.0)
     slow = batch(8.0)

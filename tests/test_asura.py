@@ -389,10 +389,10 @@ def _lockstep_cases():
     ]
 
 
-@pytest.mark.parametrize("n_runs", [2, 7, 30])
+@pytest.mark.parametrize("n_runs", [3, 7, 30])
 @pytest.mark.parametrize("ds,epsilon", _lockstep_cases())
 def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
-    # Called directly, the lockstep path runs at every batch size.
+    # Three runs is the smallest batch that goes in lockstep.
     cfg = AsuraConfig(epsilon=epsilon, c0=2.0, rng_seed=13)
     seeds = [derive_seed(13, k) for k in range(n_runs)]
     batch = asura_sample_batch(ds, cfg, seeds)
@@ -401,6 +401,20 @@ def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
         _assert_same_run(got, asura_sample(ds, replace(cfg, rng_seed=seed)))
     for got, ref in zip(run_sampler_batch(ds, cfg, n_runs), batch):
         _assert_same_run(got, ref)
+
+
+def test_batch_picks_the_path_from_the_batch_size(monkeypatch):
+    # One or two seeds go one at a time; three or more go in lockstep.
+    ds = gaussian_dataset(12, 4, 4, seed=3)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=5)
+    calls = []
+    for name in ("asura_sample", "_lockstep"):
+        real = getattr(asura, name)
+        monkeypatch.setattr(asura, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    for n_runs in (1, 2, 3):
+        assert len(asura_sample_batch(ds, cfg, [derive_seed(5, k) for k in range(n_runs)])) == n_runs
+    assert calls == ["asura_sample"] * 3 + ["_lockstep"]
 
 
 def test_lockstep_cases_are_what_they_say():
@@ -520,6 +534,42 @@ def test_lockstep_raises_the_lowest_failing_runs_breakdown(monkeypatch):
     assert "fell below the breakdown threshold at iteration" in str(err.value)
 
 
+@pytest.mark.parametrize("limit", ["cap", "final-containment"])
+def test_lockstep_raises_the_lowest_failing_runs_limit_error(monkeypatch, limit):
+    # A cap at the median run length fails the longer runs when they reach
+    # it; a negative containment tolerance of the median final margin fails
+    # the runs that end nearer a barrier.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    seeds = [derive_seed(11, k) for k in range(7)]
+    plain = [asura_sample(ds, replace(cfg, rng_seed=seed))[1] for seed in seeds]
+    if limit == "cap":
+        real, cap = asura._limits, int(np.median([t.m for t in plain]))
+
+        def capped(cfg, r):
+            gamma, _, budget = real(cfg, r)
+            return gamma, cap, budget
+
+        monkeypatch.setattr(asura, "_limits", capped)
+        message = "stopping rule failed to fire within the"
+    else:
+        margins = []
+        for t in plain:
+            theta = np.linalg.eigvalsh(_matrices(t, ds.svd)[-1])
+            margins.append(min(t.u_final - theta[-1], theta[0] - t.l_final))
+        monkeypatch.setattr(asura, "EIG_TOL", -float(np.median(margins)))
+        message = "final matrix left the barrier window after"
+    in_turn = _fails_in_turn(ds, cfg, seeds)
+    failing = [k for k, exc in enumerate(in_turn) if exc is not None]
+    assert 0 < len(failing) < len(seeds)
+    first = in_turn[failing[0]]
+    with pytest.raises(type(first)) as err:
+        asura_sample_batch(ds, cfg, seeds)
+    assert type(err.value) is type(first)
+    assert str(err.value) == str(first)
+    assert message in str(err.value)
+
+
 # ------------------------------------------------------ well-balancedness
 
 def test_check_well_balanced_rejects_mismatched_artifacts():
@@ -599,9 +649,8 @@ def test_small_gamma_runs_are_well_balanced():
     ds, svd = _svd()
     ok = 0
     runs = 30
-    for k in range(runs):
-        cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(2000, k))
-        _, t = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=8.0)
+    for _, t in asura_sample_batch(ds, cfg, [derive_seed(2000, k) for k in range(runs)]):
         rep = check_well_balanced(t, svd)
         ok += rep.well_balanced
     assert ok / runs >= 0.75

@@ -157,20 +157,6 @@ def test_statistical_checks_reject_a_mixed_batch(good_run, monkeypatch):
     assert check_statistical_lemmas([trace, trace])
 
 
-def test_run_sampler_batch_picks_the_path_from_the_batch_size(monkeypatch):
-    # One or two runs go one at a time; three or more go in lockstep.
-    ds = gaussian_dataset(12, 4, 4, seed=3)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=5)
-    calls = []
-    for name in ("asura_sample", "asura_sample_batch"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
-                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
-    for n_runs in (1, 2, 3):
-        assert len(run_sampler_batch(ds, cfg, n_runs)) == n_runs
-    assert calls == ["asura_sample"] * 3 + ["asura_sample_batch"]
-
-
 def test_drift_check_rejects_increasing_potentials(monkeypatch):
     monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=10)
