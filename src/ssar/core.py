@@ -8,16 +8,19 @@ with relative rank truncation, row leverage scores, the unlabeled-mass trace
 sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
 PSD matrix square root.  The other operations are pure functions.
 
-``thin_svd`` has three routes.  A rank-deficient input, such as a
-kernel-ridge stack whose rank is the effective dimension, is factored on its
-range, so no n x d ``u`` is formed: at a short side of at most
-``SKETCH_MIN_SIDE`` that range comes from the eigenvectors of the Gram matrix
-(the Gram screen), and above it from a Gaussian sketch of a fixed seed (the
-sketch).  Range factors are accepted only if their residual is below
-``rank_tol * sigma_max``.  Everything else goes to LAPACK's thin SVD: an input
-of full numerical rank, one whose range factors miss that residual, and one
-whose largest |entry| is beyond 1e100 or below 1e-100, where a Gram matrix
-would overflow or turn denormal.
+``thin_svd`` factors an input on its range.  At a short side of at most
+``SKETCH_MIN_SIDE`` the range is spanned by the Gram matrix's eigenvectors
+whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the Gram route):
+the left factor is formed from them and made orthonormal by one CholeskyQR
+pass, at full rank as well as below it, such as for a kernel-ridge stack
+whose rank is the effective dimension.
+Above that side the range comes from a Gaussian sketch of a fixed seed (the
+sketch), so no n x d ``u`` is formed for a rank-deficient input.  Range
+factors are accepted only if their residual is below ``rank_tol *
+sigma_max``.  LAPACK's thin SVD factors everything else: an input whose
+largest |entry| is beyond 1e100 or below 1e-100, where a Gram matrix would
+overflow or turn denormal; range factors that miss that residual; a Gram
+route whose Cholesky fails; and a sketch that gives up at half the short side.
 """
 
 from __future__ import annotations
@@ -237,11 +240,13 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     its short side is its d columns.  The range of ``t`` is found one of two
     ways, and the factors of ``t`` on it are its SVD in those coordinates:
 
-    * Gram screen (d <= ``SKETCH_MIN_SIDE``): the eigenvalues ``theta`` of
-      ``t^T t``.  If every ``theta`` exceeds ``GRAM_TRUST * theta_max``,
-      ``t`` has full numerical rank and goes to LAPACK.  Otherwise only the
-      eigenvectors above that level, ``W_k``, are kept: the SVD of the n x k
-      block ``t W_k = U Sigma Z^T`` gives ``V = W_k Z``.
+    * Gram route (d <= ``SKETCH_MIN_SIDE``): the eigenpairs of ``t^T t`` with
+      eigenvalues above ``GRAM_TRUST * theta_max``, ``W_k`` and ``theta_k``,
+      give ``U0 = t W_k theta_k^{-1/2}``, orthonormal up to about
+      ``eps / GRAM_TRUST``.  One CholeskyQR pass (Fukaya, Nakatsukasa,
+      Yanagisawa and Yamamoto, 2014), ``U0^T U0 = R^T R``, and the k x k SVD
+      ``R theta_k^{1/2} = Y Sigma Z^T`` give ``U = U0 R^{-1} Y``, formed in
+      ``U0``'s memory, and ``V = W_k Z``.
     * Sketch (d above it): Halko, Martinsson and Tropp's range finder
       (SIAM Review 53(2), 2011, Alg. 4.1 with the growth of section 4.4).
       ``Q`` is an orthonormal basis of ``t Omega`` for a Gaussian d x k
@@ -253,10 +258,11 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
 
     Range factors are accepted only if ``||x - U Sigma V^T||_F <= rank_tol *
     sigma_max``, which caps every dropped singular value at the truncation
-    threshold, so the rank is the one the full SVD gives; if not, LAPACK's
-    thin SVD is taken after all, as it is for an ``x`` whose largest |entry|
-    lies outside ``GRAM_SAFE_SCALE``.  Every result is validated, with the
-    residual computed once.
+    threshold, so the rank is the one the full SVD gives.  LAPACK's thin SVD
+    is taken instead when that residual is missed, when the Gram route's
+    Cholesky fails, when the sketch gives up, and for an ``x`` whose largest
+    |entry| lies outside ``GRAM_SAFE_SCALE``.  Every result is validated,
+    with the residual computed once.
 
     Parameters
     ----------
@@ -284,9 +290,8 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
 
 
 def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float] | None:
-    """Factors of ``arr`` on its screened Gram range or its sketched range, with
-    their relative residual; None at full rank, at an unsafe scale or on a
-    large residual."""
+    """Factors of ``arr`` on its Gram range or its sketched range, with their
+    relative residual; None where LAPACK decides (see ``thin_svd``)."""
     lo, hi = GRAM_SAFE_SCALE
     if not lo < max(arr.max(), -arr.min()) < hi:
         return None
@@ -295,12 +300,12 @@ def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float]
     d = tall.shape[1]
     if d <= SKETCH_MIN_SIDE:
         theta, w = np.linalg.eigh(tall.T @ tall)
-        keep = theta > GRAM_TRUST * theta[-1]
-        if keep.all() or not keep.any():
+        k = np.count_nonzero(theta > GRAM_TRUST * theta[-1])  # theta ascends
+        if k == 0:
             return None
-        w_k = w[:, keep]
-        u, s, zt = np.linalg.svd(tall @ w_k, full_matrices=False)
-        factors = _truncated(u, s, w_k @ zt.T, rank_tol)
+        factors = _gram_factors(tall, theta[-k:], w[:, -k:], rank_tol)
+        if factors is None:
+            return None
         norm = math.sqrt(theta.sum())  # theta sums to ||tall||_F^2
     else:
         k = SKETCH_START
@@ -323,6 +328,25 @@ def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float]
         factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u,
                              rank_tol=factors.rank_tol)
     return factors, residual
+
+
+def _gram_factors(tall: np.ndarray, theta: np.ndarray, w: np.ndarray,
+                  rank_tol: float) -> SvdFactors | None:
+    """Factors of ``tall`` on the span of its Gram eigenvectors ``w`` (eigenvalues
+    ``theta``) by one CholeskyQR pass; None if the Cholesky fails."""
+    root = np.sqrt(theta)
+    u = tall @ (w / root)  # U0, orthonormal up to eps * theta_max / theta_min
+    try:
+        r = np.linalg.cholesky(u.T @ u).T
+    except np.linalg.LinAlgError:
+        return None
+    y, s, zt = np.linalg.svd(r * root)
+    m = np.linalg.solve(r, y)
+    # U = U0 R^-1 Y in place, a row block at a time, so no second n x k array is held.
+    step = max(1, VALIDATE_BLOCK_BYTES // (8 * u.shape[1]))
+    for i in range(0, u.shape[0], step):
+        u[i:i + step] = u[i:i + step] @ m
+    return _truncated(u, s, w @ zt.T, rank_tol)
 
 
 def _truncated(u, s, v, rank_tol: float) -> SvdFactors:

@@ -91,13 +91,72 @@ def test_thin_svd_rank_and_spectrum_match_lapack(n, d, seed):
     f.validate(x)
 
 
-@pytest.mark.parametrize("shape", [(300, 12), (12, 30), (50, 50)])
-def test_thin_svd_of_a_full_rank_input_is_lapacks(shape):
+def _spectral_matrix(shape, s, seed):
+    """``Q1 diag(s) Q2^T`` of the given shape with random orthonormal ``Q1``, ``Q2``."""
+    rng = make_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((shape[0], s.size)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((shape[1], s.size)))[0]
+    return (q1 * s) @ q2.T
+
+
+def _svd_spy(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` from now on."""
+    seen = []
+    lapack_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _assert_gram_route(monkeypatch, x):
+    """``thin_svd(x)`` factors x on its Gram route: LAPACK sees only the k x k
+    matrix, the spectrum is LAPACK's and a second call repeats the factors."""
+    _, ref, _ = _lapack_truncated(x)
+    k = min(x.shape)
+    seen = _svd_spy(monkeypatch)
+    f = thin_svd(x)
+    assert seen == [(k, k)]
+    assert f.rank == ref.size == k
+    assert np.max(np.abs(f.sigma - ref)) <= 1e-9 * ref[0]
+    f.validate(x)
+    again = thin_svd(x)
+    for got, want in ((again.u, f.u), (again.sigma, f.sigma), (again.v, f.v)):
+        np.testing.assert_array_equal(got, want)
+
+
+# Ill-conditioned, but the Gram screen still sees full rank.  The square
+# Gaussian starts at sigma_min / sigma_max = 9e-4, so a column scale of 1e-5
+# would put it at 5.6e-8, in the gray zone that LAPACK decides.
+@pytest.mark.parametrize("shape, scale", [((300, 12), 1e-5), ((12, 30), 1e-5), ((50, 50), 1e-3)],
+                         ids=["300x12", "12x30", "50x50"])
+def test_thin_svd_factors_a_full_rank_input_on_its_gram_route(monkeypatch, shape, scale):
     rng = make_rng(21)
     x = rng.standard_normal(shape)
-    x[:, 0] *= 1e-5  # ill-conditioned, but the Gram screen still sees full rank
-    f = thin_svd(x)
+    x[:, 0] *= scale
+    _assert_gram_route(monkeypatch, x)
+
+
+@pytest.mark.parametrize("shape", [(20_200, 20), (4_100, 100)], ids=["run-tall", "sweep-wide"])
+def test_thin_svd_gram_route_at_the_screen_edge(monkeypatch, shape):
+    # sigma_min / sigma_max = 2e-6 puts the smallest Gram eigenvalue at 4e-12
+    # theta_max, just above GRAM_TRUST: one CholeskyQR pass must still do.
+    x = _spectral_matrix(shape, np.geomspace(1.0, 2e-6, min(shape)), seed=24)
+    _assert_gram_route(monkeypatch, x)
+
+
+def test_thin_svd_falls_back_to_lapack_when_the_cholesky_fails(monkeypatch):
+    x = _spectral_matrix((4_100, 100), np.geomspace(1.0, 2e-6, 100), seed=24)
     u, s, v = _lapack_truncated(x)
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    f = thin_svd(x)
     np.testing.assert_array_equal(f.u, u)
     np.testing.assert_array_equal(f.sigma, s)
     np.testing.assert_array_equal(f.v, v)
@@ -115,17 +174,9 @@ def test_thin_svd_falls_back_on_a_gray_zone_spectrum(monkeypatch):
     # 1e-8 is above rank_tol but its Gram eigenvalue 1e-16 is below the screen:
     # the range factors leave a residual of 1e-8, so the full SVD decides.
     f = thin_svd(np.diag([1.0, 1e-8, 0.0, 0.0, 0.0]))
-    assert svd_shapes == [(5, 1), (5, 5)]
+    assert svd_shapes == [(1, 1), (5, 5)]
     assert f.rank == 2
     np.testing.assert_allclose(f.sigma, [1.0, 1e-8], rtol=1e-12)
-
-
-def _spectral_matrix(shape, s, seed):
-    """``Q1 diag(s) Q2^T`` of the given shape with random orthonormal ``Q1``, ``Q2``."""
-    rng = make_rng(seed)
-    q1 = np.linalg.qr(rng.standard_normal((shape[0], s.size)))[0]
-    q2 = np.linalg.qr(rng.standard_normal((shape[1], s.size)))[0]
-    return (q1 * s) @ q2.T
 
 
 @pytest.mark.parametrize("shape, s, svd_shapes", [
