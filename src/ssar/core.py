@@ -9,18 +9,18 @@ sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
 PSD matrix square root.  The other operations are pure functions.
 
 ``thin_svd`` factors an input on its range.  At a short side of at most
-``SKETCH_MIN_SIDE`` the range is spanned by the Gram matrix's eigenvectors
-whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the Gram route):
-the left factor is formed from them and made orthonormal by one CholeskyQR
-pass, at full rank as well as below it, such as for a kernel-ridge stack
-whose rank is the effective dimension.
-Above that side the range comes from a Gaussian sketch of a fixed seed (the
-sketch), so no n x d ``u`` is formed for a rank-deficient input.  Range
-factors are accepted only if their residual is below ``rank_tol *
-sigma_max``.  LAPACK's thin SVD factors everything else: an input whose
-largest |entry| is beyond 1e100 or below 1e-100, where a Gram matrix would
-overflow or turn denormal; range factors that miss that residual; a Gram
-route whose Cholesky fails; and a sketch that gives up at half the short side.
+``SKETCH_MIN_SIDE`` (the Gram route) the range is spanned by the Gram
+matrix's eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the
+largest, at full rank or below it, and the left factor formed from them is
+made orthonormal by one CholeskyQR pass.  Above that side (the sketch) the
+range comes from a Gaussian sketch of a fixed seed, so no n x d ``u`` is
+formed for a rank-deficient input such as a kernel-ridge stack whose rank is
+the effective dimension.  Range factors are accepted only if their residual
+is below ``rank_tol * sigma_max``.  LAPACK's thin SVD factors everything
+else: an input whose largest |entry| is beyond 1e100 or below 1e-100, where
+a Gram matrix would overflow or turn denormal; range factors that miss that
+residual; a Gram route whose Cholesky fails; and a sketch that gives up at
+half the short side.
 """
 
 from __future__ import annotations
