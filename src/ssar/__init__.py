@@ -18,7 +18,6 @@ from .asura import (
     WellBalancedReport,
     asura_sample,
     check_well_balanced,
-    sample_with_retry,
 )
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import (
@@ -40,16 +39,17 @@ from .instances import (
 from .regression import (
     LabelOracle,
     RegressionSolution,
+    draw_samples,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
     solve_active,
+    solve_sample,
     weighted_lsq,
 )
 from .verify import (
     LemmaReport,
     check_hard_lemmas,
     check_statistical_lemmas,
-    run_sampler_batch,
 )
 from . import dataio
 

@@ -22,15 +22,17 @@ caps the iteration count with probability one and, after normalizing the
 accumulated weights by the final barrier midpoint, leaves the weighted Gram
 matrix of the sampled rows spectrally close to the identity.
 
-Many independent runs of one instance can go in lockstep
-(:func:`asura_sample_batch`): each iteration shares its numpy calls across
-the active runs, every run keeping its own generator, and each run gives
-the picks and trace of :func:`asura_sample` bit for bit.  At small rank an
-iteration is mostly numpy call overhead, so a stack of 30 runs samples
-several times faster than the runs in turn.  A stack of one or two runs
-pays the stack's own calls with too little to share them across and is
-slower than :func:`asura_sample`, which stays the one-run sampler and runs
-such batches; a stack in which any run fails reruns its seeds with it, in turn.
+Many independent runs of one instance go in lockstep
+(:func:`asura_sample_batch`, through which :func:`ssar.regression.draw_samples`
+draws every adaptive run of ``run``, its retries, ``verify`` and ``sweep``):
+each iteration shares its numpy calls across the active runs, every run
+keeping its own generator, and each run gives the picks and trace of
+:func:`asura_sample` bit for bit.  At small rank an iteration is mostly numpy
+call overhead, so a stack of 30 runs samples several times faster than the
+runs in turn.  A stack of one or two runs pays the stack's own calls with too
+little to share them across and is slower than :func:`asura_sample`, which
+stays the one-run sampler and runs such batches; a stack in which any run
+fails reruns its seeds with it, in turn.
 
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
@@ -55,9 +57,8 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
     SsarError,
-    WellBalancedEventFailedError,
 )
-from .rngutil import derive_seed, make_rng
+from .rngutil import make_rng
 
 __all__ = [
     "AsuraConfig",
@@ -67,7 +68,6 @@ __all__ = [
     "asura_sample",
     "asura_sample_batch",
     "check_well_balanced",
-    "sample_with_retry",
 ]
 
 # Sampling masses below this are a numerical breakdown; smaller negatives are
@@ -753,24 +753,3 @@ def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedRepor
         well_balanced=spectral_ok and alpha_ok and kd_ok,
     )
 
-
-def sample_with_retry(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace, int]:
-    """Rerun the sampler with derived seeds until a run passes the balance check.
-
-    The first attempt uses ``cfg.rng_seed`` directly, so a run that passes on
-    attempt 1 is identical to a plain :func:`asura_sample` call.  Raises
-    :class:`WellBalancedEventFailedError` carrying every per-attempt report if
-    ``cfg.max_restarts`` attempts all fail.
-    """
-    reports = []
-    for attempt in range(1, cfg.max_restarts + 1):
-        seed = cfg.rng_seed if attempt == 1 else derive_seed(cfg.rng_seed, attempt)
-        attempt_cfg = replace(cfg, rng_seed=seed)
-        sample, trace = asura_sample(ds, attempt_cfg)
-        report = check_well_balanced(trace, ds.svd)
-        if report.well_balanced:
-            return sample, trace, attempt
-        reports.append(report)
-    raise WellBalancedEventFailedError(
-        f"no well-balanced run within {cfg.max_restarts} attempts", reports
-    )

@@ -24,11 +24,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .asura import AsuraConfig, _gamma_guard, check_well_balanced
+from .asura import AsuraConfig, _gamma_guard, _limits, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig
 from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
@@ -53,7 +53,7 @@ from .instances import (
     gen_lower_bound_instance,
     gen_random_instance,
 )
-from .regression import LabelOracle, ridge_to_ssal, solve_active
+from .regression import LabelOracle, draw_samples, ridge_to_ssal, solve_active, solve_sample
 from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
@@ -62,7 +62,6 @@ from .verify import (
     check_statistical_lemmas,
     merge_hard_reports,
     query_bound,
-    run_sampler_batch,
 )
 
 EXIT_OK = 0
@@ -202,7 +201,7 @@ def _cmd_gen(args) -> int:
 
 @dataclass(frozen=True)
 class Trial:
-    """Everything one ``run`` trial needs; picklable for worker processes."""
+    """One ``run`` trial and its slot of the batch draw (None: draw alone); picklable."""
 
     ds: Dataset
     full_labels: np.ndarray
@@ -211,6 +210,8 @@ class Trial:
     retry: bool
     no_ratio: bool
     check_balance: bool
+    drawn: tuple | WellBalancedEventFailedError | None
+    draw_ms: float
 
 
 def _sampler_config(args, seed: int):
@@ -225,17 +226,19 @@ def _run_one_trial(trial: Trial) -> dict:
     """One solve trial; sampler-level failures come back as error records."""
     cfg, ds = trial.cfg, trial.ds
     oracle = LabelOracle(trial.full_labels, ds.n1, allow_full_loss=not trial.no_ratio)
-    adaptive = isinstance(cfg, AsuraConfig)
     try:
         t0 = time.perf_counter()
-        sol = solve_active(ds, oracle, cfg, retry=trial.retry)
-        runtime_ms = 1000.0 * (time.perf_counter() - t0)
+        if trial.drawn is None:
+            sol = solve_active(ds, oracle, cfg, retry=trial.retry)
+        elif isinstance(trial.drawn, WellBalancedEventFailedError):
+            raise trial.drawn
+        else:
+            sol = solve_sample(ds, oracle, *trial.drawn)
+        runtime_ms = trial.draw_ms + 1000.0 * (time.perf_counter() - t0)
 
         well_balanced = None
-        if adaptive and trial.retry:
-            well_balanced = True
-        elif adaptive and trial.check_balance:
-            well_balanced = check_well_balanced(sol.trace, ds.svd).well_balanced
+        if sol.trace is not None and (trial.retry or trial.check_balance):
+            well_balanced = trial.retry or check_well_balanced(sol.trace, ds.svd).well_balanced
     except (BarrierViolationError, NumericalBreakdownError,
             WellBalancedEventFailedError) as exc:
         return {"seed": cfg.rng_seed, "sampler": trial.sampler, "error": str(exc)}
@@ -248,7 +251,7 @@ def _run_one_trial(trial: Trial) -> dict:
             queries_iteration_level=sol.queries_iteration_level,
             ratio=sol.ratio,
             well_balanced=well_balanced,
-            gamma=cfg.gamma if adaptive else None,
+            gamma=sol.trace.gamma if sol.trace else None,
             runtime_ms=runtime_ms,
         )
     )
@@ -258,25 +261,27 @@ def _run_one_trial(trial: Trial) -> dict:
 
 def _cmd_run(args) -> int:
     base_seed = _base_seed(args)
-    cfgs = [_sampler_config(args, derive_seed(base_seed, k)) for k in range(args.trials)]
+    seeds = [derive_seed(base_seed, k) for k in range(args.trials)]
+    cfg = _sampler_config(args, seeds[0])
     if args.sampler == "asura" and (args.check_balance or args.retry):
-        _gamma_guard(cfgs[0].gamma)
+        _gamma_guard(cfg.gamma)
     ds, full = load_dataset(args.manifest)
     if full is None:
         raise InvalidInputError(
             f"{args.manifest} has no hidden labels; sampled rows could not be labeled"
         )
+    try:
+        t0 = time.perf_counter()
+        drawn = draw_samples(ds, cfg, seeds, retry=args.retry)
+        draw_ms = 1000.0 * (time.perf_counter() - t0) / len(seeds)
+    except (BarrierViolationError, NumericalBreakdownError):
+        # The batch raised one run's error; each trial draws alone for its own record.
+        drawn, draw_ms = [None] * len(seeds), 0.0
     trials = [
-        Trial(
-            ds=ds,
-            full_labels=full,
-            sampler=args.sampler,
-            cfg=cfg,
-            retry=args.retry,
-            no_ratio=args.no_ratio,
-            check_balance=args.check_balance,
-        )
-        for cfg in cfgs
+        Trial(ds=ds, full_labels=full, sampler=args.sampler, cfg=replace(cfg, rng_seed=seed),
+              retry=args.retry, no_ratio=args.no_ratio, check_balance=args.check_balance,
+              drawn=slot, draw_ms=draw_ms)
+        for seed, slot in zip(seeds, drawn)
     ]
     if args.jobs > 1:
         # One chunk per worker: the trials of a chunk are pickled together, so
@@ -333,7 +338,8 @@ def _cmd_verify(args) -> int:
                     epsilon=eps, c0=args.c0,
                     rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
                 )
-                for _, trace in run_sampler_batch(ds, cfg, args.runs):
+                seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.runs)]
+                for _, trace in draw_samples(ds, cfg, seeds):
                     per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
@@ -341,7 +347,8 @@ def _cmd_verify(args) -> int:
             d, eps = d_grid[0], args.eps_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
             cfg = AsuraConfig(epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7))
-            batch = [t for _, t in run_sampler_batch(ds, cfg, args.statistical_runs)]
+            seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.statistical_runs)]
+            batch = [t for _, t in draw_samples(ds, cfg, seeds)]
             reports.extend(check_statistical_lemmas(batch))
 
     if args.lemma:
@@ -386,6 +393,11 @@ def _sweep_points(args, base_seed):
 
 def _cmd_sweep(args) -> int:
     base_seed = _base_seed(args)
+    # Every point's lambda and sampler config are checked before the first point runs.
+    if min(args.grid if args.axis == "lambda" else [args.lam]) < 0:
+        raise InvalidInputError("lambda must be nonnegative")
+    for eps in args.grid if args.axis == "epsilon" else [args.epsilon]:
+        _limits(AsuraConfig(epsilon=eps, c0=args.c0), 1)
     rows = []
     points = _sweep_points(args, base_seed)
     print("point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound")
@@ -393,12 +405,11 @@ def _cmd_sweep(args) -> int:
         cfg = AsuraConfig(
             epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 2, point_index)
         )
-        counts = []
-        for _, trace in run_sampler_batch(ds, cfg, args.trials):
-            counts.append(
-                int(np.count_nonzero(trace.sampled_index < ds.n1))
-            )
-        counts = np.array(counts, dtype=float)
+        seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.trials)]
+        counts = np.array(
+            [np.count_nonzero(t.sampled_index < ds.n1) for _, t in draw_samples(ds, cfg, seeds)],
+            dtype=float,
+        )
         r_x = reduced_rank(ds)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(counts.size)) if counts.size > 1 else 0.0

@@ -227,7 +227,8 @@ class SvdFactors:
         err = size = 0.0
         for i in range(0, self.n, step):
             block = x[i:i + step] / scale
-            diff = (self.u[i:i + step] * sigma) @ self.v.T - block
+            diff = (self.u[i:i + step] * sigma) @ self.v.T
+            np.subtract(diff, block, out=diff)
             err += float(np.vdot(diff, diff))
             size += float(np.vdot(block, block))
         return math.sqrt(err / size) if size else math.inf

@@ -28,9 +28,9 @@ class InsufficientSampleError(SsarError):
 class WellBalancedEventFailedError(SsarError):
     """Every sampling attempt failed the well-balancedness check.
 
-    Carries the per-attempt reports in ``self.reports``.
+    Carries the per-attempt reports in ``self.reports``, which pickling keeps.
     """
 
-    def __init__(self, message, reports):
+    def __init__(self, message, reports=()):
         super().__init__(message)
         self.reports = list(reports)

@@ -11,19 +11,23 @@ regularizer exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample, sample_with_retry
+from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import Dataset, as_matrix, as_vector, psd_sqrt
-from .errors import InvalidInputError, NumericalBreakdownError
+from .errors import InvalidInputError, NumericalBreakdownError, WellBalancedEventFailedError
+from .rngutil import derive_seed
 
 __all__ = [
     "LabelOracle",
     "RegressionSolution",
     "weighted_lsq",
+    "draw_samples",
+    "solve_sample",
     "solve_active",
     "ridge_to_ssal",
     "kernel_ridge_to_ssal",
@@ -143,13 +147,64 @@ def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
     return Dataset(x_unlabeled=k, x_labeled=np.sqrt(lam) * root, y_labeled=np.zeros(len(root)))
 
 
+def draw_samples(
+    ds: Dataset, cfg: AsuraConfig | LeverageConfig | UniformConfig, seeds: Sequence[int],
+    retry: bool = False,
+) -> list:
+    """One ``(SampleSet, trace)`` slot per seed, drawn with ``replace(cfg, rng_seed=seed)``.
+
+    The type of ``cfg`` chooses the sampler: ``AsuraConfig`` runs go through
+    :func:`ssar.asura.asura_sample_batch`, which raises the lowest-indexed
+    failing run's error; leverage and uniform runs are drawn per seed, with
+    trace None.  With ``retry``, attempt ``a > 1`` redraws the adaptive runs
+    that failed :func:`check_well_balanced`, in one batch, the run of seed
+    ``s`` with ``derive_seed(s, a)``; a run that fails ``cfg.max_restarts``
+    attempts gets a :class:`WellBalancedEventFailedError` with their reports.
+    """
+    if isinstance(cfg, LeverageConfig):
+        return [(leverage_sample(ds.svd, replace(cfg, rng_seed=s)), None) for s in seeds]
+    if isinstance(cfg, UniformConfig):
+        return [(uniform_sample(ds.n, replace(cfg, rng_seed=s)), None) for s in seeds]
+    if not isinstance(cfg, AsuraConfig):
+        raise InvalidInputError(f"no sampler takes a {type(cfg).__name__} config")
+    if not retry:
+        return asura_sample_batch(ds, cfg, seeds)
+    drawn, reports, todo = [None] * len(seeds), [[] for _ in seeds], list(range(len(seeds)))
+    for attempt in range(1, cfg.max_restarts + 1):
+        tried = [seeds[k] if attempt == 1 else derive_seed(seeds[k], attempt) for k in todo]
+        for k, run in zip(todo, asura_sample_batch(ds, cfg, tried)):
+            reports[k].append(check_well_balanced(run[1], ds.svd))
+            if reports[k][-1].well_balanced:
+                drawn[k] = run
+        todo = [k for k in todo if drawn[k] is None]
+        if not todo:
+            break
+    failed = f"no well-balanced run within {cfg.max_restarts} attempts"
+    return [WellBalancedEventFailedError(failed, rep) if run is None else run
+            for run, rep in zip(drawn, reports)]
+
+
 def solve_active(
     ds: Dataset,
     oracle: LabelOracle,
     cfg: AsuraConfig | LeverageConfig | UniformConfig,
     retry: bool = False,
 ) -> RegressionSolution:
-    """Sample rows of the stacked design, buy the needed labels, and solve.
+    """Sample rows with ``cfg.rng_seed``, buy the needed labels, and solve.
+
+    :func:`draw_samples` of one seed, then :func:`solve_sample`; with
+    ``retry``, a run that is never well balanced raises its
+    :class:`WellBalancedEventFailedError`.
+    """
+    # A non-config has no seed; draw_samples rejects it by its type.
+    (drawn,) = draw_samples(ds, cfg, [getattr(cfg, "rng_seed", 0)], retry)
+    if isinstance(drawn, WellBalancedEventFailedError):
+        raise drawn
+    return solve_sample(ds, oracle, *drawn)
+
+
+def solve_sample(ds: Dataset, oracle: LabelOracle, sample: SampleSet, trace) -> RegressionSolution:
+    """Buy the labels of a drawn sample and solve the weighted problem on its rows.
 
     The weighted problem on the sampled rows is solved in the rank
     coordinates of ``ds.svd = U Sigma V^T``: ``weighted_lsq`` gets the m x r
@@ -159,36 +214,12 @@ def solve_active(
     ``beta`` and of the least-squares fit; the ratio is taken on labels
     divided by a power of two near their largest |entry|, and an OPT below
     ``1e-12 * ||y||^2`` counts as 0 (ratio 1 if the loss is too, else inf).
-
-    Parameters
-    ----------
-    ds : Dataset
-    oracle : LabelOracle
-        Must cover all ``ds.n`` stacked rows with ``n_unlabeled == ds.n1``.
-    cfg : AsuraConfig, LeverageConfig or UniformConfig
-        Its type chooses the sampler: the adaptive sampler, leverage-score
-        sampling or uniform sampling.
-    retry : bool
-        For the adaptive sampler, rerun until the well-balancedness check
-        passes (at most ``cfg.max_restarts`` attempts).
+    ``oracle`` must cover all ``ds.n`` rows with ``n_unlabeled == ds.n1``.
     """
     if oracle.n_unlabeled != ds.n1:
         raise InvalidInputError("oracle and dataset disagree on the unlabeled block size")
     stacked = ds.stacked()
     svd = ds.svd
-
-    trace = None
-    if isinstance(cfg, AsuraConfig):
-        if retry:
-            sample, trace, _ = sample_with_retry(ds, cfg)
-        else:
-            sample, trace = asura_sample(ds, cfg)
-    elif isinstance(cfg, LeverageConfig):
-        sample = leverage_sample(svd, cfg)
-    elif isinstance(cfg, UniformConfig):
-        sample = uniform_sample(ds.n, cfg)
-    else:
-        raise InvalidInputError(f"no sampler takes a {type(cfg).__name__} config")
 
     labels = np.array([oracle.label(i) for i in sample.indices])
     if sample.m > 0:

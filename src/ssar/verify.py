@@ -27,18 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .asura import (
-    EIG_TOL,
-    AsuraConfig,
-    AsuraTrace,
-    SampleSet,
-    _gamma_guard,
-    _replay,
-    asura_sample_batch,
-)
-from .core import Dataset, SvdFactors
+from .asura import EIG_TOL, AsuraTrace, _gamma_guard, _replay
+from .core import SvdFactors
 from .errors import InsufficientSampleError, InvalidInputError
-from .rngutil import derive_seed
 
 __all__ = [
     "LemmaReport",
@@ -46,7 +37,6 @@ __all__ = [
     "check_hard_lemmas",
     "check_statistical_lemmas",
     "query_bound",
-    "run_sampler_batch",
     "merge_hard_reports",
 ]
 
@@ -302,16 +292,3 @@ def query_bound(r_x: float, gamma: float) -> float:
     """The mean unlabeled-query bound ``4 r_x / gamma^2`` for an instance with trace ``r_x``."""
     return 4.0 * r_x / gamma**2
 
-
-def run_sampler_batch(
-    ds: Dataset, cfg: AsuraConfig, n_runs: int
-) -> list[tuple[SampleSet, AsuraTrace]]:
-    """Run ``n_runs`` independent sampler runs on ``ds`` with per-trial derived seeds.
-
-    Run ``k`` uses seed ``derive_seed(cfg.rng_seed, k)`` and gives what
-    :func:`ssar.asura.asura_sample` gives on it.  The runs go through
-    :func:`ssar.asura.asura_sample_batch`, which decides when they share a
-    lockstep stack; a failing batch raises the error of its lowest-indexed
-    failing run.
-    """
-    return asura_sample_batch(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(n_runs)])

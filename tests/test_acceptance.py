@@ -30,16 +30,16 @@ from ssar.instances import (
 )
 from ssar.regression import (
     LabelOracle,
+    draw_samples,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
-    solve_active,
+    solve_sample,
 )
 from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import (
     check_hard_lemmas,
     check_statistical_lemmas,
     merge_hard_reports,
-    run_sampler_batch,
 )
 
 from reference import (
@@ -82,7 +82,7 @@ def hard_grid():
                 rng_seed=derive_seed(BASE_SEED, 3, d, int(1000 * eps)),
             )
             t0 = time.perf_counter()
-            runs = run_sampler_batch(ds, cfg, 84)
+            runs = draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(84)])
             per_run = [check_hard_lemmas(t, svd) for _, t in runs]
             hard_elapsed += time.perf_counter() - t0
             cells[(d, eps)] = merge_hard_reports(per_run)
@@ -115,7 +115,8 @@ def statistical_batch():
     ds, _ = gen_random_instance(60, 20, 8, 1.0, derive_seed(BASE_SEED, 5))
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(BASE_SEED, 5, 1))
     t0 = time.perf_counter()
-    traces = [t for _, t in run_sampler_batch(ds, cfg, 2000)]
+    seeds = [derive_seed(cfg.rng_seed, k) for k in range(2000)]
+    traces = [t for _, t in draw_samples(ds, cfg, seeds)]
     return {
         "traces": traces,
         "elapsed": time.perf_counter() - t0,
@@ -253,14 +254,10 @@ def test_criterion_06_query_bound_and_monotonicity():
     for lam in (0.0, 1.0, 4.0, 16.0):
         ds = ridge_to_ssal(x1, lam)
         full = np.concatenate([y1, np.zeros(d)])
-        sols = []
-        for k in range(trials):
-            oracle = LabelOracle(full, n1)
-            cfg = AsuraConfig(
-                epsilon=eps, c0=2.0,
-                rng_seed=derive_seed(BASE_SEED, 6, int(lam), k),
-            )
-            sols.append(solve_active(ds, oracle, cfg))
+        cfg = AsuraConfig(epsilon=eps, c0=2.0)
+        seeds = [derive_seed(BASE_SEED, 6, int(lam), k) for k in range(trials)]
+        sols = [solve_sample(ds, LabelOracle(full, n1), *drawn)
+                for drawn in draw_samples(ds, cfg, seeds)]
         report = check_query_bound(sols, ds, math.sqrt(eps) / 2.0)
         sd = statistical_dimension(sigma, lam)
         means.append(report.statistic)
@@ -272,13 +269,9 @@ def test_criterion_06_query_bound_and_monotonicity():
     # Kernel instance: low-rank PSD kernel on 300 points, drawn from the same rng.
     n = 300
     ds_k, full_k, _ = gen_kernel_instance(n, 8, 1.0, rng)
-    sols_k = []
-    for j in range(200):
-        oracle = LabelOracle(full_k, n)
-        cfg = AsuraConfig(
-            epsilon=eps, c0=2.0, rng_seed=derive_seed(BASE_SEED, 6, 99, j),
-        )
-        sols_k.append(solve_active(ds_k, oracle, cfg))
+    seeds = [derive_seed(BASE_SEED, 6, 99, j) for j in range(200)]
+    sols_k = [solve_sample(ds_k, LabelOracle(full_k, n), *drawn)
+              for drawn in draw_samples(ds_k, AsuraConfig(epsilon=eps, c0=2.0), seeds)]
     report_k = check_query_bound(sols_k, ds_k, math.sqrt(eps) / 2.0)
     d_lam = effective_dimension(np.linalg.eigvalsh(ds_k.x_unlabeled), 1.0)
     details.append(f"kernel: mean {report_k.statistic:.2f} "
@@ -298,22 +291,18 @@ def test_criterion_07_end_to_end_approximation():
     ds = ridge_to_ssal(x1, lam)
     full = np.concatenate([y1, np.zeros(d)])
 
-    def run_band(cfg_for):
-        ratios = []
-        for k in range(50):
-            oracle = LabelOracle(full, n1)
-            sol = solve_active(ds, oracle, cfg_for(k))
-            ratios.append(sol.ratio)
-        ratios = np.array(ratios)
+    def run_band(cfg, seeds):
+        ratios = np.array([solve_sample(ds, LabelOracle(full, n1), *drawn).ratio
+                           for drawn in draw_samples(ds, cfg, seeds)])
         return float(ratios.mean()), float(np.percentile(ratios, 90))
 
     mean_a, p90_a = run_band(
-        lambda k: AsuraConfig(epsilon=eps, c0=2.0,
-                              rng_seed=derive_seed(BASE_SEED, 7, k)),
+        AsuraConfig(epsilon=eps, c0=2.0),
+        [derive_seed(BASE_SEED, 7, k) for k in range(50)],
     )
     mean_l, p90_l = run_band(
-        lambda k: LeverageConfig(epsilon=eps, oversample_c=15.0,
-                                 rng_seed=derive_seed(BASE_SEED, 7, 1, k)),
+        LeverageConfig(epsilon=eps, oversample_c=15.0),
+        [derive_seed(BASE_SEED, 7, 1, k) for k in range(50)],
     )
     ok = (mean_a <= 1 + 10 * eps and p90_a <= 1 + 20 * eps
           and mean_l <= 1 + 10 * eps and p90_l <= 1 + 20 * eps)

@@ -16,7 +16,6 @@ from ssar.asura import (
     asura_sample,
     asura_sample_batch,
     check_well_balanced,
-    sample_with_retry,
 )
 from ssar.core import Dataset, thin_svd
 from ssar.errors import (
@@ -26,8 +25,9 @@ from ssar.errors import (
     WellBalancedEventFailedError,
 )
 from ssar.instances import gen_random_instance
+from ssar.regression import draw_samples
 from ssar.rngutil import derive_seed, make_rng
-from ssar.verify import check_hard_lemmas, run_sampler_batch
+from ssar.verify import check_hard_lemmas
 
 from conftest import gaussian_dataset
 from reference import _draw_index, sampling_distribution
@@ -399,7 +399,7 @@ def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
     assert len(batch) == n_runs
     for got, seed in zip(batch, seeds):
         _assert_same_run(got, asura_sample(ds, replace(cfg, rng_seed=seed)))
-    for got, ref in zip(run_sampler_batch(ds, cfg, n_runs), batch):
+    for got, ref in zip(draw_samples(ds, cfg, seeds), batch):
         _assert_same_run(got, ref)
 
 
@@ -506,7 +506,7 @@ def test_lockstep_raises_the_lowest_failing_runs_barrier_error(monkeypatch):
     in_turn = _fails_in_turn(ds, cfg, seeds)
     assert [k for k, exc in enumerate(in_turn) if exc is not None] == [2, 5]
     with pytest.raises(BarrierViolationError) as err:
-        run_sampler_batch(ds, cfg, len(seeds))
+        draw_samples(ds, cfg, seeds)
     assert str(err.value) == str(in_turn[2])
     assert f"at iteration {late[1]}:" in str(err.value)
 
@@ -639,8 +639,9 @@ def test_dominant_row_run_in_window_is_well_balanced():
     assert rep.kd_max_brute <= rep.kd_max_closed / 2 + 1e-12
     assert rep.kd_ok
     assert rep.well_balanced
-    _, _, attempts = sample_with_retry(ds, cfg)
-    assert attempts == 1
+    # A retry draw that passes on attempt 1 is the plain run.
+    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+    np.testing.assert_array_equal(drawn[1].sampled_index, t.sampled_index)
 
 
 def test_small_gamma_runs_are_well_balanced():
@@ -664,30 +665,30 @@ def test_condition_number_bound_in_small_gamma_regime():
     assert t.u_final / t.l_final <= 1 + 3456 * cfg.gamma
 
 
-def test_sample_with_retry_first_attempt_matches_plain_run():
+def test_retry_draw_first_attempt_matches_plain_run():
     ds, svd = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=41)
-    sample, trace, attempts = sample_with_retry(ds, cfg)
-    assert attempts == 1
+    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
     plain, _ = asura_sample(ds, cfg)
-    np.testing.assert_array_equal(sample.indices, plain.indices)
+    # Attempt 1 draws with the run's own seed, so a pass there is the plain run.
+    np.testing.assert_array_equal(drawn[0].indices, plain.indices)
 
 
-def test_sample_with_retry_exhaustion_carries_reports():
+def test_retry_draw_exhaustion_carries_reports():
     # At gamma = 1/4 the spectral window is essentially never met, so every
     # attempt fails and the error carries one report per attempt.
     ds, _ = _svd()
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=43, max_restarts=3)
-    with pytest.raises(WellBalancedEventFailedError) as err:
-        sample_with_retry(ds, cfg)
-    assert len(err.value.reports) == 3
+    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+    assert isinstance(drawn, WellBalancedEventFailedError)
+    assert len(drawn.reports) == 3
 
 
-def test_sample_with_retry_never_exhausts_in_guaranteed_regime():
+def test_retry_draw_never_exhausts_in_guaranteed_regime():
     # Per-attempt failure probability is far below 1/4 at gamma = 1/16, so
     # ten restarts are never exhausted across seeded instances.
     for k in range(20):
         ds = gaussian_dataset(12, 4, 4, seed=3000 + k)
         cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(4000, k), max_restarts=10)
-        _, _, attempts = sample_with_retry(ds, cfg)
-        assert attempts <= 10
+        (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+        assert not isinstance(drawn, WellBalancedEventFailedError)

@@ -4,11 +4,23 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ssar import regression
+from ssar.asura import AsuraConfig, check_well_balanced
+from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
-from ssar.dataio import dump_trace
+from ssar.dataio import dump_trace, load_dataset
+from ssar.errors import (
+    BarrierViolationError,
+    NumericalBreakdownError,
+    WellBalancedEventFailedError,
+)
+from ssar.regression import LabelOracle, solve_active
+from ssar.rngutil import derive_seed
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +218,120 @@ def test_run_records_per_trial_sampler_failures_and_continues(manifest, capsys):
     recs = [json.loads(s) for s in data_lines(out)]
     assert all("error" in r for r in recs[:-1])
     assert recs[-1]["failed_trials"] == 2
+
+
+def _records_in_turn(manifest, cfg, base_seed, trials, retry=False, check_balance=False):
+    """The trial records of ``run`` without ``runtime_ms``, from one ``solve_active`` per seed."""
+    ds, full = load_dataset(manifest)
+    sampler = {AsuraConfig: "asura", LeverageConfig: "leverage", UniformConfig: "uniform"}[type(cfg)]
+    adaptive = sampler == "asura"
+    records = []
+    for k in range(trials):
+        seed = derive_seed(base_seed, k)
+        try:
+            sol = solve_active(ds, LabelOracle(full, ds.n1), replace(cfg, rng_seed=seed), retry)
+        except (BarrierViolationError, NumericalBreakdownError,
+                WellBalancedEventFailedError) as exc:
+            records.append({"seed": seed, "sampler": sampler, "error": str(exc)})
+            continue
+        well_balanced = None
+        if adaptive and retry:
+            well_balanced = True
+        elif adaptive and check_balance:
+            well_balanced = check_well_balanced(sol.trace, ds.svd).well_balanced
+        records.append({
+            "seed": seed, "sampler": sampler, "m": sol.iterations,
+            "queries_billed": sol.queries,
+            "queries_iteration_level": sol.queries_iteration_level,
+            "ratio": sol.ratio, "well_balanced": well_balanced,
+            "gamma": cfg.gamma if adaptive else None,
+        })
+    return records
+
+
+def _trial_records(out):
+    records = [json.loads(s) for s in data_lines(out)][:-1]
+    for rec in records:
+        rec.pop("runtime_ms", None)
+    return records
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    ([], AsuraConfig(epsilon=0.25)),
+    (["--sampler", "leverage"], LeverageConfig(epsilon=0.25)),
+    (["--sampler", "uniform"], UniformConfig(m=100)),
+    (["--check-balance"], AsuraConfig(epsilon=0.25)),
+    (["--retry", "--c0", "8"], AsuraConfig(epsilon=0.25, c0=8.0)),
+    (["--retry"], AsuraConfig(epsilon=0.25)),
+], ids=["asura", "leverage", "uniform", "check-balance", "retry-c0-8", "retry-exhausted"])
+def test_run_batch_draw_gives_the_records_of_trials_in_turn(manifest, capsys, argv, cfg):
+    # run draws all trials in one call; every record must be what solve_active
+    # gives on that trial's seed alone, apart from the time.
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "30",
+                        "--seed", "12", *argv)
+    assert code == EXIT_OK
+    expected = _records_in_turn(manifest, cfg, 12, 30, retry="--retry" in argv,
+                                check_balance="--check-balance" in argv)
+    assert _trial_records(out) == expected
+
+
+def test_run_falls_back_to_per_trial_draws_when_the_batch_fails(manifest, capsys, monkeypatch):
+    # A draw that holds seeds 1 or 4 raises; the batch fails, and each trial
+    # then draws alone, so only trials 1 and 4 get error records, their own.
+    seeds = [derive_seed(5, k) for k in range(6)]
+    doomed = {seeds[1], seeds[4]}
+    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25), 5, 6)
+    real, calls = regression.asura_sample_batch, []
+
+    def batch(ds, cfg, tried):
+        calls.append(len(tried))
+        failing = [s for s in tried if s in doomed]
+        if failing:
+            raise NumericalBreakdownError(f"forced failure of seed {failing[0]}")
+        return real(ds, cfg, tried)
+
+    monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "6", "--seed", "5")
+    assert code == EXIT_OK
+    assert calls == [6] + [1] * 6
+    for k in doomed:
+        expected[seeds.index(k)] = {
+            "seed": k, "sampler": "asura", "error": f"forced failure of seed {k}",
+        }
+    assert _trial_records(out) == expected
+    assert json.loads(data_lines(out)[-1])["failed_trials"] == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_retry_exhaustion_leaves_the_other_trials_intact(manifest, capsys, monkeypatch, jobs):
+    # Every attempt of trial 3 is made to fail the balance check: it uses up
+    # its ten attempts, one batch each, and the other trials keep their records.
+    seeds = [derive_seed(5, k) for k in range(6)]
+    doomed = {seeds[3]} | {derive_seed(seeds[3], a) for a in range(2, 11)}
+    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25, c0=8.0), 5, 6, retry=True)
+    real_batch, real_check = regression.asura_sample_batch, regression.check_well_balanced
+    calls, seed_of = [], {}
+
+    def batch(ds, cfg, tried):
+        calls.append(list(tried))
+        runs = real_batch(ds, cfg, tried)
+        seed_of.update((id(trace), seed) for (_, trace), seed in zip(runs, tried))
+        return runs
+
+    def check(trace, svd):
+        report = real_check(trace, svd)
+        return replace(report, well_balanced=False) if seed_of[id(trace)] in doomed else report
+
+    monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    monkeypatch.setattr(regression, "check_well_balanced", check)
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "6", "--seed", "5",
+                        "--c0", "8", "--retry", "--jobs", jobs)
+    assert code == EXIT_OK
+    expected[3] = {"seed": seeds[3], "sampler": "asura",
+                   "error": "no well-balanced run within 10 attempts"}
+    assert _trial_records(out) == expected
+    assert len(calls) == 10 and calls[0] == seeds
+    assert all(derive_seed(seeds[3], a) in calls[a - 1] for a in range(2, 11))
 
 
 def test_run_missing_manifest_is_io_error(capsys):
@@ -442,7 +568,7 @@ def test_verify_small_inline_suite_passes(capsys):
 def test_verify_above_the_gamma_cap_is_config_error(capsys, monkeypatch):
     # c0 = 1.5 gives gamma = 1/3 at eps = 0.25: the sampler would run, but the
     # matrix checks refuse, so the grid is refused before its first batch.
-    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    calls = count_calls(monkeypatch, "draw_samples", "regression", "cli")
     code = main(["verify", "--c0", "1.5", "--eps-grid", "0.1,0.25", "--d-grid", "4",
                  "--runs", "2"])
     captured = capsys.readouterr()
@@ -467,7 +593,7 @@ def test_run_above_the_gamma_cap_fails_before_sampling(manifest, capsys, monkeyp
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_verify_trace_file_without_paths_is_config_error(capsys, monkeypatch, tmp_path, how):
-    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    calls = count_calls(monkeypatch, "draw_samples", "regression", "cli")
     argv = ["verify", "--runs", "2", "--d-grid", "4", "--eps-grid", "0.25"]
     if how == "flag":
         argv.append("--trace-file")
@@ -482,7 +608,7 @@ def test_verify_trace_file_without_paths_is_config_error(capsys, monkeypatch, tm
 
 
 def test_verify_too_few_statistical_runs_fails_before_the_grid(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "run_sampler_batch", "verify", "cli")
+    calls = count_calls(monkeypatch, "draw_samples", "regression", "cli")
     code = main(["verify", "--statistical-runs", "5"])
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
@@ -555,6 +681,23 @@ def test_sweep_factors_each_grid_point_once(capsys, monkeypatch):
                       "--trials", "2", "--seed", "1")
     assert code == EXIT_OK
     assert svd_calls == [1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--grid", "1,-1", "--n1", "50", "--d", "2", "--trials", "2"],
+    ["epsilon", "--grid", "0.25,0.9", "--c0", "1"],
+], ids=["negative-lambda", "gamma-at-one-half"])
+def test_sweep_checks_every_grid_point_before_the_first(capsys, monkeypatch, argv):
+    # Each bad point used to surface only when the sweep reached it, after
+    # the table header and any earlier point's row had been printed.
+    calls = count_calls(monkeypatch, "draw_samples", "regression", "cli")
+    code = main(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert data_lines(captured.out) == []
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -7,14 +7,14 @@ from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
 from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
 from ssar.errors import InsufficientSampleError, InvalidInputError
-from ssar.regression import LabelOracle, solve_active
+from ssar.regression import LabelOracle, draw_samples, solve_active
+from ssar.rngutil import derive_seed
 from ssar import verify
 from ssar.verify import (
     HARD_LEMMA_IDS,
     check_hard_lemmas,
     check_statistical_lemmas,
     merge_hard_reports,
-    run_sampler_batch,
 )
 
 from conftest import gaussian_dataset
@@ -137,7 +137,7 @@ def test_statistical_checks_small_batch_override(monkeypatch):
     monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=6)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7)
-    batch = [t for _, t in run_sampler_batch(ds, cfg, 60)]
+    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(60)])]
     reports = check_statistical_lemmas(batch)
     by_id = {r.lemma_id: r for r in reports}
     assert by_id["unlabeled-mass-identity"].verdict
@@ -161,7 +161,7 @@ def test_drift_check_rejects_increasing_potentials(monkeypatch):
     monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=10)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
-    batch = [t for _, t in run_sampler_batch(ds, cfg, 50)]
+    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(50)])]
     rigged = [
         dataclasses.replace(
             t,
