@@ -321,8 +321,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     base_seed = _base_seed(args)
+    if args.manifest and not args.trace_file:
+        raise InvalidInputError("--manifest names the instance of --trace-file dumps")
     if args.trace_file:
-        reports = merge_hard_reports([check_hard_lemmas(load_trace(p)) for p in args.trace_file])
+        svd = load_dataset(args.manifest)[0].svd if args.manifest else None
+        reports = merge_hard_reports(
+            [check_hard_lemmas(load_trace(p), svd) for p in args.trace_file]
+        )
     else:
         if args.statistical_runs and args.statistical_runs < MIN_STATISTICAL_RUNS:
             raise InvalidInputError(
@@ -533,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=_count, default=1)
     run.add_argument("--jobs", type=_count, default=1)
     run.add_argument("--retry", action="store_true",
-                     help="rerun the adaptive sampler until well balanced")
+                     help="rerun the adaptive sampler until well balanced; use --c0 6 or "
+                          "above: below --c0 4 no run lands in the spectral window, so "
+                          "every attempt fails")
     run.add_argument("--check-balance", action="store_true",
                      help="attach the well-balancedness verdict to each trial")
     run.add_argument("--no-ratio", action="store_true",
@@ -547,7 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the guarantee checks")
     ver.add_argument("--trace-file", nargs="+", default=None,
-                     help="check scalar dumps instead of running inline")
+                     help="check trace dumps instead of running inline")
+    ver.add_argument("--manifest", default=None,
+                     help="instance of the dumped runs: adds the matrix checks to --trace-file")
     ver.add_argument("--runs", type=_count, default=30, help="runs per grid cell")
     ver.add_argument("--d-grid", type=_grid, default="4,8,16")
     ver.add_argument("--eps-grid", type=_grid, default="0.25,0.1")

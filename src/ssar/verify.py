@@ -12,7 +12,16 @@ expectations.  ``query_bound`` is the mean label-query bound that ``sweep``
 reports against.
 
 Every check reads its run constants (``gamma``, the rank) and series from
-the traces; the matrix checks also take the run's factors.
+the traces; the matrix checks also take the run's factors.  A report's
+``statistic`` is the checked quantity at its worst and ``worst_margin`` its
+excess over the bound.  For ``barrier-containment`` the statistic is the
+largest eigenvalue excess over the barriers, ``max(l_j - theta_min(A_j),
+theta_max(A_j) - u_j)``, and the margin is that minus ``EIG_TOL``.  For
+``step-upper`` and ``step-lower`` they are the largest
+``q_j = w'_j U(x_j)^T (B_j + tau I)^{-1} U(x_j)`` and ``q_j - 1``, with
+``B_j`` the check's right-hand side and ``tau = EIG_TOL``; both are inf
+where the chunk holding ``j`` has a ``B_j + tau I`` that is not positive
+definite or a ``q_j >= 1``.
 
 The supermartingale check compares iterations ``j`` and ``j + 1`` only over
 runs still active at ``j + 1``, which conditions on survival; treat it as an
@@ -120,13 +129,41 @@ def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
     return reports
 
 
+def _step_q(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``q_j = s_j^T (B_j + tau I)^{-1} s_j`` for a stack, with ``tau = EIG_TOL``.
+
+    One stacked Cholesky of the bordered matrices ``[[B_j + tau I, s_j],
+    [s_j^T, 1]]`` gives it: the last row of each factor is
+    ``((L_j^{-1} s_j)^T, sqrt(1 - q_j))``.  The factor exists exactly when
+    ``B_j + tau I`` is positive definite and ``q_j < 1``, so a stack with any
+    other matrix raises :class:`numpy.linalg.LinAlgError`.
+    """
+    k, r = s.shape
+    border = np.empty((k, r + 1, r + 1))
+    border[:, :r, :r] = b
+    np.einsum("kii->ki", border)[:, :r] += EIG_TOL
+    border[:, :r, r] = s
+    border[:, r, :r] = s
+    border[:, r, r] = 1.0
+    last = np.linalg.cholesky(border)[:, r, :r]
+    return np.einsum("ki,ki->k", last, last)
+
+
 def _matrix_hard_reports(trace: AsuraTrace, svd: SvdFactors) -> list[LemmaReport]:
-    """Containment and step checks on the running matrices replayed from the trace."""
-    gamma, m = trace.gamma, trace.m
-    eye = np.eye(trace.rank)
-    contain_viol = up_viol = low_viol = 0
-    contain_worst = up_worst = low_worst = -float("inf")
-    for j0, mats in _replay(trace, svd.u):
+    """Containment and step checks on the running matrices replayed from the trace.
+
+    Containment takes one stacked ``eigvalsh`` per chunk, and each step check
+    one :func:`_step_q` with ``s_j = sqrt(w'_j) U(x_j)``.  A chunk whose
+    bordered factorization fails counts that check's violations by eigenvalue,
+    ``lambda_max(A_{j+1} - A_j - B_j) > EIG_TOL``, with the same ``B_j``.
+    """
+    gamma, m, r = trace.gamma, trace.m, trace.rank
+    eye = np.eye(r)
+    s = np.sqrt(trace.w_prime)[:, None] * svd.u[trace.sampled_index]
+    contain_viol, contain_worst = 0, -float("inf")
+    step_viol, step_worst = [0, 0], [-float("inf")] * 2
+    # Beside each step's matrix sit its bordered matrix and that one's factor.
+    for j0, mats in _replay(trace, svd.u, extra_bytes=16 * (r + 1) ** 2):
         j1 = j0 + len(mats) - 1
         # Chunks share their edge matrix; only the last chunk checks A_m.
         held = mats if j1 == m else mats[:-1]
@@ -136,23 +173,25 @@ def _matrix_hard_reports(trace: AsuraTrace, svd: SvdFactors) -> list[LemmaReport
         contain_worst = max(contain_worst, float(over.max()))
         contain_viol += int(np.count_nonzero(over > EIG_TOL))
 
-        a, step = mats[:-1], mats[1:] - mats[:-1]
-        shifted = trace.u[j0:j1, None, None] * eye - a
-        shifted *= gamma
-        lam_up = np.linalg.eigvalsh(np.subtract(step, shifted, out=shifted))[:, -1]
-        shifted = a - trace.l[j0 + 1:j1 + 1, None, None] * eye
-        shifted *= 2.0 * gamma
-        lam_low = np.linalg.eigvalsh(np.subtract(step, shifted, out=shifted))[:, -1]
-        up_worst = max(up_worst, float(lam_up.max(initial=-np.inf)))
-        low_worst = max(low_worst, float(lam_low.max(initial=-np.inf)))
-        up_viol += int(np.count_nonzero(lam_up > EIG_TOL))
-        low_viol += int(np.count_nonzero(lam_low > EIG_TOL))
+        a = mats[:-1]
+        upper = trace.u[j0:j1, None, None] * eye - a
+        upper *= gamma
+        lower = a - trace.l[j0 + 1:j1 + 1, None, None] * eye
+        lower *= 2.0 * gamma
+        for i, b in enumerate((upper, lower)):
+            try:
+                q = _step_q(b, s[j0:j1])
+                step_worst[i] = max(step_worst[i], float(q.max(initial=-np.inf)))
+            except np.linalg.LinAlgError:
+                lam = np.linalg.eigvalsh(np.subtract(mats[1:] - a, b, out=b))[:, -1]
+                step_viol[i] += int(np.count_nonzero(lam > EIG_TOL))
+                step_worst[i] = float("inf")
 
     return [
         LemmaReport("barrier-containment", 1, contain_viol, contain_worst - EIG_TOL,
                     contain_worst, contain_viol == 0),
-        LemmaReport("step-upper", 1, up_viol, up_worst - EIG_TOL, up_worst, up_viol == 0),
-        LemmaReport("step-lower", 1, low_viol, low_worst - EIG_TOL, low_worst, low_viol == 0),
+        *(LemmaReport(lemma_id, 1, viol, q - 1.0, q, viol == 0)
+          for lemma_id, viol, q in zip(("step-upper", "step-lower"), step_viol, step_worst)),
     ]
 
 
@@ -162,8 +201,14 @@ def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[
     The scalar checks (iteration cap, potential floor, final gap) read only
     the trace, with ``gamma`` and the rank taken from it.  Given the run's
     factors, the containment and step checks also run, on the running
-    matrices replayed from the trace with one stacked eigenvalue call per
-    chunk and check.  They need ``gamma <= 1/4``; a larger ``gamma`` raises
+    matrices replayed from the trace.  Containment takes one stacked
+    eigenvalue call per chunk; its ``statistic`` is the largest eigenvalue
+    excess over the barriers and its ``worst_margin`` that minus ``EIG_TOL``.
+    Each step check takes one stacked bordered Cholesky per chunk
+    (:func:`_step_q`); its ``statistic`` is the largest ``q_j`` and its
+    ``worst_margin`` ``q_j - 1``, both inf when a chunk cannot be factored
+    and its violations are counted by eigenvalue instead.  The matrix checks
+    need ``gamma <= 1/4``; a larger ``gamma`` raises
     :class:`InvalidInputError`.
     """
     reports = _scalar_hard_reports(trace)

@@ -13,6 +13,9 @@ computes, or a construction from the analysis that the tests check:
   the reference for OPT;
 * ``check_query_bound`` tests a batch's mean label queries against the
   ``4 R / gamma^2`` bound with standard-error slack;
+* ``step_violations_eigvalsh`` counts the step checks' violations with one
+  stacked ``eigvalsh`` per replay chunk, the route that the rank-one step
+  checks of ``ssar.verify`` replaced;
 * ``construct_packing`` builds the greedy sign-vector packing that sizes the
   hard ridge instance family of the lower bound.
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssar.asura import _barrier_weights, _normalize_probabilities
+from ssar.asura import EIG_TOL, AsuraTrace, _barrier_weights, _normalize_probabilities, _replay
 from ssar.core import DEFAULT_RANK_TOL, Dataset, SvdFactors, as_vector, reduced_rank
 from ssar.errors import (
     InsufficientSampleError,
@@ -126,6 +129,25 @@ def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
         statistic=mean,
         verdict=margin <= 0,
     )
+
+
+def step_violations_eigvalsh(trace: AsuraTrace, svd: SvdFactors) -> tuple[int, int]:
+    """Violations of ``step-upper`` and ``step-lower``, by eigenvalue.
+
+    A step violates its check where ``lambda_max(A_{j+1} - A_j - B_j)``
+    exceeds ``EIG_TOL``, with ``B_j = gamma (u_j I - A_j)`` and
+    ``B_j = 2 gamma (A_j - l_{j+1} I)``.
+    """
+    gamma, eye = trace.gamma, np.eye(trace.rank)
+    up = low = 0
+    for j0, mats in _replay(trace, svd.u):
+        j1 = j0 + len(mats) - 1
+        a, step = mats[:-1], mats[1:] - mats[:-1]
+        upper = gamma * (trace.u[j0:j1, None, None] * eye - a)
+        lower = 2.0 * gamma * (a - trace.l[j0 + 1:j1 + 1, None, None] * eye)
+        up += int(np.count_nonzero(np.linalg.eigvalsh(step - upper)[:, -1] > EIG_TOL))
+        low += int(np.count_nonzero(np.linalg.eigvalsh(step - lower)[:, -1] > EIG_TOL))
+    return up, low
 
 
 # ---------------------------------------------------------------- packing

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ssar import regression
-from ssar.asura import AsuraConfig, check_well_balanced
+from ssar.asura import AsuraConfig, asura_sample, check_well_balanced
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
 from ssar.dataio import dump_trace, load_dataset
@@ -21,6 +21,7 @@ from ssar.errors import (
 )
 from ssar.regression import LabelOracle, solve_active
 from ssar.rngutil import derive_seed
+from ssar.verify import HARD_LEMMA_IDS
 
 
 def run_cli(capsys, *argv):
@@ -654,6 +655,53 @@ def test_verify_corrupted_trace_fixture_fails(capsys, tmp_path):
     dump_trace(good, trace)
     code, _ = run_cli(capsys, "verify", "--trace-file", str(good))
     assert code == EXIT_OK
+
+
+def _dump_a_run(manifest, path, p_scale=1.0):
+    """Dump one run on the ``manifest`` instance, its last step scaled by ``1 / p_scale``."""
+    ds, _ = load_dataset(manifest)
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=8))
+    p_j = trace.p_j.copy()
+    p_j[-1] *= p_scale
+    dump_trace(path, replace(trace, p_j=p_j))
+    return str(path)
+
+
+def test_verify_trace_file_with_its_manifest_runs_every_hard_check(manifest, capsys, tmp_path):
+    good = _dump_a_run(manifest, tmp_path / "good.jsonl")
+    code, out = run_cli(capsys, "verify", "--trace-file", good, "--manifest", manifest)
+    recs = {r["lemma_id"]: r for r in map(json.loads, data_lines(out))}
+    assert code == EXIT_OK
+    assert set(recs) == set(HARD_LEMMA_IDS)
+    assert all(r["verdict"] == "pass" and r["runs"] == 1 for r in recs.values())
+
+    # A step 50 times too large reaches the matrix checks only with the manifest.
+    bad = _dump_a_run(manifest, tmp_path / "bad.jsonl", p_scale=1 / 50)
+    code, out = run_cli(capsys, "verify", "--trace-file", bad, "--manifest", manifest)
+    recs = {r["lemma_id"]: r for r in map(json.loads, data_lines(out))}
+    assert code == EXIT_HARD_FAIL
+    assert recs["step-upper"]["verdict"] == recs["barrier-containment"]["verdict"] == "fail"
+    code, out = run_cli(capsys, "verify", "--trace-file", bad)
+    assert code == EXIT_OK
+    assert {r["lemma_id"] for r in map(json.loads, data_lines(out))} == {
+        "iteration-cap", "potential-floor", "gap-bound",
+    }
+
+
+def test_verify_manifest_that_does_not_fit_the_dumps_is_config_error(manifest, capsys, tmp_path):
+    # Factors of another instance, or a manifest with no dumps to check.
+    dump = _dump_a_run(manifest, tmp_path / "trace.jsonl")
+    assert main(["gen", "random", "--n1", "60", "--n2", "15", "--d", "3", "--seed", "7",
+                 "--out", str(tmp_path / "other")]) == EXIT_OK
+    other = str(tmp_path / "other" / "random_manifest.json")
+    capsys.readouterr()
+    for argv in (["--trace-file", dump, "--manifest", other], ["--manifest", manifest]):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert data_lines(captured.out) == []
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------- sweep

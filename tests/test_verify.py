@@ -1,15 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
 from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
 from ssar.errors import InsufficientSampleError, InvalidInputError
 from ssar.regression import LabelOracle, draw_samples, solve_active
-from ssar.rngutil import derive_seed
-from ssar import verify
+from ssar.rngutil import derive_seed, make_rng
+from ssar import cli, verify
 from ssar.verify import (
     HARD_LEMMA_IDS,
     check_hard_lemmas,
@@ -18,7 +21,7 @@ from ssar.verify import (
 )
 
 from conftest import gaussian_dataset
-from reference import check_query_bound
+from reference import check_query_bound, step_violations_eigvalsh
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,38 @@ def test_containment_and_steps_fail_on_corrupted_matrices(good_run):
     assert not reports["step-upper"].verdict
 
 
+def _per_matrix_checks(trace, svd):
+    """Each matrix check's values, one matrix at a time.
+
+    Containment and the step checks' ``lambda_max(A_{j+1} - A_j - B_j)`` come
+    from ``eigvalsh``; each step's ``q = w' v^T (B + tau I)^{-1} v`` comes from
+    a solve, and is inf where ``B + tau I`` is not positive definite or
+    ``q >= 1``, where the bordered factor does not exist.
+    """
+    r, gamma = svd.rank, trace.gamma
+    eye = np.eye(r)
+    mats = [np.zeros((r, r))]
+    for pick, w in zip(trace.sampled_index, trace.w_prime):
+        mats.append(mats[-1] + w * np.outer(svd.u[pick], svd.u[pick]))
+    theta = [np.linalg.eigvalsh(a) for a in mats]
+    values = {"barrier-containment": [max(trace.l[j] - t[0], t[-1] - trace.u[j])
+                                      for j, t in enumerate(theta)]}
+    qs = {}
+    for lemma_id, barrier in (
+        ("step-upper", lambda j: gamma * (trace.u[j] * eye - mats[j])),
+        ("step-lower", lambda j: 2.0 * gamma * (mats[j] - trace.l[j + 1] * eye)),
+    ):
+        values[lemma_id], qs[lemma_id] = [], []
+        for j, (pick, w) in enumerate(zip(trace.sampled_index, trace.w_prime)):
+            b = barrier(j)
+            values[lemma_id].append(np.linalg.eigvalsh(mats[j + 1] - mats[j] - b)[-1])
+            s = math.sqrt(w) * svd.u[pick]
+            shifted = b + EIG_TOL * eye
+            q = s @ np.linalg.solve(shifted, s) if np.linalg.eigvalsh(shifted)[0] > 0 else math.inf
+            qs[lemma_id].append(q if q < 1.0 else math.inf)
+    return values, qs
+
+
 def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
     # At rank 48 the replay spans chunks, and a corrupted step mid-run makes
     # every later matrix a violation: each A_j must be checked exactly once.
@@ -100,23 +135,89 @@ def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
     bad = dataclasses.replace(trace, p_j=p_j)
     assert len(list(_replay(bad, svd.u))) >= 2
 
-    mats = [np.zeros((48, 48))]
-    for pick, w in zip(bad.sampled_index, bad.w_prime):
-        mats.append(mats[-1] + w * np.outer(svd.u[pick], svd.u[pick]))
-    eye, gamma = np.eye(48), bad.gamma
-    theta = [np.linalg.eigvalsh(a) for a in mats]
-    contain = [max(bad.l[j] - t[0], t[-1] - bad.u[j]) for j, t in enumerate(theta)]
-    up = [np.linalg.eigvalsh(mats[j + 1] - mats[j] - gamma * (bad.u[j] * eye - mats[j]))[-1]
-          for j in range(bad.m)]
-    low = [np.linalg.eigvalsh(
-               mats[j + 1] - mats[j] - 2.0 * gamma * (mats[j] - bad.l[j + 1] * eye))[-1]
-           for j in range(bad.m)]
-
+    values, qs = _per_matrix_checks(bad, svd)
     reports = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}
-    for lemma_id, values in (("barrier-containment", contain), ("step-upper", up),
-                             ("step-lower", low)):
-        assert reports[lemma_id].violations == sum(v > EIG_TOL for v in values) > 0
-        assert reports[lemma_id].statistic == max(values)
+    for lemma_id in ("barrier-containment", "step-upper", "step-lower"):
+        assert reports[lemma_id].violations == sum(v > EIG_TOL for v in values[lemma_id]) > 0
+    assert reports["barrier-containment"].statistic == max(values["barrier-containment"])
+    # A step check reports the largest q, inf once a chunk cannot be factored.
+    for lemma_id in ("step-upper", "step-lower"):
+        assert reports[lemma_id].statistic == max(qs[lemma_id]) == math.inf
+
+    _, qs = _per_matrix_checks(trace, svd)
+    reports = {r.lemma_id: r for r in check_hard_lemmas(trace, svd)}
+    for lemma_id in ("step-upper", "step-lower"):
+        assert reports[lemma_id].statistic == pytest.approx(max(qs[lemma_id]), rel=1e-9)
+        assert reports[lemma_id].worst_margin == reports[lemma_id].statistic - 1.0 < 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_step_checks_count_as_the_eigvalsh_route_on_the_default_grid(seed, monkeypatch, capsys):
+    seen = []
+
+    def checked(trace, svd=None):
+        reports = check_hard_lemmas(trace, svd)
+        counts = {r.lemma_id: r.violations for r in reports}
+        seen.append(((counts["step-upper"], counts["step-lower"]),
+                     step_violations_eigvalsh(trace, svd)))
+        return reports
+
+    monkeypatch.setattr(cli, "check_hard_lemmas", checked)
+    assert cli.main(["verify", "--seed", str(seed)]) == cli.EXIT_OK
+    assert len(seen) == 3 * 2 * 30
+    assert all(ours == eigvalsh_route for ours, eigvalsh_route in seen)
+
+
+@pytest.mark.parametrize("lemma_id", ["step-upper", "step-lower"])
+@pytest.mark.parametrize("factor,caught", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
+def test_step_checks_catch_a_step_just_over_its_barrier(good_run, lemma_id, factor, caught):
+    # Scale the last pick's weight to the boundary w* of lambda_max(w v v^T - B) = tau,
+    # times the factor; only A_m moves, and it feeds no later step.
+    ds, svd, cfg, _, trace = good_run
+    j, r = trace.m - 1, svd.rank
+    eye = np.eye(r)
+    a = sum(w * np.outer(svd.u[i], svd.u[i])
+            for i, w in zip(trace.sampled_index[:j], trace.w_prime[:j]))
+    if lemma_id == "step-upper":
+        b = trace.gamma * (trace.u[j] * eye - a)
+    else:
+        b = 2.0 * trace.gamma * (a - trace.l[j + 1] * eye)
+    v = svd.u[trace.sampled_index[j]]
+    w_star = 1.0 / (v @ np.linalg.solve(b + EIG_TOL * eye, v))
+    p_j = trace.p_j.copy()
+    p_j[j] = trace.gamma / (trace.phi_id[j] * factor * w_star)
+    bad = dataclasses.replace(trace, p_j=p_j)
+    report = {r.lemma_id: r for r in check_hard_lemmas(bad, svd)}[lemma_id]
+    assert report.violations == int(caught)
+    assert report.verdict is not caught
+    if not caught:
+        assert report.statistic == pytest.approx(factor, rel=1e-8)
+
+
+def test_rank_one_step_keeps_the_eigenvalue_tolerance():
+    # lambda_max(s s^T - 0) = 9e-10 <= tau, so the step passes on a zero barrier.
+    q = verify._step_q(np.zeros((1, 2, 2)), np.array([[3e-5, 0.0]]))
+    assert q[0] == pytest.approx(0.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 8), seed=st.integers(0, 2**31 - 1), ratio=st.floats(0.25, 4.0),
+       log_scale=st.floats(-3.0, 3.0))
+def test_rank_one_step_verdict_matches_eigvalsh(r, seed, ratio, log_scale):
+    # For positive definite B, s s^T <= B + tau I holds exactly when the
+    # bordered factor exists; the verdicts agree away from the boundary.
+    rng = make_rng(seed)
+    q_mat, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    b = 10.0**log_scale * (q_mat * 10.0 ** rng.uniform(-2.0, 2.0, r)) @ q_mat.T
+    v = rng.standard_normal(r)
+    s = math.sqrt(ratio / (v @ np.linalg.solve(b, v))) * v
+    lam = np.linalg.eigvalsh(np.outer(s, s) - b)[-1]
+    assume(abs(lam - EIG_TOL) > 1e-9 * max(np.linalg.norm(b, 2), s @ s))
+    try:
+        q = verify._step_q(b[None], s[None])[0]
+    except np.linalg.LinAlgError:
+        q = math.inf
+    assert (q <= 1.0) == (lam <= EIG_TOL)
 
 
 def test_merge_hard_reports_accumulates(good_run):
