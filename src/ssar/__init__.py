@@ -42,7 +42,6 @@ from .regression import (
     draw_samples,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
-    solve_active,
     solve_sample,
     weighted_lsq,
 )

@@ -32,7 +32,9 @@ call overhead, so a stack of 30 runs samples several times faster than the
 runs in turn.  A stack of one or two runs pays the stack's own calls with too
 little to share them across and is slower than :func:`asura_sample`, which
 stays the one-run sampler and runs such batches; a stack in which any run
-fails reruns its seeds with it, in turn.
+fails reruns its seeds with it, in turn.  Every run ends in its own slot of
+the batch, holding its sample and trace or the error that ended it, and both
+samplers build their traces in one place (:func:`_unstack`).
 
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
@@ -125,7 +127,6 @@ class AsuraConfig:
     epsilon: float
     c0: float = 2.0
     rng_seed: int = 0
-    max_restarts: int = 10
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -134,8 +135,6 @@ class AsuraConfig:
             raise InvalidInputError(f"c0 must be finite and positive, got {self.c0}")
         if self.rng_seed < 0:
             raise InvalidInputError("rng_seed must be a nonnegative integer")
-        if self.max_restarts < 1:
-            raise InvalidInputError("max_restarts must be at least 1")
 
     @property
     def gamma(self) -> float:
@@ -316,7 +315,7 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
     (SampleSet, AsuraTrace)
     """
     u_mat = ds.svd.u
-    n, r = u_mat.shape
+    r = u_mat.shape[1]
     n1 = ds.n1
     gamma, cap, budget = _limits(cfg, r)
     rng = make_rng(cfg.rng_seed)
@@ -328,14 +327,8 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
     u = 2.0 * r / gamma
     l = -u
     phi_cum = 0.0
-
-    phis: list[float] = []
-    us: list[float] = [u]
-    ls: list[float] = [l]
-    picks: list[int] = []
-    pjs: list[float] = []
-    px1s: list[float] = []
-    phids: list[float] = []
+    # Per iteration, in the field order of the lockstep record.
+    record: list[tuple] = []
 
     j = 0
     while (u - l) + phi_cum < budget:
@@ -381,72 +374,59 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
         w_prime = gamma / (phi * p_pick)
 
         mass_unlabeled = cum[n_blocks_unlabeled - 1]
-        px1s.append(mass_unlabeled / total)
-        phids.append(phi * mass_unlabeled)
-
-        phis.append(phi)
-        picks.append(pick)
-        pjs.append(p_pick)
-
         row = u_mat[pick]
         a = a + w_prime * np.outer(row, row)
         u += gamma / ((1.0 - 2.0 * gamma) * phi)
         l += gamma / ((1.0 + 2.0 * gamma) * phi)
         phi_cum += phi
         j += 1
-        us.append(u)
-        ls.append(l)
+        record.append((phi, pick, p_pick, mass_unlabeled / total, phi * mass_unlabeled, u, l))
 
     theta = np.linalg.eigvalsh(a)
     if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
         raise BarrierViolationError(f"final matrix left the barrier window after {j} iterations")
-
-    trace = AsuraTrace(
-        gamma=gamma,
-        rank=r,
-        n_rows=n,
-        n_unlabeled=n1,
-        phi_id=np.asarray(phis),
-        u=np.asarray(us),
-        l=np.asarray(ls),
-        sampled_index=np.asarray(picks, dtype=np.int64),
-        p_j=np.asarray(pjs),
-        px1_sum=np.asarray(px1s),
-        phi_d=np.asarray(phids),
-    )
-    return SampleSet(trace.sampled_index, trace.w_prime / trace.mid), trace
+    return _unstack(np.array(record).reshape(j, 7).T[:, None], [j], ds, gamma)[0]
 
 
-def asura_sample_batch(
-    ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]
-) -> list[tuple[SampleSet, AsuraTrace]]:
+def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> list:
     """Run the sampler once per seed, advancing the runs in lockstep.
 
-    Run ``k`` is ``asura_sample(ds, replace(cfg, rng_seed=seeds[k]))``, with
-    the same picks, trace and checks, bit for bit.  Each iteration shares
-    its numpy calls across the active runs: one stacked barrier step, one
-    stacked product from the states to every block mass, the block draw as
-    a count of cumulative masses at or below each target, one gather and
-    scoring of the picked blocks per block length, and one stacked rank-one
-    update.  The products are the ones :func:`asura_sample` takes, a
-    matrix-vector product per state and a product per block of its own row
-    count, since BLAS can round a product of another shape differently in
-    the last bit.  Each run keeps its own generator and draws its uniforms
-    ``UNIFORM_CHUNK`` at a time, the same stream as its one-by-one draws.  A
-    run that meets its budget leaves the stack after its final containment
-    check, stacked over the runs that stop together.
+    Returns one slot per seed.  Slot ``k`` holds what
+    ``asura_sample(ds, replace(cfg, rng_seed=seeds[k]))`` gives, bit for bit:
+    its ``(SampleSet, AsuraTrace)`` pair, or the :class:`BarrierViolationError`
+    or :class:`NumericalBreakdownError` it raises, with the same class and
+    message.  A bad config, such as ``gamma >= 1/2``, raises its
+    :class:`InvalidInputError`.
+
+    Each iteration shares its numpy calls across the active runs: one
+    stacked barrier step, one stacked product from the states to every block
+    mass, the block draw as a count of cumulative masses at or below each
+    target, one gather and scoring of the picked blocks per block length, and
+    one stacked rank-one update.  The products are the ones
+    :func:`asura_sample` takes, a matrix-vector product per state and a
+    product per block of its own row count, since BLAS can round a product of
+    another shape differently in the last bit.  Each run keeps its own
+    generator and draws its uniforms ``UNIFORM_CHUNK`` at a time, the same
+    stream as its one-by-one draws.  A run that meets its budget leaves the
+    stack after its final containment check, stacked over the runs that stop
+    together.
 
     A batch of fewer than ``LOCKSTEP_MIN_RUNS`` seeds runs them in turn with
     :func:`asura_sample`.  A stack holds about ``LOCKSTEP_BYTES`` of per-run
     work, so a larger batch runs as consecutive stacks, none of fewer than
     ``LOCKSTEP_MIN_RUNS`` runs.  A stack stops at the first failure of any of
-    its runs and reruns its seeds in turn, so the batch raises the error of
-    its lowest-indexed failing run, with :func:`asura_sample`'s own class
-    and message, and runs no later stack.
+    its runs and reruns its seeds in turn, so that each of its runs ends in
+    its own slot; the later stacks still run.
     """
 
     def in_turn(chunk):
-        return [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in chunk]
+        out = []
+        for seed in chunk:
+            try:
+                out.append(asura_sample(ds, replace(cfg, rng_seed=seed)))
+            except (BarrierViolationError, NumericalBreakdownError) as exc:
+                out.append(exc)
+        return out
 
     n_runs = len(seeds)
     if n_runs < LOCKSTEP_MIN_RUNS:
@@ -579,7 +559,11 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, As
 
 
 def _unstack(record, m, ds: Dataset, gamma: float) -> list[tuple[SampleSet, AsuraTrace]]:
-    """Each run's sample and trace from the per-iteration record of a lockstep stack."""
+    """Each run's sample and trace from a per-iteration record, the one place both are built.
+
+    ``record`` is the ``(7, runs, iterations)`` stack of the potential, pick,
+    pick probability, unlabeled mass share, block potential and the barriers
+    after each step, and run ``k`` has ``m[k]`` iterations."""
     r = ds.svd.rank
     phis, picks, pjs, px1s, phids, us, ls = record
     u0 = 2.0 * r / gamma

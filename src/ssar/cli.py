@@ -32,6 +32,7 @@ from .asura import AsuraConfig, _gamma_guard, _limits, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig
 from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
+    json_line,
     lemma_report_to_dict,
     load_dataset,
     load_trace,
@@ -53,7 +54,7 @@ from .instances import (
     gen_lower_bound_instance,
     gen_random_instance,
 )
-from .regression import LabelOracle, draw_samples, ridge_to_ssal, solve_active, solve_sample
+from .regression import LabelOracle, draw_samples, ridge_to_ssal, solve_sample
 from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
@@ -201,7 +202,7 @@ def _cmd_gen(args) -> int:
 
 @dataclass(frozen=True)
 class Trial:
-    """One ``run`` trial and its slot of the batch draw (None: draw alone); picklable."""
+    """One ``run`` trial and its slot of the batch draw; picklable."""
 
     ds: Dataset
     full_labels: np.ndarray
@@ -210,7 +211,7 @@ class Trial:
     retry: bool
     no_ratio: bool
     check_balance: bool
-    drawn: tuple | WellBalancedEventFailedError | None
+    drawn: tuple | SsarError
     draw_ms: float
 
 
@@ -223,17 +224,14 @@ def _sampler_config(args, seed: int):
 
 
 def _run_one_trial(trial: Trial) -> dict:
-    """One solve trial; sampler-level failures come back as error records."""
+    """One solve trial; an error slot or a failed solve comes back as an error record."""
     cfg, ds = trial.cfg, trial.ds
     oracle = LabelOracle(trial.full_labels, ds.n1, allow_full_loss=not trial.no_ratio)
     try:
-        t0 = time.perf_counter()
-        if trial.drawn is None:
-            sol = solve_active(ds, oracle, cfg, retry=trial.retry)
-        elif isinstance(trial.drawn, WellBalancedEventFailedError):
+        if isinstance(trial.drawn, SsarError):
             raise trial.drawn
-        else:
-            sol = solve_sample(ds, oracle, *trial.drawn)
+        t0 = time.perf_counter()
+        sol = solve_sample(ds, oracle, *trial.drawn)
         runtime_ms = trial.draw_ms + 1000.0 * (time.perf_counter() - t0)
 
         well_balanced = None
@@ -270,13 +268,9 @@ def _cmd_run(args) -> int:
         raise InvalidInputError(
             f"{args.manifest} has no hidden labels; sampled rows could not be labeled"
         )
-    try:
-        t0 = time.perf_counter()
-        drawn = draw_samples(ds, cfg, seeds, retry=args.retry)
-        draw_ms = 1000.0 * (time.perf_counter() - t0) / len(seeds)
-    except (BarrierViolationError, NumericalBreakdownError):
-        # The batch raised one run's error; each trial draws alone for its own record.
-        drawn, draw_ms = [None] * len(seeds), 0.0
+    t0 = time.perf_counter()
+    drawn = draw_samples(ds, cfg, seeds, retry=args.retry)
+    draw_ms = 1000.0 * (time.perf_counter() - t0) / len(seeds)
     trials = [
         Trial(ds=ds, full_labels=full, sampler=args.sampler, cfg=replace(cfg, rng_seed=seed),
               retry=args.retry, no_ratio=args.no_ratio, check_balance=args.check_balance,
@@ -296,7 +290,7 @@ def _cmd_run(args) -> int:
     if args.solutions_out:
         write_jsonl(args.solutions_out, solutions, append=args.append)
     for rec in records:
-        print(json.dumps(rec))
+        print(json_line(rec))
     ok = [r for r in records if "error" not in r]
     queries = np.array([r["queries_iteration_level"] for r in ok], dtype=float)
     ratios = [r["ratio"] for r in ok if r["ratio"] is not None]
@@ -310,13 +304,23 @@ def _cmd_run(args) -> int:
         "mean_ratio": float(np.mean(ratios)) if ratios else None,
         "std_ratio": float(np.std(ratios, ddof=1)) if len(ratios) > 1 else None,
     }
-    print(json.dumps(summary))
+    print(json_line(summary))
     if args.out:
         write_jsonl(args.out, records + [summary], append=args.append)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify
+
+
+def _traces(ds: Dataset, cfg: AsuraConfig, seeds: list) -> list:
+    """The traces of one batch draw; the first error slot raises, as the
+    lowest-indexed failing run's error."""
+    runs = draw_samples(ds, cfg, seeds)
+    for run in runs:
+        if isinstance(run, SsarError):
+            raise run
+    return [trace for _, trace in runs]
 
 
 def _cmd_verify(args) -> int:
@@ -344,7 +348,7 @@ def _cmd_verify(args) -> int:
                     rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
                 )
                 seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.runs)]
-                for _, trace in draw_samples(ds, cfg, seeds):
+                for trace in _traces(ds, cfg, seeds):
                     per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
@@ -353,8 +357,7 @@ def _cmd_verify(args) -> int:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
             cfg = AsuraConfig(epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7))
             seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.statistical_runs)]
-            batch = [t for _, t in draw_samples(ds, cfg, seeds)]
-            reports.extend(check_statistical_lemmas(batch))
+            reports.extend(check_statistical_lemmas(_traces(ds, cfg, seeds)))
 
     if args.lemma:
         matched = [r for r in reports if r.lemma_id == args.lemma]
@@ -367,7 +370,7 @@ def _cmd_verify(args) -> int:
 
     records = [lemma_report_to_dict(r) for r in reports]
     for rec in records:
-        print(json.dumps(rec))
+        print(json_line(rec))
     if args.out:
         write_jsonl(args.out, records)
     hard_failed = any(
@@ -412,7 +415,7 @@ def _cmd_sweep(args) -> int:
         )
         seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.trials)]
         counts = np.array(
-            [np.count_nonzero(t.sampled_index < ds.n1) for _, t in draw_samples(ds, cfg, seeds)],
+            [np.count_nonzero(t.sampled_index < ds.n1) for t in _traces(ds, cfg, seeds)],
             dtype=float,
         )
         r_x = reduced_rank(ds)

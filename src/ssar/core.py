@@ -16,11 +16,11 @@ made orthonormal by one CholeskyQR pass.  Above that side (the sketch) the
 range comes from a Gaussian sketch of a fixed seed, so no n x d ``u`` is
 formed for a rank-deficient input such as a kernel-ridge stack whose rank is
 the effective dimension.  Range factors are accepted only if their residual
-is below ``rank_tol * sigma_max``.  LAPACK's thin SVD factors everything
-else: an input whose largest |entry| is beyond 1e100 or below 1e-100, where
-a Gram matrix would overflow or turn denormal; range factors that miss that
-residual; a Gram route whose Cholesky fails; and a sketch that gives up at
-half the short side.
+is below ``DEFAULT_RANK_TOL * sigma_max``.  LAPACK's thin SVD factors
+everything else: an input whose largest |entry| is beyond 1e100 or below
+1e-100, where a Gram matrix would overflow or turn denormal; range factors
+that miss that residual; a Gram route whose Cholesky fails; and a sketch that
+gives up at half the short side.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ __all__ = [
     "psd_sqrt",
 ]
 
+# The relative rank truncation of every thin SVD: singular values at or below
+# this share of the largest are dropped.
 DEFAULT_RANK_TOL = 1e-10
 
 # Tolerances baked into the SvdFactors contract.
@@ -167,7 +169,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD ``X = U diag(sigma) V^T`` truncated at a relative rank tolerance.
+    """Thin SVD ``X = U diag(sigma) V^T`` truncated at ``DEFAULT_RANK_TOL``.
 
     ``u`` is (n, r) and ``v`` is (d, r), both with orthonormal columns;
     ``sigma`` is strictly positive and non-increasing.
@@ -176,7 +178,6 @@ class SvdFactors:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank_tol: float
 
     @property
     def n(self) -> int:
@@ -234,8 +235,8 @@ class SvdFactors:
         return math.sqrt(err / size) if size else math.inf
 
 
-def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
-    """Thin SVD of ``x`` with singular values below ``rank_tol * sigma_max`` dropped.
+def thin_svd(x) -> SvdFactors:
+    """Thin SVD of ``x`` truncated at ``DEFAULT_RANK_TOL * sigma_max``.
 
     Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
     its short side is its d columns.  The range of ``t`` is found one of two
@@ -254,12 +255,12 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
       ``Omega`` of seed ``SKETCH_SEED``, and the SVD
       ``B = Q^T t = U_B Sigma V^T`` gives ``U = Q U_B``.  ``k`` starts at
       ``SKETCH_START`` and doubles while the smallest singular value of ``B``
-      is above ``rank_tol * sigma_max``, that is while the sketch may not yet
-      hold the range; once ``k`` would exceed d / 2, LAPACK decides.
+      is above ``DEFAULT_RANK_TOL * sigma_max``, that is while the sketch may
+      not yet hold the range; once ``k`` would exceed d / 2, LAPACK decides.
 
-    Range factors are accepted only if ``||x - U Sigma V^T||_F <= rank_tol *
-    sigma_max``, which caps every dropped singular value at the truncation
-    threshold, so the rank is the one the full SVD gives.  LAPACK's thin SVD
+    Range factors are accepted only if ``||x - U Sigma V^T||_F <=
+    DEFAULT_RANK_TOL * sigma_max``, which caps every dropped singular value at
+    the truncation threshold, so the rank is the one the full SVD gives.  LAPACK's thin SVD
     is taken instead when that residual is missed, when the Gram route's
     Cholesky fails, when the sketch gives up, and for an ``x`` whose largest
     |entry| lies outside ``GRAM_SAFE_SCALE``.  Every result is validated,
@@ -269,20 +270,16 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     ----------
     x : array_like, shape (n, d)
         Design matrix.  All entries must be finite; a float64 array is not copied.
-    rank_tol : float
-        Relative truncation threshold, required in (0, 1e-3].
 
     Returns
     -------
     SvdFactors
     """
-    if not (0.0 < rank_tol <= 1e-3):
-        raise InvalidInputError(f"rank_tol must lie in (0, 1e-3], got {rank_tol}")
     arr = as_matrix(x, "x")
-    found = _range_factors(arr, rank_tol)  # its range basis is freed on return
+    found = _range_factors(arr)  # its range basis is freed on return
     if found is None:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        factors = _truncated(u, s, vt.T, rank_tol)
+        factors = _truncated(u, s, vt.T)
         residual = factors.residual(arr)
     else:
         factors, residual = found
@@ -290,7 +287,7 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     return factors
 
 
-def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float] | None:
+def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
     """Factors of ``arr`` on its Gram range or its sketched range, with their
     relative residual; None where LAPACK decides (see ``thin_svd``)."""
     lo, hi = GRAM_SAFE_SCALE
@@ -304,7 +301,7 @@ def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float]
         k = np.count_nonzero(theta > GRAM_TRUST * theta[-1])  # theta ascends
         if k == 0:
             return None
-        factors = _gram_factors(tall, theta[-k:], w[:, -k:], rank_tol)
+        factors = _gram_factors(tall, theta[-k:], w[:, -k:])
         if factors is None:
             return None
         norm = math.sqrt(theta.sum())  # theta sums to ||tall||_F^2
@@ -317,22 +314,20 @@ def _range_factors(arr: np.ndarray, rank_tol: float) -> tuple[SvdFactors, float]
             q = np.linalg.qr(tall @ omega)[0]
             # The SVD of B^T = tall^T Q, the orientation LAPACK takes faster.
             v, s, u_bt = np.linalg.svd(tall.T @ q, full_matrices=False)
-            if s[-1] <= rank_tol * s[0]:
+            if s[-1] <= DEFAULT_RANK_TOL * s[0]:
                 break
             k *= 2
-        factors = _truncated(q @ u_bt.T, s, v, rank_tol)
+        factors = _truncated(q @ u_bt.T, s, v)
         norm = float(np.linalg.norm(tall))
     residual = factors.residual(tall)
-    if residual * norm > rank_tol * factors.sigma[0]:
+    if residual * norm > DEFAULT_RANK_TOL * factors.sigma[0]:
         return None
     if wide:
-        factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u,
-                             rank_tol=factors.rank_tol)
+        factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u)
     return factors, residual
 
 
-def _gram_factors(tall: np.ndarray, theta: np.ndarray, w: np.ndarray,
-                  rank_tol: float) -> SvdFactors | None:
+def _gram_factors(tall: np.ndarray, theta: np.ndarray, w: np.ndarray) -> SvdFactors | None:
     """Factors of ``tall`` on the span of its Gram eigenvectors ``w`` (eigenvalues
     ``theta``) by one CholeskyQR pass; None if the Cholesky fails."""
     root = np.sqrt(theta)
@@ -347,19 +342,18 @@ def _gram_factors(tall: np.ndarray, theta: np.ndarray, w: np.ndarray,
     step = max(1, VALIDATE_BLOCK_BYTES // (8 * u.shape[1]))
     for i in range(0, u.shape[0], step):
         u[i:i + step] = u[i:i + step] @ m
-    return _truncated(u, s, w @ zt.T, rank_tol)
+    return _truncated(u, s, w @ zt.T)
 
 
-def _truncated(u, s, v, rank_tol: float) -> SvdFactors:
-    """The singular triplets above ``rank_tol * s[0]`` as contiguous factors."""
-    r = np.count_nonzero(s > rank_tol * s[0])
+def _truncated(u, s, v) -> SvdFactors:
+    """The singular triplets above ``DEFAULT_RANK_TOL * s[0]`` as contiguous factors."""
+    r = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
     if r == 0:
         raise InvalidInputError("matrix has numerical rank zero")
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :r]),
         sigma=np.ascontiguousarray(s[:r]),
         v=np.ascontiguousarray(v[:, :r]),
-        rank_tol=float(rank_tol),
     )
 
 

@@ -4,13 +4,15 @@ Instance blocks are written as ``.npy`` and read by suffix, as ``.npy`` or else 
 header-less CSV at 17 significant digits; both round-trip float64 exactly.  A
 dataset manifest is a JSON object with the dimensions and relative paths of the
 block files.  Traces and report streams are JSON lines, one record per line, so
-long sweeps can append and resume.  A trace dump holds every field of an
+long sweeps can append and resume; every record line is strict JSON, with a
+non-finite float written as ``null``.  A trace dump holds every field of an
 :class:`~ssar.asura.AsuraTrace`, so a loaded dump equals the live trace.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -32,6 +34,7 @@ __all__ = [
     "load_trace",
     "solution_record",
     "lemma_report_to_dict",
+    "json_line",
     "write_jsonl",
 ]
 
@@ -242,8 +245,22 @@ def lemma_report_to_dict(rep: LemmaReport) -> dict:
     return rec
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def json_line(rec) -> str:
+    """One record as strict JSON: a non-finite float is written as ``null``."""
+    return json.dumps(_finite(rec), allow_nan=False)
+
+
 def write_jsonl(path, records, append: bool = False) -> None:
     mode = "a" if append else "w"
     with open(path, mode) as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json_line(rec) + "\n")

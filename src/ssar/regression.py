@@ -19,7 +19,13 @@ import numpy as np
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import Dataset, as_matrix, as_vector, psd_sqrt
-from .errors import InvalidInputError, NumericalBreakdownError, WellBalancedEventFailedError
+from .errors import (
+    BarrierViolationError,
+    InvalidInputError,
+    NumericalBreakdownError,
+    SsarError,
+    WellBalancedEventFailedError,
+)
 from .rngutil import derive_seed
 
 __all__ = [
@@ -28,12 +34,14 @@ __all__ = [
     "weighted_lsq",
     "draw_samples",
     "solve_sample",
-    "solve_active",
     "ridge_to_ssal",
     "kernel_ridge_to_ssal",
 ]
 
 RATIO_SLACK = 1e-9
+
+# Attempts a retry draw gives each adaptive run to be well balanced.
+MAX_RESTARTS = 10
 
 
 class LabelOracle:
@@ -151,15 +159,18 @@ def draw_samples(
     ds: Dataset, cfg: AsuraConfig | LeverageConfig | UniformConfig, seeds: Sequence[int],
     retry: bool = False,
 ) -> list:
-    """One ``(SampleSet, trace)`` slot per seed, drawn with ``replace(cfg, rng_seed=seed)``.
+    """One slot per seed, drawn with ``replace(cfg, rng_seed=seed)``.
 
-    The type of ``cfg`` chooses the sampler: ``AsuraConfig`` runs go through
-    :func:`ssar.asura.asura_sample_batch`, which raises the lowest-indexed
-    failing run's error; leverage and uniform runs are drawn per seed, with
-    trace None.  With ``retry``, attempt ``a > 1`` redraws the adaptive runs
-    that failed :func:`check_well_balanced`, in one batch, the run of seed
-    ``s`` with ``derive_seed(s, a)``; a run that fails ``cfg.max_restarts``
-    attempts gets a :class:`WellBalancedEventFailedError` with their reports.
+    A slot holds the run's ``(SampleSet, trace)`` pair, or the
+    :class:`~ssar.errors.SsarError` that ended the run; only a bad config
+    raises.  The type of ``cfg`` chooses the sampler: ``AsuraConfig`` runs go
+    through :func:`ssar.asura.asura_sample_batch`; leverage and uniform runs
+    are drawn per seed, with trace None.  With ``retry``, attempt ``a > 1``
+    redraws the adaptive runs that failed :func:`check_well_balanced`, in one
+    batch, the run of seed ``s`` with ``derive_seed(s, a)``.  An error slot is
+    final, and so is the error of a check that breaks down on an attempt; a
+    run that fails ``MAX_RESTARTS`` attempts gets a
+    :class:`WellBalancedEventFailedError` with their reports.
     """
     if isinstance(cfg, LeverageConfig):
         return [(leverage_sample(ds.svd, replace(cfg, rng_seed=s)), None) for s in seeds]
@@ -170,37 +181,22 @@ def draw_samples(
     if not retry:
         return asura_sample_batch(ds, cfg, seeds)
     drawn, reports, todo = [None] * len(seeds), [[] for _ in seeds], list(range(len(seeds)))
-    for attempt in range(1, cfg.max_restarts + 1):
+    for attempt in range(1, MAX_RESTARTS + 1):
         tried = [seeds[k] if attempt == 1 else derive_seed(seeds[k], attempt) for k in todo]
         for k, run in zip(todo, asura_sample_batch(ds, cfg, tried)):
-            reports[k].append(check_well_balanced(run[1], ds.svd))
-            if reports[k][-1].well_balanced:
+            if not isinstance(run, SsarError):
+                try:
+                    reports[k].append(check_well_balanced(run[1], ds.svd))
+                except (BarrierViolationError, NumericalBreakdownError) as exc:
+                    run = exc  # the check's replay of this run broke down
+            if isinstance(run, SsarError) or reports[k][-1].well_balanced:
                 drawn[k] = run
         todo = [k for k in todo if drawn[k] is None]
         if not todo:
             break
-    failed = f"no well-balanced run within {cfg.max_restarts} attempts"
+    failed = f"no well-balanced run within {MAX_RESTARTS} attempts"
     return [WellBalancedEventFailedError(failed, rep) if run is None else run
             for run, rep in zip(drawn, reports)]
-
-
-def solve_active(
-    ds: Dataset,
-    oracle: LabelOracle,
-    cfg: AsuraConfig | LeverageConfig | UniformConfig,
-    retry: bool = False,
-) -> RegressionSolution:
-    """Sample rows with ``cfg.rng_seed``, buy the needed labels, and solve.
-
-    :func:`draw_samples` of one seed, then :func:`solve_sample`; with
-    ``retry``, a run that is never well balanced raises its
-    :class:`WellBalancedEventFailedError`.
-    """
-    # A non-config has no seed; draw_samples rejects it by its type.
-    (drawn,) = draw_samples(ds, cfg, [getattr(cfg, "rng_seed", 0)], retry)
-    if isinstance(drawn, WellBalancedEventFailedError):
-        raise drawn
-    return solve_sample(ds, oracle, *drawn)
 
 
 def solve_sample(ds: Dataset, oracle: LabelOracle, sample: SampleSet, trace) -> RegressionSolution:

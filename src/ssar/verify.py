@@ -222,7 +222,11 @@ def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[
 
 
 def merge_hard_reports(per_run: Sequence[Sequence[LemmaReport]]) -> list[LemmaReport]:
-    """Aggregate per-run hard-check reports into one report per lemma id."""
+    """Aggregate per-run hard-check reports into one report per lemma id.
+
+    Each merged ``statistic`` and ``worst_margin`` is the worst run's: the
+    largest, except ``potential-floor``'s statistic, the smallest ``phi_j``.
+    """
     merged: dict[str, LemmaReport] = {}
     for reports in per_run:
         for rep in reports:
@@ -236,7 +240,8 @@ def merge_hard_reports(per_run: Sequence[Sequence[LemmaReport]]) -> list[LemmaRe
                 prev.runs_checked += 1
                 prev.violations += rep.violations
                 prev.worst_margin = max(prev.worst_margin, rep.worst_margin)
-                prev.statistic = max(prev.statistic, rep.statistic)
+                worst = min if rep.lemma_id == "potential-floor" else max
+                prev.statistic = worst(prev.statistic, rep.statistic)
                 prev.verdict = prev.verdict and rep.verdict
     return list(merged.values())
 

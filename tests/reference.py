@@ -11,6 +11,8 @@ computes, or a construction from the analysis that the tests check:
   directly, against the leverage-score route of ``ssar.core.reduced_rank``;
 * ``exact_solution`` is the minimum-norm ``lstsq`` fit of a full instance,
   the reference for OPT;
+* ``solve_active`` draws one seed's run and solves it, the one-seed reference
+  for ``run``'s batch draw and the shorthand of the tests that solve once;
 * ``check_query_bound`` tests a batch's mean label queries against the
   ``4 R / gamma^2`` bound with standard-error slack;
 * ``step_violations_eigvalsh`` counts the step checks' violations with one
@@ -30,7 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssar.asura import EIG_TOL, AsuraTrace, _barrier_weights, _normalize_probabilities, _replay
+from ssar.asura import (
+    EIG_TOL,
+    AsuraConfig,
+    AsuraTrace,
+    _barrier_weights,
+    _normalize_probabilities,
+    _replay,
+)
+from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.core import DEFAULT_RANK_TOL, Dataset, SvdFactors, as_vector, reduced_rank
 from ssar.errors import (
     InsufficientSampleError,
@@ -38,6 +48,7 @@ from ssar.errors import (
     NumericalBreakdownError,
     SsarError,
 )
+from ssar.regression import LabelOracle, RegressionSolution, draw_samples, solve_sample
 from ssar.verify import SE_MULTIPLIER, LemmaReport, query_bound
 
 
@@ -106,6 +117,25 @@ def exact_solution(ds: Dataset, full_labels) -> tuple[np.ndarray, float]:
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = x @ beta - y
     return beta, float(resid @ resid)
+
+
+def solve_active(
+    ds: Dataset,
+    oracle: LabelOracle,
+    cfg: AsuraConfig | LeverageConfig | UniformConfig,
+    retry: bool = False,
+) -> RegressionSolution:
+    """Sample rows with ``cfg.rng_seed``, buy the needed labels, and solve.
+
+    :func:`draw_samples` of one seed, then :func:`solve_sample`; a run that
+    ends in an error slot raises its error (with ``retry``, a run that is
+    never well balanced raises its :class:`WellBalancedEventFailedError`).
+    """
+    # A non-config has no seed; draw_samples rejects it by its type.
+    (drawn,) = draw_samples(ds, cfg, [getattr(cfg, "rng_seed", 0)], retry)
+    if isinstance(drawn, SsarError):
+        raise drawn
+    return solve_sample(ds, oracle, *drawn)
 
 
 def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:

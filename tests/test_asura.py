@@ -25,7 +25,7 @@ from ssar.errors import (
     WellBalancedEventFailedError,
 )
 from ssar.instances import gen_random_instance
-from ssar.regression import draw_samples
+from ssar.regression import MAX_RESTARTS, draw_samples
 from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import check_hard_lemmas
 
@@ -70,8 +70,6 @@ def test_config_validation():
         AsuraConfig(epsilon=1.0)
     with pytest.raises(InvalidInputError):
         AsuraConfig(epsilon=0.5, c0=0.0)
-    with pytest.raises(InvalidInputError):
-        AsuraConfig(epsilon=0.5, max_restarts=0)
     assert AsuraConfig(epsilon=0.25, c0=2.0).gamma == pytest.approx(0.25)
 
 
@@ -485,10 +483,22 @@ def _fails_in_turn(ds, cfg, seeds):
     return errors
 
 
+def _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn):
+    """Each failing run's slot holds its error alone, class and message; every
+    other slot is its run alone."""
+    assert len(slots) == len(seeds)
+    for slot, seed, exc in zip(slots, seeds, in_turn):
+        if exc is None:
+            _assert_same_run(slot, asura_sample(ds, replace(cfg, rng_seed=seed)))
+        else:
+            assert type(slot) is type(exc)
+            assert str(slot) == str(exc)
+
+
 def test_lockstep_raises_the_lowest_failing_runs_barrier_error(monkeypatch):
-    # Run 2 touches a squeezed barrier late and run 5 early: the batch meets
-    # run 5's error first but raises run 2's, the error that running the
-    # seeds in turn raises, naming run 2's own iteration.
+    # Run 2 touches a squeezed barrier late and run 5 early: the stack meets
+    # run 5's error first, and each of the two runs still gets the error it
+    # raises alone in its own slot, naming its own iteration.
     ds = gaussian_dataset(24, 8, 8, seed=5)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
     seeds = [derive_seed(11, k) for k in range(7)]
@@ -505,10 +515,23 @@ def test_lockstep_raises_the_lowest_failing_runs_barrier_error(monkeypatch):
     monkeypatch.setattr(asura, "_barrier_weights", squeezed)
     in_turn = _fails_in_turn(ds, cfg, seeds)
     assert [k for k, exc in enumerate(in_turn) if exc is not None] == [2, 5]
-    with pytest.raises(BarrierViolationError) as err:
-        draw_samples(ds, cfg, seeds)
-    assert str(err.value) == str(in_turn[2])
-    assert f"at iteration {late[1]}:" in str(err.value)
+    slots = draw_samples(ds, cfg, seeds)
+    _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn)
+    assert f"at iteration {late[1]}:" in str(slots[2])
+    assert f"at iteration {early[1]}:" in str(slots[5])
+
+
+def _breakdown_floor(monkeypatch, ds, cfg, seeds, failing):
+    """Set ``P_ERROR_FLOOR`` between the runs' smallest block masses, so that
+    the ``failing`` runs of lowest mass dip below it, each at its own iteration."""
+    _, grams = _row_blocks(ds.svd.u, ds.n1)
+    lowest = []
+    for seed in seeds:
+        _, trace = asura_sample(ds, replace(cfg, rng_seed=seed))
+        mix, _ = _barrier_weights(_matrices(trace, ds.svd)[:-1], trace.u[:-1], trace.l[:-1])
+        lowest.append(float((mix.reshape(trace.m, -1) @ grams.T).min()))
+    order = np.sort(lowest)
+    monkeypatch.setattr(asura, "P_ERROR_FLOOR", 0.5 * (order[failing - 1] + order[failing]))
 
 
 def test_lockstep_raises_the_lowest_failing_runs_breakdown(monkeypatch):
@@ -517,21 +540,14 @@ def test_lockstep_raises_the_lowest_failing_runs_breakdown(monkeypatch):
     ds = gaussian_dataset(24, 8, 8, seed=5)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
     seeds = [derive_seed(11, k) for k in range(7)]
-    _, grams = _row_blocks(ds.svd.u, ds.n1)
-    lowest = []
-    for seed in seeds:
-        _, trace = asura_sample(ds, replace(cfg, rng_seed=seed))
-        mix, _ = _barrier_weights(_matrices(trace, ds.svd)[:-1], trace.u[:-1], trace.l[:-1])
-        lowest.append(float((mix.reshape(trace.m, -1) @ grams.T).min()))
-    order = np.sort(lowest)
-    monkeypatch.setattr(asura, "P_ERROR_FLOOR", 0.5 * (order[2] + order[3]))
+    _breakdown_floor(monkeypatch, ds, cfg, seeds, failing=3)
     in_turn = _fails_in_turn(ds, cfg, seeds)
     failing = [k for k, exc in enumerate(in_turn) if exc is not None]
     assert len(failing) == 3
-    with pytest.raises(NumericalBreakdownError) as err:
-        asura_sample_batch(ds, cfg, seeds)
-    assert str(err.value) == str(in_turn[failing[0]])
-    assert "fell below the breakdown threshold at iteration" in str(err.value)
+    slots = asura_sample_batch(ds, cfg, seeds)
+    _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn)
+    for k in failing:
+        assert "fell below the breakdown threshold at iteration" in str(slots[k])
 
 
 @pytest.mark.parametrize("limit", ["cap", "final-containment"])
@@ -562,12 +578,34 @@ def test_lockstep_raises_the_lowest_failing_runs_limit_error(monkeypatch, limit)
     in_turn = _fails_in_turn(ds, cfg, seeds)
     failing = [k for k, exc in enumerate(in_turn) if exc is not None]
     assert 0 < len(failing) < len(seeds)
-    first = in_turn[failing[0]]
-    with pytest.raises(type(first)) as err:
-        asura_sample_batch(ds, cfg, seeds)
-    assert type(err.value) is type(first)
-    assert str(err.value) == str(first)
-    assert message in str(err.value)
+    slots = asura_sample_batch(ds, cfg, seeds)
+    _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn)
+    for k in failing:
+        assert message in str(slots[k])
+
+
+def test_a_failing_stack_draws_each_of_its_runs_at_most_twice(monkeypatch):
+    # A run's every draw makes its generator once: in its stack, and again
+    # alone when the stack fails.  Two stacks, the first of which fails; the
+    # second, and a small batch that runs in turn, draw each run once.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    seeds = [derive_seed(11, k) for k in range(7)]
+    _breakdown_floor(monkeypatch, ds, cfg, seeds, failing=1)
+    in_turn = _fails_in_turn(ds, cfg, seeds)
+    (bad,) = [k for k, exc in enumerate(in_turn) if exc is not None]
+    order = [seeds[bad]] + seeds[:bad] + seeds[bad + 1:]
+    made = []
+    make = asura.make_rng
+    monkeypatch.setattr(asura, "make_rng", lambda seed: made.append(seed) or make(seed))
+    monkeypatch.setattr(asura, "LOCKSTEP_BYTES", 1)
+    slots = draw_samples(ds, cfg, order)
+    assert made == order[:3] + order[:3] + order[3:]
+    made.clear()
+    assert [type(slot) for slot in draw_samples(ds, cfg, order[:2])] == [
+        NumericalBreakdownError, tuple]
+    assert made == order[:2]
+    _assert_slots_are_the_runs_in_turn(slots, ds, cfg, order, [in_turn[bad]] + [None] * 6)
 
 
 # ------------------------------------------------------ well-balancedness
@@ -678,10 +716,10 @@ def test_retry_draw_exhaustion_carries_reports():
     # At gamma = 1/4 the spectral window is essentially never met, so every
     # attempt fails and the error carries one report per attempt.
     ds, _ = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=43, max_restarts=3)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=43)
     (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
     assert isinstance(drawn, WellBalancedEventFailedError)
-    assert len(drawn.reports) == 3
+    assert len(drawn.reports) == MAX_RESTARTS == 10
 
 
 def test_retry_draw_never_exhausts_in_guaranteed_regime():
@@ -689,6 +727,6 @@ def test_retry_draw_never_exhausts_in_guaranteed_regime():
     # ten restarts are never exhausted across seeded instances.
     for k in range(20):
         ds = gaussian_dataset(12, 4, 4, seed=3000 + k)
-        cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(4000, k), max_restarts=10)
+        cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(4000, k))
         (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
         assert not isinstance(drawn, WellBalancedEventFailedError)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssar.asura import AsuraConfig, _replay, asura_sample
-from ssar.regression import LabelOracle, solve_active
+from ssar.regression import LabelOracle
 from ssar.rngutil import make_rng
 
 from conftest import gaussian_dataset
+from reference import solve_active
 
 
 @st.composite

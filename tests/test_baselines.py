@@ -5,10 +5,11 @@ import scipy.stats
 from ssar.baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from ssar.core import leverage_scores, reduced_rank, thin_svd
 from ssar.errors import InvalidInputError
-from ssar.regression import LabelOracle, solve_active
+from ssar.regression import LabelOracle
 from ssar.rngutil import derive_seed, make_rng
 
 from conftest import gaussian_dataset
+from reference import solve_active
 
 
 def test_leverage_config_target():

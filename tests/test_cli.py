@@ -19,9 +19,11 @@ from ssar.errors import (
     NumericalBreakdownError,
     WellBalancedEventFailedError,
 )
-from ssar.regression import LabelOracle, solve_active
+from ssar.regression import LabelOracle
 from ssar.rngutil import derive_seed
 from ssar.verify import HARD_LEMMA_IDS
+
+from reference import solve_active
 
 
 def run_cli(capsys, *argv):
@@ -276,31 +278,68 @@ def test_run_batch_draw_gives_the_records_of_trials_in_turn(manifest, capsys, ar
     assert _trial_records(out) == expected
 
 
-def test_run_falls_back_to_per_trial_draws_when_the_batch_fails(manifest, capsys, monkeypatch):
-    # A draw that holds seeds 1 or 4 raises; the batch fails, and each trial
-    # then draws alone, so only trials 1 and 4 get error records, their own.
-    seeds = [derive_seed(5, k) for k in range(6)]
-    doomed = {seeds[1], seeds[4]}
-    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25), 5, 6)
+def _failing_runs(monkeypatch, doomed):
+    """Make the adaptive runs at batch positions ``doomed`` end in an error slot.
+
+    Returns the seeds of every batch drawn."""
     real, calls = regression.asura_sample_batch, []
 
     def batch(ds, cfg, tried):
-        calls.append(len(tried))
-        failing = [s for s in tried if s in doomed]
-        if failing:
-            raise NumericalBreakdownError(f"forced failure of seed {failing[0]}")
-        return real(ds, cfg, tried)
+        calls.append(list(tried))
+        runs = real(ds, cfg, tried)
+        return [NumericalBreakdownError(f"forced failure of run {k} (seed {tried[k]})")
+                if k in doomed else run for k, run in enumerate(runs)]
 
     monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    return calls
+
+
+def test_run_falls_back_to_per_trial_draws_when_the_batch_fails(manifest, capsys, monkeypatch):
+    # Runs 1 and 4 of the batch fail: the one draw keeps their errors in their
+    # slots, so only trials 1 and 4 get error records, their own, and every
+    # other trial keeps the record it has alone.
+    seeds = [derive_seed(5, k) for k in range(6)]
+    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25), 5, 6)
+    batches = _failing_runs(monkeypatch, {1, 4})
+    draws = count_calls(monkeypatch, "draw_samples", "regression", "cli")
     code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "6", "--seed", "5")
     assert code == EXIT_OK
-    assert calls == [6] + [1] * 6
-    for k in doomed:
-        expected[seeds.index(k)] = {
-            "seed": k, "sampler": "asura", "error": f"forced failure of seed {k}",
-        }
+    assert draws == [1] and batches == [seeds]
+    for k in (1, 4):
+        expected[k] = {"seed": seeds[k], "sampler": "asura",
+                       "error": f"forced failure of run {k} (seed {seeds[k]})"}
     assert _trial_records(out) == expected
     assert json.loads(data_lines(out)[-1])["failed_trials"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--runs", "5", "--d-grid", "4,8", "--eps-grid", "0.25", "--seed", "1"],
+    ["verify", "--runs", "2", "--d-grid", "4", "--eps-grid", "0.25", "--seed", "1",
+     "--statistical-runs", "2000"],
+    ["sweep", "d", "--grid", "2,3", "--n1", "30", "--trials", "5", "--seed", "1"],
+], ids=["verify-grid", "verify-statistical", "sweep"])
+def test_a_failing_run_stops_verify_and_sweep_with_its_error(capsys, monkeypatch, argv):
+    # The batch's lowest-indexed failing run names the error, with exit 4,
+    # before any record of the batch is printed.
+    statistical = "--statistical-runs" in argv
+    real = regression.asura_sample_batch
+    if statistical:
+        # Only the statistical batch fails, and its draw is cut to a few runs.
+        def batch(ds, cfg, tried):
+            if len(tried) < 2000:
+                return real(ds, cfg, tried)
+            return [NumericalBreakdownError(f"forced failure of run {k}") if k in (2, 3) else
+                    run for k, run in enumerate(real(ds, cfg, tried[:4]))]
+
+        monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    else:
+        _failing_runs(monkeypatch, {2, 3})
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert not [line for line in data_lines(captured.out) if line.startswith(("{", "d="))]
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: forced failure of run 2")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -333,6 +372,37 @@ def test_run_retry_exhaustion_leaves_the_other_trials_intact(manifest, capsys, m
     assert _trial_records(out) == expected
     assert len(calls) == 10 and calls[0] == seeds
     assert all(derive_seed(seeds[3], a) in calls[a - 1] for a in range(2, 11))
+
+
+def test_run_retry_keeps_a_broken_balance_check_in_its_trials_slot(manifest, capsys, monkeypatch):
+    # The balance check of trial 3's first attempt breaks down: that error is
+    # the trial's record, and its run is not drawn again.
+    seeds = [derive_seed(5, k) for k in range(6)]
+    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25, c0=8.0), 5, 6, retry=True)
+    real_batch, real_check = regression.asura_sample_batch, regression.check_well_balanced
+    calls, seed_of = [], {}
+
+    def batch(ds, cfg, tried):
+        calls.append(list(tried))
+        runs = real_batch(ds, cfg, tried)
+        seed_of.update((id(trace), seed) for (_, trace), seed in zip(runs, tried))
+        return runs
+
+    def check(trace, svd):
+        if seed_of[id(trace)] == seeds[3]:
+            raise NumericalBreakdownError("forced breakdown of the balance check")
+        return real_check(trace, svd)
+
+    monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    monkeypatch.setattr(regression, "check_well_balanced", check)
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "6", "--seed", "5",
+                        "--c0", "8", "--retry")
+    assert code == EXIT_OK
+    expected[3] = {"seed": seeds[3], "sampler": "asura",
+                   "error": "forced breakdown of the balance check"}
+    assert _trial_records(out) == expected
+    assert calls[0] == seeds and all(seeds[3] not in c and
+                                     derive_seed(seeds[3], 2) not in c for c in calls[1:])
 
 
 def test_run_missing_manifest_is_io_error(capsys):
@@ -686,6 +756,22 @@ def test_verify_trace_file_with_its_manifest_runs_every_hard_check(manifest, cap
     assert {r["lemma_id"] for r in map(json.loads, data_lines(out))} == {
         "iteration-cap", "potential-floor", "gap-bound",
     }
+
+
+def test_verify_writes_a_failing_step_check_as_strict_json(manifest, capsys, tmp_path):
+    # A failing step check's statistic is inf: stdout and --out write it as null.
+    bad = _dump_a_run(manifest, tmp_path / "bad.jsonl", p_scale=1 / 50)
+    out_path = tmp_path / "rep.jsonl"
+    code, out = run_cli(capsys, "verify", "--trace-file", bad, "--manifest", manifest,
+                        "--out", str(out_path))
+    assert code == EXIT_HARD_FAIL
+    lines = data_lines(out)
+    assert lines == out_path.read_text().splitlines()
+    strict = [json.loads(s, parse_constant=lambda c: pytest.fail(f"{c} is not JSON")) for s in lines]
+    recs = {r["lemma_id"]: r for r in strict}
+    assert recs["step-upper"]["verdict"] == "fail"
+    assert recs["step-upper"]["statistic"] is None
+    assert recs["step-upper"]["worst_margin"] is None
 
 
 def test_verify_manifest_that_does_not_fit_the_dumps_is_config_error(manifest, capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from ssar.asura import AsuraConfig, asura_sample
 from ssar.dataio import (
     dump_trace,
+    json_line,
     lemma_report_to_dict,
     load_dataset,
     load_matrix,
@@ -87,7 +88,8 @@ def test_trace_dump_round_trip(tmp_path):
 def test_solution_record_fields():
     from ssar.dataio import solution_record
     from ssar.instances import gen_random_instance as gri
-    from ssar.regression import LabelOracle, solve_active
+    from ssar.regression import LabelOracle
+    from reference import solve_active
 
     ds, labels = gri(20, 6, 3, 1.0, seed=14)
     sol = solve_active(ds, LabelOracle(labels, ds.n1), AsuraConfig(epsilon=0.25, rng_seed=15))
@@ -104,3 +106,13 @@ def test_lemma_report_serialization(tmp_path):
     path = tmp_path / "reports.jsonl"
     write_jsonl(path, [rec])
     assert [json.loads(line) for line in path.read_text().splitlines()] == [rec]
+
+
+def test_json_line_writes_non_finite_floats_as_null(tmp_path):
+    rec = {"a": float("inf"), "b": [1.5, float("nan"), {"c": -float("inf")}], "d": "x"}
+    line = json_line(rec)
+    assert json.loads(line, parse_constant=lambda c: pytest.fail(c)) == {
+        "a": None, "b": [1.5, None, {"c": None}], "d": "x"}
+    path = tmp_path / "r.jsonl"
+    write_jsonl(path, [rec, {"e": 2.0}])
+    assert path.read_text().splitlines() == [line, '{"e": 2.0}']

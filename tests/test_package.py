@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 from collections import Counter
 
 import pytest
@@ -67,3 +68,17 @@ def test_every_library_definition_is_used_by_the_library():
     ]
     unused = [name for name in unused if name not in UNREACHED_ALLOWED]
     assert not unused, f"library definitions that no library code uses: {unused}"
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # The Python blocks of README's "Library quickstart", in order, in one namespace.
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["sol"].ratio >= 1.0
+    assert "labels bought, loss ratio" in capsys.readouterr().out

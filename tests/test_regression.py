@@ -16,12 +16,11 @@ from ssar.regression import (
     LabelOracle,
     kernel_ridge_to_ssal,
     ridge_to_ssal,
-    solve_active,
     weighted_lsq,
 )
 from ssar.rngutil import make_rng
 
-from reference import exact_solution
+from reference import exact_solution, solve_active
 
 
 # ------------------------------------------------------------ weighted_lsq

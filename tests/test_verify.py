@@ -10,7 +10,7 @@ from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
 from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
 from ssar.errors import InsufficientSampleError, InvalidInputError
-from ssar.regression import LabelOracle, draw_samples, solve_active
+from ssar.regression import LabelOracle, draw_samples
 from ssar.rngutil import derive_seed, make_rng
 from ssar import cli, verify
 from ssar.verify import (
@@ -21,7 +21,7 @@ from ssar.verify import (
 )
 
 from conftest import gaussian_dataset
-from reference import check_query_bound, step_violations_eigvalsh
+from reference import check_query_bound, solve_active, step_violations_eigvalsh
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,24 @@ def test_merge_hard_reports_accumulates(good_run):
     merged = merge_hard_reports(per_run)
     assert all(r.runs_checked == 3 for r in merged)
     assert all(r.verdict for r in merged)
+
+
+def test_merge_hard_reports_keeps_the_worst_runs_potential_floor(good_run):
+    # The floor's statistic is the smallest phi_j, so the worst run has the
+    # smallest; every other merged statistic and margin is the largest.
+    ds, _, cfg, _, trace = good_run
+    _, other = asura_sample(ds, dataclasses.replace(cfg, rng_seed=62))
+    runs = [check_hard_lemmas(t) for t in (trace, other)]
+    assert trace.phi_id.min() != other.phi_id.min()
+    for order in (runs, runs[::-1]):
+        merged = {r.lemma_id: r for r in merge_hard_reports(order)}
+        for k, rep in enumerate(runs[0]):
+            pair = [runs[0][k], runs[1][k]]
+            worst = min if rep.lemma_id == "potential-floor" else max
+            assert merged[rep.lemma_id].statistic == worst(r.statistic for r in pair)
+            assert merged[rep.lemma_id].worst_margin == max(r.worst_margin for r in pair)
+            assert merged[rep.lemma_id].runs_checked == 2
+    assert merged["potential-floor"].statistic == min(trace.phi_id.min(), other.phi_id.min())
 
 
 def test_statistical_checks_reject_small_batches(good_run):
