@@ -23,8 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,21 +67,6 @@ EXIT_OK = 0
 EXIT_HARD_FAIL = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
-
-
-@dataclass
-class TrialReport:
-    """One solve trial as reported by ``run`` and ``sweep``."""
-
-    seed: int
-    sampler: str
-    m: int
-    queries_billed: int
-    queries_iteration_level: int
-    ratio: float | None
-    well_balanced: bool | None
-    gamma: float | None
-    runtime_ms: float
 
 
 def _base_seed(args) -> int:
@@ -200,21 +183,6 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One ``run`` trial and its slot of the batch draw; picklable."""
-
-    ds: Dataset
-    full_labels: np.ndarray
-    sampler: str
-    cfg: AsuraConfig | LeverageConfig | UniformConfig
-    retry: bool
-    no_ratio: bool
-    check_balance: bool
-    drawn: tuple | SsarError
-    draw_ms: float
-
-
 def _sampler_config(args, seed: int):
     if args.sampler == "asura":
         return AsuraConfig(epsilon=args.epsilon, c0=args.c0, rng_seed=seed)
@@ -223,38 +191,37 @@ def _sampler_config(args, seed: int):
     return UniformConfig(m=args.uniform_m, rng_seed=seed)
 
 
-def _run_one_trial(trial: Trial) -> dict:
-    """One solve trial; an error slot or a failed solve comes back as an error record."""
-    cfg, ds = trial.cfg, trial.ds
-    oracle = LabelOracle(trial.full_labels, ds.n1, allow_full_loss=not trial.no_ratio)
+def _run_one_trial(args, ds: Dataset, full: np.ndarray, seed: int, drawn, draw_ms: float) -> dict:
+    """The record of trial ``seed`` from its slot of the batch draw.
+
+    An error slot or a failed solve comes back as an error record.
+    """
+    oracle = LabelOracle(full, ds.n1, allow_full_loss=not args.no_ratio)
     try:
-        if isinstance(trial.drawn, SsarError):
-            raise trial.drawn
+        if isinstance(drawn, SsarError):
+            raise drawn
         t0 = time.perf_counter()
-        sol = solve_sample(ds, oracle, *trial.drawn)
-        runtime_ms = trial.draw_ms + 1000.0 * (time.perf_counter() - t0)
+        sol = solve_sample(ds, oracle, *drawn)
+        runtime_ms = draw_ms + 1000.0 * (time.perf_counter() - t0)
 
         well_balanced = None
-        if sol.trace is not None and (trial.retry or trial.check_balance):
-            well_balanced = trial.retry or check_well_balanced(sol.trace, ds.svd).well_balanced
+        if sol.trace is not None and (args.retry or args.check_balance):
+            well_balanced = args.retry or check_well_balanced(sol.trace, ds.svd).well_balanced
     except (BarrierViolationError, NumericalBreakdownError,
             WellBalancedEventFailedError) as exc:
-        return {"seed": cfg.rng_seed, "sampler": trial.sampler, "error": str(exc)}
-    report = asdict(
-        TrialReport(
-            seed=cfg.rng_seed,
-            sampler=trial.sampler,
-            m=sol.iterations,
-            queries_billed=sol.queries,
-            queries_iteration_level=sol.queries_iteration_level,
-            ratio=sol.ratio,
-            well_balanced=well_balanced,
-            gamma=sol.trace.gamma if sol.trace else None,
-            runtime_ms=runtime_ms,
-        )
-    )
-    report["solution"] = solution_record(sol, cfg.rng_seed)
-    return report
+        return {"seed": seed, "sampler": args.sampler, "error": str(exc)}
+    return {
+        "seed": seed,
+        "sampler": args.sampler,
+        "m": sol.iterations,
+        "queries_billed": sol.queries,
+        "queries_iteration_level": sol.queries_iteration_level,
+        "ratio": sol.ratio,
+        "well_balanced": well_balanced,
+        "gamma": sol.trace.gamma if sol.trace else None,
+        "runtime_ms": runtime_ms,
+        "solution": solution_record(sol, seed),
+    }
 
 
 def _cmd_run(args) -> int:
@@ -271,20 +238,8 @@ def _cmd_run(args) -> int:
     t0 = time.perf_counter()
     drawn = draw_samples(ds, cfg, seeds, retry=args.retry)
     draw_ms = 1000.0 * (time.perf_counter() - t0) / len(seeds)
-    trials = [
-        Trial(ds=ds, full_labels=full, sampler=args.sampler, cfg=replace(cfg, rng_seed=seed),
-              retry=args.retry, no_ratio=args.no_ratio, check_balance=args.check_balance,
-              drawn=slot, draw_ms=draw_ms)
-        for seed, slot in zip(seeds, drawn)
-    ]
-    if args.jobs > 1:
-        # One chunk per worker: the trials of a chunk are pickled together, so
-        # the worker unpickles, and factors, the shared dataset once.
-        chunk = math.ceil(len(trials) / args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_one_trial, trials, chunksize=chunk))
-    else:
-        records = [_run_one_trial(t) for t in trials]
+    records = [_run_one_trial(args, ds, full, seed, slot, draw_ms)
+               for seed, slot in zip(seeds, drawn)]
 
     solutions = [rec.pop("solution") for rec in records if "solution" in rec]
     if args.solutions_out:
@@ -539,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oversample-c", type=float, default=15.0)
     run.add_argument("--uniform-m", type=int, default=100)
     run.add_argument("--trials", type=_count, default=1)
-    run.add_argument("--jobs", type=_count, default=1)
+    run.add_argument("--jobs", type=_count, default=1,
+                     help="ignored: every trial runs in this process")
     run.add_argument("--retry", action="store_true",
                      help="rerun the adaptive sampler until well balanced; use --c0 6 or "
                           "above: below --c0 4 no run lands in the spectral window, so "

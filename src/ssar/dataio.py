@@ -38,9 +38,6 @@ __all__ = [
     "write_jsonl",
 ]
 
-FLOAT_FMT = "%.17g"
-
-
 def save_block(out_dir, name: str, arr) -> str:
     """Write ``arr`` as the float64 block ``<name>.npy`` in ``out_dir``; returns the file name."""
     np.save(os.path.join(out_dir, f"{name}.npy"), np.asarray(arr, dtype=float))
@@ -155,39 +152,27 @@ def dump_trace(path, trace: AsuraTrace) -> None:
     ``px1_sum`` and ``phi_d``), and a trailer record holds the final barrier
     values.  With the run's factors this determines every running matrix.
     """
-    with open(path, "w") as fh:
-        header = (
-            '{"kind": "header", "gamma": %s, "rank": %d, "n_rows": %d, '
-            '"n_unlabeled": %d, "m": %d}'
-            % (FLOAT_FMT % trace.gamma, trace.rank, trace.n_rows, trace.n_unlabeled, trace.m)
-        )
-        fh.write(header + "\n")
-        for j in range(trace.m):
-            fh.write(
-                '{"j": %d, "phi_id": %s, "sampled_index": %d, "p_j": %s, '
-                '"u_j": %s, "l_j": %s, "px1_sum": %s, "phi_d": %s}\n'
-                % (
-                    j,
-                    FLOAT_FMT % trace.phi_id[j],
-                    int(trace.sampled_index[j]),
-                    FLOAT_FMT % trace.p_j[j],
-                    FLOAT_FMT % trace.u[j],
-                    FLOAT_FMT % trace.l[j],
-                    FLOAT_FMT % trace.px1_sum[j],
-                    FLOAT_FMT % trace.phi_d[j],
-                )
-            )
-        fh.write(
-            '{"j": %d, "u_j": %s, "l_j": %s}\n'
-            % (trace.m, FLOAT_FMT % trace.u[-1], FLOAT_FMT % trace.l[-1])
-        )
+    header = {"kind": "header", "gamma": float(trace.gamma), "rank": int(trace.rank),
+              "n_rows": int(trace.n_rows), "n_unlabeled": int(trace.n_unlabeled), "m": trace.m}
+    series = zip(trace.phi_id.tolist(), trace.sampled_index.tolist(), trace.p_j.tolist(),
+                 trace.u.tolist(), trace.l.tolist(), trace.px1_sum.tolist(),
+                 trace.phi_d.tolist())
+    iterations = (
+        {"j": j, "phi_id": phi, "sampled_index": k, "p_j": p, "u_j": u, "l_j": l,
+         "px1_sum": px1, "phi_d": phi_d}
+        for j, (phi, k, p, u, l, px1, phi_d) in enumerate(series)
+    )
+    trailer = {"j": trace.m, "u_j": trace.u_final, "l_j": trace.l_final}
+    write_jsonl(path, [header, *iterations, trailer])
 
 
 def load_trace(path) -> AsuraTrace:
     """Read a trace dump back; the result equals the dumped trace field for field.
 
-    A dump with ``gamma`` outside (0, 1/2), a rank below 1 or a non-finite
-    float is refused as bad input naming the file.
+    A dump with ``gamma`` outside (0, 1/2), a rank below 1, a non-finite
+    float, a ``sampled_index`` outside ``[0, n_rows)`` or a step weight
+    ``w'_j = gamma / (phi_j p_j)`` that is not finite and positive is refused
+    as bad input naming the file.
     """
     with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
@@ -222,13 +207,22 @@ def load_trace(path) -> AsuraTrace:
     for name, values in series.items():
         if not np.isfinite(values).all():
             raise InvalidInputError(f"{path}: non-finite {name}")
+    # The checks index U by the picks and scale each step by sqrt(w'_j).
+    if ((trace.sampled_index < 0) | (trace.sampled_index >= trace.n_rows)).any():
+        raise InvalidInputError(f"{path}: sampled_index outside [0, {trace.n_rows})")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w_prime = trace.w_prime
+    if not (np.isfinite(w_prime) & (w_prime > 0)).all():
+        raise InvalidInputError(
+            f"{path}: step weight gamma / (phi_id p_j) must be finite and positive"
+        )
     return trace
 
 
 def solution_record(sol, seed: int) -> dict:
-    """Solve result as a serializable record with 17-digit coefficient floats."""
+    """Solve result as a serializable record."""
     return {
-        "beta_hat": [float(FLOAT_FMT % v) for v in np.asarray(sol.beta_hat)],
+        "beta_hat": np.asarray(sol.beta_hat).tolist(),
         "loss": sol.loss,
         "opt": sol.opt,
         "ratio": sol.ratio,

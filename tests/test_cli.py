@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -117,7 +118,12 @@ def test_run_single_trial_is_reproducible(manifest, capsys):
     assert recs1[0]["sampler"] == "asura" and recs1[0]["ratio"] is not None
 
 
-def test_run_summary_and_jobs(manifest, capsys, tmp_path):
+def test_run_jobs_flag_runs_in_one_process(manifest, capsys, tmp_path, monkeypatch):
+    # --jobs is accepted and ignored: no trial runs in a child process.
+    def no_child(process):
+        raise AssertionError(f"run started a child process {process.name}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_child)
     out_file = tmp_path / "trials.jsonl"
     code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "4",
                         "--jobs", "2", "--seed", "9", "--out", str(out_file))
@@ -126,7 +132,7 @@ def test_run_summary_and_jobs(manifest, capsys, tmp_path):
     summary = lines[-1]
     assert summary["kind"] == "summary" and summary["trials"] == 4
     assert out_file.exists()
-    # Worker processes give the same records as one process.
+    # --jobs 2 gives the records of --jobs 1.
     _, serial = run_cli(capsys, "run", "--manifest", manifest, "--trials", "4",
                         "--jobs", "1", "--seed", "9")
     serial = [json.loads(s) for s in data_lines(serial)]
@@ -532,13 +538,13 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
 ]) + "\n"
 
 
-def _dump(gamma="0.25", rank="1", phi_id="0.25", u_j="8") -> str:
-    """A one-iteration trace dump with the given fields written verbatim."""
+def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u_j="8") -> str:
+    """A one-iteration trace dump on 2 rows with the given fields written verbatim."""
     return "\n".join([
         f'{{"kind": "header", "gamma": {gamma}, "rank": {rank}, "n_rows": 2, '
         f'"n_unlabeled": 1, "m": 1}}',
-        f'{{"j": 0, "phi_id": {phi_id}, "sampled_index": 0, "p_j": 0.5, "u_j": {u_j}, '
-        f'"l_j": -8, "px1_sum": 0.4, "phi_d": 0.1}}',
+        f'{{"j": 0, "phi_id": {phi_id}, "sampled_index": {sampled_index}, "p_j": {p_j}, '
+        f'"u_j": {u_j}, "l_j": -8, "px1_sum": 0.4, "phi_d": 0.1}}',
         '{"j": 1, "u_j": 9, "l_j": -7}',
     ]) + "\n"
 
@@ -554,7 +560,9 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", u_j="8") -> str:
     (("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _DUMP_WITHOUT_PX1_SUM}, "t.jsonl"),
     *((("verify", "--trace-file", "t.jsonl"), {"t.jsonl": _dump(**field)}, "t.jsonl")
       for field in ({"phi_id": "NaN"}, {"u_j": "NaN"}, {"gamma": "0"}, {"gamma": "NaN"},
-                    {"rank": "0"})),
+                    {"rank": "0"}, {"phi_id": "null"}, {"sampled_index": "2"},
+                    {"sampled_index": "-1"}, {"p_j": "0"}, {"p_j": "1e-320"},
+                    {"p_j": "-0.5"})),
     *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, bad) for data, bad in (
         (b"", "x1.npy: not a .npy file"),
         (b"1,2,3\n", "x1.npy: not a .npy file"),
@@ -568,9 +576,12 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", u_j="8") -> str:
     )),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
         "dump-without-m", "dump-without-px1-sum", "dump-nan-phi", "dump-nan-u",
-        "dump-zero-gamma", "dump-nan-gamma", "dump-zero-rank", "npy-empty", "npy-holding-csv",
+        "dump-zero-gamma", "dump-nan-gamma", "dump-zero-rank", "dump-null-phi",
+        "dump-index-at-n-rows", "dump-negative-index", "dump-zero-p", "dump-denormal-p",
+        "dump-negative-p", "npy-empty", "npy-holding-csv",
         "npy-truncated-header", "npy-truncated-data", "npy-pickled-objects", "npy-int64",
         "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
