@@ -170,6 +170,11 @@ class AsuraTrace:
         return self.phi_id.shape[0]
 
     @property
+    def cap(self) -> int:
+        """The run's iteration cap ``ceil(2 r / gamma^2)``."""
+        return _cap(self.gamma, self.rank)
+
+    @property
     def w_prime(self) -> np.ndarray:
         """Update weights ``w'_j = gamma / (phi_j p_j)`` of the rank-one steps."""
         return self.gamma / (self.phi_id * self.p_j)
@@ -300,15 +305,23 @@ def _limits(cfg: AsuraConfig, r: int) -> tuple[float, int, float]:
         raise InvalidInputError(
             f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
         )
-    return gamma, math.ceil(2.0 * r / gamma**2), 8.0 * r / gamma
+    return gamma, _cap(gamma, r), 8.0 * r / gamma
 
 
-def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
+def _cap(gamma: float, r: int) -> int:
+    """The iteration cap ``ceil(2 r / gamma^2)`` of a run at rank ``r``."""
+    return math.ceil(2.0 * r / gamma**2)
+
+
+def asura_sample(ds: Dataset, cfg: AsuraConfig, blocks=None) -> tuple[SampleSet, AsuraTrace]:
     """Run the adaptive sampler on the rows of ``ds.svd.u``.
 
     The trace records, per iteration, the sampling mass on the ``ds.n1``
     unlabeled rows and the matching block-weighted potential.  The sample is
     the trace's picks with weights ``trace.w_prime / trace.mid``.
+    ``blocks`` is ``_row_blocks(ds.svd.u, ds.n1)``, which
+    :func:`asura_sample_batch` builds once for all of its runs; it is built
+    here when not given.
 
     Returns
     -------
@@ -320,7 +333,7 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig) -> tuple[SampleSet, AsuraTrace]:
     gamma, cap, budget = _limits(cfg, r)
     rng = make_rng(cfg.rng_seed)
 
-    edges, grams = _row_blocks(u_mat, n1)
+    edges, grams = _row_blocks(u_mat, n1) if blocks is None else blocks
     n_blocks_unlabeled = edges.index(n1)
 
     a = np.zeros((r, r))
@@ -418,12 +431,13 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
     its runs and reruns its seeds in turn, so that each of its runs ends in
     its own slot; the later stacks still run.
     """
+    edges, grams = _row_blocks(ds.svd.u, ds.n1)
 
     def in_turn(chunk):
         out = []
         for seed in chunk:
             try:
-                out.append(asura_sample(ds, replace(cfg, rng_seed=seed)))
+                out.append(asura_sample(ds, replace(cfg, rng_seed=seed), (edges, grams)))
             except (BarrierViolationError, NumericalBreakdownError) as exc:
                 out.append(exc)
         return out
@@ -433,7 +447,6 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
         return in_turn(seeds)
     r = ds.svd.rank
     gamma, cap, budget = _limits(cfg, r)
-    edges, grams = _row_blocks(ds.svd.u, ds.n1)
     starts, lengths = np.asarray(edges[:-1]), np.diff(edges)
     blocks = (grams, starts, lengths, edges.index(ds.n1))
     # Floats a run holds in a stack: its state and the barrier step's scratch

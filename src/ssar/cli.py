@@ -48,6 +48,7 @@ from .errors import (
 )
 from .instances import (
     LowerBoundSpec,
+    gaussian_design,
     gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
@@ -160,10 +161,9 @@ def _cmd_gen(args) -> int:
         sigma = np.linalg.svd(ds.x_unlabeled, compute_uv=False)
         print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
     elif kind == "ridge":
-        base, full_plain = gen_random_instance(args.n1, 0, args.d, args.noise_sigma, seed)
-        x1 = base.x_unlabeled
+        x1, y1 = gaussian_design(make_rng(seed), args.n1, args.d, args.d, args.noise_sigma)
         ds = ridge_to_ssal(x1, args.lam)
-        full = np.concatenate([full_plain, np.zeros(args.d)])
+        full = np.concatenate([y1, np.zeros(args.d)])
         manifest = save_dataset(out, ds, full_labels=full, stem="ridge")
         sigma = np.linalg.svd(x1, compute_uv=False)
         print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
@@ -209,11 +209,13 @@ def _run_one_trial(args, ds: Dataset, full: np.ndarray, seed: int, drawn, draw_m
             well_balanced = args.retry or check_well_balanced(sol.trace, ds.svd).well_balanced
     except (BarrierViolationError, NumericalBreakdownError,
             WellBalancedEventFailedError) as exc:
-        return {"seed": seed, "sampler": args.sampler, "error": str(exc)}
+        return {"seed": seed, "sampler": args.sampler, "error": str(exc),
+                "error_class": type(exc).__name__}
     return {
         "seed": seed,
         "sampler": args.sampler,
         "m": sol.iterations,
+        "cap": sol.trace.cap if sol.trace else None,
         "queries_billed": sol.queries,
         "queries_iteration_level": sol.queries_iteration_level,
         "ratio": sol.ratio,
@@ -342,7 +344,7 @@ def _sweep_points(args, base_seed):
 
     def ridge_design(d, *key):
         rng = make_rng(derive_seed(base_seed, 1, *key))
-        return rng.standard_normal((args.n1, d)) / math.sqrt(args.n1)
+        return gaussian_design(rng, args.n1, d, args.n1)[0]
 
     if args.axis == "lambda":
         x1 = ridge_design(args.d)

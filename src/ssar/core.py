@@ -2,7 +2,8 @@
 
 This module holds the numerical substrate for the rest of the package: the
 ``Dataset`` instance, which stacks its blocks once and factors the stack once
-(``Dataset.svd``, read by the samplers, OPT and ``reduced_rank``), a thin SVD
+(``Dataset.svd``, read by the samplers, OPT and ``reduced_rank``) or keeps
+factors handed to it once they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
 sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
@@ -26,7 +27,7 @@ gives up at half the short side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,13 +109,16 @@ class Dataset:
 
     The instance owns one read-only stacked design: the two blocks are views
     of it, and ``svd`` is its thin SVD, computed on first use and kept.
+    ``factors``, such as the ones stored with the instance, are handed to
+    :func:`thin_svd`, which keeps them only if they factor the stack.
     """
 
     x_unlabeled: np.ndarray
     x_labeled: np.ndarray
     y_labeled: np.ndarray
+    factors: InitVar[SvdFactors | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factors):
         x1 = as_matrix(self.x_unlabeled, "x_unlabeled")
         x2 = as_matrix(self.x_labeled, "x_labeled", allow_empty=True)
         y2 = as_vector(self.y_labeled, "y_labeled", allow_empty=True)
@@ -135,6 +139,7 @@ class Dataset:
         object.__setattr__(self, "x_unlabeled", stack[: x1.shape[0]])
         object.__setattr__(self, "x_labeled", stack[x1.shape[0]:])
         object.__setattr__(self, "y_labeled", y2)
+        object.__setattr__(self, "_candidate", factors)
 
     def __reduce__(self):
         # Rebuild from the blocks: pickled views would each be copied apart from the stack.
@@ -164,7 +169,9 @@ class Dataset:
     def svd(self) -> SvdFactors:
         """Thin SVD of the stacked design, computed on first use."""
         # The cache cannot go stale: the dataclass is frozen and its arrays are read-only.
-        return thin_svd(self._stack)
+        factors = thin_svd(self._stack, self._candidate)
+        object.__setattr__(self, "_candidate", None)  # rejected factors are not held
+        return factors
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,10 @@ class SvdFactors:
         divided by ``max |x|``, so that no square overflows or underflows at an
         extreme scale.  A zero ``x`` gives ``inf``.
         """
+        return self._residual_and_norm(x)[0]
+
+    def _residual_and_norm(self, x) -> tuple[float, float]:
+        """``residual(x)`` and the Frobenius norm of ``x``, from one pass over ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.d):
             raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
@@ -232,10 +243,10 @@ class SvdFactors:
             np.subtract(diff, block, out=diff)
             err += float(np.vdot(diff, diff))
             size += float(np.vdot(block, block))
-        return math.sqrt(err / size) if size else math.inf
+        return (math.sqrt(err / size) if size else math.inf), math.sqrt(size) * scale
 
 
-def thin_svd(x) -> SvdFactors:
+def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     """Thin SVD of ``x`` truncated at ``DEFAULT_RANK_TOL * sigma_max``.
 
     Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
@@ -266,16 +277,27 @@ def thin_svd(x) -> SvdFactors:
     |entry| lies outside ``GRAM_SAFE_SCALE``.  Every result is validated,
     with the residual computed once.
 
+    Given ``factors``, such as the ones stored with an instance, they are
+    returned as they are if they pass the same test: they fit the shape of
+    ``x``, ``validate`` passes, every singular value lies above
+    ``DEFAULT_RANK_TOL * sigma[0]`` and the residual is within
+    ``DEFAULT_RANK_TOL * sigma[0]``.  Otherwise ``x`` is factored as above, so
+    stale or foreign factors cost one residual check and change no result.
+
     Parameters
     ----------
     x : array_like, shape (n, d)
         Design matrix.  All entries must be finite; a float64 array is not copied.
+    factors : SvdFactors, optional
+        Candidate factors of ``x``.
 
     Returns
     -------
     SvdFactors
     """
     arr = as_matrix(x, "x")
+    if factors is not None and _accepted(factors, arr):
+        return factors
     found = _range_factors(arr)  # its range basis is freed on return
     if found is None:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
@@ -285,6 +307,32 @@ def thin_svd(x) -> SvdFactors:
         factors, residual = found
     factors.validate(residual=residual)
     return factors
+
+
+def _accepted(factors: SvdFactors, arr: np.ndarray) -> bool:
+    """Whether candidate factors of ``arr`` pass the test of range factors (see ``thin_svd``).
+
+    Every comparison is written so that a NaN anywhere in the factors fails it."""
+    s = factors.sigma
+    r = s.shape[0] if s.ndim == 1 else 0
+    if (r == 0 or factors.u.shape != (arr.shape[0], r) or factors.v.shape != (arr.shape[1], r)
+            or not np.all(s > DEFAULT_RANK_TOL * s[0])):
+        return False
+    residual = _reconstructs(factors, arr)
+    if residual is None:
+        return False
+    try:
+        factors.validate(residual=residual)
+    except InvalidInputError:
+        return False
+    return True
+
+
+def _reconstructs(factors: SvdFactors, arr: np.ndarray) -> float | None:
+    """The relative residual of ``factors`` on ``arr`` if ``||arr - U Sigma V^T||_F``
+    is within ``DEFAULT_RANK_TOL * sigma[0]``, else None."""
+    residual, norm = factors._residual_and_norm(arr)
+    return residual if residual * norm <= DEFAULT_RANK_TOL * factors.sigma[0] else None
 
 
 def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
@@ -304,7 +352,6 @@ def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
         factors = _gram_factors(tall, theta[-k:], w[:, -k:])
         if factors is None:
             return None
-        norm = math.sqrt(theta.sum())  # theta sums to ||tall||_F^2
     else:
         k = SKETCH_START
         while True:
@@ -318,9 +365,8 @@ def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
                 break
             k *= 2
         factors = _truncated(q @ u_bt.T, s, v)
-        norm = float(np.linalg.norm(tall))
-    residual = factors.residual(tall)
-    if residual * norm > DEFAULT_RANK_TOL * factors.sigma[0]:
+    residual = _reconstructs(factors, tall)
+    if residual is None:
         return None
     if wide:
         factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u)

@@ -24,6 +24,7 @@ from .rngutil import make_rng
 
 __all__ = [
     "gen_random_instance",
+    "gaussian_design",
     "LowerBoundSpec",
     "gen_lower_bound_instance",
     "gen_kernel_instance",
@@ -42,16 +43,32 @@ def gen_random_instance(
     """
     if n1 < 1 or n2 < 0 or d < 1 or n1 + n2 < d:
         raise InvalidInputError("need n1 >= 1, n2 >= 0 and n1 + n2 >= d")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise InvalidInputError("noise_sigma must be finite and nonnegative")
-    rng = make_rng(seed)
-    x = rng.standard_normal((n1 + n2, d)) / math.sqrt(d)
-    beta0 = rng.standard_normal(d)
-    labels = x @ beta0
-    if noise_sigma > 0:
-        labels = labels + noise_sigma * rng.standard_normal(n1 + n2)
+    x, labels = gaussian_design(make_rng(seed), n1 + n2, d, d, noise_sigma)
     ds = Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=labels[n1:])
     return ds, labels
+
+
+def gaussian_design(
+    rng: np.random.Generator, n: int, d: int, row_scale: float, noise_sigma: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian rows with labels from a hidden linear model.
+
+    ``x`` is ``n x d`` standard Gaussian divided by ``sqrt(row_scale)``, and
+    the labels are ``x beta`` for a standard Gaussian ``beta`` plus
+    ``N(0, noise_sigma^2)`` noise.  Draws come from ``rng`` in the order
+    ``x``, ``beta``, noise.  It is the stack of :func:`gen_random_instance`
+    and the unlabeled block of the Gaussian ridge instances, which
+    ``ridge_to_ssal(x, lam)`` makes.
+    """
+    if n < 1 or d < 1:
+        raise InvalidInputError("need n >= 1 and d >= 1")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidInputError("noise_sigma must be finite and nonnegative")
+    x = rng.standard_normal((n, d)) / math.sqrt(row_scale)
+    labels = x @ rng.standard_normal(d)
+    if noise_sigma > 0:
+        labels = labels + noise_sigma * rng.standard_normal(n)
+    return x, labels
 
 
 def gen_kernel_instance(

@@ -87,7 +87,7 @@ class LemmaReport:
 
 def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
     gamma, d = trace.gamma, trace.rank
-    cap = math.ceil(2.0 * d / gamma**2)
+    cap = trace.cap
     m = trace.m
     reports = [
         LemmaReport(

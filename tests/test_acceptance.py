@@ -24,6 +24,7 @@ from ssar.core import (
 )
 from ssar.instances import (
     LowerBoundSpec,
+    gaussian_design,
     gen_kernel_instance,
     gen_lower_bound_instance,
     gen_random_instance,
@@ -246,8 +247,7 @@ def test_criterion_05_statistical_lemmas(statistical_batch):
 def test_criterion_06_query_bound_and_monotonicity():
     rng = make_rng(derive_seed(BASE_SEED, 6))
     d, n1, trials = 10, 2000, 500
-    x1 = rng.standard_normal((n1, d)) / math.sqrt(n1)
-    y1 = x1 @ rng.standard_normal(d) + rng.standard_normal(n1)
+    x1, y1 = gaussian_design(rng, n1, d, n1)
     sigma = np.linalg.svd(x1, compute_uv=False)
     eps = 0.25
     means, details = [], []

@@ -415,6 +415,23 @@ def test_batch_picks_the_path_from_the_batch_size(monkeypatch):
     assert calls == ["asura_sample"] * 3 + ["_lockstep"]
 
 
+@pytest.mark.parametrize("n_runs", [1, 2])
+def test_batch_in_turn_builds_the_row_blocks_once(monkeypatch, n_runs):
+    ds = gaussian_dataset(200, 10, 4, seed=4)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    seeds = [derive_seed(6, k) for k in range(n_runs)]
+    alone = [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
+    calls = []
+    real = asura._row_blocks
+    monkeypatch.setattr(asura, "_row_blocks", lambda *args: calls.append(1) or real(*args))
+    batch = asura_sample_batch(ds, cfg, seeds)
+    assert len(calls) == 1
+    for (sample, trace), (sample_alone, trace_alone) in zip(batch, alone):
+        np.testing.assert_array_equal(sample.indices, sample_alone.indices, strict=True)
+        np.testing.assert_array_equal(sample.weights, sample_alone.weights, strict=True)
+        np.testing.assert_array_equal(trace.p_j, trace_alone.p_j, strict=True)
+
+
 def test_lockstep_cases_are_what_they_say():
     cases = {p.id: p.values[0] for p in _lockstep_cases()}
     assert cases["rank-deficient"].svd.rank == 3 < cases["rank-deficient"].d

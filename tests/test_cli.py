@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ssar import regression
 from ssar.asura import AsuraConfig, asura_sample, check_well_balanced
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
+from ssar.core import thin_svd
 from ssar.dataio import dump_trace, load_dataset
 from ssar.errors import (
     BarrierViolationError,
@@ -156,7 +158,8 @@ def test_csv_and_npy_blocks_are_the_same_instance(manifest, capsys, tmp_path):
     with open(manifest) as fh:
         entries = json.load(fh)
     base = os.path.dirname(manifest)
-    for key in ("path_x1", "path_x2", "path_y2", "path_y1_hidden"):
+    for key in ("path_x1", "path_x2", "path_y2", "path_y1_hidden",
+                "path_u", "path_sigma", "path_v"):
         block = np.load(os.path.join(base, entries[key]), allow_pickle=False)
         entries[key] = entries[key].replace(".npy", ".csv")
         np.savetxt(tmp_path / entries[key], block, fmt="%.17g", delimiter=",")
@@ -170,6 +173,83 @@ def test_csv_and_npy_blocks_are_the_same_instance(manifest, capsys, tmp_path):
         for rec in records[-1]:
             rec.pop("runtime_ms", None)
     assert len(records[0]) == 3 and records[0] == records[1]
+
+
+_GEN_KINDS = {
+    "random": ["--n1", "60", "--n2", "15", "--d", "4"],
+    "lower-bound": ["--d", "3", "--n", "20", "--eps", "0.01", "--lambda", "2"],
+    "ridge": ["--n1", "40", "--d", "5", "--lambda", "1"],
+    "kernel": ["--n", "150", "--rank", "4", "--lambda", "1"],  # 300 x 150: the sketch
+}
+
+
+@pytest.mark.parametrize("kind", list(_GEN_KINDS))
+def test_every_gen_kind_stores_the_factors_of_its_stack(capsys, tmp_path, monkeypatch, kind):
+    code, out = run_cli(capsys, "gen", kind, *_GEN_KINDS[kind], "--seed", "3",
+                        "--out", str(tmp_path))
+    assert code == EXIT_OK
+    path = out.split("manifest = ", 1)[1].strip()
+    with open(path) as fh:
+        entries = json.load(fh)
+    stored = {name: np.load(tmp_path / entries[f"path_{name}"], allow_pickle=False)
+              for name in ("u", "sigma", "v")}
+    ds, _ = load_dataset(path)
+    fresh = thin_svd(ds.stacked())
+    factored = count_calls(monkeypatch, "_range_factors", "core")
+    for name, block in stored.items():
+        np.testing.assert_array_equal(block, getattr(fresh, name), strict=True)
+        np.testing.assert_array_equal(getattr(ds.svd, name), block, strict=True)
+    assert factored == []  # the stored factors passed thin_svd's test
+
+
+def _manifest_variant(tmp_path, manifest, name, factors=True, x1=None):
+    """A copy of ``manifest`` in ``tmp_path`` naming the original blocks, with
+    or without the factor keys, and optionally another ``x1`` block."""
+    with open(manifest) as fh:
+        entries = json.load(fh)
+    base = os.path.dirname(manifest)
+    entries = {k: os.path.join(base, v) if k.startswith("path_") else v
+               for k, v in entries.items()}
+    if not factors:
+        for key in ("path_u", "path_sigma", "path_v"):
+            del entries[key]
+    if x1 is not None:
+        entries["path_x1"] = str(tmp_path / "x1_edited.npy")
+        np.save(entries["path_x1"], x1)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def test_run_records_equal_a_fresh_factorizations(manifest, capsys, tmp_path, monkeypatch):
+    # Without the factor keys, and with factors made stale by an edit of x1
+    # after gen, run factors the stack itself and writes the same records.
+    x1 = load_dataset(manifest)[0].x_unlabeled.copy()
+    x1[7, 2] += 0.5
+    factored = count_calls(monkeypatch, "_range_factors", "core")
+    records = {}
+    for name, factors, block in (("stored", True, None), ("plain", False, None),
+                                 ("stale", True, x1), ("edited", False, x1)):
+        path = _manifest_variant(tmp_path, manifest, name, factors, block)
+        code, out = run_cli(capsys, "run", "--manifest", path, "--trials", "3",
+                            "--seed", "4", "--check-balance")
+        assert code == EXIT_OK
+        records[name] = _trial_records(out)
+        assert len(factored) == (name != "stored")
+        factored.clear()
+    assert records["stored"] == records["plain"]
+    assert records["stale"] == records["edited"] != records["plain"]
+
+
+def test_a_manifest_must_name_all_factor_blocks_or_none(manifest, capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    entries = json.loads(Path(_manifest_variant(tmp_path, manifest, "full")).read_text())
+    del entries["path_sigma"]
+    path.write_text(json.dumps(entries))
+    code = main(["run", "--manifest", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and "partial.json" in err[0] and "path_sigma" in err[0]
 
 
 def test_run_deploy_mode_manifest_fails_before_any_trial(capsys, monkeypatch, tmp_path):
@@ -241,7 +321,8 @@ def _records_in_turn(manifest, cfg, base_seed, trials, retry=False, check_balanc
             sol = solve_active(ds, LabelOracle(full, ds.n1), replace(cfg, rng_seed=seed), retry)
         except (BarrierViolationError, NumericalBreakdownError,
                 WellBalancedEventFailedError) as exc:
-            records.append({"seed": seed, "sampler": sampler, "error": str(exc)})
+            records.append({"seed": seed, "sampler": sampler, "error": str(exc),
+                            "error_class": type(exc).__name__})
             continue
         well_balanced = None
         if adaptive and retry:
@@ -250,6 +331,7 @@ def _records_in_turn(manifest, cfg, base_seed, trials, retry=False, check_balanc
             well_balanced = check_well_balanced(sol.trace, ds.svd).well_balanced
         records.append({
             "seed": seed, "sampler": sampler, "m": sol.iterations,
+            "cap": sol.trace.cap if adaptive else None,
             "queries_billed": sol.queries,
             "queries_iteration_level": sol.queries_iteration_level,
             "ratio": sol.ratio, "well_balanced": well_balanced,
@@ -313,7 +395,8 @@ def test_run_falls_back_to_per_trial_draws_when_the_batch_fails(manifest, capsys
     assert draws == [1] and batches == [seeds]
     for k in (1, 4):
         expected[k] = {"seed": seeds[k], "sampler": "asura",
-                       "error": f"forced failure of run {k} (seed {seeds[k]})"}
+                       "error": f"forced failure of run {k} (seed {seeds[k]})",
+                       "error_class": "NumericalBreakdownError"}
     assert _trial_records(out) == expected
     assert json.loads(data_lines(out)[-1])["failed_trials"] == 2
 
@@ -374,10 +457,39 @@ def test_run_retry_exhaustion_leaves_the_other_trials_intact(manifest, capsys, m
                         "--c0", "8", "--retry", "--jobs", jobs)
     assert code == EXIT_OK
     expected[3] = {"seed": seeds[3], "sampler": "asura",
-                   "error": "no well-balanced run within 10 attempts"}
+                   "error": "no well-balanced run within 10 attempts",
+                   "error_class": "WellBalancedEventFailedError"}
     assert _trial_records(out) == expected
     assert len(calls) == 10 and calls[0] == seeds
     assert all(derive_seed(seeds[3], a) in calls[a - 1] for a in range(2, 11))
+
+
+def test_records_name_the_error_class_and_the_iteration_cap(manifest, capsys, monkeypatch):
+    # Trial 1's first draw ends in a BarrierViolationError, which is final; at
+    # c0 = 2 the other trials use up their attempts.
+    seeds = [derive_seed(5, k) for k in range(3)]
+    real = regression.asura_sample_batch
+
+    def batch(ds, cfg, tried):
+        runs = real(ds, cfg, tried)
+        if seeds[1] in tried:
+            runs[tried.index(seeds[1])] = BarrierViolationError("forced barrier violation")
+        return runs
+
+    monkeypatch.setattr(regression, "asura_sample_batch", batch)
+    code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "3", "--seed", "5",
+                        "--retry")
+    assert code == EXIT_OK
+    assert [rec["error_class"] for rec in _trial_records(out)] == [
+        "WellBalancedEventFailedError", "BarrierViolationError", "WellBalancedEventFailedError"]
+    monkeypatch.undo()
+    # Rank 4 at gamma = 1/4: the cap is ceil(2 * 4 * 16) = 128.
+    for sampler, cap in (("asura", 128), ("leverage", None)):
+        code, out = run_cli(capsys, "run", "--manifest", manifest, "--trials", "2",
+                            "--sampler", sampler)
+        assert code == EXIT_OK
+        assert [rec["cap"] for rec in _trial_records(out)] == [cap, cap]
+        assert all("error_class" not in rec for rec in _trial_records(out))
 
 
 def test_run_retry_keeps_a_broken_balance_check_in_its_trials_slot(manifest, capsys, monkeypatch):
@@ -405,7 +517,8 @@ def test_run_retry_keeps_a_broken_balance_check_in_its_trials_slot(manifest, cap
                         "--c0", "8", "--retry")
     assert code == EXIT_OK
     expected[3] = {"seed": seeds[3], "sampler": "asura",
-                   "error": "forced breakdown of the balance check"}
+                   "error": "forced breakdown of the balance check",
+                   "error_class": "NumericalBreakdownError"}
     assert _trial_records(out) == expected
     assert calls[0] == seeds and all(seeds[3] not in c and
                                      derive_seed(seeds[3], 2) not in c for c in calls[1:])
@@ -515,6 +628,8 @@ _GOOD_MANIFEST = {"d": 3, "n1": 1, "n2": 1, "path_x1": "x1.csv", "path_x2": "x2.
 _BLOCKS = {"x1.csv": "1,2,3\n", "x2.csv": "4,5,6\n", "y2.csv": "1\n", "y1.csv": "2\n"}
 _NPY_MANIFEST = json.dumps({**_GOOD_MANIFEST, "path_x1": "x1.npy"})
 _RUN = ("run", "--manifest", "m.json")
+_FACTOR_MANIFEST = json.dumps({**_GOOD_MANIFEST, "path_u": "u.npy", "path_sigma": "sigma.csv",
+                               "path_v": "v.csv"})
 
 
 def _npy(arr, **kwargs) -> bytes:
@@ -538,11 +653,12 @@ _DUMP_WITHOUT_PX1_SUM = "\n".join([
 ]) + "\n"
 
 
-def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u_j="8") -> str:
+def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u_j="8",
+          m="1", n_rows="2", n_unlabeled="1") -> str:
     """A one-iteration trace dump on 2 rows with the given fields written verbatim."""
     return "\n".join([
-        f'{{"kind": "header", "gamma": {gamma}, "rank": {rank}, "n_rows": 2, '
-        f'"n_unlabeled": 1, "m": 1}}',
+        f'{{"kind": "header", "gamma": {gamma}, "rank": {rank}, "n_rows": {n_rows}, '
+        f'"n_unlabeled": {n_unlabeled}, "m": {m}}}',
         f'{{"j": 0, "phi_id": {phi_id}, "sampled_index": {sampled_index}, "p_j": {p_j}, '
         f'"u_j": {u_j}, "l_j": -8, "px1_sum": 0.4, "phi_d": 0.1}}',
         '{"j": 1, "u_j": 9, "l_j": -7}',
@@ -562,7 +678,9 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
       for field in ({"phi_id": "NaN"}, {"u_j": "NaN"}, {"gamma": "0"}, {"gamma": "NaN"},
                     {"rank": "0"}, {"phi_id": "null"}, {"sampled_index": "2"},
                     {"sampled_index": "-1"}, {"p_j": "0"}, {"p_j": "1e-320"},
-                    {"p_j": "-0.5"})),
+                    {"p_j": "-0.5"}, {"sampled_index": "0.7"}, {"sampled_index": "true"},
+                    {"m": "1.0"}, {"rank": "1.5"}, {"n_rows": "2.5"},
+                    {"n_unlabeled": "0.5"}, {"n_unlabeled": "3"}, {"n_unlabeled": "-1"})),
     *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, bad) for data, bad in (
         (b"", "x1.npy: not a .npy file"),
         (b"1,2,3\n", "x1.npy: not a .npy file"),
@@ -574,13 +692,21 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
         (_npy(np.array([[1.0, 2.0]])), "x1.npy"),
         (_npz(), "x1.npy: not a .npy file"),
     )),
+    (_RUN, {**_BLOCKS, "m.json": _FACTOR_MANIFEST, "u.npy": _GOOD_NPY[:-8],
+            "sigma.csv": "1\n", "v.csv": "1\n0\n0\n"}, "u.npy"),
+    (_RUN, {**_BLOCKS, "m.json": _FACTOR_MANIFEST, "u.npy": _GOOD_NPY,
+            "sigma.csv": "x\n", "v.csv": "1\n0\n0\n"}, "sigma.csv"),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
         "dump-without-m", "dump-without-px1-sum", "dump-nan-phi", "dump-nan-u",
         "dump-zero-gamma", "dump-nan-gamma", "dump-zero-rank", "dump-null-phi",
         "dump-index-at-n-rows", "dump-negative-index", "dump-zero-p", "dump-denormal-p",
-        "dump-negative-p", "npy-empty", "npy-holding-csv",
+        "dump-negative-p", "dump-fractional-index", "dump-boolean-index", "dump-float-m",
+        "dump-fractional-rank", "dump-fractional-n-rows", "dump-fractional-n-unlabeled",
+        "dump-n-unlabeled-above-n-rows", "dump-negative-n-unlabeled",
+        "npy-empty", "npy-holding-csv",
         "npy-truncated-header", "npy-truncated-data", "npy-pickled-objects", "npy-int64",
-        "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz"])
+        "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz",
+        "factor-npy-truncated", "factor-csv-not-numeric"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
     for name, data in files.items():

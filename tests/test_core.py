@@ -229,6 +229,63 @@ def test_thin_svd_leaves_an_extreme_scale_to_lapack(monkeypatch, scale):
     np.testing.assert_array_equal(f.sigma, ref)
 
 
+def _candidates(x):
+    """Factors that miss thin_svd's test on ``x``, by name."""
+    good = thin_svd(x)
+    u, s, v = good.u, good.sigma, good.v
+    nan_u = u.copy()
+    nan_u[0, 0] = np.nan
+    stale = x.copy()
+    stale[3, 1] += 1e-6
+    # x has rank 3 in 5 columns: LAPACK's two round-off singular values
+    # reconstruct x, but lie below DEFAULT_RANK_TOL * sigma[0].
+    lu, ls, lvt = np.linalg.svd(x, full_matrices=False)
+    return {
+        "other-shape": thin_svd(x[:-1]),
+        "stale": thin_svd(stale),
+        "rank-short": SvdFactors(u=u[:, :-1], sigma=s[:-1], v=v[:, :-1]),
+        "round-off-rank": SvdFactors(u=lu, sigma=np.abs(ls) + 1e-300, v=lvt.T),
+        "nan-u": SvdFactors(u=nan_u, sigma=s, v=v),
+        "nan-sigma": SvdFactors(u=u, sigma=np.full_like(s, np.nan), v=v),
+        "scaled-sigma": SvdFactors(u=u, sigma=(1 + 1e-9) * s, v=v),
+        "not-orthonormal": SvdFactors(u=1.5 * u, sigma=s / 1.5, v=v),
+        "matrix-sigma": SvdFactors(u=u, sigma=np.diag(s), v=v),
+        "empty": SvdFactors(u=u[:, :0], sigma=s[:0], v=v[:, :0]),
+    }
+
+
+def test_thin_svd_keeps_given_factors_that_pass_its_test():
+    rng = make_rng(11)
+    for x in (rng.standard_normal((40, 5)), rng.standard_normal((300, 150)),
+              rng.standard_normal((5, 40)) * 1e-120):
+        f = thin_svd(x)
+        assert thin_svd(x, f) is f
+        copy = SvdFactors(u=f.u.copy(), sigma=f.sigma.copy(), v=f.v.copy())
+        assert thin_svd(x, copy) is copy
+
+
+@pytest.mark.parametrize("name", list(_candidates(np.eye(6, 5))))
+def test_thin_svd_refactors_when_given_factors_fail_its_test(name):
+    rng = make_rng(12)
+    x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 5))
+    candidate = _candidates(x)[name]
+    got = thin_svd(x, candidate)
+    assert got is not candidate
+    want = thin_svd(x)
+    for field in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), strict=True)
+
+
+def test_dataset_hands_its_candidate_factors_to_thin_svd():
+    ds = gaussian_dataset(30, 5, 4, seed=13)
+    f = thin_svd(ds.stacked())
+    kept = Dataset(ds.x_unlabeled, ds.x_labeled, ds.y_labeled, factors=f)
+    assert kept.svd is f
+    stale = Dataset(ds.x_unlabeled + 1.0, ds.x_labeled, ds.y_labeled, factors=f)
+    assert stale.svd is not f and stale._candidate is None
+    np.testing.assert_array_equal(stale.svd.u, thin_svd(stale.stacked()).u, strict=True)
+
+
 def test_svd_factors_validate_rejects_non_orthonormal():
     f = thin_svd(make_rng(3).standard_normal((5, 3)))
     bad = SvdFactors(u=f.u * 1.5, sigma=f.sigma, v=f.v)

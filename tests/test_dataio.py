@@ -56,9 +56,21 @@ def test_dataset_round_trip_with_hidden_labels(tmp_path):
     np.testing.assert_array_equal(loaded.stacked(), ds.stacked())
     np.testing.assert_array_equal(full, labels)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "instance_manifest.json", "instance_x1.npy", "instance_x2.npy",
-        "instance_y1_hidden.npy", "instance_y2.npy",
+        "instance_manifest.json", "instance_sigma.npy", "instance_u.npy", "instance_v.npy",
+        "instance_x1.npy", "instance_x2.npy", "instance_y1_hidden.npy", "instance_y2.npy",
     ]
+
+
+def test_a_loaded_dataset_keeps_no_block_file_mapped(tmp_path):
+    # load_dataset maps the x blocks to stack them; rewriting every file
+    # afterwards must not reach the dataset or its factors.
+    ds, labels = gen_random_instance(12, 4, 3, 1.0, seed=2)
+    manifest = save_dataset(tmp_path, ds, full_labels=labels)
+    loaded, _ = load_dataset(manifest)
+    for block in tmp_path.glob("*.npy"):
+        np.save(block, np.zeros(1))
+    np.testing.assert_array_equal(loaded.stacked(), ds.stacked())
+    np.testing.assert_array_equal(loaded.svd.u, ds.svd.u)
 
 
 def test_dataset_round_trip_deploy_mode(tmp_path):

@@ -70,6 +70,24 @@ def test_every_library_definition_is_used_by_the_library():
     assert not unused, f"library definitions that no library code uses: {unused}"
 
 
+def test_no_library_module_imports_scipy():
+    # scipy is a test dependency only (pyproject.toml).
+    package = os.path.dirname(ssar.__file__)
+    offenders = []
+    for name in MODULES + ["__init__"]:
+        with open(os.path.join(package, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{name}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert not offenders, f"library modules import scipy: {offenders}"
+
+
 def test_readme_library_quickstart_runs(capsys):
     # The Python blocks of README's "Library quickstart", in order, in one namespace.
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
