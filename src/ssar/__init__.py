@@ -25,7 +25,7 @@ from .core import (
     SvdFactors,
     effective_dimension,
     leverage_scores,
-    psd_sqrt,
+    psd_eigh,
     reduced_rank,
     statistical_dimension,
     thin_svd,

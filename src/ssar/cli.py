@@ -18,6 +18,7 @@ JSON file, when given, overrides the corresponding command-line flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -259,7 +260,8 @@ def _cmd_run(args) -> int:
         "mean_queries_iteration_level": float(queries.mean()) if ok else None,
         "std_queries_iteration_level": float(queries.std(ddof=1)) if len(ok) > 1 else 0.0,
         "mean_ratio": float(np.mean(ratios)) if ratios else None,
-        "std_ratio": float(np.std(ratios, ddof=1)) if len(ratios) > 1 else None,
+        "std_ratio": (float(np.std(ratios, ddof=1))
+                      if len(ratios) > 1 and np.isfinite(ratios).all() else None),
     }
     print(json_line(summary))
     if args.out:
@@ -451,7 +453,9 @@ def _add_common(sub):
                      help="JSON file whose entries override the flags")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="ssar",
         description="semi-supervised active regression toolkit",

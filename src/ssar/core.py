@@ -6,22 +6,18 @@ This module holds the numerical substrate for the rest of the package: the
 factors handed to it once they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
-sums ``statistical_dimension`` and ``effective_dimension``, and a symmetric
-PSD matrix square root.  The other operations are pure functions.
+sums ``statistical_dimension`` and ``effective_dimension``, and
+``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix.  The
+other operations are pure functions.
 
-``thin_svd`` factors an input on its range.  At a short side of at most
-``SKETCH_MIN_SIDE`` (the Gram route) the range is spanned by the Gram
-matrix's eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the
-largest, at full rank or below it, and the left factor formed from them is
-made orthonormal by one CholeskyQR pass.  Above that side (the sketch) the
-range comes from a Gaussian sketch of a fixed seed, so no n x d ``u`` is
-formed for a rank-deficient input such as a kernel-ridge stack whose rank is
-the effective dimension.  Range factors are accepted only if their residual
-is below ``DEFAULT_RANK_TOL * sigma_max``.  LAPACK's thin SVD factors
-everything else: an input whose largest |entry| is beyond 1e100 or below
-1e-100, where a Gram matrix would overflow or turn denormal; range factors
-that miss that residual; a Gram route whose Cholesky fails; and a sketch that
-gives up at half the short side.
+``thin_svd`` factors an input on its range, spanned by the Gram matrix's
+eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
+Gram route), at full rank or below it; the left factor formed from them is
+made orthonormal by one CholeskyQR pass.  Range factors are accepted only if
+their residual is below ``DEFAULT_RANK_TOL * sigma_max``.  LAPACK's thin SVD
+factors everything else: an input whose largest |entry| is beyond 1e100 or
+below 1e-100, where a Gram matrix would overflow or turn denormal; range
+factors that miss that residual; and a Gram route whose Cholesky fails.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotPsdError
-from .rngutil import make_rng
 
 __all__ = [
     "Dataset",
@@ -45,7 +40,7 @@ __all__ = [
     "reduced_rank",
     "statistical_dimension",
     "effective_dimension",
-    "psd_sqrt",
+    "psd_eigh",
 ]
 
 # The relative rank truncation of every thin SVD: singular values at or below
@@ -62,13 +57,7 @@ GRAM_TRUST = 1e-12
 # The Gram path is taken only when the largest |entry| lies in this range, so
 # that squaring it neither overflows nor makes the Gram entries denormal.
 GRAM_SAFE_SCALE = (1e-100, 1e100)
-# Above this short side the range comes from a sketch of SKETCH_START columns,
-# doubled while short of the rank; at half the short side LAPACK takes over.
-# The fixed seed keeps thin_svd a pure function of its input.
-SKETCH_MIN_SIDE = 128
-SKETCH_START = 64
-SKETCH_SEED = 20110501
-# psd_sqrt's tolerances, relative to the largest entry (asymmetry) or the
+# psd_eigh's tolerances, relative to the largest entry (asymmetry) or the
 # largest eigenvalue (negative and zero modes).
 PSD_ASYM_TOL = 1e-8
 PSD_NEG_EIG_TOL = 1e-8
@@ -250,32 +239,21 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     """Thin SVD of ``x`` truncated at ``DEFAULT_RANK_TOL * sigma_max``.
 
     Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
-    its short side is its d columns.  The range of ``t`` is found one of two
-    ways, and the factors of ``t`` on it are its SVD in those coordinates:
-
-    * Gram route (d <= ``SKETCH_MIN_SIDE``): the eigenpairs of ``t^T t`` with
-      eigenvalues above ``GRAM_TRUST * theta_max``, ``W_k`` and ``theta_k``,
-      give ``U0 = t W_k theta_k^{-1/2}``, orthonormal up to about
-      ``eps / GRAM_TRUST``.  One CholeskyQR pass (Fukaya, Nakatsukasa,
-      Yanagisawa and Yamamoto, 2014), ``U0^T U0 = R^T R``, and the k x k SVD
-      ``R theta_k^{1/2} = Y Sigma Z^T`` give ``U = U0 R^{-1} Y``, formed in
-      ``U0``'s memory, and ``V = W_k Z``.
-    * Sketch (d above it): Halko, Martinsson and Tropp's range finder
-      (SIAM Review 53(2), 2011, Alg. 4.1 with the growth of section 4.4).
-      ``Q`` is an orthonormal basis of ``t Omega`` for a Gaussian d x k
-      ``Omega`` of seed ``SKETCH_SEED``, and the SVD
-      ``B = Q^T t = U_B Sigma V^T`` gives ``U = Q U_B``.  ``k`` starts at
-      ``SKETCH_START`` and doubles while the smallest singular value of ``B``
-      is above ``DEFAULT_RANK_TOL * sigma_max``, that is while the sketch may
-      not yet hold the range; once ``k`` would exceed d / 2, LAPACK decides.
+    its short side is its d columns.  The eigenpairs of ``t^T t`` with
+    eigenvalues above ``GRAM_TRUST * theta_max``, ``W_k`` and ``theta_k``,
+    span the range of ``t`` and give ``U0 = t W_k theta_k^{-1/2}``,
+    orthonormal up to about ``eps / GRAM_TRUST``.  One CholeskyQR pass
+    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014), ``U0^T U0 = R^T R``,
+    and the k x k SVD ``R theta_k^{1/2} = Y Sigma Z^T`` give
+    ``U = U0 R^{-1} Y``, formed in ``U0``'s memory, and ``V = W_k Z``.
 
     Range factors are accepted only if ``||x - U Sigma V^T||_F <=
     DEFAULT_RANK_TOL * sigma_max``, which caps every dropped singular value at
-    the truncation threshold, so the rank is the one the full SVD gives.  LAPACK's thin SVD
-    is taken instead when that residual is missed, when the Gram route's
-    Cholesky fails, when the sketch gives up, and for an ``x`` whose largest
-    |entry| lies outside ``GRAM_SAFE_SCALE``.  Every result is validated,
-    with the residual computed once.
+    the truncation threshold, so the rank is the one the full SVD gives.
+    LAPACK's thin SVD is taken instead when that residual is missed, when the
+    Cholesky fails, and for an ``x`` whose largest |entry| lies outside
+    ``GRAM_SAFE_SCALE``.  Every result is validated, with the residual
+    computed once.
 
     Given ``factors``, such as the ones stored with an instance, they are
     returned as they are if they pass the same test: they fit the shape of
@@ -336,35 +314,20 @@ def _reconstructs(factors: SvdFactors, arr: np.ndarray) -> float | None:
 
 
 def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
-    """Factors of ``arr`` on its Gram range or its sketched range, with their
-    relative residual; None where LAPACK decides (see ``thin_svd``)."""
+    """Factors of ``arr`` on its Gram range with their relative residual;
+    None where LAPACK decides (see ``thin_svd``)."""
     lo, hi = GRAM_SAFE_SCALE
     if not lo < max(arr.max(), -arr.min()) < hi:
         return None
     wide = arr.shape[0] < arr.shape[1]
     tall = arr.T if wide else arr
-    d = tall.shape[1]
-    if d <= SKETCH_MIN_SIDE:
-        theta, w = np.linalg.eigh(tall.T @ tall)
-        k = np.count_nonzero(theta > GRAM_TRUST * theta[-1])  # theta ascends
-        if k == 0:
-            return None
-        factors = _gram_factors(tall, theta[-k:], w[:, -k:])
-        if factors is None:
-            return None
-    else:
-        k = SKETCH_START
-        while True:
-            if 2 * k > d:
-                return None
-            omega = make_rng(SKETCH_SEED).standard_normal((d, k))
-            q = np.linalg.qr(tall @ omega)[0]
-            # The SVD of B^T = tall^T Q, the orientation LAPACK takes faster.
-            v, s, u_bt = np.linalg.svd(tall.T @ q, full_matrices=False)
-            if s[-1] <= DEFAULT_RANK_TOL * s[0]:
-                break
-            k *= 2
-        factors = _truncated(q @ u_bt.T, s, v)
+    theta, w = np.linalg.eigh(tall.T @ tall)
+    k = np.count_nonzero(theta > GRAM_TRUST * theta[-1])  # theta ascends
+    if k == 0:
+        return None
+    factors = _gram_factors(tall, theta[-k:], w[:, -k:])
+    if factors is None:
+        return None
     residual = _reconstructs(factors, tall)
     if residual is None:
         return None
@@ -457,17 +420,19 @@ def effective_dimension(eigs, lam: float) -> float:
     return float(np.sum(e / (e + lam)))
 
 
-def psd_sqrt(k) -> np.ndarray:
-    """Symmetric PSD square root ``Z`` of a kernel matrix, ``Z @ Z = K``.
+def psd_eigh(k) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, clamped) and eigenvectors of a PSD kernel matrix.
 
-    Eigenvalues in ``[-PSD_NEG_EIG_TOL * ||K||_2, 0)`` are clamped to zero;
-    anything lower raises :class:`NotPsdError`.  Asymmetry beyond
-    ``PSD_ASYM_TOL`` relative to the largest entry is rejected.
+    ``K = Q diag(e) Q^T`` up to the clamping: eigenvalues in
+    ``[-PSD_NEG_EIG_TOL * ||K||_2, 0)`` are clamped to zero; anything lower
+    raises :class:`NotPsdError`.  Asymmetry beyond ``PSD_ASYM_TOL`` relative
+    to the largest entry is rejected.
 
     Eigenvalues within ``PSD_ZERO_TOL * ||K||_2`` of zero are treated as exact
     zero modes.  Keeping them would turn eigendecomposition round-off of
-    order ``eps`` into spurious ``sqrt(eps)``-sized directions of ``Z``,
-    inflating the numerical rank of anything built on top of the root.
+    order ``eps`` into spurious ``sqrt(eps)``-sized directions of the root
+    ``Q diag(sqrt(e)) Q^T``, inflating the numerical rank of anything built
+    on top of it.
     """
     arr = as_matrix(k, "k")
     n0, n1 = arr.shape
@@ -483,6 +448,4 @@ def psd_sqrt(k) -> np.ndarray:
         raise NotPsdError(
             f"kernel matrix has eigenvalue {eigvals[0]:.3e}, below the PSD tolerance"
         )
-    clamped = np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals)
-    root = (eigvecs * np.sqrt(clamped)) @ eigvecs.T
-    return 0.5 * (root + root.T)
+    return np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals), eigvecs

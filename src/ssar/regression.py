@@ -18,7 +18,7 @@ import numpy as np
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import Dataset, as_matrix, as_vector, psd_sqrt
+from .core import Dataset, _truncated, as_matrix, as_vector, psd_eigh
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -148,11 +148,29 @@ def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
     The unlabeled block is ``K`` itself (one queryable row per data point) and
     the pre-labeled block is ``sqrt(lam) * sqrt(K)`` with zero labels, so the
     stacked squared loss equals ``||K b - Y1||^2 + lam * b^T K b``.
+
+    Both blocks and the stack's thin SVD come from one eigendecomposition
+    ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order,
+    ``V = Q``, ``sigma = sqrt(e) sqrt(e + lam)`` and
+    ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  The instance keeps
+    those factors only if they pass ``thin_svd``'s test.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    root = psd_sqrt(k)
-    return Dataset(x_unlabeled=k, x_labeled=np.sqrt(lam) * root, y_labeled=np.zeros(len(root)))
+    e, q = psd_eigh(k)
+    # The root Q diag(sqrt(e)) Q^T, made symmetric and scaled in its own memory.
+    x2 = (q * np.sqrt(e)) @ q.T
+    x2 += x2.T
+    x2 *= 0.5
+    x2 *= np.sqrt(lam)
+    keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
+    e, q = e[keep], q[:, keep]  # copies, so the full Q is freed here
+    factors = None
+    if keep.size:
+        shift = np.sqrt(e + lam)
+        u = np.concatenate([q * (np.sqrt(e) / shift), q * (np.sqrt(lam) / shift)])
+        factors = _truncated(u, np.sqrt(e) * shift, q)
+    return Dataset(x_unlabeled=k, x_labeled=x2, y_labeled=np.zeros(len(x2)), factors=factors)
 
 
 def draw_samples(

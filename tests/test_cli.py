@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssar import regression
+from ssar import cli, regression
 from ssar.asura import AsuraConfig, asura_sample, check_well_balanced
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
-from ssar.core import thin_svd
+from ssar.core import _truncated, psd_eigh, thin_svd
 from ssar.dataio import dump_trace, load_dataset
 from ssar.errors import (
     BarrierViolationError,
@@ -179,12 +179,13 @@ _GEN_KINDS = {
     "random": ["--n1", "60", "--n2", "15", "--d", "4"],
     "lower-bound": ["--d", "3", "--n", "20", "--eps", "0.01", "--lambda", "2"],
     "ridge": ["--n1", "40", "--d", "5", "--lambda", "1"],
-    "kernel": ["--n", "150", "--rank", "4", "--lambda", "1"],  # 300 x 150: the sketch
+    "kernel": ["--n", "150", "--rank", "4", "--lambda", "1"],  # 300 x 150
 }
 
 
 @pytest.mark.parametrize("kind", list(_GEN_KINDS))
 def test_every_gen_kind_stores_the_factors_of_its_stack(capsys, tmp_path, monkeypatch, kind):
+    factored = count_calls(monkeypatch, "_range_factors", "core")
     code, out = run_cli(capsys, "gen", kind, *_GEN_KINDS[kind], "--seed", "3",
                         "--out", str(tmp_path))
     assert code == EXIT_OK
@@ -194,12 +195,42 @@ def test_every_gen_kind_stores_the_factors_of_its_stack(capsys, tmp_path, monkey
     stored = {name: np.load(tmp_path / entries[f"path_{name}"], allow_pickle=False)
               for name in ("u", "sigma", "v")}
     ds, _ = load_dataset(path)
-    fresh = thin_svd(ds.stacked())
-    factored = count_calls(monkeypatch, "_range_factors", "core")
+    if kind == "kernel":
+        assert factored == []  # gen kept the closed form
+        fresh = _kernel_closed_form(ds.x_unlabeled, 1.0)
+    else:
+        fresh = thin_svd(ds.stacked())
+        factored.clear()
     for name, block in stored.items():
         np.testing.assert_array_equal(block, getattr(fresh, name), strict=True)
         np.testing.assert_array_equal(getattr(ds.svd, name), block, strict=True)
+    code, _ = run_cli(capsys, "run", "--manifest", path, "--trials", "2", "--seed", "3")
+    assert code == EXIT_OK
     assert factored == []  # the stored factors passed thin_svd's test
+
+
+def _kernel_closed_form(k, lam):
+    """The thin SVD of ``[K; sqrt(lam) K^(1/2)]`` from the eigenpairs of ``K``."""
+    e, q = psd_eigh(k)
+    keep = e[::-1] > 0
+    e, q = e[::-1][keep], q[:, ::-1][:, keep]
+    shift = np.sqrt(e + lam)
+    u = np.concatenate([q * (np.sqrt(e) / shift), q * (np.sqrt(lam) / shift)])
+    return _truncated(u, np.sqrt(e) * shift, q)
+
+
+@pytest.mark.parametrize("eigs", [("1e-300", "1e-290"), ("1e200", "1e280")], ids=["tiny", "huge"])
+@pytest.mark.parametrize("lam", ["0", "1e-300", "1", "1e300"])
+def test_gen_kernel_and_run_at_an_extreme_scale(capsys, tmp_path, eigs, lam):
+    code, out = run_cli(capsys, "gen", "kernel", "--n", "10", "--rank", "3", "--lambda", lam,
+                        "--eig-min", eigs[0], "--eig-max", eigs[1], "--seed", "1",
+                        "--out", str(tmp_path))
+    assert code == EXIT_OK
+    path = out.split("manifest = ", 1)[1].strip()
+    code, out = run_cli(capsys, "run", "--manifest", path, "--trials", "3", "--seed", "1")
+    assert code == EXIT_OK
+    records = [json.loads(s) for s in data_lines(out)]
+    assert records[-1]["failed_trials"] == 0
 
 
 def _manifest_variant(tmp_path, manifest, name, factors=True, x1=None):
@@ -265,6 +296,21 @@ def test_run_deploy_mode_manifest_fails_before_any_trial(capsys, monkeypatch, tm
     assert trials == [] and data_lines(captured.out) == []
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
+
+def test_run_summary_of_infinite_ratios_has_no_spread(capsys, tmp_path):
+    # n1 = d and no labeled rows: OPT is 0, and two uniform rows cannot fit
+    # the labels, so every ratio is inf.
+    code, out = run_cli(capsys, "gen", "random", "--n1", "5", "--n2", "0", "--d", "5",
+                        "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    path = out.split("manifest = ", 1)[1].strip()
+    code, out = run_cli(capsys, "run", "--manifest", path, "--trials", "3",
+                        "--sampler", "uniform", "--uniform-m", "2")
+    assert code == EXIT_OK
+    records = [json.loads(s) for s in data_lines(out)]
+    assert [r["ratio"] for r in records[:-1]] == [None] * 3  # inf, written as null
+    assert records[-1]["mean_ratio"] is None and records[-1]["std_ratio"] is None
 
 
 def test_run_writes_solution_records(manifest, capsys, tmp_path):
@@ -997,6 +1043,26 @@ def test_bad_or_empty_grid_is_config_error(capsys, tmp_path, command, flag, valu
     code, out = run_cli(capsys, *command.split(), flag, "1", "--config", str(cfg_path))
     assert code == EXIT_CONFIG
     assert data_lines(out) == []
+
+
+def test_main_keeps_one_parser_and_resolves_each_call_afresh(manifest, capsys, tmp_path,
+                                                             monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 2, "epsilon": 0.2, "check-balance": True}))
+    calls = [["run", "--manifest", manifest, "--seed", "5"],
+             ["run", "--manifest", manifest, "--seed", "5", "--config", str(cfg_path)]]
+
+    def config_line(argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        return out.splitlines()[0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [config_line(argv) for argv in calls]
+    assert json.loads(fresh[1].removeprefix("# config "))["check_balance"] is True
+    assert [config_line(argv) for argv in calls + calls] == fresh + fresh
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_grid_from_config_file_takes_the_printed_form(capsys, tmp_path):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from ssar.core import (
     DEFAULT_RANK_TOL,
-    SKETCH_MIN_SIDE,
     Dataset,
     SvdFactors,
     effective_dimension,
     leverage_scores,
-    psd_sqrt,
+    psd_eigh,
     reduced_rank,
     statistical_dimension,
     thin_svd,
@@ -60,7 +59,7 @@ def _lapack_truncated(x):
     return u[:, :r], s[:r], vt[:r].T
 
 
-SIDES = st.integers(2, 40) | st.integers(SKETCH_MIN_SIDE + 1, 300)
+SIDES = st.integers(2, 40) | st.integers(129, 300)
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,8 +67,8 @@ SIDES = st.integers(2, 40) | st.integers(SKETCH_MIN_SIDE + 1, 300)
 def test_thin_svd_rank_and_spectrum_match_lapack(n, d, seed):
     # Spectra spread over 1e-14..1, some with exact zeros, so that inputs of
     # full rank, of a clean low rank and with values in the gray zone between
-    # rank_tol and the Gram screen all occur, tall and wide; short sides above
-    # SKETCH_MIN_SIDE take the sketch.
+    # rank_tol and the Gram screen all occur, tall and wide, with short sides
+    # up to 300.
     rng = make_rng(seed)
     k = min(n, d)
     s = 10.0 ** rng.uniform(-14, 0, size=k)
@@ -176,34 +175,26 @@ def test_thin_svd_falls_back_on_a_gray_zone_spectrum(monkeypatch):
 
 
 @pytest.mark.parametrize("shape, s, svd_shapes", [
-    # Rank 40 is inside a 64-column sketch, whose 200 x 64 SVD is the only one.
-    ((400, 200), np.geomspace(1.0, 1e-3, 40), [(200, 64)]),
-    # Rank 100 is not, so the sketch doubles to 128 columns (of the transpose).
-    ((260, 500), np.geomspace(1.0, 1e-4, 100), [(260, 64), (260, 128)]),
-    # Full rank: 128 columns would exceed half the short side, so LAPACK decides.
-    ((300, 150), np.geomspace(1.0, 1e-2, 150), [(150, 64), (300, 150)]),
-    # 200 values at half the truncation threshold: the 64-column sketch ends
-    # below it, but they leave a residual above it, so LAPACK decides.
+    # Rank 40 of a short side of 200: the 40 x 40 SVD is the only one.
+    ((400, 200), np.geomspace(1.0, 1e-3, 40), [(40, 40)]),
+    # Rank 100 of a wide input, factored through its transpose.
+    ((260, 500), np.geomspace(1.0, 1e-4, 100), [(100, 100)]),
+    # Full rank at a short side of 150.
+    ((300, 150), np.geomspace(1.0, 1e-2, 150), [(150, 150)]),
+    # 200 values at half the truncation threshold: the Gram screen drops them,
+    # but they leave a residual above it, so LAPACK decides.
     ((250, 600), np.concatenate([np.geomspace(1.0, 1e-2, 40), np.full(200, 5e-11)]),
-     [(250, 64), (250, 600)]),
-], ids=["rank-40", "rank-100-doubled", "full-rank", "gray-zone"])
-def test_thin_svd_sketch_path(monkeypatch, shape, s, svd_shapes):
+     [(40, 40), (250, 600)]),
+], ids=["rank-40", "rank-100", "full-rank", "gray-zone"])
+def test_thin_svd_gram_route_above_128_columns(monkeypatch, shape, s, svd_shapes):
     x = _spectral_matrix(shape, s, seed=23)
     _, ref, _ = _lapack_truncated(x)
-    seen = []
-    lapack_svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        seen.append(a.shape)
-        return lapack_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    seen = _svd_spy(monkeypatch)
     f = thin_svd(x)
     assert seen == svd_shapes
     assert f.rank == ref.size == np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
     assert np.max(np.abs(f.sigma - ref)) <= 1e-9 * ref[0]
     f.validate(x)
-    # The sketch's seed is fixed, so thin_svd is a pure function of its input.
     again = thin_svd(x)
     for got, want in ((again.u, f.u), (again.sigma, f.sigma), (again.v, f.v)):
         np.testing.assert_array_equal(got, want)
@@ -375,7 +366,8 @@ def test_dataset_and_its_svd_copy_the_blocks_once():
     assert build_peak < 1.25 * stack_bytes
     assert svd_peak < 2 * stack_bytes
     # A rank-deficient stack of kernel shape (d = n/2) is factored on its
-    # sketched range: n x k and d x k blocks, but no n x d u.
+    # Gram range: the d x d Gram matrix, its eigenvectors and an n x k block,
+    # but no n x d u.
     rng = make_rng(10)
     low = rng.standard_normal((1_200, 12)) @ rng.standard_normal((12, 600))
     kernel = Dataset(low[:1_000], low[1_000:], np.zeros(200))
@@ -474,11 +466,19 @@ def test_effective_dimension_values():
         effective_dimension([1.0], -1.0)
 
 
-# ---------------------------------------------------------------- psd_sqrt
+# ---------------------------------------------------------------- psd_eigh
+
+def psd_sqrt(k):
+    """The root ``K^{1/2}``: the labeled block of the kernel reduction at lam = 1."""
+    return kernel_ridge_to_ssal(k, 1.0).x_labeled
+
 
 def test_psd_sqrt_diagonal_cases():
     np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+    e, q = psd_eigh(np.diag([9.0, 0.0, 4.0]))
+    np.testing.assert_array_equal(e, [0.0, 4.0, 9.0])
+    np.testing.assert_array_equal(np.abs(q), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 @settings(max_examples=25, deadline=None)
@@ -489,18 +489,24 @@ def test_psd_sqrt_reconstructs_random_gram(n, seed):
     z = psd_sqrt(k)
     np.testing.assert_allclose(z, z.T, atol=1e-12)
     assert np.linalg.norm(z @ z - k) <= 1e-7 * max(np.linalg.norm(k), 1e-12)
+    e, q = psd_eigh(k)
+    assert np.all(np.diff(e) >= 0)
+    assert np.linalg.norm((q * e) @ q.T - k) <= 1e-12 * np.linalg.norm(k)
 
 
 def test_psd_sqrt_rejects_indefinite_and_asymmetric():
     with pytest.raises(NotPsdError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        psd_eigh(np.diag([1.0, -0.5]))
     with pytest.raises(InvalidInputError):
-        psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        psd_eigh(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        psd_eigh(np.ones((2, 3)))
 
 
 def test_psd_sqrt_clamps_tiny_negative_modes():
     b = make_rng(5).standard_normal((2, 3))
     k = b.T @ b  # rank 2 of 3: one eigenvalue is numerically ~ -1e-17
+    assert psd_eigh(k)[0][0] == 0.0
     z = psd_sqrt(k)
     assert np.linalg.norm(z @ z - k) <= 1e-7 * np.linalg.norm(k)
 
@@ -537,5 +543,5 @@ def test_kernel_reduction_matches_effective_dimension():
     for lam in (0.5, 2.0):
         ds = kernel_ridge_to_ssal(k, lam)
         assert reduced_rank(ds) == pytest.approx(
-            effective_dimension(eigs, lam), abs=1e-6
+            effective_dimension(eigs, lam), abs=1e-12
         )

@@ -169,6 +169,8 @@ def test_kernel_reduction_zero_lambda_and_psd_gate():
     np.testing.assert_array_equal(ds.x_labeled, np.zeros((3, 3)))
     with pytest.raises(NotPsdError):
         kernel_ridge_to_ssal(np.diag([1.0, -1.0]), 1.0)
+    with pytest.raises(InvalidInputError, match="rank zero"):
+        kernel_ridge_to_ssal(np.zeros((3, 3)), 1.0).svd
 
 
 # ------------------------------------------------------------ solve_active
