@@ -27,14 +27,17 @@ Many independent runs of one instance go in lockstep
 draws every adaptive run of ``run``, its retries, ``verify`` and ``sweep``):
 each iteration shares its numpy calls across the active runs, every run
 keeping its own generator, and each run gives the picks and trace of
-:func:`asura_sample` bit for bit.  At small rank an iteration is mostly numpy
-call overhead, so a stack of 30 runs samples several times faster than the
-runs in turn.  A stack of one or two runs pays the stack's own calls with too
-little to share them across and is slower than :func:`asura_sample`, which
-stays the one-run sampler and runs such batches; a stack in which any run
-fails reruns its seeds with it, in turn.  Every run ends in its own slot of
-the batch, holding its sample and trace or the error that ended it, and both
-samplers build their traces in one place (:func:`_unstack`).
+:func:`asura_sample` bit for bit.  A run's seed is an argument of the
+sampler, not a field of :class:`AsuraConfig`, which holds only ``epsilon``
+and ``c0``, so one config serves every run of a batch.  At small rank an
+iteration is mostly numpy call overhead, so a stack of 30 runs samples
+several times faster than the runs in turn.  A stack of one or two runs pays
+the stack's own calls with too little to share them across and is slower
+than :func:`asura_sample`, which stays the one-run sampler and runs such
+batches.  A stack in which any run fails keeps the runs that already left it
+and reruns the others alone.  Every run ends in its own slot of the batch,
+holding its sample and trace or the error that ended it, and both samplers
+build their traces in one place (:func:`_unstack`).
 
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -119,22 +122,24 @@ class AsuraConfig:
     ``gamma = sqrt(epsilon) / c0`` controls the barrier speed.  The default
     ``c0 = 2`` is a practical choice; the spectral guarantees only carry their
     full constants for much larger ``c0`` (slower, tighter runs).  The
-    sampler runs for any ``gamma < 1/2``; the matrix checks of
+    sampler runs for any ``gamma < 1/2``, and a config with a larger
+    ``gamma`` cannot be built; the matrix checks of
     :func:`check_well_balanced` and :func:`ssar.verify.check_hard_lemmas`
     need ``gamma <= 1/4``.
     """
 
     epsilon: float
     c0: float = 2.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidInputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not (math.isfinite(self.c0) and self.c0 > 0):
             raise InvalidInputError(f"c0 must be finite and positive, got {self.c0}")
-        if self.rng_seed < 0:
-            raise InvalidInputError("rng_seed must be a nonnegative integer")
+        if self.gamma >= 0.5:
+            raise InvalidInputError(
+                f"gamma={self.gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
+            )
 
     @property
     def gamma(self) -> float:
@@ -235,7 +240,7 @@ def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray
     first touched state.  For a stack of one run's iterations, ``j`` is the
     iteration of the first state and the error names the touched one's
     iteration.  A stack of several runs passes no ``j``: when it fails, the
-    lockstep sampler reruns its seeds in turn, whose errors name the iteration.
+    lockstep sampler reruns its active runs alone, whose errors name the iteration.
     """
     ub, lb = (u, l) if a.ndim == 2 else (u[:, None, None], l[:, None, None])
     eye = np.eye(a.shape[-1])
@@ -301,10 +306,6 @@ def _normalize_probabilities(p_raw: np.ndarray) -> np.ndarray:
 def _limits(cfg: AsuraConfig, r: int) -> tuple[float, int, float]:
     """``gamma``, the iteration cap and the potential budget of a run at rank ``r``."""
     gamma = cfg.gamma
-    if gamma >= 0.5:
-        raise InvalidInputError(
-            f"gamma={gamma:.4g} breaks the barrier update (needs gamma < 1/2); raise c0"
-        )
     return gamma, _cap(gamma, r), 8.0 * r / gamma
 
 
@@ -313,8 +314,10 @@ def _cap(gamma: float, r: int) -> int:
     return math.ceil(2.0 * r / gamma**2)
 
 
-def asura_sample(ds: Dataset, cfg: AsuraConfig, blocks=None) -> tuple[SampleSet, AsuraTrace]:
-    """Run the adaptive sampler on the rows of ``ds.svd.u``.
+def asura_sample(
+    ds: Dataset, cfg: AsuraConfig, seed: int, blocks=None
+) -> tuple[SampleSet, AsuraTrace]:
+    """Run the adaptive sampler on the rows of ``ds.svd.u``, drawing from ``make_rng(seed)``.
 
     The trace records, per iteration, the sampling mass on the ``ds.n1``
     unlabeled rows and the matching block-weighted potential.  The sample is
@@ -331,7 +334,7 @@ def asura_sample(ds: Dataset, cfg: AsuraConfig, blocks=None) -> tuple[SampleSet,
     r = u_mat.shape[1]
     n1 = ds.n1
     gamma, cap, budget = _limits(cfg, r)
-    rng = make_rng(cfg.rng_seed)
+    rng = make_rng(seed)
 
     edges, grams = _row_blocks(u_mat, n1) if blocks is None else blocks
     n_blocks_unlabeled = edges.index(n1)
@@ -405,11 +408,10 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
     """Run the sampler once per seed, advancing the runs in lockstep.
 
     Returns one slot per seed.  Slot ``k`` holds what
-    ``asura_sample(ds, replace(cfg, rng_seed=seeds[k]))`` gives, bit for bit:
-    its ``(SampleSet, AsuraTrace)`` pair, or the :class:`BarrierViolationError`
+    ``asura_sample(ds, cfg, seeds[k])`` gives, bit for bit: its
+    ``(SampleSet, AsuraTrace)`` pair, or the :class:`BarrierViolationError`
     or :class:`NumericalBreakdownError` it raises, with the same class and
-    message.  A bad config, such as ``gamma >= 1/2``, raises its
-    :class:`InvalidInputError`.
+    message.  A negative seed raises its :class:`InvalidInputError`.
 
     Each iteration shares its numpy calls across the active runs: one
     stacked barrier step, one stacked product from the states to every block
@@ -428,23 +430,21 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
     :func:`asura_sample`.  A stack holds about ``LOCKSTEP_BYTES`` of per-run
     work, so a larger batch runs as consecutive stacks, none of fewer than
     ``LOCKSTEP_MIN_RUNS`` runs.  A stack stops at the first failure of any of
-    its runs and reruns its seeds in turn, so that each of its runs ends in
-    its own slot; the later stacks still run.
+    its runs.  The runs that already left it keep their slots, and the runs
+    still in it are rerun alone, so that each of them ends in its own slot;
+    the later stacks still run.
     """
     edges, grams = _row_blocks(ds.svd.u, ds.n1)
 
-    def in_turn(chunk):
-        out = []
-        for seed in chunk:
-            try:
-                out.append(asura_sample(ds, replace(cfg, rng_seed=seed), (edges, grams)))
-            except (BarrierViolationError, NumericalBreakdownError) as exc:
-                out.append(exc)
-        return out
+    def alone(seed):
+        try:
+            return asura_sample(ds, cfg, seed, (edges, grams))
+        except (BarrierViolationError, NumericalBreakdownError) as exc:
+            return exc
 
     n_runs = len(seeds)
     if n_runs < LOCKSTEP_MIN_RUNS:
-        return in_turn(seeds)
+        return [alone(seed) for seed in seeds]
     r = ds.svd.rank
     gamma, cap, budget = _limits(cfg, r)
     starts, lengths = np.asarray(edges[:-1]), np.diff(edges)
@@ -459,17 +459,18 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
     cuts = [n_runs * s // n_stacks for s in range(n_stacks + 1)]
     out = []
     for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        try:
-            out += _lockstep(ds, blocks, gamma, cap, budget, seeds[s0:s1])
-        except SsarError:
-            out += in_turn(seeds[s0:s1])
+        stack = seeds[s0:s1]
+        slots = _lockstep(ds, blocks, gamma, cap, budget, stack)
+        out += [alone(seed) if slot is None else slot for seed, slot in zip(stack, slots)]
     return out
 
 
-def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, AsuraTrace]]:
+def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list:
     """One stack of :func:`asura_sample_batch`: the runs of ``seeds`` side by side.
 
-    Raises an :class:`SsarError` at the first failure of any run."""
+    Returns one slot per seed: the run's ``(SampleSet, AsuraTrace)`` pair, or
+    None for a run still in the stack at the first failure of any run, where
+    the stack stops."""
     u_mat = ds.svd.u
     n, r = u_mat.shape
     grams, starts, lengths, n_blocks_unlabeled = blocks
@@ -498,90 +499,97 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list[tuple[SampleSet, As
     record = np.empty((7, ids.size, UNIFORM_CHUNK))
 
     j = 0
-    while True:
-        keep = (u - l) + phi_cum < budget
-        if not keep.all():
-            stop = ~keep
-            theta = np.linalg.eigvalsh(a[stop])
-            if np.any((theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)):
-                raise SsarError("a final matrix left the barrier window")
-            m[ids[stop]] = j
-            ids, a, u, l = ids[keep], a[keep], u[keep], l[keep]
-            phi_cum, uniforms = phi_cum[keep], uniforms[keep]
-            at = np.arange(ids.size)
-            if not ids.size:
-                break
-        if j >= cap:
-            raise SsarError("the stopping rule failed to fire within the cap")
-        if j % UNIFORM_CHUNK == 0:
-            uniforms = np.array([gens[run].random(UNIFORM_CHUNK) for run in ids])
+    try:
+        while True:
+            keep = (u - l) + phi_cum < budget
+            if not keep.all():
+                stop = ~keep
+                theta = np.linalg.eigvalsh(a[stop])
+                if np.any((theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)):
+                    raise SsarError("a final matrix left the barrier window")
+                m[ids[stop]] = j
+                ids, a, u, l = ids[keep], a[keep], u[keep], l[keep]
+                phi_cum, uniforms = phi_cum[keep], uniforms[keep]
+                at = np.arange(ids.size)
+                if not ids.size:
+                    break
+            if j >= cap:
+                raise SsarError("the stopping rule failed to fire within the cap")
+            if j % UNIFORM_CHUNK == 0:
+                uniforms = np.array([gens[run].random(UNIFORM_CHUNK) for run in ids])
 
-        mix, phi = _barrier_weights(a, u, l)
-        mass = np.matmul(grams, mix.reshape(-1, r * r, 1)).reshape(ids.size, n_blocks)
-        if mass.min() < max(P_ERROR_FLOOR, 0.0):  # a breakdown, or round-off negatives
-            if mass.min() < P_ERROR_FLOOR:
-                raise SsarError("a block sampling mass fell below the breakdown threshold")
-            mass = np.maximum(mass, 0.0)
-        cum = np.zeros((ids.size, n_blocks + 1))
-        np.cumsum(mass, axis=1, out=cum[:, 1:])
-        total = cum[:, -1]
-        if not (total.min() > 0.0 and total.max() < math.inf):
-            raise SsarError("sampling probabilities do not sum to a positive value")
+            mix, phi = _barrier_weights(a, u, l)
+            mass = np.matmul(grams, mix.reshape(-1, r * r, 1)).reshape(ids.size, n_blocks)
+            if mass.min() < max(P_ERROR_FLOOR, 0.0):  # a breakdown, or round-off negatives
+                if mass.min() < P_ERROR_FLOOR:
+                    raise SsarError("a block sampling mass fell below the breakdown threshold")
+                mass = np.maximum(mass, 0.0)
+            cum = np.zeros((ids.size, n_blocks + 1))
+            np.cumsum(mass, axis=1, out=cum[:, 1:])
+            total = cum[:, -1]
+            if not (total.min() > 0.0 and total.max() < math.inf):
+                raise SsarError("sampling probabilities do not sum to a positive value")
 
-        target = uniforms[:, j % UNIFORM_CHUNK] * total
-        k = np.count_nonzero(cum[:, 1:] <= target[:, None], axis=1)
-        if k.max() == n_blocks:
-            for p in np.flatnonzero(k == n_blocks):
-                k[p] = _last_positive(mass[p], j)
+            target = uniforms[:, j % UNIFORM_CHUNK] * total
+            k = np.count_nonzero(cum[:, 1:] <= target[:, None], axis=1)
+            if k.max() == n_blocks:
+                for p in np.flatnonzero(k == n_blocks):
+                    k[p] = _last_positive(mass[p], j)
 
-        # One product per block length: BLAS can round a product of more rows
-        # differently in the last bit, so these are the products asura_sample takes.
-        length = lengths[k]
-        score = np.zeros((ids.size, size))
-        for rows_in_block, block_rows in rows_of.items():
-            sub = np.flatnonzero(length == rows_in_block)
-            if sub.size:
-                rows = u_mat[block_rows[k[sub]]]
-                score[sub, :rows_in_block] = np.einsum("kij,kij->ki", rows @ mix[sub], rows)
-        np.maximum(score, 0.0, out=score)
-        rest = target - cum[at, k]
-        i = np.count_nonzero(np.cumsum(score, axis=1) <= rest[:, None], axis=1)
-        for p in np.flatnonzero(i >= length):
-            i[p] = _last_positive(score[p, : length[p]], j)
-        pick = starts[k] + i
-        p_pick = score[at, i] / total
-        if not p_pick.min() > 0.0:
-            raise SsarError("sampled a zero-probability row")
-        w_prime = gamma / (phi * p_pick)
+            # One product per block length: BLAS can round a product of more rows
+            # differently in the last bit, so these are the products asura_sample takes.
+            length = lengths[k]
+            score = np.zeros((ids.size, size))
+            for rows_in_block, block_rows in rows_of.items():
+                sub = np.flatnonzero(length == rows_in_block)
+                if sub.size:
+                    rows = u_mat[block_rows[k[sub]]]
+                    score[sub, :rows_in_block] = np.einsum("kij,kij->ki", rows @ mix[sub], rows)
+            np.maximum(score, 0.0, out=score)
+            rest = target - cum[at, k]
+            i = np.count_nonzero(np.cumsum(score, axis=1) <= rest[:, None], axis=1)
+            for p in np.flatnonzero(i >= length):
+                i[p] = _last_positive(score[p, : length[p]], j)
+            pick = starts[k] + i
+            p_pick = score[at, i] / total
+            if not p_pick.min() > 0.0:
+                raise SsarError("sampled a zero-probability row")
+            w_prime = gamma / (phi * p_pick)
 
-        mass_unlabeled = cum[:, n_blocks_unlabeled]
-        sel = u_mat[pick]
-        update = np.einsum("ki,kj->kij", sel, sel)
-        update *= w_prime[:, None, None]
-        a = np.add(a, update, out=update)
-        u = u + gamma / ((1.0 - 2.0 * gamma) * phi)
-        l = l + gamma / ((1.0 + 2.0 * gamma) * phi)
-        phi_cum = phi_cum + phi
-        if j == record.shape[2]:
-            record = np.concatenate([record, np.empty((7, len(seeds), UNIFORM_CHUNK))], axis=2)
-        record[:, ids, j] = (phi, pick, p_pick, mass_unlabeled / total,
-                             phi * mass_unlabeled, u, l)
-        j += 1
+            mass_unlabeled = cum[:, n_blocks_unlabeled]
+            sel = u_mat[pick]
+            update = np.einsum("ki,kj->kij", sel, sel)
+            update *= w_prime[:, None, None]
+            a = np.add(a, update, out=update)
+            u = u + gamma / ((1.0 - 2.0 * gamma) * phi)
+            l = l + gamma / ((1.0 + 2.0 * gamma) * phi)
+            phi_cum = phi_cum + phi
+            if j == record.shape[2]:
+                record = np.concatenate([record, np.empty((7, len(seeds), UNIFORM_CHUNK))], axis=2)
+            record[:, ids, j] = (phi, pick, p_pick, mass_unlabeled / total,
+                                 phi * mass_unlabeled, u, l)
+            j += 1
+    except SsarError:  # the stack stops; the runs still in it are rerun alone
+        m[ids] = -1
 
     return _unstack(record, m, ds, gamma)
 
 
-def _unstack(record, m, ds: Dataset, gamma: float) -> list[tuple[SampleSet, AsuraTrace]]:
+def _unstack(record, m, ds: Dataset, gamma: float) -> list:
     """Each run's sample and trace from a per-iteration record, the one place both are built.
 
     ``record`` is the ``(7, runs, iterations)`` stack of the potential, pick,
     pick probability, unlabeled mass share, block potential and the barriers
-    after each step, and run ``k`` has ``m[k]`` iterations."""
+    after each step, and run ``k`` has ``m[k]`` iterations; a run with
+    ``m[k] < 0`` did not finish and gets None."""
     r = ds.svd.rank
     phis, picks, pjs, px1s, phids, us, ls = record
     u0 = 2.0 * r / gamma
     out = []
     for k, mk in enumerate(m):
+        if mk < 0:
+            out.append(None)
+            continue
         trace = AsuraTrace(
             gamma=gamma,
             rank=r,
@@ -672,6 +680,14 @@ def _gamma_guard(gamma: float) -> None:
         )
 
 
+def _check_run_and_factors(trace: AsuraTrace, svd: SvdFactors) -> None:
+    """The input check of the matrix checks of a run: ``svd`` must be the
+    factors of the traced run's instance, and ``gamma <= 1/4``."""
+    if trace.n_rows != svd.n or trace.rank != svd.rank:
+        raise InvalidInputError("factors do not match the traced run")
+    _gamma_guard(trace.gamma)
+
+
 def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedReport:
     """Check the three well-balancedness conditions on a completed run.
 
@@ -692,10 +708,8 @@ def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedRepor
     sampled rows, their weights ``trace.w_prime / trace.mid`` and the
     coefficients ``trace.alpha``.
     """
-    if trace.n_rows != svd.n or trace.rank != svd.rank:
-        raise InvalidInputError("factors do not match the traced run")
+    _check_run_and_factors(trace, svd)
     gamma = trace.gamma
-    _gamma_guard(gamma)
     u_mat = svd.u
 
     sel = u_mat[trace.sampled_index]

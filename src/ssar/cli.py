@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .asura import AsuraConfig, _gamma_guard, _limits, check_well_balanced
+from .asura import AsuraConfig, _gamma_guard, check_well_balanced
 from .baselines import LeverageConfig, UniformConfig
 from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
@@ -153,10 +153,8 @@ def _cmd_gen(args) -> int:
         manifest = save_dataset(out, ds, full_labels=full, stem="random")
         print(f"reduced_rank = {reduced_rank(ds):.17g}")
     elif kind == "lower-bound":
-        spec = LowerBoundSpec(
-            d=args.d, n_copies=args.n, epsilon=args.eps, lam=args.lam, rng_seed=seed
-        )
-        ds, full, beta_tilde = gen_lower_bound_instance(spec)
+        spec = LowerBoundSpec(d=args.d, n_copies=args.n, epsilon=args.eps, lam=args.lam)
+        ds, full, beta_tilde = gen_lower_bound_instance(spec, seed)
         manifest = save_dataset(out, ds, full_labels=full, stem="lower_bound")
         save_block(out, "lower_bound_beta_tilde", beta_tilde)
         sigma = np.linalg.svd(ds.x_unlabeled, compute_uv=False)
@@ -184,12 +182,12 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _sampler_config(args, seed: int):
+def _sampler_config(args):
     if args.sampler == "asura":
-        return AsuraConfig(epsilon=args.epsilon, c0=args.c0, rng_seed=seed)
+        return AsuraConfig(epsilon=args.epsilon, c0=args.c0)
     if args.sampler == "leverage":
-        return LeverageConfig(epsilon=args.epsilon, oversample_c=args.oversample_c, rng_seed=seed)
-    return UniformConfig(m=args.uniform_m, rng_seed=seed)
+        return LeverageConfig(epsilon=args.epsilon, oversample_c=args.oversample_c)
+    return UniformConfig(m=args.uniform_m)
 
 
 def _run_one_trial(args, ds: Dataset, full: np.ndarray, seed: int, drawn, draw_ms: float) -> dict:
@@ -230,7 +228,7 @@ def _run_one_trial(args, ds: Dataset, full: np.ndarray, seed: int, drawn, draw_m
 def _cmd_run(args) -> int:
     base_seed = _base_seed(args)
     seeds = [derive_seed(base_seed, k) for k in range(args.trials)]
-    cfg = _sampler_config(args, seeds[0])
+    cfg = _sampler_config(args)
     if args.sampler == "asura" and (args.check_balance or args.retry):
         _gamma_guard(cfg.gamma)
     ds, full = load_dataset(args.manifest)
@@ -302,20 +300,18 @@ def _cmd_verify(args) -> int:
         for d in d_grid:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, d))
             for eps in args.eps_grid:
-                cfg = AsuraConfig(
-                    epsilon=eps, c0=args.c0,
-                    rng_seed=derive_seed(base_seed, d, int(round(1000 * eps))),
-                )
-                seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.runs)]
-                for trace in _traces(ds, cfg, seeds):
+                point_seed = derive_seed(base_seed, d, int(round(1000 * eps)))
+                seeds = [derive_seed(point_seed, k) for k in range(args.runs)]
+                for trace in _traces(ds, AsuraConfig(epsilon=eps, c0=args.c0), seeds):
                     per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
         if args.statistical_runs:
             d, eps = d_grid[0], args.eps_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
-            cfg = AsuraConfig(epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 7))
-            seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.statistical_runs)]
+            cfg = AsuraConfig(epsilon=eps, c0=args.c0)
+            point_seed = derive_seed(base_seed, 7)
+            seeds = [derive_seed(point_seed, k) for k in range(args.statistical_runs)]
             reports.extend(check_statistical_lemmas(_traces(ds, cfg, seeds)))
 
     if args.lemma:
@@ -364,15 +360,14 @@ def _cmd_sweep(args) -> int:
     if min(args.grid if args.axis == "lambda" else [args.lam]) < 0:
         raise InvalidInputError("lambda must be nonnegative")
     for eps in args.grid if args.axis == "epsilon" else [args.epsilon]:
-        _limits(AsuraConfig(epsilon=eps, c0=args.c0), 1)
+        AsuraConfig(epsilon=eps, c0=args.c0)
     rows = []
     points = _sweep_points(args, base_seed)
     print("point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound")
     for point_index, (label, ds, eps) in enumerate(points):
-        cfg = AsuraConfig(
-            epsilon=eps, c0=args.c0, rng_seed=derive_seed(base_seed, 2, point_index)
-        )
-        seeds = [derive_seed(cfg.rng_seed, k) for k in range(args.trials)]
+        cfg = AsuraConfig(epsilon=eps, c0=args.c0)
+        point_seed = derive_seed(base_seed, 2, point_index)
+        seeds = [derive_seed(point_seed, k) for k in range(args.trials)]
         counts = np.array(
             [np.count_nonzero(t.sampled_index < ds.n1) for t in _traces(ds, cfg, seeds)],
             dtype=float,

@@ -247,20 +247,19 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     and the k x k SVD ``R theta_k^{1/2} = Y Sigma Z^T`` give
     ``U = U0 R^{-1} Y``, formed in ``U0``'s memory, and ``V = W_k Z``.
 
-    Range factors are accepted only if ``||x - U Sigma V^T||_F <=
-    DEFAULT_RANK_TOL * sigma_max``, which caps every dropped singular value at
-    the truncation threshold, so the rank is the one the full SVD gives.
-    LAPACK's thin SVD is taken instead when that residual is missed, when the
+    Every candidate, the given ``factors`` and then the range factors, goes
+    through one test: it fits the shape of ``x``, every singular value lies
+    above ``DEFAULT_RANK_TOL * sigma[0]``, ``||x - U Sigma V^T||_F <=
+    DEFAULT_RANK_TOL * sigma[0]``, which caps every dropped singular value at
+    the truncation threshold so that the rank is the one the full SVD gives,
+    and ``validate`` passes, with the residual computed once.  LAPACK's thin
+    SVD, validated, is taken when range factors fail the test, when the
     Cholesky fails, and for an ``x`` whose largest |entry| lies outside
-    ``GRAM_SAFE_SCALE``.  Every result is validated, with the residual
-    computed once.
+    ``GRAM_SAFE_SCALE``.
 
     Given ``factors``, such as the ones stored with an instance, they are
-    returned as they are if they pass the same test: they fit the shape of
-    ``x``, ``validate`` passes, every singular value lies above
-    ``DEFAULT_RANK_TOL * sigma[0]`` and the residual is within
-    ``DEFAULT_RANK_TOL * sigma[0]``.  Otherwise ``x`` is factored as above, so
-    stale or foreign factors cost one residual check and change no result.
+    returned as they are if they pass.  Otherwise ``x`` is factored as above,
+    so stale or foreign factors cost one residual check and change no result.
 
     Parameters
     ----------
@@ -276,19 +275,19 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     arr = as_matrix(x, "x")
     if factors is not None and _accepted(factors, arr):
         return factors
-    found = _range_factors(arr)  # its range basis is freed on return
-    if found is None:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        factors = _truncated(u, s, vt.T)
-        residual = factors.residual(arr)
-    else:
-        factors, residual = found
-    factors.validate(residual=residual)
+    factors = _range_factors(arr)  # its range basis is freed on return
+    if factors is not None and _accepted(factors, arr):
+        return factors
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    factors = _truncated(u, s, vt.T)
+    factors.validate(arr)
     return factors
 
 
 def _accepted(factors: SvdFactors, arr: np.ndarray) -> bool:
-    """Whether candidate factors of ``arr`` pass the test of range factors (see ``thin_svd``).
+    """Whether candidate factors of ``arr`` pass the one test of every candidate
+    (see ``thin_svd``): they fit ``arr``, keep no singular value at or below
+    the truncation threshold, reconstruct ``arr`` to within it and validate.
 
     Every comparison is written so that a NaN anywhere in the factors fails it."""
     s = factors.sigma
@@ -296,8 +295,8 @@ def _accepted(factors: SvdFactors, arr: np.ndarray) -> bool:
     if (r == 0 or factors.u.shape != (arr.shape[0], r) or factors.v.shape != (arr.shape[1], r)
             or not np.all(s > DEFAULT_RANK_TOL * s[0])):
         return False
-    residual = _reconstructs(factors, arr)
-    if residual is None:
+    residual, norm = factors._residual_and_norm(arr)
+    if not residual * norm <= DEFAULT_RANK_TOL * s[0]:
         return False
     try:
         factors.validate(residual=residual)
@@ -306,16 +305,9 @@ def _accepted(factors: SvdFactors, arr: np.ndarray) -> bool:
     return True
 
 
-def _reconstructs(factors: SvdFactors, arr: np.ndarray) -> float | None:
-    """The relative residual of ``factors`` on ``arr`` if ``||arr - U Sigma V^T||_F``
-    is within ``DEFAULT_RANK_TOL * sigma[0]``, else None."""
-    residual, norm = factors._residual_and_norm(arr)
-    return residual if residual * norm <= DEFAULT_RANK_TOL * factors.sigma[0] else None
-
-
-def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
-    """Factors of ``arr`` on its Gram range with their relative residual;
-    None where LAPACK decides (see ``thin_svd``)."""
+def _range_factors(arr: np.ndarray) -> SvdFactors | None:
+    """Candidate factors of ``arr`` on its Gram range; None where LAPACK
+    decides (see ``thin_svd``)."""
     lo, hi = GRAM_SAFE_SCALE
     if not lo < max(arr.max(), -arr.min()) < hi:
         return None
@@ -326,14 +318,9 @@ def _range_factors(arr: np.ndarray) -> tuple[SvdFactors, float] | None:
     if k == 0:
         return None
     factors = _gram_factors(tall, theta[-k:], w[:, -k:])
-    if factors is None:
-        return None
-    residual = _reconstructs(factors, tall)
-    if residual is None:
-        return None
-    if wide:
+    if factors is not None and wide:
         factors = SvdFactors(u=factors.v, sigma=factors.sigma, v=factors.u)
-    return factors, residual
+    return factors
 
 
 def _gram_factors(tall: np.ndarray, theta: np.ndarray, w: np.ndarray) -> SvdFactors | None:

@@ -115,7 +115,6 @@ class LowerBoundSpec:
     n_copies: int
     epsilon: float
     lam: float
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -126,12 +125,10 @@ class LowerBoundSpec:
             raise InvalidInputError(f"epsilon must lie in (0, 1/100], got {self.epsilon}")
         if not (1.0 <= self.lam <= 50.0):
             raise InvalidInputError(f"lam must lie in [1, 50], got {self.lam}")
-        if self.rng_seed < 0:
-            raise InvalidInputError("rng_seed must be a nonnegative integer")
 
 
 def gen_lower_bound_instance(
-    spec: LowerBoundSpec,
+    spec: LowerBoundSpec, seed: int
 ) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """Hard ridge instance: basis-vector copies with heavy label noise.
 
@@ -148,7 +145,7 @@ def gen_lower_bound_instance(
     hidden target.
     """
     d, n, lam = spec.d, spec.n_copies, spec.lam
-    rng = make_rng(spec.rng_seed)
+    rng = make_rng(seed)
     signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
     beta_tilde = signs * (1.0 + lam)
     x1 = np.repeat(np.eye(d), n, axis=0) / math.sqrt(n)

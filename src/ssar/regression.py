@@ -3,16 +3,17 @@
 The driver stacks the labeled block under the unlabeled block, runs a row
 sampler on the combined design, buys labels only for sampled unlabeled rows
 (each distinct row billed once), and solves the weighted least-squares problem
-restricted to the sampled rows.  Ridge and kernel ridge regression reduce to
-the same driver by appending synthetic pre-labeled rows that reproduce the
-regularizer exactly.
+restricted to the sampled rows.  :func:`draw_samples` draws one run per seed
+it is given: a config holds the sampler's parameters, never a seed.  Ridge
+and kernel ridge regression reduce to the same driver by appending synthetic
+pre-labeled rows that reproduce the regularizer exactly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,13 +178,14 @@ def draw_samples(
     ds: Dataset, cfg: AsuraConfig | LeverageConfig | UniformConfig, seeds: Sequence[int],
     retry: bool = False,
 ) -> list:
-    """One slot per seed, drawn with ``replace(cfg, rng_seed=seed)``.
+    """One slot per seed, the run of ``cfg``'s sampler on that seed.
 
     A slot holds the run's ``(SampleSet, trace)`` pair, or the
-    :class:`~ssar.errors.SsarError` that ended the run; only a bad config
-    raises.  The type of ``cfg`` chooses the sampler: ``AsuraConfig`` runs go
-    through :func:`ssar.asura.asura_sample_batch`; leverage and uniform runs
-    are drawn per seed, with trace None.  With ``retry``, attempt ``a > 1``
+    :class:`~ssar.errors.SsarError` that ended the run; a negative seed, or
+    a ``cfg`` that no sampler takes, raises.  The type of ``cfg`` chooses the
+    sampler: ``AsuraConfig`` runs go through
+    :func:`ssar.asura.asura_sample_batch`; leverage and uniform runs are
+    drawn per seed, with trace None.  With ``retry``, attempt ``a > 1``
     redraws the adaptive runs that failed :func:`check_well_balanced`, in one
     batch, the run of seed ``s`` with ``derive_seed(s, a)``.  An error slot is
     final, and so is the error of a check that breaks down on an attempt; a
@@ -191,9 +193,9 @@ def draw_samples(
     :class:`WellBalancedEventFailedError` with their reports.
     """
     if isinstance(cfg, LeverageConfig):
-        return [(leverage_sample(ds.svd, replace(cfg, rng_seed=s)), None) for s in seeds]
+        return [(leverage_sample(ds.svd, cfg, s), None) for s in seeds]
     if isinstance(cfg, UniformConfig):
-        return [(uniform_sample(ds.n, replace(cfg, rng_seed=s)), None) for s in seeds]
+        return [(uniform_sample(ds.n, cfg, s), None) for s in seeds]
     if not isinstance(cfg, AsuraConfig):
         raise InvalidInputError(f"no sampler takes a {type(cfg).__name__} config")
     if not retry:

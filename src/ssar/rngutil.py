@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = ["make_rng", "derive_seed"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for a single run."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    """Counter-based generator for a single run.
+
+    This is the one check of a seed: every seeded entry point makes its
+    generator here, so a negative seed raises :class:`InvalidInputError`.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_seed(base_seed: int, *keys: int) -> int:

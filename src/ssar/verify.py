@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asura import EIG_TOL, AsuraTrace, _gamma_guard, _replay
+from .asura import EIG_TOL, AsuraTrace, _check_run_and_factors, _replay
 from .core import SvdFactors
 from .errors import InsufficientSampleError, InvalidInputError
 
@@ -214,9 +214,7 @@ def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[
     reports = _scalar_hard_reports(trace)
     if svd is None:
         return reports
-    if trace.n_rows != svd.n or trace.rank != svd.rank:
-        raise InvalidInputError("factors do not match the traced run")
-    _gamma_guard(trace.gamma)
+    _check_run_and_factors(trace, svd)
     reports.extend(_matrix_hard_reports(trace, svd))
     return reports
 

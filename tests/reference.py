@@ -123,16 +123,16 @@ def solve_active(
     ds: Dataset,
     oracle: LabelOracle,
     cfg: AsuraConfig | LeverageConfig | UniformConfig,
+    seed: int = 0,
     retry: bool = False,
 ) -> RegressionSolution:
-    """Sample rows with ``cfg.rng_seed``, buy the needed labels, and solve.
+    """Sample rows with ``seed``, buy the needed labels, and solve.
 
     :func:`draw_samples` of one seed, then :func:`solve_sample`; a run that
     ends in an error slot raises its error (with ``retry``, a run that is
     never well balanced raises its :class:`WellBalancedEventFailedError`).
     """
-    # A non-config has no seed; draw_samples rejects it by its type.
-    (drawn,) = draw_samples(ds, cfg, [getattr(cfg, "rng_seed", 0)], retry)
+    (drawn,) = draw_samples(ds, cfg, [seed], retry)
     if isinstance(drawn, SsarError):
         raise drawn
     return solve_sample(ds, oracle, *drawn)

@@ -78,12 +78,10 @@ def hard_grid():
         d_mat = u1.T @ u1
         eye = np.eye(svd.rank)
         for eps in (0.25, 0.1):
-            cfg = AsuraConfig(
-                epsilon=eps, c0=2.0,
-                rng_seed=derive_seed(BASE_SEED, 3, d, int(1000 * eps)),
-            )
+            cfg = AsuraConfig(epsilon=eps, c0=2.0)
+            cell_seed = derive_seed(BASE_SEED, 3, d, int(1000 * eps))
             t0 = time.perf_counter()
-            runs = draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(84)])
+            runs = draw_samples(ds, cfg, [derive_seed(cell_seed, k) for k in range(84)])
             per_run = [check_hard_lemmas(t, svd) for _, t in runs]
             hard_elapsed += time.perf_counter() - t0
             cells[(d, eps)] = merge_hard_reports(per_run)
@@ -114,9 +112,9 @@ def hard_grid():
 def statistical_batch():
     """2000 runs at d=8, epsilon=0.25, c0=2 on a fixed Gaussian instance."""
     ds, _ = gen_random_instance(60, 20, 8, 1.0, derive_seed(BASE_SEED, 5))
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(BASE_SEED, 5, 1))
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     t0 = time.perf_counter()
-    seeds = [derive_seed(cfg.rng_seed, k) for k in range(2000)]
+    seeds = [derive_seed(derive_seed(BASE_SEED, 5, 1), k) for k in range(2000)]
     traces = [t for _, t in draw_samples(ds, cfg, seeds)]
     return {
         "traces": traces,
@@ -316,15 +314,13 @@ def test_criterion_07_end_to_end_approximation():
 def test_criterion_08_leverage_expected_unlabeled_samples():
     ds, _ = gen_random_instance(400, 100, 6, 1.0, derive_seed(BASE_SEED, 8))
     svd = thin_svd(ds.stacked())
-    cfg = LeverageConfig(epsilon=0.5, oversample_c=1.0, rng_seed=0)
+    cfg = LeverageConfig(epsilon=0.5, oversample_c=1.0)
     m = cfg.target_m(svd.rank)
     probs = np.minimum(1.0, (m / svd.rank) * leverage_scores(svd))
     assert probs.max() < 1.0, "instance must stay below the clamp"
     runs = 2000
     counts = np.array([
-        int((leverage_sample(
-            svd, LeverageConfig(0.5, 1.0, derive_seed(BASE_SEED, 8, k))
-        ).indices < ds.n1).sum())
+        int((leverage_sample(svd, cfg, derive_seed(BASE_SEED, 8, k)).indices < ds.n1).sum())
         for k in range(runs)
     ], dtype=float)
     expected = (m / svd.rank) * reduced_rank(ds)
@@ -342,9 +338,8 @@ def test_criterion_09_lower_bound_instance_and_packing():
     ratios = []
     sd_vals = []
     for seed in range(20):
-        spec = LowerBoundSpec(d=d, n_copies=n, epsilon=eps, lam=lam,
-                              rng_seed=derive_seed(BASE_SEED, 9, seed))
-        ds, full, beta_tilde = gen_lower_bound_instance(spec)
+        spec = LowerBoundSpec(d=d, n_copies=n, epsilon=eps, lam=lam)
+        ds, full, beta_tilde = gen_lower_bound_instance(spec, derive_seed(BASE_SEED, 9, seed))
         beta_star, opt = exact_solution(ds, full)
         devs[seed] = np.abs(beta_star - np.sign(beta_tilde))
         ratios.append(opt / (d * (lam * (1 + lam) + (1 + lam) / eps)))

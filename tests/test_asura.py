@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,10 +75,10 @@ def test_config_validation():
 def test_gamma_cap_applies_only_with_assertions():
     # The sampler runs at any gamma < 1/2 on either side of rank 64; gamma <= 1/4
     # is asserted only by the matrix checks, whose arguments need it.
-    hot = AsuraConfig(epsilon=0.81, c0=2.0, rng_seed=1)  # gamma 0.45
+    hot = AsuraConfig(epsilon=0.81, c0=2.0)  # gamma 0.45
     for d in (8, 65):
         ds, svd = _svd(n1=2 * d, n2=d, d=d)
-        sample, trace = asura_sample(ds, hot)
+        sample, trace = asura_sample(ds, hot, 1)
         assert sample.m >= 1 and svd.rank == d
         assert len(check_hard_lemmas(trace)) == 3
         with pytest.raises(InvalidInputError):
@@ -89,10 +88,9 @@ def test_gamma_cap_applies_only_with_assertions():
 
 
 def test_gamma_half_breaks_barrier_update():
-    ds, _ = _svd()
-    cfg = AsuraConfig(epsilon=0.81, c0=1.5, rng_seed=1)  # gamma 0.6
-    with pytest.raises(InvalidInputError):
-        asura_sample(ds, cfg)
+    # A config the sampler cannot run cannot be built.
+    with pytest.raises(InvalidInputError, match="breaks the barrier update"):
+        AsuraConfig(epsilon=0.81, c0=1.5)  # gamma 0.6
 
 
 # ---------------------------------------------------------------- potential
@@ -169,7 +167,7 @@ def test_potential_raises_when_barrier_touched():
 
 def test_barrier_weights_on_a_stack_match_each_state():
     ds, svd = _svd()
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), 7)
     mats = _matrices(trace, svd)[:-1]
     mix_stack, phi_stack = _barrier_weights(mats, trace.u[:-1], trace.l[:-1])
     assert mix_stack.shape == mats.shape and phi_stack.shape == (trace.m,)
@@ -193,7 +191,7 @@ def test_sampler_computes_no_eigenpairs(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(name))
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), 7)
     # One final containment check, however many iterations ran.
     assert trace.m > 10 and calls == ["eigvalsh"]
 
@@ -230,8 +228,8 @@ def test_normalize_probabilities_contract():
 
 def test_drawn_rows_match_distribution_chi_square():
     ds, svd = _svd(n1=12, n2=4, d=4, seed=9)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=123)
-    _, trace = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    _, trace = asura_sample(ds, cfg, 123)
     j = trace.m // 2
     p = sampling_distribution(svd, *_state(trace, _matrices(trace, svd), j))
     rng = make_rng(777)
@@ -248,17 +246,17 @@ def test_drawn_rows_match_distribution_chi_square():
 
 def test_sampler_single_column_terminates_within_cap():
     ds = _dataset(make_rng(2).standard_normal((10, 1)))
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=4)
-    sample, trace = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    sample, trace = asura_sample(ds, cfg, 4)
     assert trace.m <= int(np.ceil(2 * 1 / cfg.gamma**2))
     assert np.all(sample.weights > 0)
 
 
 def test_sampler_is_deterministic_given_seed():
     ds, _ = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=99)
-    s1, t1 = asura_sample(ds, cfg)
-    s2, t2 = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    s1, t1 = asura_sample(ds, cfg, 99)
+    s2, t2 = asura_sample(ds, cfg, 99)
     np.testing.assert_array_equal(s1.indices, s2.indices)
     np.testing.assert_array_equal(s1.weights, s2.weights)
     np.testing.assert_array_equal(t1.phi_id, t2.phi_id)
@@ -268,8 +266,8 @@ def test_sampler_structural_bounds_over_seed_batch():
     ds, svd = _svd()
     d = svd.rank
     for k in range(25):
-        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=derive_seed(1000, k))
-        sample, trace = asura_sample(ds, cfg)
+        cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+        sample, trace = asura_sample(ds, cfg, derive_seed(1000, k))
         gamma = cfg.gamma
         assert trace.m <= int(np.ceil(2 * d / gamma**2))
         assert trace.u_final - trace.l_final <= 9 * d / gamma
@@ -286,7 +284,7 @@ def test_sampler_structural_bounds_over_seed_batch():
 def test_sample_is_derived_from_the_trace():
     ds, _ = _svd()
     for seed in (1, 2, 3):
-        sample, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
+        sample, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), seed)
         np.testing.assert_array_equal(sample.indices, trace.sampled_index)
         np.testing.assert_array_equal(sample.weights, trace.w_prime / trace.mid)
 
@@ -295,8 +293,8 @@ def test_final_barrier_always_clears_trivial_tail_threshold():
     # The initial barrier alone dominates p^2 d / (8 gamma^2) for any p < 1,
     # so the tail event holds on every run.
     ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=8)
-    _, trace = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    _, trace = asura_sample(ds, cfg, 8)
     d, gamma = svd.rank, cfg.gamma
     for p in (0.25, 0.5, 0.9):
         assert trace.u_final >= p * p * d / (8 * gamma**2)
@@ -304,8 +302,8 @@ def test_final_barrier_always_clears_trivial_tail_threshold():
 
 def test_unlabeled_mass_identity_against_inverse_oracle():
     ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=21)
-    _, trace = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    _, trace = asura_sample(ds, cfg, 21)
     eye = np.eye(svd.rank)
     u1 = svd.u[: ds.n1]
     d_mat = u1.T @ u1
@@ -321,8 +319,8 @@ def test_unlabeled_mass_identity_against_inverse_oracle():
 
 def test_zero_leverage_rows_are_never_sampled():
     x = np.vstack([np.zeros((4, 3)), np.eye(3)])
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=17)
-    sample, _ = asura_sample(_dataset(x, 4), cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    sample, _ = asura_sample(_dataset(x, 4), cfg, 17)
     assert np.all(sample.indices >= 4)
 
 
@@ -345,8 +343,8 @@ def test_block_draw_replays_full_row_stream(x, n1):
     ds = _dataset(x, n1)
     svd = ds.svd
     for seed in (3, 57, 911):
-        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed)
-        _, trace = asura_sample(ds, cfg)
+        cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+        _, trace = asura_sample(ds, cfg, seed)
         mats = _matrices(trace, svd)
         rng = make_rng(seed)
         for j in range(trace.m):
@@ -391,12 +389,12 @@ def _lockstep_cases():
 @pytest.mark.parametrize("ds,epsilon", _lockstep_cases())
 def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
     # Three runs is the smallest batch that goes in lockstep.
-    cfg = AsuraConfig(epsilon=epsilon, c0=2.0, rng_seed=13)
+    cfg = AsuraConfig(epsilon=epsilon, c0=2.0)
     seeds = [derive_seed(13, k) for k in range(n_runs)]
     batch = asura_sample_batch(ds, cfg, seeds)
     assert len(batch) == n_runs
     for got, seed in zip(batch, seeds):
-        _assert_same_run(got, asura_sample(ds, replace(cfg, rng_seed=seed)))
+        _assert_same_run(got, asura_sample(ds, cfg, seed))
     for got, ref in zip(draw_samples(ds, cfg, seeds), batch):
         _assert_same_run(got, ref)
 
@@ -404,7 +402,7 @@ def test_lockstep_batch_matches_runs_in_turn(ds, epsilon, n_runs):
 def test_batch_picks_the_path_from_the_batch_size(monkeypatch):
     # One or two seeds go one at a time; three or more go in lockstep.
     ds = gaussian_dataset(12, 4, 4, seed=3)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     calls = []
     for name in ("asura_sample", "_lockstep"):
         real = getattr(asura, name)
@@ -420,7 +418,7 @@ def test_batch_in_turn_builds_the_row_blocks_once(monkeypatch, n_runs):
     ds = gaussian_dataset(200, 10, 4, seed=4)
     cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(6, k) for k in range(n_runs)]
-    alone = [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
+    alone = [asura_sample(ds, cfg, seed) for seed in seeds]
     calls = []
     real = asura._row_blocks
     monkeypatch.setattr(asura, "_row_blocks", lambda *args: calls.append(1) or real(*args))
@@ -459,12 +457,12 @@ def test_lockstep_runs_of_different_lengths_leave_the_stack_in_turn(monkeypatch)
     # iterations, so the stack loses runs at many different iterations.
     x = make_rng(5).standard_normal((40, 4)) * np.exp(make_rng(6).standard_normal((40, 1)))
     ds = _dataset(x, 36)
-    cfg = AsuraConfig(epsilon=0.1, c0=2.0, rng_seed=17)
+    cfg = AsuraConfig(epsilon=0.1, c0=2.0)
     seeds = [derive_seed(17, k) for k in range(12)]
     times = {seed: k % 6 for k, seed in enumerate(seeds)}
     make = asura.make_rng
     monkeypatch.setattr(asura, "make_rng", lambda seed: _Skewed(make(seed), times[seed]))
-    want = [asura_sample(ds, replace(cfg, rng_seed=seed)) for seed in seeds]
+    want = [asura_sample(ds, cfg, seed) for seed in seeds]
     lengths = {t.m for _, t in want}
     assert len(lengths) >= 6 and max(lengths) - min(lengths) >= 20
     for got, ref in zip(asura_sample_batch(ds, cfg, seeds), want):
@@ -475,7 +473,7 @@ def test_lockstep_stacks_split_by_the_byte_budget(monkeypatch):
     # A budget below one run's work splits the batch into the most stacks
     # that keep LOCKSTEP_MIN_RUNS runs each, of near-equal size.
     ds = gaussian_dataset(12, 4, 4, seed=8)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=19)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(19, k) for k in range(7)]
     whole = asura_sample_batch(ds, cfg, seeds)
     stacks = []
@@ -493,7 +491,7 @@ def _fails_in_turn(ds, cfg, seeds):
     errors = []
     for seed in seeds:
         try:
-            asura_sample(ds, replace(cfg, rng_seed=seed))
+            asura_sample(ds, cfg, seed)
             errors.append(None)
         except (BarrierViolationError, NumericalBreakdownError) as exc:
             errors.append(exc)
@@ -506,7 +504,7 @@ def _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn):
     assert len(slots) == len(seeds)
     for slot, seed, exc in zip(slots, seeds, in_turn):
         if exc is None:
-            _assert_same_run(slot, asura_sample(ds, replace(cfg, rng_seed=seed)))
+            _assert_same_run(slot, asura_sample(ds, cfg, seed))
         else:
             assert type(slot) is type(exc)
             assert str(slot) == str(exc)
@@ -517,9 +515,9 @@ def test_lockstep_raises_the_lowest_failing_runs_barrier_error(monkeypatch):
     # run 5's error first, and each of the two runs still gets the error it
     # raises alone in its own slot, naming its own iteration.
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(11, k) for k in range(7)]
-    plain = [asura_sample(ds, replace(cfg, rng_seed=seed))[1] for seed in seeds]
+    plain = [asura_sample(ds, cfg, seed)[1] for seed in seeds]
     late, early = (2, plain[2].m - 3), (5, 4)
     doomed = [float(plain[k].u[j]) for k, j in (late, early)]
     real = asura._barrier_weights
@@ -544,7 +542,7 @@ def _breakdown_floor(monkeypatch, ds, cfg, seeds, failing):
     _, grams = _row_blocks(ds.svd.u, ds.n1)
     lowest = []
     for seed in seeds:
-        _, trace = asura_sample(ds, replace(cfg, rng_seed=seed))
+        _, trace = asura_sample(ds, cfg, seed)
         mix, _ = _barrier_weights(_matrices(trace, ds.svd)[:-1], trace.u[:-1], trace.l[:-1])
         lowest.append(float((mix.reshape(trace.m, -1) @ grams.T).min()))
     order = np.sort(lowest)
@@ -555,7 +553,7 @@ def test_lockstep_raises_the_lowest_failing_runs_breakdown(monkeypatch):
     # A breakdown floor between the runs' smallest block masses fails only
     # the runs whose masses dip below it, each at its own iteration.
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(11, k) for k in range(7)]
     _breakdown_floor(monkeypatch, ds, cfg, seeds, failing=3)
     in_turn = _fails_in_turn(ds, cfg, seeds)
@@ -573,9 +571,9 @@ def test_lockstep_raises_the_lowest_failing_runs_limit_error(monkeypatch, limit)
     # it; a negative containment tolerance of the median final margin fails
     # the runs that end nearer a barrier.
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(11, k) for k in range(7)]
-    plain = [asura_sample(ds, replace(cfg, rng_seed=seed))[1] for seed in seeds]
+    plain = [asura_sample(ds, cfg, seed)[1] for seed in seeds]
     if limit == "cap":
         real, cap = asura._limits, int(np.median([t.m for t in plain]))
 
@@ -603,21 +601,27 @@ def test_lockstep_raises_the_lowest_failing_runs_limit_error(monkeypatch, limit)
 
 def test_a_failing_stack_draws_each_of_its_runs_at_most_twice(monkeypatch):
     # A run's every draw makes its generator once: in its stack, and again
-    # alone when the stack fails.  Two stacks, the first of which fails; the
-    # second, and a small batch that runs in turn, draw each run once.
+    # alone if it was still in the stack when the stack failed.  Two stacks,
+    # the first of which fails; the second, and a small batch that runs in
+    # turn, draw each run once.
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
     seeds = [derive_seed(11, k) for k in range(7)]
+    lengths = {seed: asura_sample(ds, cfg, seed)[1].m for seed in seeds}
     _breakdown_floor(monkeypatch, ds, cfg, seeds, failing=1)
     in_turn = _fails_in_turn(ds, cfg, seeds)
     (bad,) = [k for k, exc in enumerate(in_turn) if exc is not None]
     order = [seeds[bad]] + seeds[:bad] + seeds[bad + 1:]
+    # The stack fails at the bad run's iteration; a run of at most that many
+    # iterations has left it by then.
+    failed_at = int(str(in_turn[bad]).rsplit("iteration ", 1)[1])
+    active = [seed for seed in order[:3] if seed == seeds[bad] or lengths[seed] > failed_at]
     made = []
     make = asura.make_rng
     monkeypatch.setattr(asura, "make_rng", lambda seed: made.append(seed) or make(seed))
     monkeypatch.setattr(asura, "LOCKSTEP_BYTES", 1)
     slots = draw_samples(ds, cfg, order)
-    assert made == order[:3] + order[:3] + order[3:]
+    assert made == order[:3] + active + order[3:]
     made.clear()
     assert [type(slot) for slot in draw_samples(ds, cfg, order[:2])] == [
         NumericalBreakdownError, tuple]
@@ -625,11 +629,39 @@ def test_a_failing_stack_draws_each_of_its_runs_at_most_twice(monkeypatch):
     _assert_slots_are_the_runs_in_turn(slots, ds, cfg, order, [in_turn[bad]] + [None] * 6)
 
 
+def test_a_failing_stack_keeps_the_runs_that_left_it(monkeypatch):
+    # The longest run of a stack touches a squeezed barrier at its last
+    # iteration, after the other runs have met their budgets and left: only it
+    # is drawn again, alone, and every slot is still its run alone.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    seeds = [derive_seed(11, k) for k in range(3)]
+    plain = [asura_sample(ds, cfg, seed)[1] for seed in seeds]
+    bad = int(np.argmax([t.m for t in plain]))
+    assert sorted(t.m for t in plain)[-2] < plain[bad].m
+    doomed = float(plain[bad].u[plain[bad].m - 1])
+    real = asura._barrier_weights
+
+    def squeezed(a, u, l, j=None):
+        hit = np.isin(u, doomed)
+        return real(a, np.where(hit, l + 1e-9 * (u - l), u) if hit.any() else u, l, j)
+
+    monkeypatch.setattr(asura, "_barrier_weights", squeezed)
+    in_turn = _fails_in_turn(ds, cfg, seeds)
+    assert [k for k, exc in enumerate(in_turn) if exc is not None] == [bad]
+    made = []
+    make = asura.make_rng
+    monkeypatch.setattr(asura, "make_rng", lambda seed: made.append(seed) or make(seed))
+    slots = asura_sample_batch(ds, cfg, seeds)
+    assert made == seeds + [seeds[bad]]
+    _assert_slots_are_the_runs_in_turn(slots, ds, cfg, seeds, in_turn)
+
+
 # ------------------------------------------------------ well-balancedness
 
 def test_check_well_balanced_rejects_mismatched_artifacts():
     ds, _ = _svd()
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=31))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), 31)
     for other in (_svd(d=7)[1], _svd(n1=20)[1]):
         with pytest.raises(InvalidInputError):
             check_well_balanced(trace, other)
@@ -637,8 +669,8 @@ def test_check_well_balanced_rejects_mismatched_artifacts():
 
 def test_conditioning_closed_form_initial_iteration():
     ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=34)
-    _, t = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    _, t = asura_sample(ds, cfg, 34)
     rep = check_well_balanced(t, svd)
     d = svd.rank
     expected0 = cfg.gamma * (4 * d / cfg.gamma) / (t.u_final + t.l_final)
@@ -651,8 +683,8 @@ def test_conditioning_sweep_is_at_most_half_the_closed_form():
     # 4 / (u_j - l_j), while the closed form assumes only 2 / (u_j - l_j).
     # At iteration 0, A = 0 and B_0 is a multiple of the identity.
     ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=34)
-    _, t = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    _, t = asura_sample(ds, cfg, 34)
     rep = check_well_balanced(t, svd)
     half = rep.kd_closed / 2
     assert np.all(rep.kd_brute <= half + 1e-12)
@@ -671,8 +703,8 @@ def test_conditioning_sweep_skips_zero_rows():
         y_labeled=np.append(ds.y_labeled, 0.0),
     )
     assert not padded.svd.u[-1].any()
-    cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=35)
-    _, t = asura_sample(padded, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=8.0)
+    _, t = asura_sample(padded, cfg, 35)
     rep = check_well_balanced(t, padded.svd)
     assert np.all(np.isfinite(rep.kd_brute))
     assert rep.kd_ok
@@ -687,15 +719,15 @@ def test_dominant_row_run_in_window_is_well_balanced():
     x = make_rng(36).standard_normal((1000, 1))
     x[0] *= 1e3
     ds = _dataset(x)
-    cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=37)
-    _, t = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=8.0)
+    _, t = asura_sample(ds, cfg, 37)
     rep = check_well_balanced(t, ds.svd)
     assert rep.spectral_ok
     assert rep.kd_max_brute <= rep.kd_max_closed / 2 + 1e-12
     assert rep.kd_ok
     assert rep.well_balanced
     # A retry draw that passes on attempt 1 is the plain run.
-    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+    (drawn,) = draw_samples(ds, cfg, [37], retry=True)
     np.testing.assert_array_equal(drawn[1].sampled_index, t.sampled_index)
 
 
@@ -714,17 +746,17 @@ def test_small_gamma_runs_are_well_balanced():
 
 def test_condition_number_bound_in_small_gamma_regime():
     ds, _ = _svd(n1=12, n2=4, d=4, seed=3)
-    cfg = AsuraConfig(epsilon=0.25, c0=16.0, rng_seed=5)  # gamma = 1/32
-    _, t = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=16.0)  # gamma = 1/32
+    _, t = asura_sample(ds, cfg, 5)
     assert t.l_final > 0
     assert t.u_final / t.l_final <= 1 + 3456 * cfg.gamma
 
 
 def test_retry_draw_first_attempt_matches_plain_run():
     ds, svd = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=41)
-    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
-    plain, _ = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=8.0)
+    (drawn,) = draw_samples(ds, cfg, [41], retry=True)
+    plain, _ = asura_sample(ds, cfg, 41)
     # Attempt 1 draws with the run's own seed, so a pass there is the plain run.
     np.testing.assert_array_equal(drawn[0].indices, plain.indices)
 
@@ -733,8 +765,8 @@ def test_retry_draw_exhaustion_carries_reports():
     # At gamma = 1/4 the spectral window is essentially never met, so every
     # attempt fails and the error carries one report per attempt.
     ds, _ = _svd()
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=43)
-    (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    (drawn,) = draw_samples(ds, cfg, [43], retry=True)
     assert isinstance(drawn, WellBalancedEventFailedError)
     assert len(drawn.reports) == MAX_RESTARTS == 10
 
@@ -744,6 +776,6 @@ def test_retry_draw_never_exhausts_in_guaranteed_regime():
     # ten restarts are never exhausted across seeded instances.
     for k in range(20):
         ds = gaussian_dataset(12, 4, 4, seed=3000 + k)
-        cfg = AsuraConfig(epsilon=0.25, c0=8.0, rng_seed=derive_seed(4000, k))
-        (drawn,) = draw_samples(ds, cfg, [cfg.rng_seed], retry=True)
+        cfg = AsuraConfig(epsilon=0.25, c0=8.0)
+        (drawn,) = draw_samples(ds, cfg, [derive_seed(4000, k)], retry=True)
         assert not isinstance(drawn, WellBalancedEventFailedError)

@@ -27,20 +27,20 @@ configs = st.builds(
     AsuraConfig,
     epsilon=st.sampled_from([0.1, 0.25]),
     c0=st.sampled_from([2.0, 4.0]),
-    rng_seed=st.integers(0, 2**31 - 1),
 )
+seeds = st.integers(0, 2**31 - 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(ds=instances(), cfg=configs)
-def test_sampler_run_invariants(ds, cfg):
-    sample, trace = asura_sample(ds, cfg)
+@given(ds=instances(), cfg=configs, seed=seeds)
+def test_sampler_run_invariants(ds, cfg, seed):
+    sample, trace = asura_sample(ds, cfg, seed)
     assert sample.m == trace.m <= math.ceil(2.0 * ds.svd.rank / cfg.gamma**2)
     assert np.all(sample.weights > 0)
     assert np.all(trace.alpha > 0)
     assert np.all((sample.indices >= 0) & (sample.indices < ds.n))
 
-    again, trace_again = asura_sample(ds, cfg)
+    again, trace_again = asura_sample(ds, cfg, seed)
     np.testing.assert_array_equal(again.indices, sample.indices)
     np.testing.assert_array_equal(again.weights, sample.weights)
     np.testing.assert_array_equal(trace_again.p_j, trace.p_j)
@@ -65,10 +65,10 @@ def _replayed(trace, svd):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ds=instances(), cfg=configs)
-def test_replayed_matrices_are_the_loop_matrices_inside_the_window(ds, cfg):
+@given(ds=instances(), cfg=configs, seed=seeds)
+def test_replayed_matrices_are_the_loop_matrices_inside_the_window(ds, cfg, seed):
     svd = ds.svd
-    _, trace = asura_sample(ds, cfg)
+    _, trace = asura_sample(ds, cfg, seed)
     _, mats = _replayed(trace, svd)
     np.testing.assert_array_equal(mats, _loop_matrices(trace, svd))
     theta = np.linalg.eigvalsh(mats)
@@ -85,7 +85,7 @@ def test_replay_is_exact_across_chunk_boundaries(d, n2, seed):
     # At rank 48 or more a run's matrices outgrow one chunk of the default cap.
     ds = gaussian_dataset(d, n2, d, seed)
     svd = ds.svd
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=seed))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), seed)
     chunks, mats = _replayed(trace, svd)
     assert len(chunks) >= 2
     for prev, nxt in zip(chunks, chunks[1:]):
@@ -94,11 +94,11 @@ def test_replay_is_exact_across_chunk_boundaries(d, n2, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(ds=instances(), cfg=configs)
-def test_billed_queries_are_distinct_unlabeled_picks(ds, cfg):
-    y1 = make_rng(cfg.rng_seed).standard_normal(ds.n1)
+@given(ds=instances(), cfg=configs, seed=seeds)
+def test_billed_queries_are_distinct_unlabeled_picks(ds, cfg, seed):
+    y1 = make_rng(seed).standard_normal(ds.n1)
     oracle = LabelOracle(np.concatenate([y1, ds.y_labeled]), ds.n1)
-    sol = solve_active(ds, oracle, cfg)
+    sol = solve_active(ds, oracle, cfg, seed)
     picks = sol.sample.indices
     assert sol.queries == np.unique(picks[picks < ds.n1]).size
     assert sol.queries_iteration_level == np.count_nonzero(picks < ds.n1)

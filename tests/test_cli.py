@@ -283,6 +283,20 @@ def test_a_manifest_must_name_all_factor_blocks_or_none(manifest, capsys, tmp_pa
     assert len(err) == 1 and "partial.json" in err[0] and "path_sigma" in err[0]
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["missing-manifest", "real-manifest"])
+def test_run_refuses_its_sampler_config_before_reading_the_manifest(
+    manifest, capsys, monkeypatch, tmp_path, real
+):
+    # gamma = sqrt(0.25) / 0.5 = 1 breaks the barrier update, so the run exits
+    # 4 with that message before the manifest is read, not 3 for a missing one.
+    loads = count_calls(monkeypatch, "load_dataset", "dataio", "cli")
+    path = manifest if real else str(tmp_path / "nonexistent.json")
+    code = main(["run", "--manifest", path, "--c0", "0.5"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG and loads == []
+    assert len(err) == 1 and "gamma=1 breaks the barrier update" in err[0]
+
+
 def test_run_deploy_mode_manifest_fails_before_any_trial(capsys, monkeypatch, tmp_path):
     from ssar.dataio import save_dataset
     from ssar.instances import gen_random_instance
@@ -364,7 +378,7 @@ def _records_in_turn(manifest, cfg, base_seed, trials, retry=False, check_balanc
     for k in range(trials):
         seed = derive_seed(base_seed, k)
         try:
-            sol = solve_active(ds, LabelOracle(full, ds.n1), replace(cfg, rng_seed=seed), retry)
+            sol = solve_active(ds, LabelOracle(full, ds.n1), cfg, seed, retry)
         except (BarrierViolationError, NumericalBreakdownError,
                 WellBalancedEventFailedError) as exc:
             records.append({"seed": seed, "sampler": sampler, "error": str(exc),
@@ -892,7 +906,7 @@ def test_verify_corrupted_trace_fixture_fails(capsys, tmp_path):
     from ssar.instances import gen_random_instance
 
     ds, _ = gen_random_instance(12, 4, 4, 1.0, seed=6)
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=6))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25), 6)
     u = trace.u.copy()
     u[-1] = trace.l[-1] + 10 * trace.rank / trace.gamma
     path = tmp_path / "bad_trace.jsonl"
@@ -913,7 +927,7 @@ def test_verify_corrupted_trace_fixture_fails(capsys, tmp_path):
 def _dump_a_run(manifest, path, p_scale=1.0):
     """Dump one run on the ``manifest`` instance, its last step scaled by ``1 / p_scale``."""
     ds, _ = load_dataset(manifest)
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=8))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25), 8)
     p_j = trace.p_j.copy()
     p_j[-1] *= p_scale
     dump_trace(path, replace(trace, p_j=p_j))

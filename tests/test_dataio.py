@@ -83,7 +83,7 @@ def test_dataset_round_trip_deploy_mode(tmp_path):
 
 def test_trace_dump_round_trip(tmp_path):
     ds = gaussian_dataset(15, 5, 4, seed=4)
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, rng_seed=5))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25), 5)
     path = tmp_path / "trace.jsonl"
     dump_trace(path, trace)
     loaded = load_trace(path)
@@ -104,7 +104,7 @@ def test_solution_record_fields():
     from reference import solve_active
 
     ds, labels = gri(20, 6, 3, 1.0, seed=14)
-    sol = solve_active(ds, LabelOracle(labels, ds.n1), AsuraConfig(epsilon=0.25, rng_seed=15))
+    sol = solve_active(ds, LabelOracle(labels, ds.n1), AsuraConfig(epsilon=0.25), 15)
     rec = solution_record(sol, seed=15)
     assert set(rec) == {"beta_hat", "loss", "opt", "ratio", "queries",
                         "iterations", "seed"}

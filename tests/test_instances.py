@@ -46,8 +46,8 @@ def test_lower_bound_spec_validation():
 
 
 def test_lower_bound_instance_structure():
-    spec = LowerBoundSpec(d=4, n_copies=50, epsilon=0.01, lam=2.0, rng_seed=3)
-    ds, full, beta_tilde = gen_lower_bound_instance(spec)
+    spec = LowerBoundSpec(d=4, n_copies=50, epsilon=0.01, lam=2.0)
+    ds, full, beta_tilde = gen_lower_bound_instance(spec, 3)
     assert ds.x_unlabeled.shape == (200, 4)
     assert set(np.abs(beta_tilde)) == {3.0}
     # Unlabeled Gram matrix is exactly the identity.
@@ -65,9 +65,9 @@ def test_lower_bound_instance_structure():
 
 
 def test_lower_bound_instance_is_seed_deterministic():
-    spec = LowerBoundSpec(d=3, n_copies=20, epsilon=0.01, lam=1.0, rng_seed=9)
-    a = gen_lower_bound_instance(spec)
-    b = gen_lower_bound_instance(spec)
+    spec = LowerBoundSpec(d=3, n_copies=20, epsilon=0.01, lam=1.0)
+    a = gen_lower_bound_instance(spec, 9)
+    b = gen_lower_bound_instance(spec, 9)
     np.testing.assert_array_equal(a[1], b[1])
     np.testing.assert_array_equal(a[2], b[2])
 

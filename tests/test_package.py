@@ -8,6 +8,17 @@ from collections import Counter
 import pytest
 
 import ssar
+from ssar import (
+    AsuraConfig,
+    LeverageConfig,
+    LowerBoundSpec,
+    UniformConfig,
+    asura_sample,
+    draw_samples,
+    gen_lower_bound_instance,
+    gen_random_instance,
+)
+from ssar.errors import InvalidInputError
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ssar.__path__))
 
@@ -86,6 +97,55 @@ def test_no_library_module_imports_scipy():
                 continue
             offenders += [f"{name}: {m}" for m in modules if m.split(".")[0] == "scipy"]
     assert not offenders, f"library modules import scipy: {offenders}"
+
+
+def _is_dataclass(node) -> bool:
+    names = [deco.func if isinstance(deco, ast.Call) else deco for deco in node.decorator_list]
+    return any(isinstance(name, ast.Name) and name.id == "dataclass" for name in names)
+
+
+def test_no_library_dataclass_declares_a_seed_field():
+    # A seed is an argument of each sampler and generator, never a config
+    # field: the runs of one config differ only in the seeds they are given.
+    package = os.path.dirname(ssar.__file__)
+    offenders = []
+    for name in MODULES:
+        with open(os.path.join(package, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                offenders += [
+                    f"{name}.{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and "seed" in item.target.id.lower()
+                ]
+    assert not offenders, f"dataclass fields that hold a seed: {offenders}"
+
+
+def _small_instance():
+    return gen_random_instance(12, 4, 3, 1.0, 1)[0]
+
+
+SEEDED_ENTRY_POINTS = {
+    "draw_samples-asura":
+        lambda seed: draw_samples(_small_instance(), AsuraConfig(epsilon=0.25), [1, seed, 2]),
+    "draw_samples-leverage":
+        lambda seed: draw_samples(_small_instance(), LeverageConfig(epsilon=0.25), [1, seed, 2]),
+    "draw_samples-uniform":
+        lambda seed: draw_samples(_small_instance(), UniformConfig(m=5), [1, seed, 2]),
+    "asura_sample": lambda seed: asura_sample(_small_instance(), AsuraConfig(epsilon=0.25), seed),
+    "gen_random_instance": lambda seed: gen_random_instance(10, 2, 3, 1.0, seed),
+    "gen_lower_bound_instance": lambda seed: gen_lower_bound_instance(
+        LowerBoundSpec(d=2, n_copies=3, epsilon=0.01, lam=1.0), seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_every_seeded_entry_point_refuses_a_negative_seed(entry):
+    # rngutil.make_rng is the one check of a seed.
+    with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer, got -1"):
+        SEEDED_ENTRY_POINTS[entry](-1)
 
 
 def test_readme_library_quickstart_runs(capsys):

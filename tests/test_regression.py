@@ -182,18 +182,18 @@ def test_solve_active_zero_queries_when_unlabeled_rows_carry_no_mass():
         y_labeled=np.array([1.0, 2.0, 3.0]),
     )
     oracle = LabelOracle(np.concatenate([np.zeros(4), ds.y_labeled]), 4)
-    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25, rng_seed=2))
+    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25), 2)
     assert sol.queries == 0
     assert sol.queries_iteration_level == 0
 
 
 def test_solve_active_is_deterministic_and_caches_queries():
     ds, labels = gen_random_instance(40, 10, 4, noise_sigma=0.5, seed=6)
-    cfg = AsuraConfig(epsilon=0.25, rng_seed=10)
+    cfg = AsuraConfig(epsilon=0.25)
     sols = []
     for _ in range(2):
         oracle = LabelOracle(labels, ds.n1)
-        sols.append(solve_active(ds, oracle, cfg))
+        sols.append(solve_active(ds, oracle, cfg, 10))
     a, b = sols
     np.testing.assert_array_equal(a.sample.indices, b.sample.indices)
     np.testing.assert_allclose(a.beta_hat, b.beta_hat)
@@ -205,13 +205,13 @@ def test_solve_active_is_deterministic_and_caches_queries():
 
 def test_solve_active_ratio_floor_and_samplers():
     ds, labels = gen_random_instance(60, 12, 4, noise_sigma=1.0, seed=7)
-    for cfg in [
-        AsuraConfig(epsilon=0.25, rng_seed=3),
-        LeverageConfig(epsilon=0.25),
-        UniformConfig(m=50, rng_seed=3),
+    for cfg, seed in [
+        (AsuraConfig(epsilon=0.25), 3),
+        (LeverageConfig(epsilon=0.25), 0),
+        (UniformConfig(m=50), 3),
     ]:
         oracle = LabelOracle(labels, ds.n1)
-        sol = solve_active(ds, oracle, cfg)
+        sol = solve_active(ds, oracle, cfg, seed)
         assert sol.ratio is not None and sol.ratio >= 1.0 - 1e-9
 
 
@@ -229,7 +229,7 @@ def test_solve_active_square_instance_scores_round_off_opt_as_zero():
     )
     for seed in range(10):
         oracle = LabelOracle(np.concatenate([[0.7], ds.y_labeled]), ds.n1)
-        sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.1, rng_seed=seed))
+        sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.1), seed)
         assert sol.ratio == 1.0
 
 
@@ -251,8 +251,8 @@ def test_solve_active_opt_matches_lstsq_reference(make):
     ds, labels = make()
     _, reference = exact_solution(ds, labels)
     floor = 1e-12 * max(float(labels @ labels), 1.0)
-    for cfg in (AsuraConfig(epsilon=0.25, rng_seed=1), UniformConfig(m=20, rng_seed=1)):
-        sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+    for cfg in (AsuraConfig(epsilon=0.25), UniformConfig(m=20)):
+        sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg, 1)
         assert sol.opt == pytest.approx(reference, rel=RATIO_SLACK, abs=floor)
     assert ds.svd.rank == np.linalg.matrix_rank(ds.stacked())
 
@@ -260,7 +260,7 @@ def test_solve_active_opt_matches_lstsq_reference(make):
 def test_solve_active_deploy_mode_omits_ratio():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=8)
     oracle = LabelOracle(labels, ds.n1, allow_full_loss=False)
-    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25, rng_seed=4))
+    sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25), 4)
     assert sol.ratio is None and sol.loss is None and sol.opt is None
     assert sol.queries > 0
 
@@ -285,9 +285,9 @@ def _kernel_instance():
 
 @pytest.mark.parametrize("make, cfg", [
     (lambda: gen_random_instance(60, 20, 8, noise_sigma=1.0, seed=15),
-     AsuraConfig(epsilon=0.25, rng_seed=2)),
-    (_kernel_instance, AsuraConfig(epsilon=0.25, rng_seed=2)),
-    (_kernel_instance, UniformConfig(m=6, rng_seed=2)),
+     AsuraConfig(epsilon=0.25)),
+    (_kernel_instance, AsuraConfig(epsilon=0.25)),
+    (_kernel_instance, UniformConfig(m=6)),
 ], ids=["full-rank", "kernel-rank-deficient", "uniform-below-rank"])
 def test_solve_active_solves_in_rank_coordinates(monkeypatch, make, cfg):
     # beta = V t for the t that weighted_lsq finds on the m x r rows U_S Sigma;
@@ -301,7 +301,7 @@ def test_solve_active_solves_in_rank_coordinates(monkeypatch, make, cfg):
         return weighted_lsq(points, weights, y)
 
     monkeypatch.setattr(regression, "weighted_lsq", spy)
-    sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+    sol = solve_active(ds, LabelOracle(labels, ds.n1), cfg, 2)
     idx = sol.sample.indices
     assert shapes == [(sol.sample.m, ds.svd.rank)]
     reference = weighted_lsq(ds.stacked()[idx], sol.sample.weights, labels[idx])
@@ -309,9 +309,9 @@ def test_solve_active_solves_in_rank_coordinates(monkeypatch, make, cfg):
 
 
 SCALE_CONFIGS = (
-    AsuraConfig(epsilon=0.25, rng_seed=1),
-    LeverageConfig(epsilon=0.25),
-    UniformConfig(m=6, rng_seed=1),
+    (AsuraConfig(epsilon=0.25), 1),
+    (LeverageConfig(epsilon=0.25), 0),
+    (UniformConfig(m=6), 1),
 )
 
 
@@ -326,10 +326,10 @@ def test_solve_active_ratio_is_free_of_the_label_scale(power):
     ds, labels = gen_random_instance(40, 20, 5, noise_sigma=1.0, seed=2)
     scale = 2.0 ** power
     scaled = Dataset(ds.x_unlabeled, ds.x_labeled, ds.y_labeled * scale)
-    for cfg in SCALE_CONFIGS:
-        unit = solve_active(ds, LabelOracle(labels, ds.n1), cfg)
+    for cfg, seed in SCALE_CONFIGS:
+        unit = solve_active(ds, LabelOracle(labels, ds.n1), cfg, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_active(scaled, LabelOracle(labels * scale, ds.n1), cfg)
+            sol = solve_active(scaled, LabelOracle(labels * scale, ds.n1), cfg, seed)
         np.testing.assert_array_equal(sol.sample.indices, unit.sample.indices)
         assert sol.ratio == pytest.approx(unit.ratio, rel=1e-6)

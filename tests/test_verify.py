@@ -27,8 +27,8 @@ from reference import check_query_bound, solve_active, step_violations_eigvalsh
 @pytest.fixture(scope="module")
 def good_run():
     ds = gaussian_dataset(24, 8, 8, seed=5)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=61)
-    sample, trace = asura_sample(ds, cfg)
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    sample, trace = asura_sample(ds, cfg, 61)
     return ds, ds.svd, cfg, sample, trace
 
 
@@ -129,7 +129,7 @@ def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
     # every later matrix a violation: each A_j must be checked exactly once.
     ds = gaussian_dataset(48, 4, 48, seed=3)
     svd = ds.svd
-    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=3))
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.25, c0=2.0), 3)
     p_j = trace.p_j.copy()
     p_j[trace.m // 2] /= 50.0
     bad = dataclasses.replace(trace, p_j=p_j)
@@ -232,7 +232,7 @@ def test_merge_hard_reports_keeps_the_worst_runs_potential_floor(good_run):
     # The floor's statistic is the smallest phi_j, so the worst run has the
     # smallest; every other merged statistic and margin is the largest.
     ds, _, cfg, _, trace = good_run
-    _, other = asura_sample(ds, dataclasses.replace(cfg, rng_seed=62))
+    _, other = asura_sample(ds, cfg, 62)
     runs = [check_hard_lemmas(t) for t in (trace, other)]
     assert trace.phi_id.min() != other.phi_id.min()
     for order in (runs, runs[::-1]):
@@ -255,8 +255,8 @@ def test_statistical_checks_reject_small_batches(good_run):
 def test_statistical_checks_small_batch_override(monkeypatch):
     monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=6)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=7)
-    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(60)])]
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(7, k) for k in range(60)])]
     reports = check_statistical_lemmas(batch)
     by_id = {r.lemma_id: r for r in reports}
     assert by_id["unlabeled-mass-identity"].verdict
@@ -279,8 +279,8 @@ def test_statistical_checks_reject_a_mixed_batch(good_run, monkeypatch):
 def test_drift_check_rejects_increasing_potentials(monkeypatch):
     monkeypatch.setattr(verify, "MIN_STATISTICAL_RUNS", 50)
     ds = gaussian_dataset(24, 8, 8, seed=10)
-    cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=11)
-    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(cfg.rng_seed, k) for k in range(50)])]
+    cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+    batch = [t for _, t in draw_samples(ds, cfg, [derive_seed(11, k) for k in range(50)])]
     rigged = [
         dataclasses.replace(
             t,
@@ -311,8 +311,8 @@ def test_query_bound_forced_pass_without_labeled_block():
     sols = []
     for k in range(25):
         oracle = LabelOracle(labels, ds.n1)
-        cfg = AsuraConfig(epsilon=0.25, c0=2.0, rng_seed=100 + k)
-        sols.append(solve_active(ds, oracle, cfg))
+        cfg = AsuraConfig(epsilon=0.25, c0=2.0)
+        sols.append(solve_active(ds, oracle, cfg, 100 + k))
     report = check_query_bound(sols, ds, 0.25)
     assert report.verdict
     assert report.statistic <= 2 * 4 / 0.25**2
