@@ -261,6 +261,18 @@ def _barrier_weights(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray
     return m / tr[..., None, None], (u - l) * tr
 
 
+def _contained(a: np.ndarray, u: float | np.ndarray, l: float | np.ndarray) -> bool:
+    """Whether ``(l - EIG_TOL) I < A < (u + EIG_TOL) I`` for a state, or each of a stack as in
+    :func:`_barrier_weights`: exactly when both differences have a Cholesky factor."""
+    ub, lb = (u, l) if a.ndim == 2 else (u[:, None, None], l[:, None, None])
+    eye = np.eye(a.shape[-1])
+    try:
+        np.linalg.cholesky((ub + EIG_TOL) * eye - a), np.linalg.cholesky(a - (lb - EIG_TOL) * eye)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _row_blocks(u_mat: np.ndarray, split: int) -> tuple[list[int], np.ndarray]:
     """Contiguous row blocks with an edge at ``split``, and their flattened Grams.
 
@@ -398,8 +410,7 @@ def asura_sample(
         j += 1
         record.append((phi, pick, p_pick, mass_unlabeled / total, phi * mass_unlabeled, u, l))
 
-    theta = np.linalg.eigvalsh(a)
-    if theta.min() < l - EIG_TOL or theta.max() > u + EIG_TOL:
+    if not _contained(a, u, l):
         raise BarrierViolationError(f"final matrix left the barrier window after {j} iterations")
     return _unstack(np.array(record).reshape(j, 7).T[:, None], [j], ds, gamma)[0]
 
@@ -423,8 +434,8 @@ def asura_sample_batch(ds: Dataset, cfg: AsuraConfig, seeds: Sequence[int]) -> l
     another shape differently in the last bit.  Each run keeps its own
     generator and draws its uniforms ``UNIFORM_CHUNK`` at a time, the same
     stream as its one-by-one draws.  A run that meets its budget leaves the
-    stack after its final containment check, stacked over the runs that stop
-    together.
+    stack after its final containment check, :func:`_contained` stacked over
+    the runs that stop together.
 
     A batch of fewer than ``LOCKSTEP_MIN_RUNS`` seeds runs them in turn with
     :func:`asura_sample`.  A stack holds about ``LOCKSTEP_BYTES`` of per-run
@@ -504,8 +515,7 @@ def _lockstep(ds, blocks, gamma, cap, budget, seeds) -> list:
             keep = (u - l) + phi_cum < budget
             if not keep.all():
                 stop = ~keep
-                theta = np.linalg.eigvalsh(a[stop])
-                if np.any((theta[:, 0] < l[stop] - EIG_TOL) | (theta[:, -1] > u[stop] + EIG_TOL)):
+                if not _contained(a[stop], u[stop], l[stop]):
                     raise SsarError("a final matrix left the barrier window")
                 m[ids[stop]] = j
                 ids, a, u, l = ids[keep], a[keep], u[keep], l[keep]

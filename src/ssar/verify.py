@@ -14,14 +14,15 @@ reports against.
 Every check reads its run constants (``gamma``, the rank) and series from
 the traces; the matrix checks also take the run's factors.  A report's
 ``statistic`` is the checked quantity at its worst and ``worst_margin`` its
-excess over the bound.  For ``barrier-containment`` the statistic is the
-largest eigenvalue excess over the barriers, ``max(l_j - theta_min(A_j),
-theta_max(A_j) - u_j)``, and the margin is that minus ``EIG_TOL``.  For
-``step-upper`` and ``step-lower`` they are the largest
-``q_j = w'_j U(x_j)^T (B_j + tau I)^{-1} U(x_j)`` and ``q_j - 1``, with
-``B_j`` the check's right-hand side and ``tau = EIG_TOL``; both are inf
-where the chunk holding ``j`` has a ``B_j + tau I`` that is not positive
-definite or a ``q_j >= 1``.
+excess over the bound.  ``barrier-containment`` is decided by two stacked
+Choleskys per chunk (:func:`ssar.asura._contained`); only a chunk that fails
+them takes ``eigvalsh``, and its largest excess ``max(l_j - theta_min(A_j),
+theta_max(A_j) - u_j)`` is the statistic, the margin that minus ``EIG_TOL``,
+both -inf on a run whose chunks all factor.  For ``step-upper`` and
+``step-lower`` they are the largest ``q_j = w'_j U(x_j)^T (B_j + tau I)^{-1}
+U(x_j)`` and ``q_j - 1``, with ``B_j`` the check's right-hand side and
+``tau = EIG_TOL``; both are inf where the chunk holding ``j`` has a
+``B_j + tau I`` that is not positive definite or a ``q_j >= 1``.
 
 The supermartingale check compares iterations ``j`` and ``j + 1`` only over
 runs still active at ``j + 1``, which conditions on survival; treat it as an
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asura import EIG_TOL, AsuraTrace, _check_run_and_factors, _replay
+from .asura import EIG_TOL, AsuraTrace, _check_run_and_factors, _contained, _replay
 from .core import SvdFactors
 from .errors import InsufficientSampleError, InvalidInputError
 
@@ -152,47 +153,45 @@ def _step_q(b: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _matrix_hard_reports(trace: AsuraTrace, svd: SvdFactors) -> list[LemmaReport]:
     """Containment and step checks on the running matrices replayed from the trace.
 
-    Containment takes one stacked ``eigvalsh`` per chunk, and each step check
+    Containment takes one :func:`_contained` per chunk, and each step check
     one :func:`_step_q` with ``s_j = sqrt(w'_j) U(x_j)``.  A chunk whose
-    bordered factorization fails counts that check's violations by eigenvalue,
-    ``lambda_max(A_{j+1} - A_j - B_j) > EIG_TOL``, with the same ``B_j``.
+    factorization fails counts that check's violations by eigenvalue:
+    ``max(l_j - theta_min(A_j), theta_max(A_j) - u_j) > EIG_TOL``, or
+    ``lambda_max(A_{j+1} - A_j - B_j) > EIG_TOL`` with the same ``B_j``.
     """
     gamma, m, r = trace.gamma, trace.m, trace.rank
     eye = np.eye(r)
     s = np.sqrt(trace.w_prime)[:, None] * svd.u[trace.sampled_index]
-    contain_viol, contain_worst = 0, -float("inf")
-    step_viol, step_worst = [0, 0], [-float("inf")] * 2
+    ids = ("barrier-containment", "step-upper", "step-lower")
+    viol, worst = [0, 0, 0], [-math.inf] * 3
     # Beside each step's matrix sit its bordered matrix and that one's factor.
     for j0, mats in _replay(trace, svd.u, extra_bytes=16 * (r + 1) ** 2):
         j1 = j0 + len(mats) - 1
         # Chunks share their edge matrix; only the last chunk checks A_m.
         held = mats if j1 == m else mats[:-1]
-        theta = np.linalg.eigvalsh(held)
         k = len(held)
-        over = np.maximum(trace.l[j0:j0 + k] - theta[:, 0], theta[:, -1] - trace.u[j0:j0 + k])
-        contain_worst = max(contain_worst, float(over.max()))
-        contain_viol += int(np.count_nonzero(over > EIG_TOL))
+        if not _contained(held, trace.u[j0:j0 + k], trace.l[j0:j0 + k]):
+            theta = np.linalg.eigvalsh(held)
+            over = np.maximum(trace.l[j0:j0 + k] - theta[:, 0], theta[:, -1] - trace.u[j0:j0 + k])
+            worst[0] = max(worst[0], float(over.max()))
+            viol[0] += int(np.count_nonzero(over > EIG_TOL))
 
         a = mats[:-1]
         upper = trace.u[j0:j1, None, None] * eye - a
         upper *= gamma
         lower = a - trace.l[j0 + 1:j1 + 1, None, None] * eye
         lower *= 2.0 * gamma
-        for i, b in enumerate((upper, lower)):
+        for i, b in enumerate((upper, lower), 1):
             try:
                 q = _step_q(b, s[j0:j1])
-                step_worst[i] = max(step_worst[i], float(q.max(initial=-np.inf)))
+                worst[i] = max(worst[i], float(q.max(initial=-np.inf)))
             except np.linalg.LinAlgError:
                 lam = np.linalg.eigvalsh(np.subtract(mats[1:] - a, b, out=b))[:, -1]
-                step_viol[i] += int(np.count_nonzero(lam > EIG_TOL))
-                step_worst[i] = float("inf")
+                viol[i] += int(np.count_nonzero(lam > EIG_TOL))
+                worst[i] = math.inf
 
-    return [
-        LemmaReport("barrier-containment", 1, contain_viol, contain_worst - EIG_TOL,
-                    contain_worst, contain_viol == 0),
-        *(LemmaReport(lemma_id, 1, viol, q - 1.0, q, viol == 0)
-          for lemma_id, viol, q in zip(("step-upper", "step-lower"), step_viol, step_worst)),
-    ]
+    return [LemmaReport(lemma_id, 1, v, w - bound, w, v == 0)
+            for lemma_id, v, w, bound in zip(ids, viol, worst, (EIG_TOL, 1.0, 1.0))]
 
 
 def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[LemmaReport]:
@@ -201,15 +200,11 @@ def check_hard_lemmas(trace: AsuraTrace, svd: SvdFactors | None = None) -> list[
     The scalar checks (iteration cap, potential floor, final gap) read only
     the trace, with ``gamma`` and the rank taken from it.  Given the run's
     factors, the containment and step checks also run, on the running
-    matrices replayed from the trace.  Containment takes one stacked
-    eigenvalue call per chunk; its ``statistic`` is the largest eigenvalue
-    excess over the barriers and its ``worst_margin`` that minus ``EIG_TOL``.
-    Each step check takes one stacked bordered Cholesky per chunk
-    (:func:`_step_q`); its ``statistic`` is the largest ``q_j`` and its
-    ``worst_margin`` ``q_j - 1``, both inf when a chunk cannot be factored
-    and its violations are counted by eigenvalue instead.  The matrix checks
-    need ``gamma <= 1/4``; a larger ``gamma`` raises
-    :class:`InvalidInputError`.
+    matrices replayed from the trace: two stacked Choleskys per chunk for
+    containment and one bordered Cholesky (:func:`_step_q`) per step check,
+    with ``eigvalsh`` only on a chunk that fails them.  Their statistics are
+    as the module docstring states.  The matrix checks need
+    ``gamma <= 1/4``; a larger ``gamma`` raises :class:`InvalidInputError`.
     """
     reports = _scalar_hard_reports(trace)
     if svd is None:

@@ -15,6 +15,9 @@ computes, or a construction from the analysis that the tests check:
   for ``run``'s batch draw and the shorthand of the tests that solve once;
 * ``check_query_bound`` tests a batch's mean label queries against the
   ``4 R / gamma^2`` bound with standard-error slack;
+* ``containment_violations_eigvalsh`` counts containment's violations with
+  one stacked ``eigvalsh`` per replay chunk, the route that the two Choleskys
+  of ``ssar.asura._contained`` replaced;
 * ``step_violations_eigvalsh`` counts the step checks' violations with one
   stacked ``eigvalsh`` per replay chunk, the route that the rank-one step
   checks of ``ssar.verify`` replaced;
@@ -159,6 +162,23 @@ def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
         statistic=mean,
         verdict=margin <= 0,
     )
+
+
+def containment_violations_eigvalsh(trace: AsuraTrace, svd: SvdFactors) -> int:
+    """Violations of ``barrier-containment``, by eigenvalue.
+
+    ``A_j`` violates the check where ``max(l_j - theta_min(A_j), theta_max(A_j) - u_j)``
+    exceeds ``EIG_TOL``.
+    """
+    m, viol = trace.m, 0
+    for j0, mats in _replay(trace, svd.u):
+        # Chunks share their edge matrix; only the last chunk checks A_m.
+        held = mats if j0 + len(mats) - 1 == m else mats[:-1]
+        theta = np.linalg.eigvalsh(held)
+        k = len(held)
+        over = np.maximum(trace.l[j0:j0 + k] - theta[:, 0], theta[:, -1] - trace.u[j0:j0 + k])
+        viol += int(np.count_nonzero(over > EIG_TOL))
+    return viol
 
 
 def step_violations_eigvalsh(trace: AsuraTrace, svd: SvdFactors) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from ssar import (
     gen_random_instance,
 )
 from ssar.errors import InvalidInputError
+from ssar.rngutil import derive_seed
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ssar.__path__))
 
@@ -146,6 +147,14 @@ def test_every_seeded_entry_point_refuses_a_negative_seed(entry):
     # rngutil.make_rng is the one check of a seed.
     with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer, got -1"):
         SEEDED_ENTRY_POINTS[entry](-1)
+
+
+@pytest.mark.parametrize("args,message", [((-1, 0), "seed must be a nonnegative integer, got -1"),
+                                          ((1, -2), "key must be a nonnegative integer, got -2")])
+def test_derive_seed_refuses_a_negative_seed_or_key(args, message):
+    # The same check as make_rng's, not numpy's bare ValueError.
+    with pytest.raises(InvalidInputError, match=message):
+        derive_seed(*args)
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssar.asura import EIG_TOL, AsuraConfig, _replay, asura_sample
+from ssar.asura import EIG_TOL, AsuraConfig, _contained, _replay, asura_sample
 from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
 from ssar.errors import InsufficientSampleError, InvalidInputError
@@ -21,7 +21,12 @@ from ssar.verify import (
 )
 
 from conftest import gaussian_dataset
-from reference import check_query_bound, solve_active, step_violations_eigvalsh
+from reference import (
+    check_query_bound,
+    containment_violations_eigvalsh,
+    solve_active,
+    step_violations_eigvalsh,
+)
 
 
 @pytest.fixture(scope="module")
@@ -146,26 +151,77 @@ def test_matrix_checks_match_a_per_matrix_loop_across_chunks():
 
     _, qs = _per_matrix_checks(trace, svd)
     reports = {r.lemma_id: r for r in check_hard_lemmas(trace, svd)}
+    # Every chunk of a clean run factors, so containment takes no eigenvalues.
+    clean = reports["barrier-containment"]
+    assert clean.statistic == clean.worst_margin == -math.inf
     for lemma_id in ("step-upper", "step-lower"):
         assert reports[lemma_id].statistic == pytest.approx(max(qs[lemma_id]), rel=1e-9)
         assert reports[lemma_id].worst_margin == reports[lemma_id].statistic - 1.0 < 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_step_checks_count_as_the_eigvalsh_route_on_the_default_grid(seed, monkeypatch, capsys):
+def test_matrix_checks_count_as_the_eigvalsh_route_on_the_default_grid(seed, monkeypatch, capsys):
     seen = []
 
     def checked(trace, svd=None):
         reports = check_hard_lemmas(trace, svd)
         counts = {r.lemma_id: r.violations for r in reports}
-        seen.append(((counts["step-upper"], counts["step-lower"]),
-                     step_violations_eigvalsh(trace, svd)))
+        seen.append(((counts["barrier-containment"], counts["step-upper"], counts["step-lower"]),
+                     (containment_violations_eigvalsh(trace, svd),
+                      *step_violations_eigvalsh(trace, svd))))
         return reports
 
     monkeypatch.setattr(cli, "check_hard_lemmas", checked)
     assert cli.main(["verify", "--seed", str(seed)]) == cli.EXIT_OK
     assert len(seen) == 3 * 2 * 30
     assert all(ours == eigvalsh_route for ours, eigvalsh_route in seen)
+
+
+def test_hard_checks_take_no_eigenvalues_on_clean_default_grid_runs(monkeypatch):
+    # The first runs of verify's default grid at its largest d and smallest epsilon.
+    calls, verdicts = [], []
+
+    def checked(trace, svd=None):
+        with monkeypatch.context() as spy:
+            for name in ("eigh", "eigvalsh"):
+                spy.setattr(np.linalg, name, lambda *args, name=name, **kwargs: calls.append(name))
+            reports = check_hard_lemmas(trace, svd)
+        verdicts.append(all(r.verdict for r in reports))
+        return reports
+
+    monkeypatch.setattr(cli, "check_hard_lemmas", checked)
+    argv = ["verify", "--seed", "1", "--d-grid", "16", "--eps-grid", "0.1", "--runs", "5"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert verdicts == [True] * 5 and calls == []
+
+
+def _final_state(trace, svd):
+    *_, (_, mats) = _replay(trace, svd.u)
+    return mats[-1]
+
+
+@pytest.mark.parametrize("side", ["top", "bottom"])
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_containment_decides_a_state_at_its_barrier_as_eigvalsh_does(side, factor):
+    # Scaling every weight by c replays c A_j: the final state's top eigenvalue
+    # goes to factor * u_m, or its bottom one to factor * l_m > 0.  It is caught
+    # exactly when that end leaves the window by more than EIG_TOL.
+    ds = gaussian_dataset(24, 8, 8, seed=5)
+    svd = ds.svd
+    _, trace = asura_sample(ds, AsuraConfig(epsilon=0.1, c0=2.0), 61)
+    u, l = trace.u_final, trace.l_final
+    assert l * 1e-6 > EIG_TOL
+    theta = np.linalg.eigvalsh(_final_state(trace, svd))
+    c = factor * (u / theta[-1] if side == "top" else l / theta[0])
+    scaled = dataclasses.replace(trace, p_j=trace.p_j / c)
+    a = _final_state(scaled, svd)
+    theta = np.linalg.eigvalsh(a)
+    caught = (factor > 1.0) == (side == "top")
+    assert bool(theta[0] < l - EIG_TOL or theta[-1] > u + EIG_TOL) is caught
+    assert _contained(a, u, l) is not caught
+    assert _contained(a[None], np.array([u]), np.array([l])) is not caught
+    report = {r.lemma_id: r for r in check_hard_lemmas(scaled, svd)}["barrier-containment"]
+    assert report.violations == containment_violations_eigvalsh(scaled, svd) >= caught
 
 
 @pytest.mark.parametrize("lemma_id", ["step-upper", "step-lower"])
