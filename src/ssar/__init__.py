@@ -11,14 +11,7 @@ generators, and an empirical verification suite for the sampler's structural
 guarantees.
 """
 
-from .asura import (
-    AsuraConfig,
-    AsuraTrace,
-    SampleSet,
-    WellBalancedReport,
-    asura_sample,
-    check_well_balanced,
-)
+from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import (
     Dataset,
@@ -47,8 +40,10 @@ from .regression import (
 )
 from .verify import (
     LemmaReport,
+    WellBalancedReport,
     check_hard_lemmas,
     check_statistical_lemmas,
+    check_well_balanced,
 )
 from . import dataio
 

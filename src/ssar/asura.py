@@ -42,8 +42,9 @@ build their traces in one place (:func:`_unstack`).
 The sampler takes the instance and returns one :class:`AsuraTrace` per run.
 The trace, together with ``U``, determines every quantity the analysis
 checks: the running matrices ``A_j``, the weights, the midpoint-normalized
-coefficients and the unlabeled-block series.  :func:`check_well_balanced`
-and :mod:`ssar.verify` read them from the trace and the factors alone.
+coefficients and the unlabeled-block series.  The checks of a finished run
+live in :mod:`ssar.verify`, which reads them from the trace and the factors
+alone, and judges them by this module's barrier step and containment test.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import Dataset, SvdFactors, leverage_scores
+from .core import Dataset
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -69,10 +70,8 @@ __all__ = [
     "AsuraConfig",
     "AsuraTrace",
     "SampleSet",
-    "WellBalancedReport",
     "asura_sample",
     "asura_sample_batch",
-    "check_well_balanced",
 ]
 
 # Sampling masses below this are a numerical breakdown; smaller negatives are
@@ -81,26 +80,6 @@ P_ERROR_FLOOR = -1e-8
 
 # Eigenvalue tolerance for barrier-containment assertions.
 EIG_TOL = 1e-9
-
-# Well-balancedness thresholds: spectral window of the reweighted Gram matrix,
-# the coefficient-sum bound, and the per-iteration coefficient-conditioning
-# bound (as a multiple of gamma^2).
-SPECTRAL_LO = 0.75
-SPECTRAL_HI = 1.25
-ALPHA_SUM_BOUND = 1024.0
-KD_BOUND_COEFF = 512.0
-# Round-off allowance on the bound relation between the two conditioning
-# routes: the sweep is at most half the closed form, with equality at
-# iteration 0.  The two are not expected to agree elsewhere.
-KD_AGREEMENT_TOL = 1e-6
-
-# The barrier-step containment arguments, and so the matrix checks of a run,
-# require gamma <= 1/4.
-GAMMA_ASSERT_MAX = 0.25
-
-# Bytes of stacked running matrices (plus any per-matrix work the caller
-# declares) that one replay chunk may hold.
-REPLAY_CHUNK_BYTES = 1 << 22
 
 # Bytes of per-run state, scratch and record that one lockstep stack may hold.
 LOCKSTEP_BYTES = 1 << 20
@@ -123,9 +102,9 @@ class AsuraConfig:
     ``c0 = 2`` is a practical choice; the spectral guarantees only carry their
     full constants for much larger ``c0`` (slower, tighter runs).  The
     sampler runs for any ``gamma < 1/2``, and a config with a larger
-    ``gamma`` cannot be built; the matrix checks of
-    :func:`check_well_balanced` and :func:`ssar.verify.check_hard_lemmas`
-    need ``gamma <= 1/4``.
+    ``gamma`` cannot be built; the matrix checks of a run in
+    :mod:`ssar.verify` (:func:`~ssar.verify.check_well_balanced` and
+    :func:`~ssar.verify.check_hard_lemmas`) need ``gamma <= 1/4``.
     """
 
     epsilon: float
@@ -155,7 +134,8 @@ class AsuraTrace:
     ``px1_sum`` is the sampling mass on the ``n_unlabeled`` leading rows and
     ``phi_d`` the matching block-weighted potential.  No matrix is stored:
     with the factor ``U``, the trace determines every running matrix (see
-    :func:`_replay`), and the weights and coefficients derive from it.
+    :func:`ssar.verify._replay`), and the weights and coefficients derive
+    from it.
     """
 
     gamma: float
@@ -615,162 +595,3 @@ def _unstack(record, m, ds: Dataset, gamma: float) -> list:
         )
         out.append((SampleSet(trace.sampled_index, trace.w_prime / trace.mid), trace))
     return out
-
-
-def _replay(trace: AsuraTrace, u_mat: np.ndarray, extra_bytes: int = 0):
-    """The running matrices ``A_0 .. A_m`` of a traced run, in stacked chunks.
-
-    Yields ``(j0, mats)`` with ``mats[k] = A_{j0 + k}``; consecutive chunks
-    share one matrix (the last of a chunk is the first of the next) and the
-    last chunk ends at ``A_m``.  Each chunk is one cumulative sum of the
-    updates ``w'_j U(x_j) U(x_j)^T`` seeded with the previous chunk's last
-    matrix, which adds in the sampler's order and so reproduces its matrices
-    bit for bit.  A chunk holds at most ``REPLAY_CHUNK_BYTES`` of matrices plus
-    ``extra_bytes`` per matrix of the caller's own work.
-    """
-    r, m = trace.rank, trace.m
-    steps = max(1, REPLAY_CHUNK_BYTES // (8 * r * r + extra_bytes) - 1)
-    rows = u_mat[trace.sampled_index]
-    w = trace.w_prime
-    last = np.zeros((r, r))
-    for j0 in range(0, max(m, 1), steps):
-        j1 = min(j0 + steps, m)
-        mats = np.empty((j1 - j0 + 1, r, r))
-        mats[0] = last
-        sel = rows[j0:j1]
-        np.multiply(w[j0:j1, None, None], sel[:, :, None] * sel[:, None, :], out=mats[1:])
-        np.cumsum(mats, axis=0, out=mats)
-        last = mats[-1].copy()
-        yield j0, mats
-
-
-@dataclass
-class WellBalancedReport:
-    """Outcome of the post-run well-balancedness check.
-
-    The conditioning value ``alpha_j * K_j`` is evaluated two ways per
-    iteration.  ``kd_closed`` is the closed-form upper bound
-    ``gamma * (u_j - l_j) / (u_m + l_m)`` read off the trace.  ``kd_brute`` is
-    a sweep ``alpha_j * max_x ||U(x)||^2 / p_x`` over the rows with
-    ``U(x) != 0`` at the recorded state: for the uniform base distribution
-    on ``n`` rows, ``K_j = sup_x (D(x) / D_j(x)) sup_h |h(x)|^2 / ||h||_D^2``
-    comes to ``max_x ||U(x)||^2 / p_x``.
-
-    Since ``p_x >= lambda_min(B_j) ||U(x)||^2 / phi_j`` and
-    ``lambda_min(B_j) >= 4 / (u_j - l_j)`` for the barrier matrix ``B_j``, the
-    sweep is at most half the closed form at every iteration, with equality
-    at iteration 0 where ``A = 0``.  ``kd_max_abs_diff`` is the worst breach
-    of that relation: the sweep's largest excess over half the closed form,
-    or its distance from half the closed form at iteration 0, whichever is
-    larger (0 when the relation holds exactly).  ``kd_agree`` says the breach
-    is within ``KD_AGREEMENT_TOL``.
-    """
-
-    min_eig: float
-    max_eig: float
-    spectral_ok: bool
-    alpha_sum: float
-    alpha_ok: bool
-    kd_closed: np.ndarray
-    kd_brute: np.ndarray
-    kd_max_closed: float
-    kd_max_brute: float
-    kd_max_abs_diff: float
-    kd_agree: bool
-    kd_ok: bool
-    gamma: float
-    well_balanced: bool
-
-
-def _gamma_guard(gamma: float) -> None:
-    if gamma > GAMMA_ASSERT_MAX + 1e-12:
-        raise InvalidInputError(
-            f"gamma={gamma:.4g} exceeds {GAMMA_ASSERT_MAX}, where the matrix checks "
-            "of a run hold; raise c0"
-        )
-
-
-def _check_run_and_factors(trace: AsuraTrace, svd: SvdFactors) -> None:
-    """The input check of the matrix checks of a run: ``svd`` must be the
-    factors of the traced run's instance, and ``gamma <= 1/4``."""
-    if trace.n_rows != svd.n or trace.rank != svd.rank:
-        raise InvalidInputError("factors do not match the traced run")
-    _gamma_guard(trace.gamma)
-
-
-def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedReport:
-    """Check the three well-balancedness conditions on a completed run.
-
-    (i) the eigenvalues of the reweighted Gram matrix of the sampled rows lie
-    in [3/4, 5/4]; (ii) the coefficients sum to at most 1024; (iii) every
-    iteration's coefficient-conditioning product ``alpha_j K_j`` is at most
-    ``512 gamma^2``, where ``K_j = max_x ||U(x)||^2 / p_x`` over the rows
-    with ``U(x) != 0``.  Condition (iii) is checked on both the closed-form
-    bound and a brute-force sweep over the running matrices replayed from the
-    trace: one barrier step per chunk gives each state's Cholesky-checked
-    mixture ``M / phi`` (:func:`_barrier_weights`) and ``p_x = U(x)^T (M / phi)
-    U(x)``.  See :class:`WellBalancedReport` for how the two relate.  The
-    per-iteration reference for ``p_x``, which scores every row of one state,
-    is the test-side ``sampling_distribution`` (``tests/reference.py``).  Needs
-    ``gamma <= 1/4``; a larger ``gamma`` raises :class:`InvalidInputError`.
-
-    Everything is read from the trace and the run's factors ``svd``: the
-    sampled rows, their weights ``trace.w_prime / trace.mid`` and the
-    coefficients ``trace.alpha``.
-    """
-    _check_run_and_factors(trace, svd)
-    gamma = trace.gamma
-    u_mat = svd.u
-
-    sel = u_mat[trace.sampled_index]
-    gram = (sel * (trace.w_prime / trace.mid)[:, None]).T @ sel
-    eigs = np.linalg.eigvalsh(gram)
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    spectral_ok = SPECTRAL_LO <= min_eig and max_eig <= SPECTRAL_HI
-
-    alpha = trace.alpha
-    alpha_sum = float(alpha.sum())
-    alpha_ok = alpha_sum <= ALPHA_SUM_BOUND
-
-    denom = trace.u_final + trace.l_final
-    kd_closed = gamma * (trace.u[:-1] - trace.l[:-1]) / denom
-
-    # Rows with U(x) = 0 carry no function mass and have p_x = 0; K is a sup
-    # over rows where some function is nonzero, so they are left out.
-    lev = leverage_scores(svd)
-    live = lev > 0.0
-    u_live, lev = u_mat[live], lev[live]
-    kd_brute = np.empty(trace.m)
-    for j0, mats in _replay(trace, u_mat, extra_bytes=8 * u_live.size):
-        j1 = j0 + len(mats) - 1
-        mix, _ = _barrier_weights(mats[:-1], trace.u[j0:j1], trace.l[j0:j1], j0)
-        p = _normalize_probabilities(np.einsum("kij,ij->ki", u_live @ mix, u_live))
-        kd_brute[j0:j1] = alpha[j0:j1] * np.max(lev / p, axis=1)
-
-    kd_max_closed = float(kd_closed.max()) if trace.m else 0.0
-    kd_max_brute = float(kd_brute.max()) if trace.m else 0.0
-    kd_max_abs_diff = 0.0
-    if trace.m:
-        half = 0.5 * kd_closed
-        kd_max_abs_diff = max(float(np.max(kd_brute - half)), abs(float(kd_brute[0] - half[0])))
-    kd_agree = kd_max_abs_diff <= KD_AGREEMENT_TOL
-    kd_bound = KD_BOUND_COEFF * gamma**2
-    kd_ok = kd_max_closed <= kd_bound and kd_max_brute <= kd_bound
-
-    return WellBalancedReport(
-        min_eig=min_eig,
-        max_eig=max_eig,
-        spectral_ok=spectral_ok,
-        alpha_sum=alpha_sum,
-        alpha_ok=alpha_ok,
-        kd_closed=kd_closed,
-        kd_brute=kd_brute,
-        kd_max_closed=kd_max_closed,
-        kd_max_brute=kd_max_brute,
-        kd_max_abs_diff=kd_max_abs_diff,
-        kd_agree=kd_agree,
-        kd_ok=kd_ok,
-        gamma=gamma,
-        well_balanced=spectral_ok and alpha_ok and kd_ok,
-    )
-

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .asura import AsuraConfig, _gamma_guard, check_well_balanced
+from .asura import AsuraConfig
 from .baselines import LeverageConfig, UniformConfig
 from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
 from .dataio import (
@@ -59,8 +59,10 @@ from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
     MIN_STATISTICAL_RUNS,
+    _gamma_guard,
     check_hard_lemmas,
     check_statistical_lemmas,
+    check_well_balanced,
     merge_hard_reports,
     query_bound,
 )
@@ -294,25 +296,25 @@ def _cmd_verify(args) -> int:
             raise InvalidInputError(
                 f"statistical checks need at least {MIN_STATISTICAL_RUNS} runs"
             )
-        for eps in args.eps_grid:
-            _gamma_guard(AsuraConfig(epsilon=eps, c0=args.c0).gamma)
+        cfgs = [AsuraConfig(epsilon=eps, c0=args.c0) for eps in args.eps_grid]
+        for cfg in cfgs:
+            _gamma_guard(cfg.gamma)
         d_grid, per_run = _dims(args.d_grid), []
         for d in d_grid:
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, d))
-            for eps in args.eps_grid:
-                point_seed = derive_seed(base_seed, d, int(round(1000 * eps)))
+            for cfg in cfgs:
+                point_seed = derive_seed(base_seed, d, int(round(1000 * cfg.epsilon)))
                 seeds = [derive_seed(point_seed, k) for k in range(args.runs)]
-                for trace in _traces(ds, AsuraConfig(epsilon=eps, c0=args.c0), seeds):
+                for trace in _traces(ds, cfg, seeds):
                     per_run.append(check_hard_lemmas(trace, ds.svd))
         reports = merge_hard_reports(per_run)
 
         if args.statistical_runs:
-            d, eps = d_grid[0], args.eps_grid[0]
+            d = d_grid[0]
             ds, _ = gen_random_instance(3 * d, d, d, 1.0, derive_seed(base_seed, 99, d))
-            cfg = AsuraConfig(epsilon=eps, c0=args.c0)
             point_seed = derive_seed(base_seed, 7)
             seeds = [derive_seed(point_seed, k) for k in range(args.statistical_runs)]
-            reports.extend(check_statistical_lemmas(_traces(ds, cfg, seeds)))
+            reports.extend(check_statistical_lemmas(_traces(ds, cfgs[0], seeds)))
 
     if args.lemma:
         matched = [r for r in reports if r.lemma_id == args.lemma]
@@ -337,8 +339,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_points(args, base_seed):
-    """(label, dataset, epsilon) triples for the requested grid, built lazily."""
+def _sweep_points(args, base_seed, cfgs):
+    """(label, dataset, config) triples for the requested grid, built lazily, with
+    ``cfgs`` the config of each epsilon of the grid, or of ``--epsilon`` off that axis."""
 
     def ridge_design(d, *key):
         rng = make_rng(derive_seed(base_seed, 1, *key))
@@ -346,12 +349,12 @@ def _sweep_points(args, base_seed):
 
     if args.axis == "lambda":
         x1 = ridge_design(args.d)
-        return ((f"lambda={lam:g}", ridge_to_ssal(x1, lam), args.epsilon) for lam in args.grid)
+        return ((f"lambda={lam:g}", ridge_to_ssal(x1, lam), cfgs[0]) for lam in args.grid)
     if args.axis == "epsilon":
         ds = ridge_to_ssal(ridge_design(args.d), args.lam)
-        return ((f"epsilon={eps:g}", ds, eps) for eps in args.grid)
+        return ((f"epsilon={cfg.epsilon:g}", ds, cfg) for cfg in cfgs)
     dims = _dims(args.grid)
-    return ((f"d={d}", ridge_to_ssal(ridge_design(d, d), args.lam), args.epsilon) for d in dims)
+    return ((f"d={d}", ridge_to_ssal(ridge_design(d, d), args.lam), cfgs[0]) for d in dims)
 
 
 def _cmd_sweep(args) -> int:
@@ -359,13 +362,12 @@ def _cmd_sweep(args) -> int:
     # Every point's lambda and sampler config are checked before the first point runs.
     if min(args.grid if args.axis == "lambda" else [args.lam]) < 0:
         raise InvalidInputError("lambda must be nonnegative")
-    for eps in args.grid if args.axis == "epsilon" else [args.epsilon]:
-        AsuraConfig(epsilon=eps, c0=args.c0)
+    cfgs = [AsuraConfig(epsilon=eps, c0=args.c0)
+            for eps in (args.grid if args.axis == "epsilon" else [args.epsilon])]
     rows = []
-    points = _sweep_points(args, base_seed)
+    points = _sweep_points(args, base_seed, cfgs)
     print("point\tr_x\tr_over_eps\tmean_queries\tse_queries\tbound")
-    for point_index, (label, ds, eps) in enumerate(points):
-        cfg = AsuraConfig(epsilon=eps, c0=args.c0)
+    for point_index, (label, ds, cfg) in enumerate(points):
         point_seed = derive_seed(base_seed, 2, point_index)
         seeds = [derive_seed(point_seed, k) for k in range(args.trials)]
         counts = np.array(
@@ -380,14 +382,14 @@ def _cmd_sweep(args) -> int:
             {
                 "point": label,
                 "r_x": r_x,
-                "r_over_eps": r_x / eps,
+                "r_over_eps": r_x / cfg.epsilon,
                 "mean_queries": mean,
                 "se_queries": se,
                 "bound": bound,
             }
         )
         print(
-            f"{label}\t{r_x:.6g}\t{r_x / eps:.6g}\t{mean:.6g}\t{se:.6g}\t{bound:.6g}"
+            f"{label}\t{r_x:.6g}\t{r_x / cfg.epsilon:.6g}\t{mean:.6g}\t{se:.6g}\t{bound:.6g}"
         )
 
     xs = np.array([r["r_over_eps"] for r in rows])

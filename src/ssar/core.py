@@ -187,9 +187,10 @@ class SvdFactors:
     def d(self) -> int:
         return self.v.shape[0]
 
-    def validate(self, x: np.ndarray | None = None, residual: float | None = None) -> None:
-        """Check orthonormality, ordering and, given ``x`` or its already
-        computed ``residual(x)``, the reconstruction error."""
+    def validate(self, x: np.ndarray | None = None) -> None:
+        """Check orthonormality, ordering and, given ``x``, the reconstruction
+        error: the Frobenius norm of ``x - U diag(sigma) V^T`` relative to that
+        of ``x`` (:meth:`_residual_and_norm`) must be at most ``RECONSTRUCTION_TOL``."""
         u, s, v = self.u, self.sigma, self.v
         r = self.rank
         if u.shape != (self.n, r) or v.shape != (self.d, r):
@@ -203,22 +204,17 @@ class SvdFactors:
             raise InvalidInputError("left factor columns are not orthonormal")
         if np.max(np.abs(v.T @ v - eye)) > ORTHONORMALITY_TOL:
             raise InvalidInputError("right factor columns are not orthonormal")
-        if x is not None:
-            residual = self.residual(x)
-        if residual is not None and residual > RECONSTRUCTION_TOL:
+        if x is not None and self._residual_and_norm(x)[0] > RECONSTRUCTION_TOL:
             raise InvalidInputError("factors do not reconstruct the input matrix")
 
-    def residual(self, x) -> float:
-        """Frobenius norm of ``x - U diag(sigma) V^T`` relative to that of ``x``.
+    def _residual_and_norm(self, x) -> tuple[float, float]:
+        """The Frobenius norm of ``x - U diag(sigma) V^T`` relative to that of
+        ``x``, and the Frobenius norm of ``x``, from one pass over ``x``.
 
         Both norms are summed in row blocks of at most 1 MB over entries
         divided by ``max |x|``, so that no square overflows or underflows at an
-        extreme scale.  A zero ``x`` gives ``inf``.
+        extreme scale.  A zero ``x`` gives a relative residual of ``inf``.
         """
-        return self._residual_and_norm(x)[0]
-
-    def _residual_and_norm(self, x) -> tuple[float, float]:
-        """``residual(x)`` and the Frobenius norm of ``x``, from one pass over ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.d):
             raise InvalidInputError(f"factors are of a {self.n}x{self.d} matrix, not {x.shape}")
@@ -252,10 +248,10 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     above ``DEFAULT_RANK_TOL * sigma[0]``, ``||x - U Sigma V^T||_F <=
     DEFAULT_RANK_TOL * sigma[0]``, which caps every dropped singular value at
     the truncation threshold so that the rank is the one the full SVD gives,
-    and ``validate`` passes, with the residual computed once.  LAPACK's thin
-    SVD, validated, is taken when range factors fail the test, when the
-    Cholesky fails, and for an ``x`` whose largest |entry| lies outside
-    ``GRAM_SAFE_SCALE``.
+    and ``validate`` passes; the residual bound implies its reconstruction
+    check, so the residual is computed once.  LAPACK's thin SVD, validated,
+    is taken when range factors fail the test, when the Cholesky fails, and
+    for an ``x`` whose largest |entry| lies outside ``GRAM_SAFE_SCALE``.
 
     Given ``factors``, such as the ones stored with an instance, they are
     returned as they are if they pass.  Otherwise ``x`` is factored as above,
@@ -298,8 +294,10 @@ def _accepted(factors: SvdFactors, arr: np.ndarray) -> bool:
     residual, norm = factors._residual_and_norm(arr)
     if not residual * norm <= DEFAULT_RANK_TOL * s[0]:
         return False
+    # With orthonormal factors ||U Sigma V^T||_F >= sigma[0], so the bound
+    # above already holds the residual far below RECONSTRUCTION_TOL.
     try:
-        factors.validate(residual=residual)
+        factors.validate()
     except InvalidInputError:
         return False
     return True

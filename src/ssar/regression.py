@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch, check_well_balanced
+from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import Dataset, _truncated, as_matrix, as_vector, psd_eigh
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     WellBalancedEventFailedError,
 )
 from .rngutil import derive_seed
+from .verify import check_well_balanced
 
 __all__ = [
     "LabelOracle",
@@ -186,7 +187,8 @@ def draw_samples(
     sampler: ``AsuraConfig`` runs go through
     :func:`ssar.asura.asura_sample_batch`; leverage and uniform runs are
     drawn per seed, with trace None.  With ``retry``, attempt ``a > 1``
-    redraws the adaptive runs that failed :func:`check_well_balanced`, in one
+    redraws the adaptive runs that failed the well-balancedness check of
+    :mod:`ssar.verify` (:func:`~ssar.verify.check_well_balanced`), in one
     batch, the run of seed ``s`` with ``derive_seed(s, a)``.  An error slot is
     final, and so is the error of a check that breaks down on an attempt; a
     run that fails ``MAX_RESTARTS`` attempts gets a

@@ -1,4 +1,10 @@
-"""Executable checks for the sampler's structural and statistical guarantees.
+"""Executable checks of finished sampler runs: the well-balancedness event and the lemmas.
+
+The sampler (:mod:`ssar.asura`) evaluates none of them.  The matrix checks,
+which need ``gamma <= 1/4``, rebuild a run's running matrices from its trace
+and factors (:func:`_replay`).  :func:`check_well_balanced` checks the
+well-balancedness event: the spectral window of the reweighted Gram matrix,
+the coefficient sum and the conditioning ``alpha_j K_j`` of every iteration.
 
 Hard checks are probability-one statements about a single run (iteration cap,
 potential floor, barrier containment, rank-one step domination, final gap
@@ -37,18 +43,40 @@ from typing import Sequence
 
 import numpy as np
 
-from .asura import EIG_TOL, AsuraTrace, _check_run_and_factors, _contained, _replay
-from .core import SvdFactors
+from .asura import EIG_TOL, AsuraTrace, _barrier_weights, _contained, _normalize_probabilities
+from .core import SvdFactors, leverage_scores
 from .errors import InsufficientSampleError, InvalidInputError
 
 __all__ = [
     "LemmaReport",
+    "WellBalancedReport",
     "HARD_LEMMA_IDS",
+    "check_well_balanced",
     "check_hard_lemmas",
     "check_statistical_lemmas",
     "query_bound",
     "merge_hard_reports",
 ]
+
+# Well-balancedness thresholds: spectral window of the reweighted Gram matrix,
+# the coefficient-sum bound, and the per-iteration coefficient-conditioning
+# bound (as a multiple of gamma^2).
+SPECTRAL_LO = 0.75
+SPECTRAL_HI = 1.25
+ALPHA_SUM_BOUND = 1024.0
+KD_BOUND_COEFF = 512.0
+# Round-off allowance on the bound relation between the two conditioning
+# routes: the sweep is at most half the closed form, with equality at
+# iteration 0.  The two are not expected to agree elsewhere.
+KD_AGREEMENT_TOL = 1e-6
+
+# The barrier-step containment arguments, and so the matrix checks of a run,
+# require gamma <= 1/4.
+GAMMA_ASSERT_MAX = 0.25
+
+# Bytes of stacked running matrices (plus any per-matrix work the caller
+# declares) that one replay chunk may hold.
+REPLAY_CHUNK_BYTES = 1 << 22
 
 MASS_IDENTITY_TOL = 1e-10
 FREQUENCY_SLACK = 0.05
@@ -69,13 +97,171 @@ HARD_LEMMA_IDS = (
 )
 
 
+def _replay(trace: AsuraTrace, u_mat: np.ndarray, extra_bytes: int = 0):
+    """The running matrices ``A_0 .. A_m`` of a traced run, in stacked chunks.
+
+    Yields ``(j0, mats)`` with ``mats[k] = A_{j0 + k}``; consecutive chunks
+    share one matrix (the last of a chunk is the first of the next) and the
+    last chunk ends at ``A_m``.  Each chunk is one cumulative sum of the
+    updates ``w'_j U(x_j) U(x_j)^T`` seeded with the previous chunk's last
+    matrix, which adds in the sampler's order and so reproduces its matrices
+    bit for bit.  A chunk holds at most ``REPLAY_CHUNK_BYTES`` of matrices plus
+    ``extra_bytes`` per matrix of the caller's own work.
+    """
+    r, m = trace.rank, trace.m
+    steps = max(1, REPLAY_CHUNK_BYTES // (8 * r * r + extra_bytes) - 1)
+    rows = u_mat[trace.sampled_index]
+    w = trace.w_prime
+    last = np.zeros((r, r))
+    for j0 in range(0, max(m, 1), steps):
+        j1 = min(j0 + steps, m)
+        mats = np.empty((j1 - j0 + 1, r, r))
+        mats[0] = last
+        sel = rows[j0:j1]
+        np.multiply(w[j0:j1, None, None], sel[:, :, None] * sel[:, None, :], out=mats[1:])
+        np.cumsum(mats, axis=0, out=mats)
+        last = mats[-1].copy()
+        yield j0, mats
+
+
+def _gamma_guard(gamma: float) -> None:
+    if gamma > GAMMA_ASSERT_MAX + 1e-12:
+        raise InvalidInputError(
+            f"gamma={gamma:.4g} exceeds {GAMMA_ASSERT_MAX}, where the matrix checks "
+            "of a run hold; raise c0"
+        )
+
+
+def _check_run_and_factors(trace: AsuraTrace, svd: SvdFactors) -> None:
+    """The input check of the matrix checks of a run: ``svd`` must be the
+    factors of the traced run's instance, and ``gamma <= 1/4``."""
+    if trace.n_rows != svd.n or trace.rank != svd.rank:
+        raise InvalidInputError("factors do not match the traced run")
+    _gamma_guard(trace.gamma)
+
+
+@dataclass
+class WellBalancedReport:
+    """Outcome of the post-run well-balancedness check.
+
+    The conditioning value ``alpha_j * K_j`` is evaluated two ways per
+    iteration.  ``kd_closed`` is the closed-form upper bound
+    ``gamma * (u_j - l_j) / (u_m + l_m)`` read off the trace.  ``kd_brute`` is
+    a sweep ``alpha_j * max_x ||U(x)||^2 / p_x`` over the rows with
+    ``U(x) != 0`` at the recorded state: for the uniform base distribution
+    on ``n`` rows, ``K_j = sup_x (D(x) / D_j(x)) sup_h |h(x)|^2 / ||h||_D^2``
+    comes to ``max_x ||U(x)||^2 / p_x``.
+
+    Since ``p_x >= lambda_min(B_j) ||U(x)||^2 / phi_j`` and
+    ``lambda_min(B_j) >= 4 / (u_j - l_j)`` for the barrier matrix ``B_j``, the
+    sweep is at most half the closed form at every iteration, with equality
+    at iteration 0 where ``A = 0``.  ``kd_max_abs_diff`` is the worst breach
+    of that relation: the sweep's largest excess over half the closed form,
+    or its distance from half the closed form at iteration 0, whichever is
+    larger (0 when the relation holds exactly).  ``kd_agree`` says the breach
+    is within ``KD_AGREEMENT_TOL``.
+    """
+
+    min_eig: float
+    max_eig: float
+    spectral_ok: bool
+    alpha_sum: float
+    alpha_ok: bool
+    kd_closed: np.ndarray
+    kd_brute: np.ndarray
+    kd_max_closed: float
+    kd_max_brute: float
+    kd_max_abs_diff: float
+    kd_agree: bool
+    kd_ok: bool
+    gamma: float
+    well_balanced: bool
+
+
+def check_well_balanced(trace: AsuraTrace, svd: SvdFactors) -> WellBalancedReport:
+    """Check the three well-balancedness conditions on a completed run.
+
+    (i) the eigenvalues of the reweighted Gram matrix of the sampled rows lie
+    in [3/4, 5/4]; (ii) the coefficients sum to at most 1024; (iii) every
+    iteration's coefficient-conditioning product ``alpha_j K_j`` is at most
+    ``512 gamma^2``, where ``K_j = max_x ||U(x)||^2 / p_x`` over the rows
+    with ``U(x) != 0``.  Condition (iii) is checked on both the closed-form
+    bound and a brute-force sweep over the running matrices replayed from the
+    trace: one barrier step per chunk gives each state's Cholesky-checked
+    mixture ``M / phi`` (:func:`_barrier_weights`) and ``p_x = U(x)^T (M / phi)
+    U(x)``.  See :class:`WellBalancedReport` for how the two relate.  The
+    per-iteration reference for ``p_x``, which scores every row of one state,
+    is the test-side ``sampling_distribution`` (``tests/reference.py``).  Needs
+    ``gamma <= 1/4``; a larger ``gamma`` raises :class:`InvalidInputError`.
+
+    Everything is read from the trace and the run's factors ``svd``: the
+    sampled rows, their weights ``trace.w_prime / trace.mid`` and the
+    coefficients ``trace.alpha``.
+    """
+    _check_run_and_factors(trace, svd)
+    gamma = trace.gamma
+    u_mat = svd.u
+
+    sel = u_mat[trace.sampled_index]
+    gram = (sel * (trace.w_prime / trace.mid)[:, None]).T @ sel
+    eigs = np.linalg.eigvalsh(gram)
+    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
+    spectral_ok = SPECTRAL_LO <= min_eig and max_eig <= SPECTRAL_HI
+
+    alpha = trace.alpha
+    alpha_sum = float(alpha.sum())
+    alpha_ok = alpha_sum <= ALPHA_SUM_BOUND
+
+    denom = trace.u_final + trace.l_final
+    kd_closed = gamma * (trace.u[:-1] - trace.l[:-1]) / denom
+
+    # Rows with U(x) = 0 carry no function mass and have p_x = 0; K is a sup
+    # over rows where some function is nonzero, so they are left out.
+    lev = leverage_scores(svd)
+    live = lev > 0.0
+    u_live, lev = u_mat[live], lev[live]
+    kd_brute = np.empty(trace.m)
+    for j0, mats in _replay(trace, u_mat, extra_bytes=8 * u_live.size):
+        j1 = j0 + len(mats) - 1
+        mix, _ = _barrier_weights(mats[:-1], trace.u[j0:j1], trace.l[j0:j1], j0)
+        p = _normalize_probabilities(np.einsum("kij,ij->ki", u_live @ mix, u_live))
+        kd_brute[j0:j1] = alpha[j0:j1] * np.max(lev / p, axis=1)
+
+    kd_max_closed = float(kd_closed.max()) if trace.m else 0.0
+    kd_max_brute = float(kd_brute.max()) if trace.m else 0.0
+    kd_max_abs_diff = 0.0
+    if trace.m:
+        half = 0.5 * kd_closed
+        kd_max_abs_diff = max(float(np.max(kd_brute - half)), abs(float(kd_brute[0] - half[0])))
+    kd_agree = kd_max_abs_diff <= KD_AGREEMENT_TOL
+    kd_bound = KD_BOUND_COEFF * gamma**2
+    kd_ok = kd_max_closed <= kd_bound and kd_max_brute <= kd_bound
+
+    return WellBalancedReport(
+        min_eig=min_eig,
+        max_eig=max_eig,
+        spectral_ok=spectral_ok,
+        alpha_sum=alpha_sum,
+        alpha_ok=alpha_ok,
+        kd_closed=kd_closed,
+        kd_brute=kd_brute,
+        kd_max_closed=kd_max_closed,
+        kd_max_brute=kd_max_brute,
+        kd_max_abs_diff=kd_max_abs_diff,
+        kd_agree=kd_agree,
+        kd_ok=kd_ok,
+        gamma=gamma,
+        well_balanced=spectral_ok and alpha_ok and kd_ok,
+    )
+
+
 @dataclass
 class LemmaReport:
     """Verdict of one check.
 
     ``worst_margin`` is the worst observed slack, oriented so that positive
-    values mean the bound was exceeded by that amount; hard checks pass only
-    with ``violations == 0``.
+    values mean the bound was exceeded by that amount; a check passes
+    exactly when it counts no violation.
     """
 
     lemma_id: str
@@ -83,7 +269,10 @@ class LemmaReport:
     violations: int
     worst_margin: float
     statistic: float
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.violations == 0
 
 
 def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
@@ -97,7 +286,6 @@ def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
             violations=int(m > cap),
             worst_margin=float(m - cap),
             statistic=float(m),
-            verdict=m <= cap,
         )
     ]
 
@@ -111,7 +299,6 @@ def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
             violations=viol,
             worst_margin=floor - min_phi,
             statistic=min_phi,
-            verdict=viol == 0,
         )
     )
 
@@ -124,7 +311,6 @@ def _scalar_hard_reports(trace: AsuraTrace) -> list[LemmaReport]:
             violations=int(gap > bound),
             worst_margin=gap - bound,
             statistic=gap,
-            verdict=gap <= bound,
         )
     )
     return reports
@@ -190,7 +376,7 @@ def _matrix_hard_reports(trace: AsuraTrace, svd: SvdFactors) -> list[LemmaReport
                 viol[i] += int(np.count_nonzero(lam > EIG_TOL))
                 worst[i] = math.inf
 
-    return [LemmaReport(lemma_id, 1, v, w - bound, w, v == 0)
+    return [LemmaReport(lemma_id, 1, v, w - bound, w)
             for lemma_id, v, w, bound in zip(ids, viol, worst, (EIG_TOL, 1.0, 1.0))]
 
 
@@ -226,8 +412,7 @@ def merge_hard_reports(per_run: Sequence[Sequence[LemmaReport]]) -> list[LemmaRe
             prev = merged.get(rep.lemma_id)
             if prev is None:
                 merged[rep.lemma_id] = LemmaReport(
-                    rep.lemma_id, 1, rep.violations, rep.worst_margin,
-                    rep.statistic, rep.verdict,
+                    rep.lemma_id, 1, rep.violations, rep.worst_margin, rep.statistic
                 )
             else:
                 prev.runs_checked += 1
@@ -235,7 +420,6 @@ def merge_hard_reports(per_run: Sequence[Sequence[LemmaReport]]) -> list[LemmaRe
                 prev.worst_margin = max(prev.worst_margin, rep.worst_margin)
                 worst = min if rep.lemma_id == "potential-floor" else max
                 prev.statistic = worst(prev.statistic, rep.statistic)
-                prev.verdict = prev.verdict and rep.verdict
     return list(merged.values())
 
 
@@ -271,7 +455,6 @@ def _martingale_report(series: list[np.ndarray], lemma_id: str) -> LemmaReport:
         violations=violations,
         worst_margin=worst,
         statistic=worst_stat,
-        verdict=violations == 0,
     )
 
 
@@ -304,7 +487,6 @@ def check_statistical_lemmas(batch: Sequence[AsuraTrace]) -> list[LemmaReport]:
                 violations=int(freq < required),
                 worst_margin=required - freq,
                 statistic=freq,
-                verdict=freq >= required,
             )
         )
 
@@ -325,7 +507,6 @@ def check_statistical_lemmas(batch: Sequence[AsuraTrace]) -> list[LemmaReport]:
             violations=viol,
             worst_margin=worst_dev - MASS_IDENTITY_TOL,
             statistic=worst_dev,
-            verdict=viol == 0,
         )
     )
     return reports

@@ -16,13 +16,18 @@ computes, or a construction from the analysis that the tests check:
 * ``check_query_bound`` tests a batch's mean label queries against the
   ``4 R / gamma^2`` bound with standard-error slack;
 * ``containment_violations_eigvalsh`` counts containment's violations with
-  one stacked ``eigvalsh`` per replay chunk, the route that the two Choleskys
-  of ``ssar.asura._contained`` replaced;
+  one stacked ``eigvalsh`` per chunk of ``ssar.verify._replay``, the route
+  that the two Choleskys of ``ssar.asura._contained`` replaced;
 * ``step_violations_eigvalsh`` counts the step checks' violations with one
   stacked ``eigvalsh`` per replay chunk, the route that the rank-one step
   checks of ``ssar.verify`` replaced;
 * ``construct_packing`` builds the greedy sign-vector packing that sizes the
   hard ridge instance family of the lower bound.
+
+The sampler and its primitives (``_barrier_weights``,
+``_normalize_probabilities``, ``EIG_TOL``) come from ``ssar.asura``; the
+replay of a run's matrices and the report types come from ``ssar.verify``,
+which holds every check of a finished run.
 
 The two exception classes subclass :class:`ssar.errors.SsarError`, like every
 library error.
@@ -41,7 +46,6 @@ from ssar.asura import (
     AsuraTrace,
     _barrier_weights,
     _normalize_probabilities,
-    _replay,
 )
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.core import DEFAULT_RANK_TOL, Dataset, SvdFactors, as_vector, reduced_rank
@@ -52,7 +56,7 @@ from ssar.errors import (
     SsarError,
 )
 from ssar.regression import LabelOracle, RegressionSolution, draw_samples, solve_sample
-from ssar.verify import SE_MULTIPLIER, LemmaReport, query_bound
+from ssar.verify import SE_MULTIPLIER, LemmaReport, _replay, query_bound
 
 
 class SingularMatrixError(SsarError):
@@ -160,7 +164,6 @@ def check_query_bound(batch, ds: Dataset, gamma: float) -> LemmaReport:
         violations=int(margin > 0),
         worst_margin=margin,
         statistic=mean,
-        verdict=margin <= 0,
     )
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ssar.asura import AsuraConfig, _replay, asura_sample_batch, check_well_balanced
+from ssar.asura import AsuraConfig, asura_sample_batch
 from ssar.baselines import LeverageConfig, leverage_sample
 from ssar.core import (
     Dataset,
@@ -38,8 +38,10 @@ from ssar.regression import (
 )
 from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import (
+    _replay,
     check_hard_lemmas,
     check_statistical_lemmas,
+    check_well_balanced,
     merge_hard_reports,
 )
 

@@ -10,11 +10,9 @@ from ssar.asura import (
     AsuraConfig,
     _barrier_weights,
     _normalize_probabilities,
-    _replay,
     _row_blocks,
     asura_sample,
     asura_sample_batch,
-    check_well_balanced,
 )
 from ssar.core import Dataset, thin_svd
 from ssar.errors import (
@@ -26,7 +24,7 @@ from ssar.errors import (
 from ssar.instances import gen_random_instance
 from ssar.regression import MAX_RESTARTS, draw_samples
 from ssar.rngutil import derive_seed, make_rng
-from ssar.verify import check_hard_lemmas
+from ssar.verify import _replay, check_hard_lemmas, check_well_balanced
 
 from conftest import gaussian_dataset
 from reference import _draw_index, sampling_distribution

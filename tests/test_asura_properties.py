@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssar.asura import AsuraConfig, _replay, asura_sample
+from ssar.asura import AsuraConfig, asura_sample
 from ssar.regression import LabelOracle
 from ssar.rngutil import make_rng
+from ssar.verify import _replay
 
 from conftest import gaussian_dataset
 from reference import solve_active

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ssar import cli, regression
-from ssar.asura import AsuraConfig, asura_sample, check_well_balanced
+from ssar.asura import AsuraConfig, asura_sample
 from ssar.baselines import LeverageConfig, UniformConfig
 from ssar.cli import EXIT_CONFIG, EXIT_HARD_FAIL, EXIT_IO, EXIT_OK, main
 from ssar.core import _truncated, psd_eigh, thin_svd
@@ -24,7 +24,7 @@ from ssar.errors import (
 )
 from ssar.regression import LabelOracle
 from ssar.rngutil import derive_seed
-from ssar.verify import HARD_LEMMA_IDS
+from ssar.verify import HARD_LEMMA_IDS, check_well_balanced
 
 from reference import solve_active
 

@@ -112,7 +112,7 @@ def test_solution_record_fields():
 
 
 def test_lemma_report_serialization(tmp_path):
-    rep = LemmaReport("gap-bound", 5, 0, -1.25, 3.5, True)
+    rep = LemmaReport("gap-bound", 5, 0, -1.25, 3.5)
     rec = lemma_report_to_dict(rep)
     assert rec["verdict"] == "pass" and rec["runs"] == 5
     path = tmp_path / "reports.jsonl"

@@ -100,6 +100,27 @@ def test_no_library_module_imports_scipy():
     assert not offenders, f"library modules import scipy: {offenders}"
 
 
+def test_sampler_module_holds_no_check_of_a_run():
+    # The checks of a finished run live in ssar.verify; ssar.asura keeps the
+    # sampler, its trace and the primitives that the checks judge by.
+    with open(os.path.join(os.path.dirname(ssar.__file__), "asura.py")) as fh:
+        tree = ast.parse(fh.read())
+    checks = [
+        node.name for node in tree.body
+        if (isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("check_") or node.name == "_replay"))
+        or (isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
+    ]
+    assert not checks, f"ssar.asura defines checks of a run: {checks}"
+    imported = [
+        ((node.module or "").split(".")[-1], alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [name for module, name in imported if module == "core"] == ["Dataset"]
+    assert not [name for module, name in imported if module == "verify"]
+
+
 def _is_dataclass(node) -> bool:
     names = [deco.func if isinstance(deco, ast.Call) else deco for deco in node.decorator_list]
     return any(isinstance(name, ast.Name) and name.id == "dataclass" for name in names)

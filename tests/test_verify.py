@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssar.asura import EIG_TOL, AsuraConfig, _contained, _replay, asura_sample
+from ssar.asura import EIG_TOL, AsuraConfig, _contained, asura_sample
 from ssar.core import Dataset
 from ssar.dataio import dump_trace, load_trace
 from ssar.errors import InsufficientSampleError, InvalidInputError
@@ -15,8 +15,10 @@ from ssar.rngutil import derive_seed, make_rng
 from ssar import cli, verify
 from ssar.verify import (
     HARD_LEMMA_IDS,
+    _replay,
     check_hard_lemmas,
     check_statistical_lemmas,
+    check_well_balanced,
     merge_hard_reports,
 )
 
@@ -66,6 +68,15 @@ def test_hard_lemmas_on_a_loaded_dump_match_the_run(good_run, tmp_path):
     path = tmp_path / "trace.jsonl"
     dump_trace(path, trace)
     assert check_hard_lemmas(load_trace(path), svd) == check_hard_lemmas(trace, svd)
+
+
+def test_well_balancedness_on_a_loaded_dump_matches_the_run(good_run, tmp_path):
+    ds, svd, cfg, _, trace = good_run
+    path = tmp_path / "trace.jsonl"
+    dump_trace(path, trace)
+    loaded = check_well_balanced(load_trace(path), svd)
+    np.testing.assert_equal(dataclasses.asdict(loaded),
+                            dataclasses.asdict(check_well_balanced(trace, svd)))
 
 
 def test_gap_lemma_fails_on_corrupted_trace(good_run):
