@@ -12,10 +12,12 @@ ones; the side that goes first alternates from pair to pair, so a drift of
 the machine's speed does not favour one side.  For each pair it prints both values of
 ``--metric`` (default ``runs_per_s``), their ratio, which side won and both
 ``outputs_sha256`` digests; then the change's win count and the median of
-each side.  Whether higher or lower wins comes from the ``BENCHMARK.json``
-of ``CHANGE``.  A run that exits non-zero or fails its output checks stops
-the comparison with exit code 1.  Each run leaves its record in its
-checkout's ``perfbench/out/``.
+each side, and each side's median of every end-to-end metric that
+``BENCHMARK.json`` lists, so one comparison also shows whether any other
+metric moved.  Whether higher or lower wins, and which metrics are end to
+end, comes from the ``BENCHMARK.json`` of ``CHANGE``.  A run that exits
+non-zero or fails its output checks stops the comparison with exit code 1.
+Each run leaves its record in its checkout's ``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -49,20 +51,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"metrics": result["metrics"], "digest": digest.group(1)}
 
 
-def higher_is_better(checkout: Path, metric: str) -> bool:
+def read_spec(checkout: Path) -> dict:
     with open(checkout / "BENCHMARK.json") as fh:
-        spec = json.load(fh)
+        return json.load(fh)
+
+
+def higher_is_better(spec: dict, metric: str) -> bool:
     for entry in spec["end_to_end"] + spec["per_layer"]:
         if entry["name"] == metric:
             return entry["better"] == "higher"
-    raise RuntimeError(f"{checkout}/BENCHMARK.json lists no metric {metric!r}")
+    raise RuntimeError(f"BENCHMARK.json lists no metric {metric!r}")
 
 
-def compare(args) -> tuple[int, list, list]:
-    """Run the pairs and print one line each; returns the win count and both sides' values."""
-    higher = higher_is_better(args.change, args.metric)
+def compare(args, spec: dict) -> tuple[int, dict]:
+    """Run the pairs and print one line each; returns the win count and each
+    side's list of metric records, one per pair."""
+    higher = higher_is_better(spec, args.metric)
     sides = {"parent": args.parent, "change": args.change}
-    wins, values = 0, {"parent": [], "change": []}
+    wins, records = 0, {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.first_seed + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -74,14 +80,21 @@ def compare(args) -> tuple[int, list, list]:
         old, new = (runs[side]["metrics"][args.metric]["value"] for side in ("parent", "change"))
         won = new > old if higher else new < old
         wins += won
-        values["parent"].append(old)
-        values["change"].append(new)
+        for side in sides:
+            records[side].append(runs[side]["metrics"])
         ratio = new / old if old else float("inf")
         same = "same" if runs["parent"]["digest"] == runs["change"]["digest"] else "differ"
         print(f"pair {k + 1} seed {seed} ({order[0]} first): parent {old:.6g}, change {new:.6g}, "
               f"{ratio:.3f}x, {'win' if won else 'loss'}; outputs_sha256 {same} "
               f"({runs['parent']['digest'][:12]} / {runs['change']['digest'][:12]})", flush=True)
-    return wins, values["parent"], values["change"]
+    return wins, records
+
+
+def medians(records: dict, metric: str) -> str:
+    """``parent P, change C (ratio)``: each side's median of ``metric``."""
+    old, new = (statistics.median(run[metric]["value"] for run in records[side])
+                for side in ("parent", "change"))
+    return f"parent {old:.6g}, change {new:.6g} ({new / old if old else float('inf'):.3f}x)"
 
 
 def main(argv=None) -> int:
@@ -99,14 +112,17 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     try:
-        wins, old, new = compare(args)
+        spec = read_spec(args.change)
+        wins, records = compare(args, spec)
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    old_median, new_median = statistics.median(old), statistics.median(new)
     print(f"{args.workload} {args.metric}: change wins {wins} of {args.pairs}; "
-          f"median parent {old_median:.6g}, change {new_median:.6g} "
-          f"({new_median / old_median if old_median else float('inf'):.3f}x)")
+          f"median {medians(records, args.metric)}")
+    for entry in spec["end_to_end"]:
+        name = entry["name"]
+        if all(name in run for side in records.values() for run in side):
+            print(f"  end to end, median {name}: {medians(records, name)}")
     return 0
 
 

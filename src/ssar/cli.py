@@ -72,6 +72,9 @@ EXIT_HARD_FAIL = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
 
+# Below this c0 few adaptive runs land in the spectral window, so run --retry warns.
+RETRY_MIN_C0 = 4.0
+
 
 def _base_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
@@ -233,6 +236,11 @@ def _cmd_run(args) -> int:
     cfg = _sampler_config(args)
     if args.sampler == "asura" and (args.check_balance or args.retry):
         _gamma_guard(cfg.gamma)
+    if args.sampler == "asura" and args.retry and args.c0 < RETRY_MIN_C0:
+        print(f"warning: below --c0 {RETRY_MIN_C0:g} no run lands in the spectral window "
+              "(measured fractions in README: 0 at c0 2 and 3, 0.335 at 4, 1.0 at 6 and 8), "
+              "so --retry is likely to exhaust every trial; use --c0 6 or above",
+              file=sys.stderr)
     ds, full = load_dataset(args.manifest)
     if full is None:
         raise InvalidInputError(

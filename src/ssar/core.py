@@ -7,8 +7,9 @@ factors handed to it once they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
 sums ``statistical_dimension`` and ``effective_dimension``, and
-``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix.  The
-other operations are pure functions.
+``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix, whose
+cost a kernel's known eigenpairs save once they pass the residual test of
+``_accepted_eigenpairs``.  The other operations are pure functions.
 
 ``thin_svd`` factors an input on its range, spanned by the Gram matrix's
 eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
@@ -434,3 +435,36 @@ def psd_eigh(k) -> tuple[np.ndarray, np.ndarray]:
             f"kernel matrix has eigenvalue {eigvals[0]:.3e}, below the PSD tolerance"
         )
     return np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals), eigvecs
+
+
+def _accepted_eigenpairs(arr: np.ndarray, e, q) -> tuple[np.ndarray, np.ndarray] | None:
+    """Candidate eigenpairs ``(e, q)`` of the square ``arr``, clamped as
+    :func:`psd_eigh` clamps its own, if they pass one test; None otherwise.
+
+    The test: ``e`` is nonnegative, ascending and not all zero, ``q`` has
+    ``len(e)`` orthonormal columns (``ORTHONORMALITY_TOL``), and
+    ``||arr - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``.  The residual is
+    summed in row blocks of at most 1 MB over entries divided by ``max(e)``,
+    so no square overflows at an extreme scale.  Every comparison is written
+    so that a NaN anywhere in the candidates fails it.
+    """
+    e = np.asarray(e, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = arr.shape[0]
+    if (arr.shape != (n, n) or e.ndim != 1 or e.size == 0 or q.shape != (n, e.size)
+            or not (np.all(e >= 0) and np.all(np.diff(e) >= 0) and e[-1] > 0)):
+        return None
+    top = e[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a foreign candidate may be huge
+        if not np.max(np.abs(q.T @ q - np.eye(e.size))) <= ORTHONORMALITY_TOL:
+            return None
+        w = e / top
+        step = max(1, VALIDATE_BLOCK_BYTES // (8 * n))
+        err = 0.0
+        for i in range(0, n, step):
+            diff = (q[i:i + step] * w) @ q.T
+            diff -= arr[i:i + step] / top
+            err += float(np.vdot(diff, diff))
+    if not math.sqrt(err) <= PSD_ZERO_TOL:
+        return None
+    return np.where(e <= PSD_ZERO_TOL * top, 0.0, e), q

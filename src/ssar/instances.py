@@ -85,7 +85,9 @@ def gen_kernel_instance(
     The kernel ``K = Q diag(eigs) Q^T`` has ``min(rank, n)`` eigenvalues
     spaced geometrically over ``[eig_min, eig_max]`` and a random orthonormal
     ``Q``; the labels are ``K beta + noise`` for a standard Gaussian ``beta``.
-    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  Returns the
+    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  The drawn
+    ``(eigs, Q)`` go to :func:`~ssar.regression.kernel_ridge_to_ssal` as
+    candidate eigenpairs, so ``K`` is not eigendecomposed again.  Returns the
     kernel-ridge-reduced dataset, the full stacked label vector, and the
     kernel's nonzero eigenvalues.
     """
@@ -96,8 +98,9 @@ def gen_kernel_instance(
     eigs = np.geomspace(eig_min, eig_max, min(rank, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
     k = (q * eigs) @ q.T
-    k = 0.5 * (k + k.T)
-    ds = kernel_ridge_to_ssal(k, lam)
+    k += k.T
+    k *= 0.5
+    ds = kernel_ridge_to_ssal(k, lam, eigenpairs=(eigs, q))
     y1 = k @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
     return ds, np.concatenate([y1, np.zeros(n)]), eigs
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import Dataset, _truncated, as_matrix, as_vector, psd_eigh
+from .core import Dataset, _accepted_eigenpairs, _truncated, as_matrix, as_vector, psd_eigh
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -144,7 +144,7 @@ def ridge_to_ssal(x1, lam: float) -> Dataset:
     return Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=np.zeros(d))
 
 
-def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
+def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     """Cast kernel ridge regression with kernel matrix ``k`` as a semi-supervised instance.
 
     The unlabeled block is ``K`` itself (one queryable row per data point) and
@@ -152,21 +152,32 @@ def kernel_ridge_to_ssal(k, lam: float) -> Dataset:
     stacked squared loss equals ``||K b - Y1||^2 + lam * b^T K b``.
 
     Both blocks and the stack's thin SVD come from one eigendecomposition
-    ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order,
-    ``V = Q``, ``sigma = sqrt(e) sqrt(e + lam)`` and
+    ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order, the
+    root is ``Q diag(sqrt(e)) Q^T``, ``V = Q``,
+    ``sigma = sqrt(e) sqrt(e + lam)`` and
     ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  The instance keeps
     those factors only if they pass ``thin_svd``'s test.
+
+    ``eigenpairs``, such as the ones a generator drew ``K`` from, are
+    candidate ``(e, Q)`` with ``e`` ascending and ``Q`` of ``len(e)``
+    columns.  They are kept only if ``Q`` is orthonormal, ``e >= 0`` and
+    ``||K - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``; otherwise, and
+    without them, :func:`~ssar.core.psd_eigh` eigendecomposes ``K``.  Both
+    routes drop the modes at or below ``PSD_ZERO_TOL`` times the largest
+    eigenvalue.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    e, q = psd_eigh(k)
-    # The root Q diag(sqrt(e)) Q^T, made symmetric and scaled in its own memory.
+    k = as_matrix(k, "k")
+    pairs = None if eigenpairs is None else _accepted_eigenpairs(k, *eigenpairs)
+    e, q = psd_eigh(k) if pairs is None else pairs
+    keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
+    e, q = e[keep], q[:, keep]  # copies, so a full Q is freed here
+    # The root from the kept pairs, made symmetric and scaled in its own memory.
     x2 = (q * np.sqrt(e)) @ q.T
     x2 += x2.T
     x2 *= 0.5
     x2 *= np.sqrt(lam)
-    keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
-    e, q = e[keep], q[:, keep]  # copies, so the full Q is freed here
     factors = None
     if keep.size:
         shift = np.sqrt(e + lam)

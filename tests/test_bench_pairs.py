@@ -57,3 +57,33 @@ def test_pairs_refuse_a_metric_the_runs_do_not_report(checkouts, monkeypatch, ca
             "--pairs", "1", "--metric", "x.self_s"]
     assert pairs.main(argv) == 1
     assert "per-layer metrics need --trace 1" in capsys.readouterr().err
+
+
+def test_pairs_print_each_sides_median_of_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({
+            "end_to_end": [{"name": "runs_per_s", "better": "higher"},
+                           {"name": "setup_s", "better": "lower"},
+                           {"name": "peak_rss_mb", "better": "lower"}],
+            "per_layer": [],
+        }))
+    setup = {"parent": {1: 0.3, 2: 0.5, 3: 0.4}, "change": {1: 0.2, 2: 0.1, 3: 0.3}}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        metrics = {"runs_per_s": 10.0 + seed, "setup_s": setup[side][seed]}
+        if side == "change":
+            metrics["peak_rss_mb"] = 80.0  # the parent does not report it
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()}, "digest": "d"}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "3", "--metric", "setup_s"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "w setup_s: change wins 3 of 3; median parent 0.4, change 0.2 (0.500x)"
+    assert out[4:] == [
+        "  end to end, median runs_per_s: parent 12, change 12 (1.000x)",
+        "  end to end, median setup_s: parent 0.4, change 0.2 (0.500x)",
+    ]

@@ -22,8 +22,9 @@ from ssar.errors import (
     NumericalBreakdownError,
     WellBalancedEventFailedError,
 )
+from ssar.instances import gen_kernel_instance
 from ssar.regression import LabelOracle
-from ssar.rngutil import derive_seed
+from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import HARD_LEMMA_IDS, check_well_balanced
 
 from reference import solve_active
@@ -197,7 +198,14 @@ def test_every_gen_kind_stores_the_factors_of_its_stack(capsys, tmp_path, monkey
     ds, _ = load_dataset(path)
     if kind == "kernel":
         assert factored == []  # gen kept the closed form
-        fresh = _kernel_closed_form(ds.x_unlabeled, 1.0)
+        # Built from the generator's own eigenpairs, which agree with the
+        # eigendecomposition of the stored kernel up to column signs.
+        fresh = gen_kernel_instance(150, 4, 1.0, make_rng(3))[0].svd
+        eigh_form = _kernel_closed_form(ds.x_unlabeled, 1.0)
+        signs = np.sign(np.sum(fresh.v * eigh_form.v, axis=0))
+        np.testing.assert_allclose(fresh.sigma, eigh_form.sigma, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fresh.u * signs, eigh_form.u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fresh.v * signs, eigh_form.v, rtol=0, atol=1e-10)
     else:
         fresh = thin_svd(ds.stacked())
         factored.clear()
@@ -207,6 +215,23 @@ def test_every_gen_kind_stores_the_factors_of_its_stack(capsys, tmp_path, monkey
     code, _ = run_cli(capsys, "run", "--manifest", path, "--trials", "2", "--seed", "3")
     assert code == EXIT_OK
     assert factored == []  # the stored factors passed thin_svd's test
+
+
+def test_gen_kernel_takes_no_eigendecomposition_of_its_kernel(capsys, tmp_path, monkeypatch):
+    eigh_calls = count_calls(monkeypatch, "psd_eigh", "core", "regression")
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spied(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spied)
+    code, _ = run_cli(capsys, "gen", "kernel", "--n", "150", "--rank", "4", "--lambda", "1",
+                      "--seed", "3", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert eigh_calls == []
+    assert (150, 150) not in shapes
 
 
 def _kernel_closed_form(k, lam):
@@ -367,6 +392,22 @@ def test_run_records_per_trial_sampler_failures_and_continues(manifest, capsys):
     recs = [json.loads(s) for s in data_lines(out)]
     assert all("error" in r for r in recs[:-1])
     assert recs[-1]["failed_trials"] == 2
+
+
+def test_run_retry_warns_below_c0_4_and_keeps_its_records(manifest, capsys):
+    outs = {}
+    for c0 in ("2", "8"):
+        code = main(["run", "--manifest", manifest, "--trials", "2", "--seed", "5",
+                     "--c0", c0, "--retry"])
+        assert code == EXIT_OK
+        outs[c0] = capsys.readouterr()
+    warnings = [line for line in outs["2"].err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "0 at c0 2 and 3, 0.335 at 4, 1.0 at 6 and 8" in warnings[0]
+    assert "warning" not in outs["8"].err and "warning" not in outs["2"].out
+    # The records are the ones of a run without the warning.
+    expected = _records_in_turn(manifest, AsuraConfig(epsilon=0.25), 5, 2, retry=True)
+    assert _trial_records(outs["2"].out) == expected
 
 
 def _records_in_turn(manifest, cfg, base_seed, trials, retry=False, check_balance=False):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ssar import regression
 from ssar.asura import AsuraConfig
 from ssar.baselines import LeverageConfig, UniformConfig
-from ssar.core import Dataset, reduced_rank
+from ssar.core import Dataset, psd_eigh, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
@@ -162,6 +162,66 @@ def test_kernel_reduction_loss_identity_random():
         stacked_loss = float(stacked_resid @ stacked_resid)
         kernel_loss = float(((k @ beta - y1) ** 2).sum() + lam * beta @ k @ beta)
         assert stacked_loss == pytest.approx(kernel_loss, rel=1e-8, abs=1e-8)
+
+
+def _drawn_kernel(n, rank, seed):
+    """A kernel drawn as ``gen_kernel_instance`` draws it, with its eigenpairs."""
+    eigs = np.geomspace(0.25, 4.0, rank)
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((n, rank)))
+    k = (q * eigs) @ q.T
+    k += k.T
+    k *= 0.5
+    return k, eigs, q
+
+
+def _replaced_column(eigs, q):
+    q = q.copy()
+    v = make_rng(1).standard_normal(q.shape[0])
+    q[:, 2] = v / np.linalg.norm(v)
+    return eigs, q
+
+
+@pytest.mark.parametrize("candidate", [
+    _replaced_column,
+    lambda eigs, q: (eigs[1:], q[:, 1:]),  # one mode dropped
+    lambda eigs, q: (eigs, q * 1.001),  # not orthonormal
+    lambda eigs, q: (eigs * (1 + 1e-6), q),
+    lambda eigs, q: _drawn_kernel(q.shape[0], eigs.size, 99)[1:],  # another kernel's
+], ids=["replaced-column", "dropped-mode", "not-orthonormal", "scaled-eigs", "foreign"])
+def test_kernel_candidates_that_fail_fall_back_to_psd_eigh(monkeypatch, candidate):
+    k, eigs, q = _drawn_kernel(60, 6, 4)
+    ref = kernel_ridge_to_ssal(k, 1.5)
+    calls = []
+    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
+    kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q))
+    assert calls == []  # the drawn pairs pass
+    ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=candidate(eigs, q))
+    assert calls == [1]
+    for name in ("x_unlabeled", "x_labeled", "y_labeled"):
+        np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name), strict=True)
+    for name in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(ds.svd, name), getattr(ref.svd, name), strict=True)
+
+
+# At eig-max 1 the clamp keeps the modes above 1e-12.  Rank 4 keeps 2.2e-7
+# and 1: eigh resolves an eigenvector only to about eps ||K|| / gap, so a
+# kept mode near the clamp (rank 8 keeps one at 3.7e-12) differs between the
+# routes by far more than these tolerances, on the psd_eigh side.
+@pytest.mark.parametrize("rank, eig_min, eig_max, kept", [(8, 0.25, 4.0, 8), (4, 1e-20, 1.0, 2)])
+def test_kernel_routes_agree(monkeypatch, rank, eig_min, eig_max, kept):
+    calls = []
+    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
+    ds = gen_kernel_instance(300, rank, 1.0, make_rng(3), eig_min=eig_min, eig_max=eig_max)[0]
+    assert calls == []  # the generator's eigenpairs passed the test
+    ref = kernel_ridge_to_ssal(ds.x_unlabeled, 1.0)
+    assert calls == [1]
+    a, b = ds.svd, ref.svd
+    assert a.rank == b.rank == kept
+    assert np.linalg.norm(ds.x_labeled - ref.x_labeled) <= 1e-12 * np.linalg.norm(ref.x_labeled)
+    np.testing.assert_allclose(a.sigma, b.sigma, rtol=0, atol=1e-13)
+    signs = np.sign(np.sum(a.v * b.v, axis=0))
+    np.testing.assert_allclose(a.u * signs, b.u, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(a.v * signs, b.v, rtol=0, atol=1e-10)
 
 
 def test_kernel_reduction_zero_lambda_and_psd_gate():
