@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives and instance-level complexity measures.
 
 This module holds the numerical substrate for the rest of the package: the
-``Dataset`` instance, which stacks its blocks once and factors the stack once
-(``Dataset.svd``, read by the samplers, OPT and ``reduced_rank``) or keeps
-factors handed to it once they pass ``thin_svd``'s test, a thin SVD
+``Dataset`` instance, which holds its blocks as views of one stack, checks
+that stack for finite entries once and factors it once (``Dataset.svd``, read
+by the samplers, OPT and ``reduced_rank``) or keeps factors handed to it once
+they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
 sums ``statistical_dimension`` and ``effective_dimension``, and
@@ -52,6 +53,8 @@ DEFAULT_RANK_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 VALIDATE_BLOCK_BYTES = 1 << 20  # residual never forms more of the n x d reconstruction
+# _symmetrize's tile side: its one temporary is a tile of 32 KB.
+SYMMETRIZE_TILE = 64
 # thin_svd trusts a Gram eigenvalue above this share of the largest one; eigh
 # resolves them to about eps * theta_max, so this leaves a wide margin.
 GRAM_TRUST = 1e-12
@@ -67,14 +70,28 @@ PSD_ZERO_TOL = 1e-12
 
 def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
     """``x`` as a float64 2-D array, rejecting non-finite entries; a float64 array is not copied."""
+    arr = _matrix(x, name, allow_empty)
+    _require_finite(arr, name)
+    return arr
+
+
+def _matrix(x, name: str, allow_empty: bool = False) -> np.ndarray:
+    """``x`` as a float64 2-D array, not scanned for non-finite entries; a float64 array is not copied."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0 and not allow_empty:
         raise InvalidInputError(f"{name} must be non-empty")
-    if arr.size and not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise unless every entry of the 2-D ``arr`` is finite.  The scan goes by
+    row blocks of at most ``VALIDATE_BLOCK_BYTES``, so its mask stays small."""
+    step = max(1, VALIDATE_BLOCK_BYTES // (8 * max(arr.shape[1], 1)))
+    for i in range(0, arr.shape[0], step):
+        if not np.isfinite(arr[i:i + step]).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
 
 
 def as_vector(x, name: str = "vector", allow_empty: bool = False) -> np.ndarray:
@@ -97,10 +114,14 @@ class Dataset:
     Row ``i`` of the stacked design refers to ``x_unlabeled[i]`` for
     ``i < n1`` and to ``x_labeled[i - n1]`` otherwise.
 
-    The instance owns one read-only stacked design: the two blocks are views
-    of it, and ``svd`` is its thin SVD, computed on first use and kept.
-    ``factors``, such as the ones stored with the instance, are handed to
-    :func:`thin_svd`, which keeps them only if they factor the stack.
+    The instance owns one read-only, C-contiguous float64 stacked design:
+    the two blocks are views of it, and ``svd`` is its thin SVD, computed on
+    first use and kept.  Built from two blocks, the instance copies them once
+    into a new stack; :meth:`from_stack` adopts a stack it is handed, without
+    a copy.  Either way the stack is checked for finite entries once, there,
+    and not again when it is factored.  ``factors``, such as the ones stored
+    with the instance, are handed to :func:`thin_svd`, which keeps them only
+    if they factor the stack.
     """
 
     x_unlabeled: np.ndarray
@@ -109,31 +130,51 @@ class Dataset:
     factors: InitVar[SvdFactors | None] = None
 
     def __post_init__(self, factors):
-        x1 = as_matrix(self.x_unlabeled, "x_unlabeled")
-        x2 = as_matrix(self.x_labeled, "x_labeled", allow_empty=True)
-        y2 = as_vector(self.y_labeled, "y_labeled", allow_empty=True)
+        x1 = _matrix(self.x_unlabeled, "x_unlabeled")
+        x2 = _matrix(self.x_labeled, "x_labeled", allow_empty=True)
         if x2.shape[1] != x1.shape[1]:
             raise InvalidInputError(
                 f"column mismatch: x_unlabeled has {x1.shape[1]}, x_labeled has {x2.shape[1]}"
             )
-        if y2.shape[0] != x2.shape[0]:
+        stack = np.empty((x1.shape[0] + x2.shape[0], x1.shape[1]))  # the one copy of the blocks
+        stack[: x1.shape[0]] = x1
+        stack[x1.shape[0]:] = x2
+        self._adopt(stack, x1.shape[0], self.y_labeled, factors)
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray, n1: int, y_labeled,
+                   factors: SvdFactors | None = None) -> Dataset:
+        """The instance whose stacked design is ``stack`` itself, with the
+        unlabeled rows ``stack[:n1]`` first and ``y_labeled`` the labels of the
+        rest.  ``stack`` must be a C-contiguous 2-D float64 array.  It is
+        marked read-only and kept, not copied: the caller hands it over."""
+        ds = object.__new__(cls)
+        ds._adopt(stack, n1, y_labeled, factors)
+        return ds
+
+    def _adopt(self, stack, n1: int, y_labeled, factors) -> None:
+        """Check ``stack``, mark it read-only and make the blocks views of it."""
+        if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
+                and stack.ndim == 2 and stack.flags.c_contiguous):
+            raise InvalidInputError("a stacked design must be a C-contiguous 2-D float64 array")
+        n, d = stack.shape
+        if not 1 <= n1 <= n or d == 0:
+            raise InvalidInputError("x_unlabeled must be non-empty")
+        y2 = as_vector(y_labeled, "y_labeled", allow_empty=True)
+        if y2.shape[0] != n - n1:
             raise InvalidInputError(
-                f"y_labeled has {y2.shape[0]} entries for {x2.shape[0]} labeled rows"
+                f"y_labeled has {y2.shape[0]} entries for {n - n1} labeled rows"
             )
-        if x1.shape[0] + x2.shape[0] < x1.shape[1]:
+        if n < d:
             raise InvalidInputError("underconstrained instance: n1 + n2 must be at least d")
-        # The one copy of the blocks; vstack keeps Fortran order when both blocks have it.
-        stack = np.ascontiguousarray(np.vstack([x1, x2]))
+        _require_finite(stack[:n1], "x_unlabeled")
+        _require_finite(stack[n1:], "x_labeled")
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "x_unlabeled", stack[: x1.shape[0]])
-        object.__setattr__(self, "x_labeled", stack[x1.shape[0]:])
+        object.__setattr__(self, "x_unlabeled", stack[:n1])
+        object.__setattr__(self, "x_labeled", stack[n1:])
         object.__setattr__(self, "y_labeled", y2)
         object.__setattr__(self, "_candidate", factors)
-
-    def __reduce__(self):
-        # Rebuild from the blocks: pickled views would each be copied apart from the stack.
-        return (Dataset, (self.x_unlabeled, self.x_labeled, self.y_labeled))
 
     @property
     def n1(self) -> int:
@@ -159,7 +200,7 @@ class Dataset:
     def svd(self) -> SvdFactors:
         """Thin SVD of the stacked design, computed on first use."""
         # The cache cannot go stale: the dataclass is frozen and its arrays are read-only.
-        factors = thin_svd(self._stack, self._candidate)
+        factors = thin_svd(self._stack, self._candidate, checked=True)
         object.__setattr__(self, "_candidate", None)  # rejected factors are not held
         return factors
 
@@ -232,7 +273,7 @@ class SvdFactors:
         return (math.sqrt(err / size) if size else math.inf), math.sqrt(size) * scale
 
 
-def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
+def thin_svd(x, factors: SvdFactors | None = None, *, checked: bool = False) -> SvdFactors:
     """Thin SVD of ``x`` truncated at ``DEFAULT_RANK_TOL * sigma_max``.
 
     Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
@@ -264,12 +305,15 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
         Design matrix.  All entries must be finite; a float64 array is not copied.
     factors : SvdFactors, optional
         Candidate factors of ``x``.
+    checked : bool, optional
+        ``x`` is a float64 matrix already checked for finite entries, such as
+        a ``Dataset``'s stack, so it is not scanned again.
 
     Returns
     -------
     SvdFactors
     """
-    arr = as_matrix(x, "x")
+    arr = x if checked else as_matrix(x, "x")
     if factors is not None and _accepted(factors, arr):
         return factors
     factors = _range_factors(arr)  # its range basis is freed on return
@@ -437,6 +481,19 @@ def psd_eigh(k) -> tuple[np.ndarray, np.ndarray]:
     return np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals), eigvecs
 
 
+def _symmetrize(a: np.ndarray) -> None:
+    """Set the square ``a`` to ``(a + a^T) * 0.5`` in place, a pair of
+    ``SYMMETRIZE_TILE``-square tiles at a time, so that the one temporary is
+    a tile.  Every entry gets the bits of the whole-matrix expression."""
+    n, t = a.shape[0], SYMMETRIZE_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            tile = a[i:i + t, j:j + t] + a[j:j + t, i:i + t].T
+            tile *= 0.5
+            a[i:i + t, j:j + t] = tile
+            a[j:j + t, i:i + t] = tile.T
+
+
 def _accepted_eigenpairs(arr: np.ndarray, e, q) -> tuple[np.ndarray, np.ndarray] | None:
     """Candidate eigenpairs ``(e, q)`` of the square ``arr``, clamped as
     :func:`psd_eigh` clamps its own, if they pass one test; None otherwise.
@@ -444,9 +501,9 @@ def _accepted_eigenpairs(arr: np.ndarray, e, q) -> tuple[np.ndarray, np.ndarray]
     The test: ``e`` is nonnegative, ascending and not all zero, ``q`` has
     ``len(e)`` orthonormal columns (``ORTHONORMALITY_TOL``), and
     ``||arr - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``.  The residual is
-    summed in row blocks of at most 1 MB over entries divided by ``max(e)``,
-    so no square overflows at an extreme scale.  Every comparison is written
-    so that a NaN anywhere in the candidates fails it.
+    summed in row blocks of at most 1 MB and 1/32 of ``arr`` over entries
+    divided by ``max(e)``, so no square overflows at an extreme scale.  Every
+    comparison is written so that a NaN anywhere in the candidates fails it.
     """
     e = np.asarray(e, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -459,7 +516,8 @@ def _accepted_eigenpairs(arr: np.ndarray, e, q) -> tuple[np.ndarray, np.ndarray]
         if not np.max(np.abs(q.T @ q - np.eye(e.size))) <= ORTHONORMALITY_TOL:
             return None
         w = e / top
-        step = max(1, VALIDATE_BLOCK_BYTES // (8 * n))
+        # Each of the two row-block temporaries is at most 1 MB and 1/32 of arr.
+        step = max(1, min(VALIDATE_BLOCK_BYTES // (8 * n), n // 32))
         err = 0.0
         for i in range(0, n, step):
             diff = (q[i:i + step] * w) @ q.T

@@ -2,7 +2,9 @@
 
 Instance blocks are written as ``.npy`` and read by suffix, as ``.npy`` or else as
 header-less CSV at 17 significant digits; both round-trip float64 exactly.  A
-dataset manifest is a JSON object with the dimensions and relative paths of the
+C-order ``.npy`` block's data is read straight into the array that holds it,
+for a dataset's two design blocks the halves of its one stack; no file is
+mapped.  A dataset manifest is a JSON object with the dimensions and relative paths of the
 block files, and optionally of the stored thin SVD of the stacked design.
 Traces and report streams are JSON lines, one record per line, so long sweeps
 can append and resume; every record line is strict JSON, with a non-finite
@@ -58,20 +60,55 @@ def _reading(path):
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _load_block(path, ndim: int, mapped: bool = False) -> np.ndarray | None:
-    """A float64 array of ``ndim`` dimensions from ``.npy`` or CSV; None for an empty CSV.
+# The .npy header versions whose readers numpy makes public; a block with
+# another version is parsed by np.load.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
-    With ``mapped``, a ``.npy`` block is a read-only map of the file's data.
-    """
-    if str(path).endswith(".npy"):
-        magic = np.lib.format.MAGIC_PREFIX  # b"\x93NUMPY"
-        with open(path, "rb") as fh:
-            if fh.read(len(magic)) != magic:
-                raise InvalidInputError(f"{path}: not a .npy file")
+
+def _npy_block(path, ndim: int) -> tuple[tuple, int | np.ndarray]:
+    """The shape of the ``ndim``-D float64 ``.npy`` block at ``path`` and its
+    data: the file offset of C-order data, which :func:`_read_into` reads
+    straight into place, or else the array that ``np.load`` parses (Fortran
+    order, or a header version numpy reads only there)."""
+    magic = np.lib.format.MAGIC_PREFIX  # b"\x93NUMPY"
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise InvalidInputError(f"{path}: not a .npy file")
+        fh.seek(0)
         with _reading(path):
-            arr = np.load(path, allow_pickle=False, mmap_mode="r" if mapped else None)
-        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != ndim:
-            raise InvalidInputError(f"{path}: expected a {ndim}-D float64 array")
+            read = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            shape, parsed, dtype = read(fh) if read else ((), True, None)
+        data, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if parsed:
+        with _reading(path):
+            data = np.load(path, allow_pickle=False)
+        shape, dtype = data.shape, data.dtype
+    if dtype != np.float64 or len(shape) != ndim or min(shape, default=0) < 0:
+        raise InvalidInputError(f"{path}: expected a {ndim}-D float64 array")
+    if not parsed and size - data < 8 * math.prod(shape):
+        raise InvalidInputError(f"{path}: the file ends before its {shape} data")
+    return shape, data
+
+
+def _read_into(path, offset: int, out: np.ndarray) -> None:
+    """Read the C-order data at ``offset`` in ``path`` straight into the
+    C-contiguous float64 ``out``."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        got = fh.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:
+        raise InvalidInputError(f"{path}: the file ends before its {out.shape} data")
+
+
+def _load_block(path, ndim: int) -> np.ndarray | None:
+    """A float64 array of ``ndim`` dimensions from ``.npy`` or CSV; None for an empty CSV."""
+    if str(path).endswith(".npy"):
+        shape, data = _npy_block(path, ndim)
+        if isinstance(data, np.ndarray):
+            return data
+        arr = np.empty(shape)
+        _read_into(path, data, arr)
         return arr
     if os.path.getsize(path) == 0:
         return None
@@ -79,17 +116,51 @@ def _load_block(path, ndim: int, mapped: bool = False) -> np.ndarray | None:
         return np.loadtxt(path, delimiter="," if ndim == 2 else None, ndmin=ndim)
 
 
-def load_matrix(path, cols: int | None = None, mapped: bool = False) -> np.ndarray:
-    """A matrix block; with ``mapped``, a ``.npy`` block is a read-only map of
-    the file, for a caller that copies it before the file can change."""
-    arr = _load_block(path, ndim=2, mapped=mapped)
+def _check_columns(path, shape: tuple, cols: int | None) -> None:
+    if cols is not None and shape[1] != cols:
+        raise InvalidInputError(f"{path}: expected {cols} columns, found {shape[1]}")
+
+
+def load_matrix(path, cols: int | None = None) -> np.ndarray:
+    """A matrix block, checked to have ``cols`` columns if given."""
+    arr = _load_block(path, ndim=2)
     if arr is None:
         if cols is None:
             raise InvalidInputError(f"{path} is empty and no column count was given")
         return np.zeros((0, cols))
-    if cols is not None and arr.shape[1] != cols:
-        raise InvalidInputError(f"{path}: expected {cols} columns, found {arr.shape[1]}")
+    _check_columns(path, arr.shape, cols)
     return arr
+
+
+def _load_stack(manifest_path, blocks, cols: int) -> np.ndarray:
+    """The matrix blocks ``(path, rows)`` stacked in one new C-order array.
+
+    A C-order ``.npy`` block's data is read straight into its rows of the
+    stack, so the stack is the one copy of the blocks; any other block is
+    parsed and then copied in.  Every block's shape is checked before the
+    stack is allocated.
+    """
+    sources = []
+    for path, rows in blocks:
+        if str(path).endswith(".npy"):
+            shape, data = _npy_block(path, ndim=2)
+            _check_columns(path, shape, cols)
+        else:
+            data = load_matrix(path, cols)
+            shape = data.shape
+        if shape[0] != rows:
+            raise InvalidInputError(f"{manifest_path}: row counts do not match the block files")
+        sources.append((path, data))
+    stack = np.empty((sum(rows for _, rows in blocks), cols))
+    start = 0
+    for (path, data), (_, rows) in zip(sources, blocks):
+        part = stack[start:start + rows]
+        if isinstance(data, np.ndarray):
+            part[...] = data
+        else:
+            _read_into(path, data, part)
+        start += rows
+    return stack
 
 
 def load_vector(path) -> np.ndarray:
@@ -135,7 +206,9 @@ def save_dataset(out_dir, ds: Dataset, full_labels=None, stem: str = "instance")
 def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None]:
     """Read a manifest; returns the dataset and, in test mode, the full labels.
 
-    Factors named by the manifest go to the dataset as candidates:
+    The ``x1`` and ``x2`` blocks are read into the two halves of one new
+    stack, which the dataset adopts (see :func:`_load_stack`).  Factors named
+    by the manifest go to the dataset as candidates:
     :func:`~ssar.core.thin_svd` keeps them only if they factor the stack.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -153,18 +226,15 @@ def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None]:
                 f"{manifest_path}: names {sorted(named)} but not all of {list(FACTOR_KEYS)}"
             )
         factor_paths = {key: os.path.join(base, path) for key, path in named.items()}
-    # Mapped, so that the Dataset's stack is the one copy of the blocks.
-    x1 = load_matrix(x1_path, cols=d, mapped=True)
-    x2 = load_matrix(x2_path, cols=d, mapped=True)
+    # Read straight into the stack that the Dataset adopts: no block file is mapped.
+    stack = _load_stack(manifest_path, ((x1_path, n1), (x2_path, n2)), d)
     y2 = load_vector(y2_path)
-    if x1.shape[0] != n1 or x2.shape[0] != n2:
-        raise InvalidInputError(f"{manifest_path}: row counts do not match the block files")
     factors = None
     if factor_paths:
         factors = SvdFactors(u=load_matrix(factor_paths["path_u"]),
                              sigma=load_vector(factor_paths["path_sigma"]),
                              v=load_matrix(factor_paths["path_v"]))
-    ds = Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=y2, factors=factors)
+    ds = Dataset.from_stack(stack, n1, y2, factors=factors)
     full = None
     if y1_path:
         y1 = load_vector(y1_path)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _symmetrize
 from .errors import InvalidInputError
 from .regression import kernel_ridge_to_ssal, ridge_to_ssal
 from .rngutil import make_rng
@@ -44,7 +44,7 @@ def gen_random_instance(
     if n1 < 1 or n2 < 0 or d < 1 or n1 + n2 < d:
         raise InvalidInputError("need n1 >= 1, n2 >= 0 and n1 + n2 >= d")
     x, labels = gaussian_design(make_rng(seed), n1 + n2, d, d, noise_sigma)
-    ds = Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=labels[n1:])
+    ds = Dataset.from_stack(x, n1, labels[n1:])  # the drawn design is the stack
     return ds, labels
 
 
@@ -85,9 +85,13 @@ def gen_kernel_instance(
     The kernel ``K = Q diag(eigs) Q^T`` has ``min(rank, n)`` eigenvalues
     spaced geometrically over ``[eig_min, eig_max]`` and a random orthonormal
     ``Q``; the labels are ``K beta + noise`` for a standard Gaussian ``beta``.
-    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  The drawn
-    ``(eigs, Q)`` go to :func:`~ssar.regression.kernel_ridge_to_ssal` as
-    candidate eigenpairs, so ``K`` is not eigendecomposed again.  Returns the
+    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  ``K`` is
+    formed and made symmetric, ``(K + K^T) * 0.5``, in the top half of the
+    instance's 2n x n stack, which goes to
+    :func:`~ssar.regression.kernel_ridge_to_ssal` as ``out``; the reduction
+    writes the root into the bottom half, so no other n x n array is held.
+    The drawn ``(eigs, Q)`` go with it as candidate eigenpairs, so ``K`` is
+    not eigendecomposed again.  Returns the
     kernel-ridge-reduced dataset, the full stacked label vector, and the
     kernel's nonzero eigenvalues.
     """
@@ -97,11 +101,12 @@ def gen_kernel_instance(
         raise InvalidInputError("noise_sigma must be finite and nonnegative")
     eigs = np.geomspace(eig_min, eig_max, min(rank, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
-    k = (q * eigs) @ q.T
-    k += k.T
-    k *= 0.5
-    ds = kernel_ridge_to_ssal(k, lam, eigenpairs=(eigs, q))
-    y1 = k @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
+    stack = np.empty((2 * n, n))
+    k = stack[:n]
+    np.matmul(q * eigs, q.T, out=k)
+    _symmetrize(k)
+    ds = kernel_ridge_to_ssal(k, lam, eigenpairs=(eigs, q), out=stack)
+    y1 = ds.x_unlabeled @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
     return ds, np.concatenate([y1, np.zeros(n)]), eigs
 
 

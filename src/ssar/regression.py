@@ -19,7 +19,16 @@ import numpy as np
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import Dataset, _accepted_eigenpairs, _truncated, as_matrix, as_vector, psd_eigh
+from .core import (
+    Dataset,
+    _accepted_eigenpairs,
+    _matrix,
+    _symmetrize,
+    _truncated,
+    as_matrix,
+    as_vector,
+    psd_eigh,
+)
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
@@ -134,22 +143,32 @@ def ridge_to_ssal(x1, lam: float) -> Dataset:
 
     Appends ``sqrt(lam) * I`` as the pre-labeled block with zero labels, so the
     stacked squared loss equals the ridge loss
-    ``||X1 b - Y1||^2 + lam ||b||^2`` for every ``b``.
+    ``||X1 b - Y1||^2 + lam ||b||^2`` for every ``b``.  Both blocks are written
+    straight into the instance's stack.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    x1 = as_matrix(x1, "x1")
-    d = x1.shape[1]
-    x2 = np.sqrt(lam) * np.eye(d)
-    return Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=np.zeros(d))
+    x1 = _matrix(x1, "x1")
+    n, d = x1.shape
+    stack = np.empty((n + d, d))
+    stack[:n] = x1
+    np.multiply(np.sqrt(lam), np.eye(d), out=stack[n:])
+    return Dataset.from_stack(stack, n, np.zeros(d))
 
 
-def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
+def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None, *, out=None) -> Dataset:
     """Cast kernel ridge regression with kernel matrix ``k`` as a semi-supervised instance.
 
     The unlabeled block is ``K`` itself (one queryable row per data point) and
     the pre-labeled block is ``sqrt(lam) * sqrt(K)`` with zero labels, so the
     stacked squared loss equals ``||K b - Y1||^2 + lam * b^T K b``.
+
+    The instance's stack is one 2n x n array: ``K`` in the top half and the
+    root, written in place, in the bottom half.  ``k`` is copied once into
+    the top half and is never written.  ``out``, a writable C-contiguous
+    2n x n float64 array, becomes the stack instead of a new array, and the
+    instance takes it over; a ``k`` that is already its top half, as where
+    a generator forms ``K``, is not copied at all.
 
     Both blocks and the stack's thin SVD come from one eigendecomposition
     ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order, the
@@ -164,26 +183,40 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     ``||K - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``; otherwise, and
     without them, :func:`~ssar.core.psd_eigh` eigendecomposes ``K``.  Both
     routes drop the modes at or below ``PSD_ZERO_TOL`` times the largest
-    eigenvalue.
+    eigenvalue.  ``K`` is checked for finite entries once, with the root,
+    when the instance adopts the stack: candidates that pass imply a finite
+    ``K``, and ``psd_eigh`` checks the kernel it is given.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    k = as_matrix(k, "k")
-    pairs = None if eigenpairs is None else _accepted_eigenpairs(k, *eigenpairs)
-    e, q = psd_eigh(k) if pairs is None else pairs
+    k = _matrix(k, "k")
+    n = k.shape[0]
+    if k.shape != (n, n):
+        raise InvalidInputError(f"kernel matrix must be square, got {k.shape}")
+    if out is None:
+        out = np.empty((2 * n, n))
+    elif not (isinstance(out, np.ndarray) and out.shape == (2 * n, n)
+              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        raise InvalidInputError(f"out must be a writable C-contiguous {2 * n}x{n} float64 array")
+    kernel, root = out[:n], out[n:]
+    if k.ctypes.data != kernel.ctypes.data or k.strides != kernel.strides:
+        kernel[...] = k
+    pairs = None if eigenpairs is None else _accepted_eigenpairs(kernel, *eigenpairs)
+    e, q = psd_eigh(kernel) if pairs is None else pairs
     keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
     e, q = e[keep], q[:, keep]  # copies, so a full Q is freed here
-    # The root from the kept pairs, made symmetric and scaled in its own memory.
-    x2 = (q * np.sqrt(e)) @ q.T
-    x2 += x2.T
-    x2 *= 0.5
-    x2 *= np.sqrt(lam)
+    # The root from the kept pairs, made symmetric and scaled in its half of the stack.
+    np.matmul(q * np.sqrt(e), q.T, out=root)
+    _symmetrize(root)
+    root *= np.sqrt(lam)
     factors = None
     if keep.size:
         shift = np.sqrt(e + lam)
-        u = np.concatenate([q * (np.sqrt(e) / shift), q * (np.sqrt(lam) / shift)])
+        u = np.empty((2 * n, keep.size))
+        np.multiply(q, np.sqrt(e) / shift, out=u[:n])
+        np.multiply(q, np.sqrt(lam) / shift, out=u[n:])
         factors = _truncated(u, np.sqrt(e) * shift, q)
-    return Dataset(x_unlabeled=k, x_labeled=x2, y_labeled=np.zeros(len(x2)), factors=factors)
+    return Dataset.from_stack(out, n, np.zeros(n), factors=factors)
 
 
 def draw_samples(

@@ -334,17 +334,13 @@ def test_leverage_scores_sum_to_rank_and_stay_in_unit_interval(n, d, seed):
 
 # ---------------------------------------------------------------- Dataset
 
-def test_dataset_owns_one_stack_and_keeps_it_through_pickling():
-    import pickle
-
+def test_dataset_owns_one_read_only_stack():
     ds = gaussian_dataset(9, 3, 4, seed=5)
-    for inst in (ds, pickle.loads(pickle.dumps(ds))):
-        stack = inst.stacked()
-        assert inst.stacked() is stack and not stack.flags.writeable
-        assert np.shares_memory(inst.x_unlabeled, stack)
-        assert np.shares_memory(inst.x_labeled, stack)
-        np.testing.assert_array_equal(stack, ds.stacked())
-        assert inst.svd is inst.svd
+    stack = ds.stacked()
+    assert ds.stacked() is stack and not stack.flags.writeable
+    assert np.shares_memory(ds.x_unlabeled, stack)
+    assert np.shares_memory(ds.x_labeled, stack)
+    assert ds.svd is ds.svd
 
 
 def test_dataset_and_its_svd_copy_the_blocks_once():
@@ -381,6 +377,46 @@ def test_dataset_and_its_svd_copy_the_blocks_once():
     assert kernel_peak < 1.25 * kernel.stacked().nbytes
     fortran = Dataset(np.asfortranarray(x1[:50]), np.asfortranarray(x2), np.zeros(20))
     assert fortran.stacked().flags.c_contiguous
+
+
+def test_dataset_from_stack_adopts_the_stack_it_is_handed():
+    a = make_rng(11).standard_normal((12, 3))
+    ds = Dataset.from_stack(a, 9, np.zeros(3))
+    assert ds.stacked() is a and not a.flags.writeable
+    assert np.shares_memory(ds.x_unlabeled, a) and np.shares_memory(ds.x_labeled, a)
+    assert (ds.n1, ds.n2, ds.d) == (9, 3, 3)
+    built = Dataset(a[:9], a[9:], np.zeros(3))
+    assert not np.shares_memory(built.stacked(), a)
+    np.testing.assert_array_equal(built.stacked(), a, strict=True)
+    b = make_rng(12).standard_normal((12, 3))
+    for stack in (np.asfortranarray(b), b.astype(np.float32), b[:, :2], b[0], b.tolist()):
+        with pytest.raises(InvalidInputError, match="C-contiguous"):
+            Dataset.from_stack(stack, 9, np.zeros(3))
+    for stack, n1, y in ((b, 0, np.zeros(12)), (b, 13, np.zeros(0)), (b, 9, np.zeros(2)),
+                         (b[:2].copy(), 1, np.zeros(1))):  # the last has n < d
+        with pytest.raises(InvalidInputError):
+            Dataset.from_stack(stack, n1, y)
+    b[10, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="x_labeled contains non-finite"):
+        Dataset.from_stack(b, 9, np.zeros(3))
+
+
+def test_a_datasets_stack_is_checked_for_finite_entries_once(monkeypatch):
+    from ssar import core
+    from ssar.instances import gen_kernel_instance
+
+    scanned = []
+    check = core._require_finite
+    monkeypatch.setattr(core, "_require_finite",
+                        lambda arr, name: scanned.append(name) or check(arr, name))
+    ds = gaussian_dataset(30, 5, 4, seed=3)
+    assert scanned == ["x_unlabeled", "x_labeled"]
+    assert ds.svd.rank == 4 and scanned == ["x_unlabeled", "x_labeled"]
+    thin_svd(ds.stacked())  # the public function keeps its own scan
+    assert scanned[2:] == ["x"]
+    scanned.clear()
+    kernel = gen_kernel_instance(60, 4, 1.0, make_rng(2))[0]
+    assert kernel.svd.rank == 4 and scanned == ["x_unlabeled", "x_labeled"]
 
 
 # ---------------------------------------------------------------- reduced_rank

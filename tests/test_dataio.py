@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,8 +64,8 @@ def test_dataset_round_trip_with_hidden_labels(tmp_path):
 
 
 def test_a_loaded_dataset_keeps_no_block_file_mapped(tmp_path):
-    # load_dataset maps the x blocks to stack them; rewriting every file
-    # afterwards must not reach the dataset or its factors.
+    # Rewriting every file after load_dataset must not reach the dataset or
+    # its factors.
     ds, labels = gen_random_instance(12, 4, 3, 1.0, seed=2)
     manifest = save_dataset(tmp_path, ds, full_labels=labels)
     loaded, _ = load_dataset(manifest)
@@ -71,6 +73,54 @@ def test_a_loaded_dataset_keeps_no_block_file_mapped(tmp_path):
         np.save(block, np.zeros(1))
     np.testing.assert_array_equal(loaded.stacked(), ds.stacked())
     np.testing.assert_array_equal(loaded.svd.u, ds.svd.u)
+
+
+def test_load_dataset_reads_the_blocks_into_one_stack(tmp_path, monkeypatch):
+    ds, labels = gen_random_instance(20_000, 200, 20, 1.0, seed=6)
+    manifest = save_dataset(tmp_path, ds, full_labels=labels)
+    f = ds.svd
+    budget = 1.25 * (ds.stacked().nbytes + f.u.nbytes + f.sigma.nbytes + f.v.nbytes)
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("a block file was mapped")
+
+    monkeypatch.setattr(mmap, "mmap", no_map)
+    load_dataset(manifest)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        loaded, full = load_dataset(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stack, the stored factors and the label vectors, with no second
+    # copy of either design block.
+    assert peak < budget
+    assert loaded.stacked().flags.c_contiguous
+    np.testing.assert_array_equal(loaded.stacked(), ds.stacked(), strict=True)
+    np.testing.assert_array_equal(full, labels, strict=True)
+
+
+def test_fortran_order_and_csv_blocks_load_equal_to_c_order_npy(tmp_path):
+    ds, labels = gen_random_instance(30, 6, 4, 1.0, seed=7)
+    manifest = save_dataset(tmp_path, ds, full_labels=labels)
+    ref, _ = load_dataset(manifest)
+    entries = json.loads(open(manifest).read())
+    for name, block in (("x1", ds.x_unlabeled), ("x2", ds.x_labeled)):
+        np.save(tmp_path / f"{name}_f.npy", np.asfortranarray(block))
+        assert np.load(tmp_path / f"{name}_f.npy").flags.f_contiguous
+        np.savetxt(tmp_path / f"{name}.csv", block, fmt="%.17g", delimiter=",")
+        for version in ((2, 0), (3, 0)):
+            with open(tmp_path / f"{name}_v{version[0]}.npy", "wb") as fh:
+                np.lib.format.write_array(fh, block, version=version)
+    for x1, x2 in (("x1_f.npy", "x2.csv"), ("x1.csv", "x2_f.npy"), ("x1_v2.npy", "x2_v3.npy"),
+                   ("x1_v3.npy", "x2_v2.npy")):
+        path = tmp_path / "variant_manifest.json"
+        path.write_text(json.dumps({**entries, "path_x1": x1, "path_x2": x2}))
+        loaded, _ = load_dataset(path)
+        assert loaded.stacked().flags.c_contiguous, (x1, x2)
+        np.testing.assert_array_equal(loaded.stacked(), ref.stacked(), strict=True)
+        assert loaded.svd.u is not None
+        np.testing.assert_array_equal(loaded.svd.u, ref.svd.u, strict=True)
 
 
 def test_dataset_round_trip_deploy_mode(tmp_path):

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssar.core import leverage_scores, reduced_rank, statistical_dimension, thin_svd
 from ssar.errors import InvalidInputError
-from ssar.instances import LowerBoundSpec, gen_lower_bound_instance, gen_random_instance
+from ssar.instances import (
+    LowerBoundSpec,
+    gen_kernel_instance,
+    gen_lower_bound_instance,
+    gen_random_instance,
+)
+from ssar.rngutil import make_rng
 
 from reference import (
     ResourceLimitError,
@@ -22,6 +30,32 @@ def test_gen_random_is_seed_deterministic():
     b_ds, b_labels = gen_random_instance(20, 5, 3, 1.0, seed=42)
     np.testing.assert_array_equal(a_ds.stacked(), b_ds.stacked())
     np.testing.assert_array_equal(a_labels, b_labels)
+
+
+def test_gen_random_instance_keeps_its_drawn_design_as_the_stack():
+    ds, labels = gen_random_instance(20, 5, 3, 1.0, seed=42)
+    x = make_rng(42).standard_normal((25, 3)) / np.sqrt(3)
+    np.testing.assert_array_equal(ds.stacked(), x, strict=True)
+    assert ds.stacked().base is None  # the drawn array itself, not a copy of it
+    np.testing.assert_array_equal(ds.y_labeled, labels[20:], strict=True)
+
+
+# ---------------------------------------------------------------- kernel
+
+def test_gen_kernel_instance_holds_one_stack():
+    gen_kernel_instance(20, 2, 1.0, make_rng(1))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        ds = gen_kernel_instance(400, 8, 1.0, make_rng(2))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K is formed in the top half of the 2n x n stack and the root in its
+    # bottom half, so the stack is the one n x n-sized array; the rest is
+    # O(n rank) factors and row-block and tile temporaries.
+    assert peak < 1.25 * ds.stacked().nbytes
+    k = ds.x_unlabeled
+    np.testing.assert_array_equal(k, k.T, strict=True)
 
 
 def test_gen_random_noiseless_is_realizable():

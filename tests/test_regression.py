@@ -224,6 +224,45 @@ def test_kernel_routes_agree(monkeypatch, rank, eig_min, eig_max, kept):
     np.testing.assert_allclose(a.v * signs, b.v, rtol=0, atol=1e-10)
 
 
+def test_kernel_reduction_copies_a_callers_kernel_once_and_never_writes_it():
+    k, eigs, q = _drawn_kernel(60, 6, 4)
+    before = k.copy()
+    for pairs in (None, (eigs, q)):
+        ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=pairs)
+        np.testing.assert_array_equal(k, before, strict=True)
+        assert k.flags.writeable
+        np.testing.assert_array_equal(ds.x_unlabeled, before, strict=True)
+        for arr in (ds.stacked(), ds.y_labeled, ds.svd.u, ds.svd.sigma, ds.svd.v):
+            assert not np.shares_memory(arr, k)
+    # A read-only view of another instance's stack is copied too, and that
+    # instance is left as it was.
+    stack = ds.stacked().copy()
+    again = kernel_ridge_to_ssal(ds.x_unlabeled, 1.5)
+    np.testing.assert_array_equal(ds.stacked(), stack, strict=True)
+    np.testing.assert_array_equal(again.x_unlabeled, ds.x_unlabeled, strict=True)
+    assert not np.shares_memory(again.stacked(), ds.stacked())
+
+
+def test_kernel_reduction_into_out_adopts_it():
+    k, eigs, q = _drawn_kernel(60, 6, 4)
+    ref = kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q))
+    out = np.empty((120, 60))
+    out[:60] = k
+    ds = kernel_ridge_to_ssal(out[:60], 1.5, eigenpairs=(eigs, q), out=out)
+    assert ds.stacked() is out and not out.flags.writeable
+    np.testing.assert_array_equal(ds.stacked(), ref.stacked(), strict=True)
+    elsewhere = np.full((120, 60), np.nan)  # k is copied into its top half
+    ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q), out=elsewhere)
+    assert ds.stacked() is elsewhere
+    np.testing.assert_array_equal(ds.stacked(), ref.stacked(), strict=True)
+    read_only = np.empty((120, 60))
+    read_only.setflags(write=False)
+    for bad in (np.empty((120, 61)), np.empty((120, 60), dtype=np.float32),
+                np.empty((120, 60), order="F"), read_only):
+        with pytest.raises(InvalidInputError, match="out must be"):
+            kernel_ridge_to_ssal(k, 1.5, out=bad)
+
+
 def test_kernel_reduction_zero_lambda_and_psd_gate():
     ds = kernel_ridge_to_ssal(np.eye(3), 0.0)
     np.testing.assert_array_equal(ds.x_labeled, np.zeros((3, 3)))
