@@ -146,17 +146,21 @@ class Dataset:
                    factors: SvdFactors | None = None) -> Dataset:
         """The instance whose stacked design is ``stack`` itself, with the
         unlabeled rows ``stack[:n1]`` first and ``y_labeled`` the labels of the
-        rest.  ``stack`` must be a C-contiguous 2-D float64 array.  It is
-        marked read-only and kept, not copied: the caller hands it over."""
+        rest.  ``stack`` must be a C-contiguous 2-D float64 array that owns its
+        memory, not a view.  It is marked read-only and kept, not copied: the
+        caller hands it over and keeps no writable view of it."""
         ds = object.__new__(cls)
         ds._adopt(stack, n1, y_labeled, factors)
         return ds
 
     def _adopt(self, stack, n1: int, y_labeled, factors) -> None:
         """Check ``stack``, mark it read-only and make the blocks views of it."""
+        # A view is refused: its base could still be written after the scan below.
         if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
-                and stack.ndim == 2 and stack.flags.c_contiguous):
-            raise InvalidInputError("a stacked design must be a C-contiguous 2-D float64 array")
+                and stack.ndim == 2 and stack.flags.c_contiguous and stack.flags.owndata):
+            raise InvalidInputError(
+                "a stacked design must be a C-contiguous 2-D float64 array that owns its memory"
+            )
         n, d = stack.shape
         if not 1 <= n1 <= n or d == 0:
             raise InvalidInputError("x_unlabeled must be non-empty")
@@ -200,7 +204,7 @@ class Dataset:
     def svd(self) -> SvdFactors:
         """Thin SVD of the stacked design, computed on first use."""
         # The cache cannot go stale: the dataclass is frozen and its arrays are read-only.
-        factors = thin_svd(self._stack, self._candidate, checked=True)
+        factors = thin_svd(self, self._candidate)
         object.__setattr__(self, "_candidate", None)  # rejected factors are not held
         return factors
 
@@ -273,7 +277,7 @@ class SvdFactors:
         return (math.sqrt(err / size) if size else math.inf), math.sqrt(size) * scale
 
 
-def thin_svd(x, factors: SvdFactors | None = None, *, checked: bool = False) -> SvdFactors:
+def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     """Thin SVD of ``x`` truncated at ``DEFAULT_RANK_TOL * sigma_max``.
 
     Work on ``t``, which is ``x`` or, if ``x`` is wide, its transpose, so that
@@ -301,19 +305,18 @@ def thin_svd(x, factors: SvdFactors | None = None, *, checked: bool = False) -> 
 
     Parameters
     ----------
-    x : array_like, shape (n, d)
-        Design matrix.  All entries must be finite; a float64 array is not copied.
+    x : array_like, shape (n, d), or Dataset
+        Design matrix.  All entries must be finite; a float64 array is not
+        copied.  A ``Dataset`` stands for its stacked design, which it checked
+        for finite entries when it was built, so it is not scanned again.
     factors : SvdFactors, optional
         Candidate factors of ``x``.
-    checked : bool, optional
-        ``x`` is a float64 matrix already checked for finite entries, such as
-        a ``Dataset``'s stack, so it is not scanned again.
 
     Returns
     -------
     SvdFactors
     """
-    arr = x if checked else as_matrix(x, "x")
+    arr = x.stacked() if isinstance(x, Dataset) else as_matrix(x, "x")
     if factors is not None and _accepted(factors, arr):
         return factors
     factors = _range_factors(arr)  # its range basis is freed on return

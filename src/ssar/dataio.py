@@ -2,10 +2,12 @@
 
 Instance blocks are written as ``.npy`` and read by suffix, as ``.npy`` or else as
 header-less CSV at 17 significant digits; both round-trip float64 exactly.  A
-C-order ``.npy`` block's data is read straight into the array that holds it,
-for a dataset's two design blocks the halves of its one stack; no file is
-mapped.  A dataset manifest is a JSON object with the dimensions and relative paths of the
-block files, and optionally of the stored thin SVD of the stacked design.
+``.npy`` block's header is checked against the file's size before any array
+is allocated for it, and a C-order block's data is read straight into the
+array that holds it, for a dataset's two design blocks the halves of its one
+stack; no file is mapped.  A dataset manifest is a JSON object with the
+dimensions and relative paths of the block files, and optionally of the
+stored thin SVD of the stacked design.
 Traces and report streams are JSON lines, one record per line, so long sweeps
 can append and resume; every record line is strict JSON, with a non-finite
 float written as ``null``.  A trace dump holds every field of an
@@ -60,40 +62,39 @@ def _reading(path):
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-# The .npy header versions whose readers numpy makes public; a block with
-# another version is parsed by np.load.
+# The readers of the .npy header versions.  A version 3.0 header differs from
+# a 2.0 one only in being UTF-8, not Latin-1; a float64 block's header is
+# ASCII, on which the two agree, and any other dtype is refused.
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
+                (2, 0): np.lib.format.read_array_header_2_0,
+                (3, 0): np.lib.format.read_array_header_2_0}
 
 
-def _npy_block(path, ndim: int) -> tuple[tuple, int | np.ndarray]:
-    """The shape of the ``ndim``-D float64 ``.npy`` block at ``path`` and its
-    data: the file offset of C-order data, which :func:`_read_into` reads
-    straight into place, or else the array that ``np.load`` parses (Fortran
-    order, or a header version numpy reads only there)."""
+def _npy_block(path, ndim: int) -> tuple[tuple, bool, int]:
+    """The shape, Fortran-order flag and data offset of the ``ndim``-D float64
+    ``.npy`` block at ``path``, read from its header alone, and checked
+    against the file's size before any array is allocated."""
     magic = np.lib.format.MAGIC_PREFIX  # b"\x93NUMPY"
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
             raise InvalidInputError(f"{path}: not a .npy file")
         fh.seek(0)
         with _reading(path):
-            read = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
-            shape, parsed, dtype = read(fh) if read else ((), True, None)
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise InvalidInputError(f"{path}: unsupported .npy version {version}")
+            shape, fortran, dtype = _NPY_HEADERS[version](fh)
         data, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    if parsed:
-        with _reading(path):
-            data = np.load(path, allow_pickle=False)
-        shape, dtype = data.shape, data.dtype
     if dtype != np.float64 or len(shape) != ndim or min(shape, default=0) < 0:
         raise InvalidInputError(f"{path}: expected a {ndim}-D float64 array")
-    if not parsed and size - data < 8 * math.prod(shape):
+    if size - data < 8 * math.prod(shape):
         raise InvalidInputError(f"{path}: the file ends before its {shape} data")
-    return shape, data
+    return shape, fortran, data
 
 
 def _read_into(path, offset: int, out: np.ndarray) -> None:
-    """Read the C-order data at ``offset`` in ``path`` straight into the
-    C-contiguous float64 ``out``."""
+    """Read the data at ``offset`` in ``path`` straight into the C-contiguous
+    float64 ``out``."""
     with open(path, "rb") as fh:
         fh.seek(offset)
         got = fh.readinto(out.reshape(-1).view(np.uint8))
@@ -101,15 +102,21 @@ def _read_into(path, offset: int, out: np.ndarray) -> None:
         raise InvalidInputError(f"{path}: the file ends before its {out.shape} data")
 
 
+def _read_npy(path, shape: tuple, fortran: bool, offset: int) -> np.ndarray:
+    """The data of a ``.npy`` block that :func:`_npy_block` described, in a new array.
+
+    Fortran-order data is the C-order data of the transpose, so it is read
+    into a C-order array of the reversed shape, whose transpose is returned.
+    """
+    arr = np.empty(shape[::-1] if fortran else shape)
+    _read_into(path, offset, arr)
+    return arr.T if fortran else arr
+
+
 def _load_block(path, ndim: int) -> np.ndarray | None:
     """A float64 array of ``ndim`` dimensions from ``.npy`` or CSV; None for an empty CSV."""
     if str(path).endswith(".npy"):
-        shape, data = _npy_block(path, ndim)
-        if isinstance(data, np.ndarray):
-            return data
-        arr = np.empty(shape)
-        _read_into(path, data, arr)
-        return arr
+        return _read_npy(path, *_npy_block(path, ndim))
     if os.path.getsize(path) == 0:
         return None
     with _reading(path):
@@ -136,29 +143,33 @@ def _load_stack(manifest_path, blocks, cols: int) -> np.ndarray:
     """The matrix blocks ``(path, rows)`` stacked in one new C-order array.
 
     A C-order ``.npy`` block's data is read straight into its rows of the
-    stack, so the stack is the one copy of the blocks; any other block is
-    parsed and then copied in.  Every block's shape is checked before the
-    stack is allocated.
+    stack, so the stack is the one copy of the blocks; a Fortran-order
+    ``.npy`` block is read whole and then copied in, and a CSV block is
+    parsed, before the stack is allocated, and then copied in.  Every
+    block's shape is checked before the stack is allocated.
     """
-    sources = []
+    sources = []  # per block, its parsed CSV array or its .npy (shape, fortran, offset)
     for path, rows in blocks:
         if str(path).endswith(".npy"):
-            shape, data = _npy_block(path, ndim=2)
+            source = _npy_block(path, ndim=2)
+            shape = source[0]
             _check_columns(path, shape, cols)
         else:
-            data = load_matrix(path, cols)
-            shape = data.shape
+            source = load_matrix(path, cols)
+            shape = source.shape
         if shape[0] != rows:
             raise InvalidInputError(f"{manifest_path}: row counts do not match the block files")
-        sources.append((path, data))
+        sources.append((path, source))
     stack = np.empty((sum(rows for _, rows in blocks), cols))
     start = 0
-    for (path, data), (_, rows) in zip(sources, blocks):
+    for (path, source), (_, rows) in zip(sources, blocks):
         part = stack[start:start + rows]
-        if isinstance(data, np.ndarray):
-            part[...] = data
+        if isinstance(source, np.ndarray):
+            part[...] = source
+        elif source[1]:  # Fortran order
+            part[...] = _read_npy(path, *source)
         else:
-            _read_into(path, data, part)
+            _read_into(path, source[2], part)
         start += rows
     return stack
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _symmetrize
+from .core import Dataset
 from .errors import InvalidInputError
 from .regression import kernel_ridge_to_ssal, ridge_to_ssal
 from .rngutil import make_rng
@@ -85,13 +85,12 @@ def gen_kernel_instance(
     The kernel ``K = Q diag(eigs) Q^T`` has ``min(rank, n)`` eigenvalues
     spaced geometrically over ``[eig_min, eig_max]`` and a random orthonormal
     ``Q``; the labels are ``K beta + noise`` for a standard Gaussian ``beta``.
-    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  ``K`` is
-    formed and made symmetric, ``(K + K^T) * 0.5``, in the top half of the
-    instance's 2n x n stack, which goes to
-    :func:`~ssar.regression.kernel_ridge_to_ssal` as ``out``; the reduction
-    writes the root into the bottom half, so no other n x n array is held.
-    The drawn ``(eigs, Q)`` go with it as candidate eigenpairs, so ``K`` is
-    not eigendecomposed again.  Returns the
+    Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  The drawn
+    ``(eigs, Q)`` go to :func:`~ssar.regression.kernel_ridge_to_ssal` as
+    the kernel's eigenpairs, without ``K``: the reduction forms ``K`` in the
+    top half of the instance's 2n x n stack and the root in the bottom half,
+    so no other n x n array is held, and takes the pairs as candidates, so
+    ``K`` is not eigendecomposed again.  Returns the
     kernel-ridge-reduced dataset, the full stacked label vector, and the
     kernel's nonzero eigenvalues.
     """
@@ -101,11 +100,7 @@ def gen_kernel_instance(
         raise InvalidInputError("noise_sigma must be finite and nonnegative")
     eigs = np.geomspace(eig_min, eig_max, min(rank, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
-    stack = np.empty((2 * n, n))
-    k = stack[:n]
-    np.matmul(q * eigs, q.T, out=k)
-    _symmetrize(k)
-    ds = kernel_ridge_to_ssal(k, lam, eigenpairs=(eigs, q), out=stack)
+    ds = kernel_ridge_to_ssal(None, lam, eigenpairs=(eigs, q))
     y1 = ds.x_unlabeled @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
     return ds, np.concatenate([y1, np.zeros(n)]), eigs
 

@@ -156,19 +156,19 @@ def ridge_to_ssal(x1, lam: float) -> Dataset:
     return Dataset.from_stack(stack, n, np.zeros(d))
 
 
-def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None, *, out=None) -> Dataset:
+def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     """Cast kernel ridge regression with kernel matrix ``k`` as a semi-supervised instance.
 
     The unlabeled block is ``K`` itself (one queryable row per data point) and
     the pre-labeled block is ``sqrt(lam) * sqrt(K)`` with zero labels, so the
     stacked squared loss equals ``||K b - Y1||^2 + lam * b^T K b``.
 
-    The instance's stack is one 2n x n array: ``K`` in the top half and the
-    root, written in place, in the bottom half.  ``k`` is copied once into
-    the top half and is never written.  ``out``, a writable C-contiguous
-    2n x n float64 array, becomes the stack instead of a new array, and the
-    instance takes it over; a ``k`` that is already its top half, as where
-    a generator forms ``K``, is not copied at all.
+    The instance's stack is one new 2n x n array: ``K`` in the top half and
+    the root, written in place, in the bottom half.  ``k`` is copied once into
+    the top half and is never written.  With ``k`` None, the kernel is the one
+    ``eigenpairs`` give: ``K = Q diag(e) Q^T`` is formed and made symmetric,
+    ``(K + K^T) * 0.5``, straight in the top half, so no other n x n array is
+    held.
 
     Both blocks and the stack's thin SVD come from one eigendecomposition
     ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order, the
@@ -177,7 +177,7 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None, *, out=None) -> Dataset
     ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  The instance keeps
     those factors only if they pass ``thin_svd``'s test.
 
-    ``eigenpairs``, such as the ones a generator drew ``K`` from, are
+    ``eigenpairs``, such as the ones a generator draws ``K`` from, are
     candidate ``(e, Q)`` with ``e`` ascending and ``Q`` of ``len(e)``
     columns.  They are kept only if ``Q`` is orthonormal, ``e >= 0`` and
     ``||K - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``; otherwise, and
@@ -189,18 +189,25 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None, *, out=None) -> Dataset
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    k = _matrix(k, "k")
-    n = k.shape[0]
-    if k.shape != (n, n):
-        raise InvalidInputError(f"kernel matrix must be square, got {k.shape}")
-    if out is None:
-        out = np.empty((2 * n, n))
-    elif not (isinstance(out, np.ndarray) and out.shape == (2 * n, n)
-              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
-        raise InvalidInputError(f"out must be a writable C-contiguous {2 * n}x{n} float64 array")
-    kernel, root = out[:n], out[n:]
-    if k.ctypes.data != kernel.ctypes.data or k.strides != kernel.strides:
-        kernel[...] = k
+    if k is None:
+        if eigenpairs is None:
+            raise InvalidInputError("a kernel needs its matrix k or its eigenpairs")
+        e, q = (np.asarray(a, dtype=float) for a in eigenpairs)
+        if q.ndim != 2 or q.size == 0 or e.shape != (q.shape[1],):
+            raise InvalidInputError("a kernel given by eigenpairs (e, Q) needs Q of "
+                                    "shape (n, r) and e of shape (r,), n, r >= 1")
+        n = q.shape[0]
+        stack = np.empty((2 * n, n))
+        np.matmul(q * e, q.T, out=stack[:n])
+        _symmetrize(stack[:n])
+    else:
+        k = _matrix(k, "k")
+        n = k.shape[0]
+        if k.shape != (n, n):
+            raise InvalidInputError(f"kernel matrix must be square, got {k.shape}")
+        stack = np.empty((2 * n, n))
+        stack[:n] = k
+    kernel, root = stack[:n], stack[n:]
     pairs = None if eigenpairs is None else _accepted_eigenpairs(kernel, *eigenpairs)
     e, q = psd_eigh(kernel) if pairs is None else pairs
     keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
@@ -216,7 +223,7 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None, *, out=None) -> Dataset
         np.multiply(q, np.sqrt(e) / shift, out=u[:n])
         np.multiply(q, np.sqrt(lam) / shift, out=u[n:])
         factors = _truncated(u, np.sqrt(e) * shift, q)
-    return Dataset.from_stack(out, n, np.zeros(n), factors=factors)
+    return Dataset.from_stack(stack, n, np.zeros(n), factors=factors)
 
 
 def draw_samples(

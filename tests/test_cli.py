@@ -748,12 +748,16 @@ def _npz() -> bytes:
 _GOOD_NPY = _npy(np.array([[1.0, 2.0, 3.0]]))
 
 
-def _npy_claiming(shape) -> bytes:
-    """A C-order float64 .npy header for ``shape`` followed by one row of data."""
+def _npy_claiming(shape, fortran=False, major=1) -> bytes:
+    """A float64 .npy header of format ``major``.0 for ``shape`` followed by one
+    row of data.  A 3.0 header is a 2.0 one with its version byte changed."""
     buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
-    return buf.getvalue() + np.ones(3).tobytes()
+    fmt = np.lib.format
+    write = fmt.write_array_header_1_0 if major == 1 else fmt.write_array_header_2_0
+    write(buf, {"descr": "<f8", "fortran_order": fortran, "shape": shape})
+    header = bytearray(buf.getvalue())
+    header[len(np.lib.format.MAGIC_PREFIX)] = major
+    return bytes(header) + np.ones(3).tobytes()
 _DUMP_WITHOUT_PX1_SUM = "\n".join([
     '{"kind": "header", "gamma": 0.25, "rank": 1, "n_rows": 2, "n_unlabeled": 1, "m": 1}',
     '{"j": 0, "phi_id": 0.25, "sampled_index": 0, "p_j": 0.5, "u_j": 8, "l_j": -8, '
@@ -803,6 +807,11 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
     )),
     *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": _npy_claiming(shape)}, "x1.npy")
       for shape in ((10**12, 3), (-1, 3))),
+    *((_RUN, {**_BLOCKS, "m.json": _NPY_MANIFEST, "x1.npy": data}, "x1.npy") for data in (
+        _npy_claiming((10**12, 3), fortran=True),
+        _npy_claiming((10**12, 3), major=3),
+        _npy(np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))[:-8],
+    )),
     (_RUN, {**_BLOCKS, "m.json": json.dumps({**_GOOD_MANIFEST, "path_x2": "x2.npy"}),
             "x2.npy": _GOOD_NPY[:-8]}, "x2.npy"),
     (_RUN, {**_BLOCKS, "m.json": _FACTOR_MANIFEST, "u.npy": _GOOD_NPY[:-8],
@@ -819,7 +828,9 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
         "npy-empty", "npy-holding-csv",
         "npy-truncated-header", "npy-truncated-data", "npy-pickled-objects", "npy-int64",
         "npy-1d-for-matrix", "npy-wrong-columns", "npy-holding-npz",
-        "npy-header-beyond-the-data", "npy-negative-shape", "npy-x2-truncated-data",
+        "npy-header-beyond-the-data", "npy-negative-shape",
+        "npy-fortran-header-beyond-the-data", "npy-v3-header-beyond-the-data",
+        "npy-fortran-truncated-data", "npy-x2-truncated-data",
         "factor-npy-truncated", "factor-csv-not-numeric"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):

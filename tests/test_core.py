@@ -389,9 +389,13 @@ def test_dataset_from_stack_adopts_the_stack_it_is_handed():
     assert not np.shares_memory(built.stacked(), a)
     np.testing.assert_array_equal(built.stacked(), a, strict=True)
     b = make_rng(12).standard_normal((12, 3))
-    for stack in (np.asfortranarray(b), b.astype(np.float32), b[:, :2], b[0], b.tolist()):
+    # A view is refused even when C-contiguous: its base stays writable.
+    views = (b[:12], b.reshape(-1).reshape(12, 3), np.empty((24, 3))[:12])
+    for stack in (np.asfortranarray(b), b.astype(np.float32), b[:, :2], b[0], b.tolist(),
+                  *views):
         with pytest.raises(InvalidInputError, match="C-contiguous"):
             Dataset.from_stack(stack, 9, np.zeros(3))
+    assert b.flags.writeable
     for stack, n1, y in ((b, 0, np.zeros(12)), (b, 13, np.zeros(0)), (b, 9, np.zeros(2)),
                          (b[:2].copy(), 1, np.zeros(1))):  # the last has n < d
         with pytest.raises(InvalidInputError):

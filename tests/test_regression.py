@@ -243,24 +243,25 @@ def test_kernel_reduction_copies_a_callers_kernel_once_and_never_writes_it():
     assert not np.shares_memory(again.stacked(), ds.stacked())
 
 
-def test_kernel_reduction_into_out_adopts_it():
+def test_kernel_reduction_from_eigenpairs_alone_forms_the_kernel_in_its_stack():
     k, eigs, q = _drawn_kernel(60, 6, 4)
     ref = kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q))
-    out = np.empty((120, 60))
-    out[:60] = k
-    ds = kernel_ridge_to_ssal(out[:60], 1.5, eigenpairs=(eigs, q), out=out)
-    assert ds.stacked() is out and not out.flags.writeable
+    ds = kernel_ridge_to_ssal(None, 1.5, eigenpairs=(eigs, q))
     np.testing.assert_array_equal(ds.stacked(), ref.stacked(), strict=True)
-    elsewhere = np.full((120, 60), np.nan)  # k is copied into its top half
-    ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q), out=elsewhere)
-    assert ds.stacked() is elsewhere
-    np.testing.assert_array_equal(ds.stacked(), ref.stacked(), strict=True)
-    read_only = np.empty((120, 60))
-    read_only.setflags(write=False)
-    for bad in (np.empty((120, 61)), np.empty((120, 60), dtype=np.float32),
-                np.empty((120, 60), order="F"), read_only):
-        with pytest.raises(InvalidInputError, match="out must be"):
-            kernel_ridge_to_ssal(k, 1.5, out=bad)
+    np.testing.assert_array_equal(ds.svd.u, ref.svd.u, strict=True)
+    # Pairs that fail the test still give their kernel, which is then
+    # eigendecomposed as a kernel passed without pairs is.
+    eigs2, q2 = _replaced_column(eigs, q)
+    k2 = (q2 * eigs2) @ q2.T
+    k2 += k2.T
+    k2 *= 0.5
+    ds = kernel_ridge_to_ssal(None, 1.5, eigenpairs=(eigs2, q2))
+    np.testing.assert_array_equal(ds.stacked(), kernel_ridge_to_ssal(k2, 1.5).stacked(),
+                                  strict=True)
+    for pairs in (None, (eigs, q[:, :5]), (eigs[:, None], q), (eigs, q[0]),
+                  (np.zeros(0), np.zeros((60, 0)))):
+        with pytest.raises(InvalidInputError):
+            kernel_ridge_to_ssal(None, 1.5, eigenpairs=pairs)
 
 
 def test_kernel_reduction_zero_lambda_and_psd_gate():
