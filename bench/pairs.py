@@ -17,7 +17,11 @@ each side, and each side's median of every end-to-end metric that
 metric moved.  Whether higher or lower wins, and which metrics are end to
 end, comes from the ``BENCHMARK.json`` of ``CHANGE``.  A run that exits
 non-zero or fails its output checks stops the comparison with exit code 1.
-Each run leaves its record in its checkout's ``perfbench/out/``.
+Each run leaves its record in its checkout's ``perfbench/out/``.  From it
+the comparison last prints each side's median ``import_s`` and median
+``setup_times_s`` (each run's median warm-up call), the two parts of
+``setup_s``, so a move of ``setup_s`` shows whether the import or the
+warm-up call moved.
 """
 
 from __future__ import annotations
@@ -48,7 +52,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     digest = re.search(r"outputs_sha256=(\S+)", done.stdout)
     if digest is None:
         raise RuntimeError(f"{checkout} seed {seed}: no outputs_sha256 in its output")
-    return {"metrics": result["metrics"], "digest": digest.group(1)}
+    metrics = {**result["metrics"], **setup_split(checkout, workload, seed, trace)}
+    return {"metrics": metrics, "digest": digest.group(1)}
+
+
+def setup_split(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The two parts of a run's ``setup_s`` as metric records, read from the
+    record the run left in ``perfbench/out/``: ``import_s`` and the median of
+    its ``setup_times_s``."""
+    with open(checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json") as fh:
+        record = json.load(fh)
+    return {"import_s": {"value": record["import_s"]},
+            "setup_times_s": {"value": statistics.median(record["setup_times_s"])}}
 
 
 def read_spec(checkout: Path) -> dict:
@@ -123,6 +138,9 @@ def main(argv=None) -> int:
         name = entry["name"]
         if all(name in run for side in records.values() for run in side):
             print(f"  end to end, median {name}: {medians(records, name)}")
+    for name in ("import_s", "setup_times_s"):
+        if all(name in run for side in records.values() for run in side):
+            print(f"  setup_s split, median {name}: {medians(records, name)}")
     return 0
 
 

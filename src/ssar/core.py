@@ -8,9 +8,9 @@ they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
 sums ``statistical_dimension`` and ``effective_dimension``, and
-``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix, whose
-cost a kernel's known eigenpairs save once they pass the residual test of
-``_accepted_eigenpairs``.  The other operations are pure functions.
+``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix, which
+a kernel given by its own eigenpairs does without.  The other operations are
+pure functions.
 
 ``thin_svd`` factors an input on its range, spanned by the Gram matrix's
 eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
@@ -25,7 +25,7 @@ factors that miss that residual; and a Gram route whose Cholesky fails.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,15 +62,16 @@ GRAM_TRUST = 1e-12
 # that squaring it neither overflows nor makes the Gram entries denormal.
 GRAM_SAFE_SCALE = (1e-100, 1e100)
 # psd_eigh's tolerances, relative to the largest entry (asymmetry) or the
-# largest eigenvalue (negative and zero modes).
+# largest eigenvalue (negative and zero modes); kernel_ridge_to_ssal drops
+# the zero modes of either of its routes at PSD_ZERO_TOL.
 PSD_ASYM_TOL = 1e-8
 PSD_NEG_EIG_TOL = 1e-8
 PSD_ZERO_TOL = 1e-12
 
 
-def as_matrix(x, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """``x`` as a float64 2-D array, rejecting non-finite entries; a float64 array is not copied."""
-    arr = _matrix(x, name, allow_empty)
+    arr = _matrix(x, name)
     _require_finite(arr, name)
     return arr
 
@@ -119,17 +120,14 @@ class Dataset:
     first use and kept.  Built from two blocks, the instance copies them once
     into a new stack; :meth:`from_stack` adopts a stack it is handed, without
     a copy.  Either way the stack is checked for finite entries once, there,
-    and not again when it is factored.  ``factors``, such as the ones stored
-    with the instance, are handed to :func:`thin_svd`, which keeps them only
-    if they factor the stack.
+    and not again when it is factored.
     """
 
     x_unlabeled: np.ndarray
     x_labeled: np.ndarray
     y_labeled: np.ndarray
-    factors: InitVar[SvdFactors | None] = None
 
-    def __post_init__(self, factors):
+    def __post_init__(self):
         x1 = _matrix(self.x_unlabeled, "x_unlabeled")
         x2 = _matrix(self.x_labeled, "x_labeled", allow_empty=True)
         if x2.shape[1] != x1.shape[1]:
@@ -139,7 +137,7 @@ class Dataset:
         stack = np.empty((x1.shape[0] + x2.shape[0], x1.shape[1]))  # the one copy of the blocks
         stack[: x1.shape[0]] = x1
         stack[x1.shape[0]:] = x2
-        self._adopt(stack, x1.shape[0], self.y_labeled, factors)
+        self._adopt(stack, x1.shape[0], self.y_labeled, None)
 
     @classmethod
     def from_stack(cls, stack: np.ndarray, n1: int, y_labeled,
@@ -148,7 +146,9 @@ class Dataset:
         unlabeled rows ``stack[:n1]`` first and ``y_labeled`` the labels of the
         rest.  ``stack`` must be a C-contiguous 2-D float64 array that owns its
         memory, not a view.  It is marked read-only and kept, not copied: the
-        caller hands it over and keeps no writable view of it."""
+        caller hands it over and keeps no writable view of it.  ``factors``,
+        such as the ones stored with the instance, are handed to
+        :func:`thin_svd`, which keeps them only if they factor the stack."""
         ds = object.__new__(cls)
         ds._adopt(stack, n1, y_labeled, factors)
         return ds
@@ -495,37 +495,3 @@ def _symmetrize(a: np.ndarray) -> None:
             tile *= 0.5
             a[i:i + t, j:j + t] = tile
             a[j:j + t, i:i + t] = tile.T
-
-
-def _accepted_eigenpairs(arr: np.ndarray, e, q) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate eigenpairs ``(e, q)`` of the square ``arr``, clamped as
-    :func:`psd_eigh` clamps its own, if they pass one test; None otherwise.
-
-    The test: ``e`` is nonnegative, ascending and not all zero, ``q`` has
-    ``len(e)`` orthonormal columns (``ORTHONORMALITY_TOL``), and
-    ``||arr - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``.  The residual is
-    summed in row blocks of at most 1 MB and 1/32 of ``arr`` over entries
-    divided by ``max(e)``, so no square overflows at an extreme scale.  Every
-    comparison is written so that a NaN anywhere in the candidates fails it.
-    """
-    e = np.asarray(e, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = arr.shape[0]
-    if (arr.shape != (n, n) or e.ndim != 1 or e.size == 0 or q.shape != (n, e.size)
-            or not (np.all(e >= 0) and np.all(np.diff(e) >= 0) and e[-1] > 0)):
-        return None
-    top = e[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a foreign candidate may be huge
-        if not np.max(np.abs(q.T @ q - np.eye(e.size))) <= ORTHONORMALITY_TOL:
-            return None
-        w = e / top
-        # Each of the two row-block temporaries is at most 1 MB and 1/32 of arr.
-        step = max(1, min(VALIDATE_BLOCK_BYTES // (8 * n), n // 32))
-        err = 0.0
-        for i in range(0, n, step):
-            diff = (q[i:i + step] * w) @ q.T
-            diff -= arr[i:i + step] / top
-            err += float(np.vdot(diff, diff))
-    if not math.sqrt(err) <= PSD_ZERO_TOL:
-        return None
-    return np.where(e <= PSD_ZERO_TOL * top, 0.0, e), q

@@ -87,10 +87,10 @@ def gen_kernel_instance(
     ``Q``; the labels are ``K beta + noise`` for a standard Gaussian ``beta``.
     Draws come from ``rng`` in the order ``Q``, ``beta``, noise.  The drawn
     ``(eigs, Q)`` go to :func:`~ssar.regression.kernel_ridge_to_ssal` as
-    the kernel's eigenpairs, without ``K``: the reduction forms ``K`` in the
-    top half of the instance's 2n x n stack and the root in the bottom half,
-    so no other n x n array is held, and takes the pairs as candidates, so
-    ``K`` is not eigendecomposed again.  Returns the
+    the kernel's eigenpairs, without ``K``: the reduction forms ``K`` from
+    them in the top half of the instance's 2n x n stack and the root in the
+    bottom half, so no other n x n array is held and ``K`` is never
+    eigendecomposed.  Returns the
     kernel-ridge-reduced dataset, the full stacked label vector, and the
     kernel's nonzero eigenvalues.
     """

@@ -20,8 +20,9 @@ import numpy as np
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
 from .core import (
+    ORTHONORMALITY_TOL,
+    PSD_ZERO_TOL,
     Dataset,
-    _accepted_eigenpairs,
     _matrix,
     _symmetrize,
     _truncated,
@@ -163,39 +164,43 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     the pre-labeled block is ``sqrt(lam) * sqrt(K)`` with zero labels, so the
     stacked squared loss equals ``||K b - Y1||^2 + lam * b^T K b``.
 
-    The instance's stack is one new 2n x n array: ``K`` in the top half and
-    the root, written in place, in the bottom half.  ``k`` is copied once into
-    the top half and is never written.  With ``k`` None, the kernel is the one
-    ``eigenpairs`` give: ``K = Q diag(e) Q^T`` is formed and made symmetric,
-    ``(K + K^T) * 0.5``, straight in the top half, so no other n x n array is
-    held.
+    The kernel is given by exactly one of ``k`` and ``eigenpairs``.  The
+    instance's stack is one new 2n x n array: ``K`` in the top half and the
+    root, written in place, in the bottom half.  ``k`` is copied once into the
+    top half, is never written, and is eigendecomposed by
+    :func:`~ssar.core.psd_eigh`.  ``eigenpairs``, such as the ones a
+    generator draws ``K`` from, are ``(e, Q)`` with ``e`` of shape (r,),
+    finite, nonnegative, ascending and not all zero, and ``Q`` of shape
+    (n, r) with orthonormal columns (``ORTHONORMALITY_TOL``); pairs that fail
+    these checks raise :class:`InvalidInputError`.  ``K = Q diag(e) Q^T`` is
+    formed from them and made symmetric, ``(K + K^T) * 0.5``, straight in the
+    top half, so no other n x n array is held and ``K`` is not
+    eigendecomposed.
 
-    Both blocks and the stack's thin SVD come from one eigendecomposition
-    ``K = Q diag(e) Q^T``: over the positive ``e`` in descending order, the
-    root is ``Q diag(sqrt(e)) Q^T``, ``V = Q``,
+    Both blocks and the stack's thin SVD come from the eigenpairs: over the
+    modes above ``PSD_ZERO_TOL`` times the largest eigenvalue, in descending
+    order, the root is ``Q diag(sqrt(e)) Q^T``, ``V = Q``,
     ``sigma = sqrt(e) sqrt(e + lam)`` and
     ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  The instance keeps
-    those factors only if they pass ``thin_svd``'s test.
-
-    ``eigenpairs``, such as the ones a generator draws ``K`` from, are
-    candidate ``(e, Q)`` with ``e`` ascending and ``Q`` of ``len(e)``
-    columns.  They are kept only if ``Q`` is orthonormal, ``e >= 0`` and
-    ``||K - Q diag(e) Q^T||_F <= PSD_ZERO_TOL * max(e)``; otherwise, and
-    without them, :func:`~ssar.core.psd_eigh` eigendecomposes ``K``.  Both
-    routes drop the modes at or below ``PSD_ZERO_TOL`` times the largest
-    eigenvalue.  ``K`` is checked for finite entries once, with the root,
-    when the instance adopts the stack: candidates that pass imply a finite
-    ``K``, and ``psd_eigh`` checks the kernel it is given.
+    those factors only if they pass ``thin_svd``'s test of the whole stack,
+    which is checked for finite entries, ``K`` and the root, when the
+    instance adopts it.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
+    if (k is None) == (eigenpairs is None):
+        raise InvalidInputError("a kernel needs exactly one of its matrix k and its eigenpairs")
     if k is None:
-        if eigenpairs is None:
-            raise InvalidInputError("a kernel needs its matrix k or its eigenpairs")
         e, q = (np.asarray(a, dtype=float) for a in eigenpairs)
         if q.ndim != 2 or q.size == 0 or e.shape != (q.shape[1],):
             raise InvalidInputError("a kernel given by eigenpairs (e, Q) needs Q of "
                                     "shape (n, r) and e of shape (r,), n, r >= 1")
+        # Each comparison is written so that a NaN fails it.
+        with np.errstate(over="ignore", invalid="ignore"):  # outside input may be huge
+            if not (np.all(e >= 0) and np.all(np.diff(e) >= 0) and 0 < e[-1] < math.inf
+                    and np.max(np.abs(q.T @ q - np.eye(e.size))) <= ORTHONORMALITY_TOL):
+                raise InvalidInputError("eigenpairs (e, Q) need e finite, nonnegative, ascending "
+                                        "and not all zero, and Q with orthonormal columns")
         n = q.shape[0]
         stack = np.empty((2 * n, n))
         np.matmul(q * e, q.T, out=stack[:n])
@@ -207,12 +212,14 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
             raise InvalidInputError(f"kernel matrix must be square, got {k.shape}")
         stack = np.empty((2 * n, n))
         stack[:n] = k
-    kernel, root = stack[:n], stack[n:]
-    pairs = None if eigenpairs is None else _accepted_eigenpairs(kernel, *eigenpairs)
-    e, q = psd_eigh(kernel) if pairs is None else pairs
-    keep = np.flatnonzero(e)[::-1]  # the positive eigenvalues, largest first
+        e, q = psd_eigh(stack[:n])
+    # The zero-mode clamp: K above is formed from the raw e, the root and the
+    # factors from the modes kept here, largest first.  psd_eigh has already
+    # zeroed the modes this drops.
+    keep = np.flatnonzero(e > PSD_ZERO_TOL * e[-1])[::-1]
     e, q = e[keep], q[:, keep]  # copies, so a full Q is freed here
     # The root from the kept pairs, made symmetric and scaled in its half of the stack.
+    root = stack[n:]
     np.matmul(q * np.sqrt(e), q.T, out=root)
     _symmetrize(root)
     root *= np.sqrt(lam)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,4 +87,39 @@ def test_pairs_print_each_sides_median_of_every_end_to_end_metric(tmp_path, monk
     assert out[4:] == [
         "  end to end, median runs_per_s: parent 12, change 12 (1.000x)",
         "  end to end, median setup_s: parent 0.4, change 0.2 (0.500x)",
+    ]
+
+
+def test_pairs_split_setup_s_into_the_import_and_the_warm_up_call(tmp_path, monkeypatch, capsys):
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({
+            "end_to_end": [{"name": "setup_s", "better": "lower"}], "per_layer": [],
+        }))
+    split = {"parent": (0.10, [0.04, 0.05, 0.09]), "change": (0.08, [0.07, 0.06, 0.02])}
+
+    def perfbench(argv, cwd, **kwargs):
+        """Stand in for one ``perfbench/run.py`` process: its record and its result line."""
+        workload, seed, trace = (argv[argv.index(flag) + 1]
+                                 for flag in ("--workload", "--seed", "--trace"))
+        import_s, setup_times = split[Path(cwd).name]
+        import_s += int(seed) / 100
+        record = {"import_s": import_s, "setup_times_s": setup_times}
+        out = Path(cwd) / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+        out.write_text(json.dumps(record))
+        setup_s = import_s + sorted(setup_times)[1]
+        result = {"correct": True, "metrics": {"setup_s": {"value": setup_s}}}
+        stdout = f"# {workload} seed={seed} outputs_sha256=abc\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", perfbench)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "3", "--metric", "setup_s"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "w setup_s: change wins 3 of 3; median parent 0.17, change 0.16 (0.941x)"
+    assert out[4:] == [
+        "  end to end, median setup_s: parent 0.17, change 0.16 (0.941x)",
+        "  setup_s split, median import_s: parent 0.12, change 0.1 (0.833x)",
+        "  setup_s split, median setup_times_s: parent 0.05, change 0.06 (1.200x)",
     ]

@@ -270,9 +270,11 @@ def test_thin_svd_refactors_when_given_factors_fail_its_test(name):
 def test_dataset_hands_its_candidate_factors_to_thin_svd():
     ds = gaussian_dataset(30, 5, 4, seed=13)
     f = thin_svd(ds.stacked())
-    kept = Dataset(ds.x_unlabeled, ds.x_labeled, ds.y_labeled, factors=f)
+    kept = Dataset.from_stack(ds.stacked().copy(), ds.n1, ds.y_labeled, factors=f)
     assert kept.svd is f
-    stale = Dataset(ds.x_unlabeled + 1.0, ds.x_labeled, ds.y_labeled, factors=f)
+    stack = ds.stacked().copy()
+    stack[: ds.n1] += 1.0
+    stale = Dataset.from_stack(stack, ds.n1, ds.y_labeled, factors=f)
     assert stale.svd is not f and stale._candidate is None
     np.testing.assert_array_equal(stale.svd.u, thin_svd(stale.stacked()).u, strict=True)
 

@@ -1,14 +1,22 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssar import regression
+from ssar import core, regression
 from ssar.asura import AsuraConfig
 from ssar.baselines import LeverageConfig, UniformConfig
-from ssar.core import Dataset, psd_eigh, reduced_rank
+from ssar.core import (
+    DEFAULT_RANK_TOL,
+    PSD_ZERO_TOL,
+    Dataset,
+    effective_dimension,
+    psd_eigh,
+    reduced_rank,
+)
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
@@ -181,26 +189,32 @@ def _replaced_column(eigs, q):
     return eigs, q
 
 
-@pytest.mark.parametrize("candidate", [
-    _replaced_column,
-    lambda eigs, q: (eigs[1:], q[:, 1:]),  # one mode dropped
-    lambda eigs, q: (eigs, q * 1.001),  # not orthonormal
-    lambda eigs, q: (eigs * (1 + 1e-6), q),
-    lambda eigs, q: _drawn_kernel(q.shape[0], eigs.size, 99)[1:],  # another kernel's
-], ids=["replaced-column", "dropped-mode", "not-orthonormal", "scaled-eigs", "foreign"])
-def test_kernel_candidates_that_fail_fall_back_to_psd_eigh(monkeypatch, candidate):
+def _with_entry(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda k, eigs, q: (k, (eigs, q)),
+    lambda k, eigs, q: (None, (eigs, q * 1.001)),
+    lambda k, eigs, q: (None, _replaced_column(eigs, q)),
+    lambda k, eigs, q: (None, (_with_entry(eigs, 0, -1e-3), q)),
+    lambda k, eigs, q: (None, (eigs[::-1], q)),
+    lambda k, eigs, q: (None, (_with_entry(eigs, 2, np.nan), q)),
+    lambda k, eigs, q: (None, (_with_entry(eigs, 5, np.inf), q)),
+    lambda k, eigs, q: (None, (eigs, _with_entry(q, (7, 1), np.nan))),
+    lambda k, eigs, q: (None, (eigs, q[:, :5])),
+], ids=["k-and-pairs", "not-orthonormal", "replaced-column", "negative-eig",
+        "descending-eigs", "nan-in-eigs", "inf-in-eigs", "nan-in-q", "shape-mismatch"])
+def test_kernel_pairs_that_fail_their_checks_raise_without_psd_eigh(monkeypatch, kernel):
     k, eigs, q = _drawn_kernel(60, 6, 4)
-    ref = kernel_ridge_to_ssal(k, 1.5)
     calls = []
     monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
-    kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q))
-    assert calls == []  # the drawn pairs pass
-    ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=candidate(eigs, q))
-    assert calls == [1]
-    for name in ("x_unlabeled", "x_labeled", "y_labeled"):
-        np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name), strict=True)
-    for name in ("u", "sigma", "v"):
-        np.testing.assert_array_equal(getattr(ds.svd, name), getattr(ref.svd, name), strict=True)
+    k_arg, pairs = kernel(k, eigs, q)
+    with pytest.raises(InvalidInputError):
+        kernel_ridge_to_ssal(k_arg, 1.5, eigenpairs=pairs)
+    assert calls == []
 
 
 # At eig-max 1 the clamp keeps the modes above 1e-12.  Rank 4 keeps 2.2e-7
@@ -212,7 +226,7 @@ def test_kernel_routes_agree(monkeypatch, rank, eig_min, eig_max, kept):
     calls = []
     monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
     ds = gen_kernel_instance(300, rank, 1.0, make_rng(3), eig_min=eig_min, eig_max=eig_max)[0]
-    assert calls == []  # the generator's eigenpairs passed the test
+    assert calls == []  # the generator's eigenpairs are not eigendecomposed again
     ref = kernel_ridge_to_ssal(ds.x_unlabeled, 1.0)
     assert calls == [1]
     a, b = ds.svd, ref.svd
@@ -225,15 +239,14 @@ def test_kernel_routes_agree(monkeypatch, rank, eig_min, eig_max, kept):
 
 
 def test_kernel_reduction_copies_a_callers_kernel_once_and_never_writes_it():
-    k, eigs, q = _drawn_kernel(60, 6, 4)
+    k = _drawn_kernel(60, 6, 4)[0]
     before = k.copy()
-    for pairs in (None, (eigs, q)):
-        ds = kernel_ridge_to_ssal(k, 1.5, eigenpairs=pairs)
-        np.testing.assert_array_equal(k, before, strict=True)
-        assert k.flags.writeable
-        np.testing.assert_array_equal(ds.x_unlabeled, before, strict=True)
-        for arr in (ds.stacked(), ds.y_labeled, ds.svd.u, ds.svd.sigma, ds.svd.v):
-            assert not np.shares_memory(arr, k)
+    ds = kernel_ridge_to_ssal(k, 1.5)
+    np.testing.assert_array_equal(k, before, strict=True)
+    assert k.flags.writeable
+    np.testing.assert_array_equal(ds.x_unlabeled, before, strict=True)
+    for arr in (ds.stacked(), ds.y_labeled, ds.svd.u, ds.svd.sigma, ds.svd.v):
+        assert not np.shares_memory(arr, k)
     # A read-only view of another instance's stack is copied too, and that
     # instance is left as it was.
     stack = ds.stacked().copy()
@@ -243,25 +256,55 @@ def test_kernel_reduction_copies_a_callers_kernel_once_and_never_writes_it():
     assert not np.shares_memory(again.stacked(), ds.stacked())
 
 
-def test_kernel_reduction_from_eigenpairs_alone_forms_the_kernel_in_its_stack():
+def test_kernel_reduction_from_eigenpairs_alone_forms_the_kernel_in_its_stack(monkeypatch):
     k, eigs, q = _drawn_kernel(60, 6, 4)
-    ref = kernel_ridge_to_ssal(k, 1.5, eigenpairs=(eigs, q))
+    calls = []
+    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
     ds = kernel_ridge_to_ssal(None, 1.5, eigenpairs=(eigs, q))
-    np.testing.assert_array_equal(ds.stacked(), ref.stacked(), strict=True)
-    np.testing.assert_array_equal(ds.svd.u, ref.svd.u, strict=True)
-    # Pairs that fail the test still give their kernel, which is then
-    # eigendecomposed as a kernel passed without pairs is.
-    eigs2, q2 = _replaced_column(eigs, q)
-    k2 = (q2 * eigs2) @ q2.T
-    k2 += k2.T
-    k2 *= 0.5
-    ds = kernel_ridge_to_ssal(None, 1.5, eigenpairs=(eigs2, q2))
-    np.testing.assert_array_equal(ds.stacked(), kernel_ridge_to_ssal(k2, 1.5).stacked(),
-                                  strict=True)
-    for pairs in (None, (eigs, q[:, :5]), (eigs[:, None], q), (eigs, q[0]),
-                  (np.zeros(0), np.zeros((60, 0)))):
+    assert calls == []
+    np.testing.assert_array_equal(ds.x_unlabeled, k, strict=True)
+    ref = kernel_ridge_to_ssal(k, 1.5)
+    assert np.linalg.norm(ds.x_labeled - ref.x_labeled) <= 1e-12 * np.linalg.norm(ref.x_labeled)
+    # Pairs that fail their checks give no kernel.
+    for pairs in (_replaced_column(eigs, q), None, (eigs, q[:, :5]), (eigs[:, None], q),
+                  (eigs, q[0]), (np.zeros(0), np.zeros((60, 0)))):
         with pytest.raises(InvalidInputError):
             kernel_ridge_to_ssal(None, 1.5, eigenpairs=pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 8),
+       st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0, 30.0]), max_size=3),
+       st.sampled_from([0.0, 1e-3, 1.0, 10.0]), st.integers(0, 10_000))
+def test_kernel_reduction_from_eigenpairs_keeps_the_kernel_ridge_loss_and_its_dimension(
+        n, bulk, near_clamp, lam, seed):
+    # Bulk modes spread over [1e-6, 1] times the top, and modes within a
+    # small factor of the zero-mode clamp on either side of it.
+    rng = make_rng(seed)
+    top = 10.0 ** rng.uniform(-2, 2)
+    bulk = min(bulk, n)
+    e = top * np.concatenate([[1.0], 10.0 ** rng.uniform(-6, 0, bulk - 1),
+                              PSD_ZERO_TOL * np.array(near_clamp[: n - bulk])])
+    e = np.sort(e)
+    q, _ = np.linalg.qr(rng.standard_normal((n, e.size)))
+    with mock.patch.object(core, "_range_factors", wraps=core._range_factors) as refactored:
+        ds = kernel_ridge_to_ssal(None, lam, eigenpairs=(e, q))
+        svd = ds.svd
+    k = ds.x_unlabeled
+    b, y1 = rng.standard_normal(n), rng.standard_normal(n)
+    resid = ds.stacked() @ b - np.concatenate([y1, np.zeros(n)])
+    kernel_loss = float(((k @ b - y1) ** 2).sum() + lam * b @ k @ b)
+    assert float(resid @ resid) == pytest.approx(kernel_loss, rel=1e-8)
+    kept = e[e > PSD_ZERO_TOL * e[-1]]
+    sigma = np.sqrt(kept) * np.sqrt(kept + lam)
+    # The modes whose sigma the rank truncation keeps: at lam = 0 the modes
+    # near the clamp fall below it.
+    resolved = kept[sigma > DEFAULT_RANK_TOL * sigma.max()]
+    assert reduced_rank(ds) == pytest.approx(effective_dimension(resolved, lam), rel=1e-9)
+    if resolved.size == kept.size:
+        assert refactored.call_count == 0
+        assert svd.rank == kept.size
+        np.testing.assert_array_equal(svd.sigma, sigma[::-1], strict=True)
 
 
 def test_kernel_reduction_zero_lambda_and_psd_gate():
