@@ -10,13 +10,17 @@ one after the other, each run in its own process, ``--pairs`` times.  Pair
 two runs of a pair see the same calls and different pairs see different
 ones; the side that goes first alternates from pair to pair, so a drift of
 the machine's speed does not favour one side.  For each pair it prints both values of
-``--metric`` (default ``runs_per_s``), their ratio, which side won and both
-``outputs_sha256`` digests; then the change's win count and the median of
-each side, and each side's median of every end-to-end metric that
-``BENCHMARK.json`` lists, so one comparison also shows whether any other
-metric moved.  Whether higher or lower wins, and which metrics are end to
-end, comes from the ``BENCHMARK.json`` of ``CHANGE``.  A run that exits
-non-zero or fails its output checks stops the comparison with exit code 1.
+``--metric`` (default ``runs_per_s``), their ratio, whether the change won,
+tied or lost, and both ``outputs_sha256`` digests; then the change's win and
+tie counts and the median of each side, and each side's median of every
+end-to-end metric that ``BENCHMARK.json`` lists, so one comparison also
+shows whether any other metric moved.  Each such line also gives the
+distance between the quartiles of the parent's runs, and ends in ``WORSE``
+where the change's median is worse than the parent's by more than the
+metric's relative ``bound``.  Whether higher or lower wins, which metrics are
+end to end, and their bounds come from the ``BENCHMARK.json`` of ``CHANGE``.
+A run that exits non-zero or fails its output checks stops the comparison
+with exit code 1.
 Each run leaves its record in its checkout's ``perfbench/out/``.  From it
 the comparison last prints each side's median ``import_s`` and median
 ``setup_times_s`` (each run's median warm-up call), the two parts of
@@ -78,12 +82,13 @@ def higher_is_better(spec: dict, metric: str) -> bool:
     raise RuntimeError(f"BENCHMARK.json lists no metric {metric!r}")
 
 
-def compare(args, spec: dict) -> tuple[int, dict]:
-    """Run the pairs and print one line each; returns the win count and each
-    side's list of metric records, one per pair."""
+def compare(args, spec: dict) -> tuple[list, dict]:
+    """Run the pairs and print one line each; returns each pair's outcome for
+    the change (``win``, ``tie`` or ``loss``) and each side's list of metric
+    records, one per pair."""
     higher = higher_is_better(spec, args.metric)
     sides = {"parent": args.parent, "change": args.change}
-    wins, records = 0, {"parent": [], "change": []}
+    outcomes, records = [], {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.first_seed + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -93,16 +98,16 @@ def compare(args, spec: dict) -> tuple[int, dict]:
             raise RuntimeError(f"the runs report no {args.metric!r}; "
                                "per-layer metrics need --trace 1")
         old, new = (runs[side]["metrics"][args.metric]["value"] for side in ("parent", "change"))
-        won = new > old if higher else new < old
-        wins += won
+        outcome = "tie" if new == old else "win" if (new > old) == higher else "loss"
+        outcomes.append(outcome)
         for side in sides:
             records[side].append(runs[side]["metrics"])
         ratio = new / old if old else float("inf")
         same = "same" if runs["parent"]["digest"] == runs["change"]["digest"] else "differ"
         print(f"pair {k + 1} seed {seed} ({order[0]} first): parent {old:.6g}, change {new:.6g}, "
-              f"{ratio:.3f}x, {'win' if won else 'loss'}; outputs_sha256 {same} "
+              f"{ratio:.3f}x, {outcome}; outputs_sha256 {same} "
               f"({runs['parent']['digest'][:12]} / {runs['change']['digest'][:12]})", flush=True)
-    return wins, records
+    return outcomes, records
 
 
 def medians(records: dict, metric: str) -> str:
@@ -110,6 +115,23 @@ def medians(records: dict, metric: str) -> str:
     old, new = (statistics.median(run[metric]["value"] for run in records[side])
                 for side in ("parent", "change"))
     return f"parent {old:.6g}, change {new:.6g} ({new / old if old else float('inf'):.3f}x)"
+
+
+def end_to_end(records: dict, entry: dict) -> str:
+    """``medians``, then the distance between the quartiles of the parent's
+    runs, then ``WORSE`` if the change's median is worse than the parent's by
+    more than the entry's relative ``bound``."""
+    name = entry["name"]
+    old, new = ([run[name]["value"] for run in records[side]] for side in ("parent", "change"))
+    q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1 else old * 3
+    line = f"{medians(records, name)}; parent IQR {q3 - q1:.3g}"
+    bound = entry.get("bound")
+    if bound is not None:
+        old, new = statistics.median(old), statistics.median(new)
+        worse = new < old * (1 - bound) if entry["better"] == "higher" else new > old * (1 + bound)
+        if worse:
+            line += f"; WORSE by more than its bound {bound}"
+    return line
 
 
 def main(argv=None) -> int:
@@ -128,16 +150,16 @@ def main(argv=None) -> int:
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     try:
         spec = read_spec(args.change)
-        wins, records = compare(args, spec)
+        outcomes, records = compare(args, spec)
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.workload} {args.metric}: change wins {wins} of {args.pairs}; "
-          f"median {medians(records, args.metric)}")
+    print(f"{args.workload} {args.metric}: change wins {outcomes.count('win')} of {args.pairs}, "
+          f"{outcomes.count('tie')} tied; median {medians(records, args.metric)}")
     for entry in spec["end_to_end"]:
         name = entry["name"]
         if all(name in run for side in records.values() for run in side):
-            print(f"  end to end, median {name}: {medians(records, name)}")
+            print(f"  end to end, median {name}: {end_to_end(records, entry)}")
     for name in ("import_s", "setup_times_s"):
         if all(name in run for side in records.values() for run in side):
             print(f"  setup_s split, median {name}: {medians(records, name)}")

@@ -18,7 +18,6 @@ from .core import (
     SvdFactors,
     effective_dimension,
     leverage_scores,
-    psd_eigh,
     reduced_rank,
     statistical_dimension,
     thin_svd,

@@ -89,16 +89,8 @@ def _base_seed(args) -> int:
 
 
 def _print_config(args) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "leaf")}
     print("# config " + json.dumps(resolved, default=str))
-
-
-def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
-    """The subcommand parser that owns ``args``' options."""
-    while parser._subparsers is not None:
-        choice = parser._subparsers._group_actions[0]
-        parser = choice.choices[getattr(args, choice.dest)]
-    return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
@@ -118,7 +110,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
     if not isinstance(overrides, dict):
         raise InvalidInputError(f"config file {path} must hold a JSON object")
     options = {
-        a.dest: a for a in _leaf_parser(parser, args)._actions
+        a.dest: a for a in args.leaf._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
     extra, switches = [], {}
@@ -452,6 +444,9 @@ def _dims(values: list) -> list:
 
 
 def _add_common(sub):
+    """The options of every subcommand, and ``leaf``, the subcommand's own
+    parser, whose options a ``--config`` file may set."""
+    sub.set_defaults(leaf=sub)
     sub.add_argument("--seed", type=_seed, default=None,
                      help="base seed (default: SSAR_SEED env var, else 0)")
     sub.add_argument("--config", default=None,

@@ -7,10 +7,9 @@ by the samplers, OPT and ``reduced_rank``) or keeps factors handed to it once
 they pass ``thin_svd``'s test, a thin SVD
 with relative rank truncation, row leverage scores, the unlabeled-mass trace
 ``reduced_rank`` that governs label-query complexity, the regularized spectrum
-sums ``statistical_dimension`` and ``effective_dimension``, and
-``psd_eigh``, the validated eigendecomposition of a PSD kernel matrix, which
-a kernel given by its own eigenpairs does without.  The other operations are
-pure functions.
+sums ``statistical_dimension`` and ``effective_dimension``.  The other
+operations are pure functions; a kernel's own checks and eigendecomposition
+live with its reduction, ``ssar.regression.kernel_ridge_to_ssal``.
 
 ``thin_svd`` factors an input on its range, spanned by the Gram matrix's
 eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
@@ -30,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPsdError
+from .errors import InvalidInputError
 
 __all__ = [
     "Dataset",
@@ -42,7 +41,6 @@ __all__ = [
     "reduced_rank",
     "statistical_dimension",
     "effective_dimension",
-    "psd_eigh",
 ]
 
 # The relative rank truncation of every thin SVD: singular values at or below
@@ -53,20 +51,12 @@ DEFAULT_RANK_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 VALIDATE_BLOCK_BYTES = 1 << 20  # residual never forms more of the n x d reconstruction
-# _symmetrize's tile side: its one temporary is a tile of 32 KB.
-SYMMETRIZE_TILE = 64
 # thin_svd trusts a Gram eigenvalue above this share of the largest one; eigh
 # resolves them to about eps * theta_max, so this leaves a wide margin.
 GRAM_TRUST = 1e-12
 # The Gram path is taken only when the largest |entry| lies in this range, so
 # that squaring it neither overflows nor makes the Gram entries denormal.
 GRAM_SAFE_SCALE = (1e-100, 1e100)
-# psd_eigh's tolerances, relative to the largest entry (asymmetry) or the
-# largest eigenvalue (negative and zero modes); kernel_ridge_to_ssal drops
-# the zero modes of either of its routes at PSD_ZERO_TOL.
-PSD_ASYM_TOL = 1e-8
-PSD_NEG_EIG_TOL = 1e-8
-PSD_ZERO_TOL = 1e-12
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -78,7 +68,10 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 def _matrix(x, name: str, allow_empty: bool = False) -> np.ndarray:
     """``x`` as a float64 2-D array, not scanned for non-finite entries; a float64 array is not copied."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InvalidInputError(f"{name} must be a numeric array: {exc}") from None
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0 and not allow_empty:
@@ -97,7 +90,10 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 def as_vector(x, name: str = "vector", allow_empty: bool = False) -> np.ndarray:
     """Coerce ``x`` to a read-only float64 1-D array, rejecting non-finite entries."""
-    arr = np.array(x, dtype=float).reshape(-1)
+    try:
+        arr = np.array(x, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InvalidInputError(f"{name} must be a numeric array: {exc}") from None
     if arr.size == 0 and not allow_empty:
         raise InvalidInputError(f"{name} must be non-empty")
     if arr.size and not np.isfinite(arr).all():
@@ -451,47 +447,3 @@ def effective_dimension(eigs, lam: float) -> float:
     if e.size == 0:
         return 0.0
     return float(np.sum(e / (e + lam)))
-
-
-def psd_eigh(k) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, clamped) and eigenvectors of a PSD kernel matrix.
-
-    ``K = Q diag(e) Q^T`` up to the clamping: eigenvalues in
-    ``[-PSD_NEG_EIG_TOL * ||K||_2, 0)`` are clamped to zero; anything lower
-    raises :class:`NotPsdError`.  Asymmetry beyond ``PSD_ASYM_TOL`` relative
-    to the largest entry is rejected.
-
-    Eigenvalues within ``PSD_ZERO_TOL * ||K||_2`` of zero are treated as exact
-    zero modes.  Keeping them would turn eigendecomposition round-off of
-    order ``eps`` into spurious ``sqrt(eps)``-sized directions of the root
-    ``Q diag(sqrt(e)) Q^T``, inflating the numerical rank of anything built
-    on top of it.
-    """
-    arr = as_matrix(k, "k")
-    n0, n1 = arr.shape
-    if n0 != n1:
-        raise InvalidInputError(f"kernel matrix must be square, got {arr.shape}")
-    scale = max(float(np.max(np.abs(arr))), 1e-300)
-    if np.max(np.abs(arr - arr.T)) > PSD_ASYM_TOL * scale:
-        raise InvalidInputError("kernel matrix is not symmetric")
-    sym = 0.5 * (arr + arr.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    top = max(float(eigvals[-1]), 0.0)
-    if eigvals[0] < -PSD_NEG_EIG_TOL * max(top, 1e-300):
-        raise NotPsdError(
-            f"kernel matrix has eigenvalue {eigvals[0]:.3e}, below the PSD tolerance"
-        )
-    return np.where(eigvals <= PSD_ZERO_TOL * top, 0.0, eigvals), eigvecs
-
-
-def _symmetrize(a: np.ndarray) -> None:
-    """Set the square ``a`` to ``(a + a^T) * 0.5`` in place, a pair of
-    ``SYMMETRIZE_TILE``-square tiles at a time, so that the one temporary is
-    a tile.  Every entry gets the bits of the whole-matrix expression."""
-    n, t = a.shape[0], SYMMETRIZE_TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            tile = a[i:i + t, j:j + t] + a[j:j + t, i:i + t].T
-            tile *= 0.5
-            a[i:i + t, j:j + t] = tile
-            a[j:j + t, i:i + t] = tile.T

@@ -19,20 +19,11 @@ import numpy as np
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample_batch
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import (
-    ORTHONORMALITY_TOL,
-    PSD_ZERO_TOL,
-    Dataset,
-    _matrix,
-    _symmetrize,
-    _truncated,
-    as_matrix,
-    as_vector,
-    psd_eigh,
-)
+from .core import ORTHONORMALITY_TOL, Dataset, _matrix, _truncated, as_matrix, as_vector
 from .errors import (
     BarrierViolationError,
     InvalidInputError,
+    NotPsdError,
     NumericalBreakdownError,
     SsarError,
     WellBalancedEventFailedError,
@@ -54,6 +45,14 @@ RATIO_SLACK = 1e-9
 
 # Attempts a retry draw gives each adaptive run to be well balanced.
 MAX_RESTARTS = 10
+
+# A kernel's tolerances, relative to its largest |entry| (asymmetry) or its
+# largest eigenvalue (negative and zero modes).
+PSD_ASYM_TOL = 1e-8
+PSD_NEG_EIG_TOL = 1e-8
+PSD_ZERO_TOL = 1e-12
+# _symmetrize's tile side: its temporaries are tiles of 32 KB.
+SYMMETRIZE_TILE = 64
 
 
 class LabelOracle:
@@ -166,32 +165,40 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
 
     The kernel is given by exactly one of ``k`` and ``eigenpairs``.  The
     instance's stack is one new 2n x n array: ``K`` in the top half and the
-    root, written in place, in the bottom half.  ``k`` is copied once into the
-    top half, is never written, and is eigendecomposed by
-    :func:`~ssar.core.psd_eigh`.  ``eigenpairs``, such as the ones a
+    root, written in place, in the bottom half.  ``k`` must be square and
+    finite; it is copied once into the top half and never written.  One tile
+    pass over that copy measures its asymmetry and makes it symmetric,
+    ``(K + K^T) * 0.5``: asymmetry beyond ``PSD_ASYM_TOL`` times the largest
+    |entry| raises :class:`InvalidInputError`.  The top half is then
+    eigendecomposed, and an eigenvalue below ``-PSD_NEG_EIG_TOL`` times the
+    largest raises :class:`NotPsdError`.  ``eigenpairs``, such as the ones a
     generator draws ``K`` from, are ``(e, Q)`` with ``e`` of shape (r,),
     finite, nonnegative, ascending and not all zero, and ``Q`` of shape
     (n, r) with orthonormal columns (``ORTHONORMALITY_TOL``); pairs that fail
     these checks raise :class:`InvalidInputError`.  ``K = Q diag(e) Q^T`` is
-    formed from them and made symmetric, ``(K + K^T) * 0.5``, straight in the
-    top half, so no other n x n array is held and ``K`` is not
-    eigendecomposed.
+    formed from them and made symmetric straight in the top half, so no other
+    n x n array is held and ``K`` is not eigendecomposed.
 
     Both blocks and the stack's thin SVD come from the eigenpairs: over the
     modes above ``PSD_ZERO_TOL`` times the largest eigenvalue, in descending
     order, the root is ``Q diag(sqrt(e)) Q^T``, ``V = Q``,
     ``sigma = sqrt(e) sqrt(e + lam)`` and
-    ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  The instance keeps
-    those factors only if they pass ``thin_svd``'s test of the whole stack,
-    which is checked for finite entries, ``K`` and the root, when the
-    instance adopts it.
+    ``U = [Q sqrt(e); Q sqrt(lam)] / sqrt(e + lam)``.  Dropping the modes at
+    or below that clamp keeps eigendecomposition round-off of order ``eps``
+    from becoming spurious ``sqrt(eps)``-sized directions of the root.  The
+    instance keeps those factors only if they pass ``thin_svd``'s test of the
+    whole stack, which is checked for finite entries, ``K`` and the root,
+    when the instance adopts it.
     """
     if lam < 0:
         raise InvalidInputError(f"lam must be nonnegative, got {lam}")
     if (k is None) == (eigenpairs is None):
         raise InvalidInputError("a kernel needs exactly one of its matrix k and its eigenpairs")
     if k is None:
-        e, q = (np.asarray(a, dtype=float) for a in eigenpairs)
+        try:
+            e, q = (np.asarray(a, dtype=float) for a in eigenpairs)
+        except (TypeError, ValueError) as exc:  # not a pair, or ragged or non-numeric
+            raise InvalidInputError(f"eigenpairs must be a pair (e, Q) of arrays: {exc}") from None
         if q.ndim != 2 or q.size == 0 or e.shape != (q.shape[1],):
             raise InvalidInputError("a kernel given by eigenpairs (e, Q) needs Q of "
                                     "shape (n, r) and e of shape (r,), n, r >= 1")
@@ -211,12 +218,20 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
         if k.shape != (n, n):
             raise InvalidInputError(f"kernel matrix must be square, got {k.shape}")
         stack = np.empty((2 * n, n))
-        stack[:n] = k
-        e, q = psd_eigh(stack[:n])
+        top = stack[:n]
+        top[...] = k
+        # The largest and smallest entry: a NaN or an inf shows in them.
+        hi, lo = top.max(), top.min()
+        if not -math.inf < lo <= hi < math.inf:
+            raise InvalidInputError("k contains non-finite entries")
+        if _symmetrize(top) > PSD_ASYM_TOL * max(hi, -lo, 1e-300):
+            raise InvalidInputError("kernel matrix is not symmetric")
+        e, q = np.linalg.eigh(top)
+        if e[0] < -PSD_NEG_EIG_TOL * max(e[-1], 1e-300):
+            raise NotPsdError(f"kernel matrix has eigenvalue {e[0]:.3e}, below the PSD tolerance")
     # The zero-mode clamp: K above is formed from the raw e, the root and the
-    # factors from the modes kept here, largest first.  psd_eigh has already
-    # zeroed the modes this drops.
-    keep = np.flatnonzero(e > PSD_ZERO_TOL * e[-1])[::-1]
+    # factors from the modes kept here, largest first.
+    keep = np.flatnonzero(e > PSD_ZERO_TOL * max(e[-1], 0))[::-1]
     e, q = e[keep], q[:, keep]  # copies, so a full Q is freed here
     # The root from the kept pairs, made symmetric and scaled in its half of the stack.
     root = stack[n:]
@@ -231,6 +246,24 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
         np.multiply(q, np.sqrt(lam) / shift, out=u[n:])
         factors = _truncated(u, np.sqrt(e) * shift, q)
     return Dataset.from_stack(stack, n, np.zeros(n), factors=factors)
+
+
+def _symmetrize(a: np.ndarray) -> float:
+    """Set the square ``a`` to ``(a + a^T) * 0.5`` in place, a pair of
+    ``SYMMETRIZE_TILE``-square tiles at a time, so that the temporaries are
+    tiles, and return the largest |entry| of ``a - a^T`` before the change.
+    Every entry gets the bits of the whole-matrix expression."""
+    n, t = a.shape[0], SYMMETRIZE_TILE
+    asym = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t].T
+            asym = max(asym, np.abs(upper - lower).max())
+            tile = upper + lower
+            tile *= 0.5
+            a[i:i + t, j:j + t] = tile
+            a[j:j + t, i:i + t] = tile.T
+    return float(asym)
 
 
 def draw_samples(

@@ -11,6 +11,9 @@ computes, or a construction from the analysis that the tests check:
   directly, against the leverage-score route of ``ssar.core.reduced_rank``;
 * ``exact_solution`` is the minimum-norm ``lstsq`` fit of a full instance,
   the reference for OPT;
+* ``kernel_eigh`` eigendecomposes a kernel's symmetric part on its own, the
+  route that ``ssar.regression.kernel_ridge_to_ssal`` folded into the
+  instance's stack;
 * ``solve_active`` draws one seed's run and solves it, the one-seed reference
   for ``run``'s batch draw and the shorthand of the tests that solve once;
 * ``check_query_bound`` tests a batch's mean label queries against the
@@ -55,7 +58,13 @@ from ssar.errors import (
     NumericalBreakdownError,
     SsarError,
 )
-from ssar.regression import LabelOracle, RegressionSolution, draw_samples, solve_sample
+from ssar.regression import (
+    PSD_ZERO_TOL,
+    LabelOracle,
+    RegressionSolution,
+    draw_samples,
+    solve_sample,
+)
 from ssar.verify import SE_MULTIPLIER, LemmaReport, _replay, query_bound
 
 
@@ -124,6 +133,14 @@ def exact_solution(ds: Dataset, full_labels) -> tuple[np.ndarray, float]:
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = x @ beta - y
     return beta, float(resid @ resid)
+
+
+def kernel_eigh(k) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of ``0.5 * (k + k^T)``, from
+    a fresh copy, with the eigenvalues at or below ``PSD_ZERO_TOL`` times the
+    largest set to zero."""
+    e, q = np.linalg.eigh(0.5 * (k + k.T))
+    return np.where(e <= PSD_ZERO_TOL * max(e[-1], 0.0), 0.0, e), q
 
 
 def solve_active(

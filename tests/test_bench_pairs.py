@@ -49,7 +49,8 @@ def test_pairs_alternate_the_first_side_and_count_the_change_wins(checkouts, mon
                      ("parent", 7), ("change", 7)]
     out = capsys.readouterr().out.splitlines()
     assert [line.split(", ")[3].split(";")[0] for line in out[:3]] == ["win", "loss", "win"]
-    assert out[3] == "w runs_per_s: change wins 2 of 3; median parent 10, change 12 (1.200x)"
+    assert out[3] == ("w runs_per_s: change wins 2 of 3, 0 tied; "
+                      "median parent 10, change 12 (1.200x)")
 
 
 def test_pairs_refuse_a_metric_the_runs_do_not_report(checkouts, monkeypatch, capsys):
@@ -83,10 +84,10 @@ def test_pairs_print_each_sides_median_of_every_end_to_end_metric(tmp_path, monk
             "--pairs", "3", "--metric", "setup_s"]
     assert pairs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[3] == "w setup_s: change wins 3 of 3; median parent 0.4, change 0.2 (0.500x)"
+    assert out[3] == "w setup_s: change wins 3 of 3, 0 tied; median parent 0.4, change 0.2 (0.500x)"
     assert out[4:] == [
-        "  end to end, median runs_per_s: parent 12, change 12 (1.000x)",
-        "  end to end, median setup_s: parent 0.4, change 0.2 (0.500x)",
+        "  end to end, median runs_per_s: parent 12, change 12 (1.000x); parent IQR 1",
+        "  end to end, median setup_s: parent 0.4, change 0.2 (0.500x); parent IQR 0.1",
     ]
 
 
@@ -94,9 +95,13 @@ def test_pairs_split_setup_s_into_the_import_and_the_warm_up_call(tmp_path, monk
     for name in ("parent", "change"):
         (tmp_path / name / "perfbench" / "out").mkdir(parents=True)
         (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({
-            "end_to_end": [{"name": "setup_s", "better": "lower"}], "per_layer": [],
+            "end_to_end": [{"name": "runs_per_s", "better": "higher", "bound": 0.25},
+                           {"name": "setup_s", "better": "lower", "bound": 0.25}],
+            "per_layer": [],
         }))
     split = {"parent": (0.10, [0.04, 0.05, 0.09]), "change": (0.08, [0.07, 0.06, 0.02])}
+    # The change ties the first pair and loses the other two by 30%.
+    runs_per_s = {"parent": {1: 10.0, 2: 10.0, 3: 12.0}, "change": {1: 10.0, 2: 7.0, 3: 7.0}}
 
     def perfbench(argv, cwd, **kwargs):
         """Stand in for one ``perfbench/run.py`` process: its record and its result line."""
@@ -108,18 +113,22 @@ def test_pairs_split_setup_s_into_the_import_and_the_warm_up_call(tmp_path, monk
         out = Path(cwd) / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
         out.write_text(json.dumps(record))
         setup_s = import_s + sorted(setup_times)[1]
-        result = {"correct": True, "metrics": {"setup_s": {"value": setup_s}}}
+        metrics = {"setup_s": setup_s, "runs_per_s": runs_per_s[Path(cwd).name][int(seed)]}
+        result = {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
         stdout = f"# {workload} seed={seed} outputs_sha256=abc\n{json.dumps(result)}\n"
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(pairs.subprocess, "run", perfbench)
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
-            "--pairs", "3", "--metric", "setup_s"]
+            "--pairs", "3"]
     assert pairs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[3] == "w setup_s: change wins 3 of 3; median parent 0.17, change 0.16 (0.941x)"
+    assert [line.split(", ")[3].split(";")[0] for line in out[:3]] == ["tie", "loss", "loss"]
+    assert out[3] == "w runs_per_s: change wins 0 of 3, 1 tied; median parent 10, change 7 (0.700x)"
     assert out[4:] == [
-        "  end to end, median setup_s: parent 0.17, change 0.16 (0.941x)",
+        "  end to end, median runs_per_s: parent 10, change 7 (0.700x); parent IQR 1; "
+        "WORSE by more than its bound 0.25",
+        "  end to end, median setup_s: parent 0.17, change 0.16 (0.941x); parent IQR 0.01",
         "  setup_s split, median import_s: parent 0.12, change 0.1 (0.833x)",
         "  setup_s split, median setup_times_s: parent 0.05, change 0.06 (1.200x)",
     ]

@@ -11,7 +11,6 @@ from ssar.core import (
     SvdFactors,
     effective_dimension,
     leverage_scores,
-    psd_eigh,
     reduced_rank,
     statistical_dimension,
     thin_svd,
@@ -508,7 +507,7 @@ def test_effective_dimension_values():
         effective_dimension([1.0], -1.0)
 
 
-# ---------------------------------------------------------------- psd_eigh
+# ------------------------------------------------------------- kernel root
 
 def psd_sqrt(k):
     """The root ``K^{1/2}``: the labeled block of the kernel reduction at lam = 1."""
@@ -518,9 +517,11 @@ def psd_sqrt(k):
 def test_psd_sqrt_diagonal_cases():
     np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-    e, q = psd_eigh(np.diag([9.0, 0.0, 4.0]))
-    np.testing.assert_array_equal(e, [0.0, 4.0, 9.0])
-    np.testing.assert_array_equal(np.abs(q), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    # An exact zero mode is dropped; the kept modes come largest first.
+    ds = kernel_ridge_to_ssal(np.diag([9.0, 0.0, 4.0]), 1.0)
+    np.testing.assert_array_equal(ds.x_labeled, np.diag([3.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(ds.svd.sigma, [3.0 * np.sqrt(10.0), 2.0 * np.sqrt(5.0)])
+    np.testing.assert_array_equal(np.abs(ds.svd.v), [[1, 0], [0, 0], [0, 1]])
 
 
 @settings(max_examples=25, deadline=None)
@@ -531,26 +532,33 @@ def test_psd_sqrt_reconstructs_random_gram(n, seed):
     z = psd_sqrt(k)
     np.testing.assert_allclose(z, z.T, atol=1e-12)
     assert np.linalg.norm(z @ z - k) <= 1e-7 * max(np.linalg.norm(k), 1e-12)
-    e, q = psd_eigh(k)
-    assert np.all(np.diff(e) >= 0)
-    assert np.linalg.norm((q * e) @ q.T - k) <= 1e-12 * np.linalg.norm(k)
+    # The factors hold the kernel's eigenpairs: at lam = 1, sigma^2 = e (e + 1).
+    svd = kernel_ridge_to_ssal(k, 1.0).svd
+    s2 = svd.sigma ** 2
+    e = 2 * s2 / (1 + np.sqrt(1 + 4 * s2))
+    assert np.all(np.diff(e) <= 0)
+    assert np.linalg.norm((svd.v * e) @ svd.v.T - k) <= 1e-12 * np.linalg.norm(k)
 
 
 def test_psd_sqrt_rejects_indefinite_and_asymmetric():
     with pytest.raises(NotPsdError):
-        psd_eigh(np.diag([1.0, -0.5]))
-    with pytest.raises(InvalidInputError):
-        psd_eigh(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        psd_eigh(np.ones((2, 3)))
+        kernel_ridge_to_ssal(np.diag([1.0, -0.5]), 1.0)
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        kernel_ridge_to_ssal(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
+    with pytest.raises(InvalidInputError, match="square"):
+        kernel_ridge_to_ssal(np.ones((2, 3)), 1.0)
 
 
 def test_psd_sqrt_clamps_tiny_negative_modes():
     b = make_rng(5).standard_normal((2, 3))
-    k = b.T @ b  # rank 2 of 3: one eigenvalue is numerically ~ -1e-17
-    assert psd_eigh(k)[0][0] == 0.0
+    k = b.T @ b  # rank 2 of 3: one eigenvalue is round-off, ~1e-17 of either sign
+    assert kernel_ridge_to_ssal(k, 1.0).svd.rank == 2
     z = psd_sqrt(k)
     assert np.linalg.norm(z @ z - k) <= 1e-7 * np.linalg.norm(k)
+    # A negative mode within the PSD tolerance is dropped like a zero mode.
+    ds = kernel_ridge_to_ssal(np.diag([2.0, -1e-10, 1.0]), 1.0)
+    assert ds.svd.rank == 2
+    np.testing.assert_array_equal(ds.x_labeled, np.diag([np.sqrt(2.0), 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------- Dataset

@@ -11,6 +11,7 @@ from ssar.instances import (
     gen_lower_bound_instance,
     gen_random_instance,
 )
+from ssar.regression import kernel_ridge_to_ssal
 from ssar.rngutil import make_rng
 
 from reference import (
@@ -56,6 +57,23 @@ def test_gen_kernel_instance_holds_one_stack():
     assert peak < 1.25 * ds.stacked().nbytes
     k = ds.x_unlabeled
     np.testing.assert_array_equal(k, k.T, strict=True)
+
+
+def test_kernel_reduction_of_a_matrix_holds_its_stack_and_one_q():
+    kernel_ridge_to_ssal(np.eye(3), 1.0)  # numpy's first-use allocations
+    q, _ = np.linalg.qr(make_rng(3).standard_normal((1_000, 40)))
+    k = (q * np.geomspace(0.25, 4.0, 40)) @ q.T
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ds = kernel_ridge_to_ssal(k, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # k is checked, made symmetric and eigendecomposed in the top half of the
+    # 2n x n stack, so besides the stack only eigh's n x n Q is held, with
+    # O(n rank) factors and tile temporaries.
+    assert peak <= 1.6 * ds.stacked().nbytes
 
 
 def test_gen_random_noiseless_is_realizable():

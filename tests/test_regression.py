@@ -9,17 +9,11 @@ from hypothesis import strategies as st
 from ssar import core, regression
 from ssar.asura import AsuraConfig
 from ssar.baselines import LeverageConfig, UniformConfig
-from ssar.core import (
-    DEFAULT_RANK_TOL,
-    PSD_ZERO_TOL,
-    Dataset,
-    effective_dimension,
-    psd_eigh,
-    reduced_rank,
-)
+from ssar.core import DEFAULT_RANK_TOL, Dataset, effective_dimension, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
+    PSD_ZERO_TOL,
     RATIO_SLACK,
     LabelOracle,
     kernel_ridge_to_ssal,
@@ -28,7 +22,7 @@ from ssar.regression import (
 )
 from ssar.rngutil import make_rng
 
-from reference import exact_solution, solve_active
+from reference import exact_solution, kernel_eigh, solve_active
 
 
 # ------------------------------------------------------------ weighted_lsq
@@ -172,6 +166,18 @@ def test_kernel_reduction_loss_identity_random():
         assert stacked_loss == pytest.approx(kernel_loss, rel=1e-8, abs=1e-8)
 
 
+def _count_eigh(monkeypatch):
+    """Spy on ``np.linalg.eigh``: returns a list that gets each call's input shape."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def _drawn_kernel(n, rank, seed):
     """A kernel drawn as ``gen_kernel_instance`` draws it, with its eigenpairs."""
     eigs = np.geomspace(0.25, 4.0, rank)
@@ -209,8 +215,7 @@ def _with_entry(arr, index, value):
         "descending-eigs", "nan-in-eigs", "inf-in-eigs", "nan-in-q", "shape-mismatch"])
 def test_kernel_pairs_that_fail_their_checks_raise_without_psd_eigh(monkeypatch, kernel):
     k, eigs, q = _drawn_kernel(60, 6, 4)
-    calls = []
-    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
+    calls = _count_eigh(monkeypatch)
     k_arg, pairs = kernel(k, eigs, q)
     with pytest.raises(InvalidInputError):
         kernel_ridge_to_ssal(k_arg, 1.5, eigenpairs=pairs)
@@ -220,15 +225,14 @@ def test_kernel_pairs_that_fail_their_checks_raise_without_psd_eigh(monkeypatch,
 # At eig-max 1 the clamp keeps the modes above 1e-12.  Rank 4 keeps 2.2e-7
 # and 1: eigh resolves an eigenvector only to about eps ||K|| / gap, so a
 # kept mode near the clamp (rank 8 keeps one at 3.7e-12) differs between the
-# routes by far more than these tolerances, on the psd_eigh side.
+# routes by far more than these tolerances, on the side that eigendecomposes K.
 @pytest.mark.parametrize("rank, eig_min, eig_max, kept", [(8, 0.25, 4.0, 8), (4, 1e-20, 1.0, 2)])
 def test_kernel_routes_agree(monkeypatch, rank, eig_min, eig_max, kept):
-    calls = []
-    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
+    calls = _count_eigh(monkeypatch)
     ds = gen_kernel_instance(300, rank, 1.0, make_rng(3), eig_min=eig_min, eig_max=eig_max)[0]
     assert calls == []  # the generator's eigenpairs are not eigendecomposed again
     ref = kernel_ridge_to_ssal(ds.x_unlabeled, 1.0)
-    assert calls == [1]
+    assert calls == [(300, 300)]
     a, b = ds.svd, ref.svd
     assert a.rank == b.rank == kept
     assert np.linalg.norm(ds.x_labeled - ref.x_labeled) <= 1e-12 * np.linalg.norm(ref.x_labeled)
@@ -258,8 +262,7 @@ def test_kernel_reduction_copies_a_callers_kernel_once_and_never_writes_it():
 
 def test_kernel_reduction_from_eigenpairs_alone_forms_the_kernel_in_its_stack(monkeypatch):
     k, eigs, q = _drawn_kernel(60, 6, 4)
-    calls = []
-    monkeypatch.setattr(regression, "psd_eigh", lambda k: calls.append(1) or psd_eigh(k))
+    calls = _count_eigh(monkeypatch)
     ds = kernel_ridge_to_ssal(None, 1.5, eigenpairs=(eigs, q))
     assert calls == []
     np.testing.assert_array_equal(ds.x_unlabeled, k, strict=True)
@@ -314,6 +317,70 @@ def test_kernel_reduction_zero_lambda_and_psd_gate():
         kernel_ridge_to_ssal(np.diag([1.0, -1.0]), 1.0)
     with pytest.raises(InvalidInputError, match="rank zero"):
         kernel_ridge_to_ssal(np.zeros((3, 3)), 1.0).svd
+
+
+def _separately_eigendecomposed(k, lam):
+    """The kernel reduction's stack and factors with ``k`` eigendecomposed on
+    its own (``kernel_eigh``), mode for mode as the reduction forms them."""
+    e, q = kernel_eigh(k)
+    keep = np.flatnonzero(e > PSD_ZERO_TOL * e[-1])[::-1]
+    e, q = e[keep], q[:, keep]
+    root = (q * np.sqrt(e)) @ q.T
+    root = (root + root.T) * 0.5
+    root *= np.sqrt(lam)
+    shift = np.sqrt(e + lam)
+    u = np.concatenate([q * (np.sqrt(e) / shift), q * (np.sqrt(lam) / shift)])
+    return np.concatenate([k, root]), u, np.sqrt(e) * shift, q
+
+
+@pytest.mark.parametrize("n, rank, eig_min, eig_max", [(150, 4, 0.25, 4.0), (300, 4, 1e-20, 1.0),
+                                                       (200, 40, 0.25, 4.0)])
+def test_kernel_reduction_keeps_the_bits_of_a_separate_eigendecomposition(n, rank, eig_min,
+                                                                          eig_max):
+    rng = make_rng(n + rank)
+    q, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    x = q * np.sqrt(np.geomspace(eig_min, eig_max, rank))
+    k = x @ x.T
+    np.testing.assert_array_equal(k, k.T, strict=True)
+    # A symmetric kernel keeps every bit of its stack and factors.  A kernel
+    # with round-off asymmetry gets (k + k^T) * 0.5 in its top half, the
+    # matrix that both routes eigendecompose.
+    asym = k + 1e-14 * rng.standard_normal((n, n))
+    for kernel, top in ((k, k), (asym, (asym + asym.T) * 0.5)):
+        stack, u, sigma, v = _separately_eigendecomposed(kernel, 1.5)
+        ds = kernel_ridge_to_ssal(kernel, 1.5)
+        np.testing.assert_array_equal(ds.x_unlabeled, top, strict=True)
+        np.testing.assert_array_equal(ds.x_labeled, stack[n:], strict=True)
+        for name, ref in (("u", u), ("sigma", sigma), ("v", v)):
+            np.testing.assert_array_equal(getattr(ds.svd, name), ref, strict=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: kernel_ridge_to_ssal(bad, 1.0),
+    lambda bad: ridge_to_ssal(bad, 1.0),
+    lambda bad: Dataset(bad, np.eye(2), np.zeros(2)),
+    lambda bad: Dataset(np.eye(2), bad, np.zeros(2)),
+    lambda bad: Dataset(np.eye(2), np.eye(2), bad),
+    lambda bad: weighted_lsq(bad, [1.0, 1.0], [1.0, 2.0]),
+    lambda bad: weighted_lsq(np.eye(2), bad, [1.0, 2.0]),
+    lambda bad: weighted_lsq(np.eye(2), [1.0, 1.0], bad),
+    lambda bad: LabelOracle(bad, 1),
+    lambda bad: kernel_ridge_to_ssal(None, 1.0, eigenpairs=(bad, np.eye(2))),
+    lambda bad: kernel_ridge_to_ssal(None, 1.0, eigenpairs=(np.ones(2), bad)),
+], ids=["kernel", "ridge", "x_unlabeled", "x_labeled", "y_labeled", "points", "weights",
+        "labels", "oracle", "eigenpairs-e", "eigenpairs-q"])
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]], {"x": 1}],
+                         ids=["ragged", "strings", "dict"])
+def test_malformed_array_input_is_invalid_input(call, bad):
+    with pytest.raises(InvalidInputError):
+        call(bad)
+
+
+@pytest.mark.parametrize("pairs", [(np.ones(2), np.eye(2), np.eye(2)), (np.ones(2),), 1.5],
+                         ids=["3-tuple", "1-tuple", "float"])
+def test_eigenpairs_that_are_not_a_pair_are_invalid_input(pairs):
+    with pytest.raises(InvalidInputError, match="pair"):
+        kernel_ridge_to_ssal(None, 1.0, eigenpairs=pairs)
 
 
 # ------------------------------------------------------------ solve_active
