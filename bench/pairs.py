@@ -17,8 +17,15 @@ end-to-end metric that ``BENCHMARK.json`` lists, so one comparison also
 shows whether any other metric moved.  Each such line also gives the
 distance between the quartiles of the parent's runs, and ends in ``WORSE``
 where the change's median is worse than the parent's by more than the
-metric's relative ``bound``.  Whether higher or lower wins, which metrics are
-end to end, and their bounds come from the ``BENCHMARK.json`` of ``CHANGE``.
+metric's relative ``bound``.  Under each such line an evidence line gives,
+change over parent: the ratio of each side's best run (its minimum, or its
+maximum where higher is better), the estimate that one-sided noise disturbs
+least; the median per-pair ratio over the pairs where the parent ran first
+and over those where the change ran first, which shows an order effect; and
+a bootstrap 95% interval of the median per-pair ratio over all pairs, from
+a fixed seed.  The ``WORSE`` flag reads none of these.  Whether higher or
+lower wins, which metrics are end to end, and their bounds come from the
+``BENCHMARK.json`` of ``CHANGE``.
 A run that exits non-zero or fails its output checks stops the comparison
 with exit code 1.
 Each run leaves its record in its checkout's ``perfbench/out/``.  From it
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import statistics
 import subprocess
@@ -134,6 +142,25 @@ def end_to_end(records: dict, entry: dict) -> str:
     return line
 
 
+def evidence(records: dict, entry: dict) -> str:
+    """The best-run ratio, the median per-pair ratio by which side ran first,
+    and a bootstrap 95% interval of the median per-pair ratio (2,000
+    resamples of the pairs from seed 0), each change over parent."""
+    name = entry["name"]
+    old, new = ([run[name]["value"] for run in records[side]] for side in ("parent", "change"))
+    best, word = (max, "maximum") if entry["better"] == "higher" else (min, "minimum")
+    ratios = [b / a if a else float("inf") for a, b in zip(old, new)]
+    best_ratio = best(new) / best(old) if best(old) else float("inf")
+    # compare() runs the parent first in the pairs counted 0, 2, 4, ...
+    by_order = [f"{statistics.median(part):.3f}x {side} first"
+                for part, side in ((ratios[0::2], "parent"), (ratios[1::2], "change")) if part]
+    rng = random.Random(0)
+    boot = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(2000))
+    return (f"ratio of each side's {word} {best_ratio:.3f}x; "
+            f"median per-pair ratio {', '.join(by_order)}; bootstrap 95% interval of the "
+            f"median per-pair ratio {boot[50]:.3f}x to {boot[1949]:.3f}x")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -160,6 +187,7 @@ def main(argv=None) -> int:
         name = entry["name"]
         if all(name in run for side in records.values() for run in side):
             print(f"  end to end, median {name}: {end_to_end(records, entry)}")
+            print(f"    evidence, {name}: {evidence(records, entry)}")
     for name in ("import_s", "setup_times_s"):
         if all(name in run for side in records.values() for run in side):
             print(f"  setup_s split, median {name}: {medians(records, name)}")

@@ -13,15 +13,7 @@ guarantees.
 
 from .asura import AsuraConfig, AsuraTrace, SampleSet, asura_sample
 from .baselines import LeverageConfig, UniformConfig, leverage_sample, uniform_sample
-from .core import (
-    Dataset,
-    SvdFactors,
-    effective_dimension,
-    leverage_scores,
-    reduced_rank,
-    statistical_dimension,
-    thin_svd,
-)
+from .core import Dataset, SvdFactors, leverage_scores, reduced_rank, thin_svd
 from .instances import (
     LowerBoundSpec,
     gen_kernel_instance,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .asura import AsuraConfig
 from .baselines import LeverageConfig, UniformConfig
-from .core import Dataset, effective_dimension, reduced_rank, statistical_dimension
+from .core import Dataset, reduced_rank
 from .dataio import (
     json_line,
     lemma_report_to_dict,
@@ -54,7 +54,7 @@ from .instances import (
     gen_lower_bound_instance,
     gen_random_instance,
 )
-from .regression import LabelOracle, draw_samples, ridge_to_ssal, solve_sample
+from .regression import LabelOracle, _check_lambda, draw_samples, ridge_to_ssal, solve_sample
 from .rngutil import derive_seed, make_rng
 from .verify import (
     HARD_LEMMA_IDS,
@@ -142,36 +142,31 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list, args):
 
 
 def _cmd_gen(args) -> int:
+    """Build the instance, save it once, and print its ``reduced_rank``: on a
+    ridge stack that is ``sd_lambda``, on a kernel stack ``d_lambda``."""
     seed = _base_seed(args)
-    out = args.out
     kind = args.instance
     if kind == "random":
         ds, full = gen_random_instance(args.n1, args.n2, args.d, args.noise_sigma, seed)
-        manifest = save_dataset(out, ds, full_labels=full, stem="random")
-        print(f"reduced_rank = {reduced_rank(ds):.17g}")
+        stem, name = "random", "reduced_rank"
     elif kind == "lower-bound":
         spec = LowerBoundSpec(d=args.d, n_copies=args.n, epsilon=args.eps, lam=args.lam)
         ds, full, beta_tilde = gen_lower_bound_instance(spec, seed)
-        manifest = save_dataset(out, ds, full_labels=full, stem="lower_bound")
-        save_block(out, "lower_bound_beta_tilde", beta_tilde)
-        sigma = np.linalg.svd(ds.x_unlabeled, compute_uv=False)
-        print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
+        stem, name = "lower_bound", "sd_lambda"
     elif kind == "ridge":
         x1, y1 = gaussian_design(make_rng(seed), args.n1, args.d, args.d, args.noise_sigma)
-        ds = ridge_to_ssal(x1, args.lam)
-        full = np.concatenate([y1, np.zeros(args.d)])
-        manifest = save_dataset(out, ds, full_labels=full, stem="ridge")
-        sigma = np.linalg.svd(x1, compute_uv=False)
-        print(f"sd_lambda = {statistical_dimension(sigma, args.lam):.17g}")
-    elif kind == "kernel":
-        ds, full, eigs = gen_kernel_instance(
+        ds, full = ridge_to_ssal(x1, args.lam), np.concatenate([y1, np.zeros(args.d)])
+        stem, name = "ridge", "sd_lambda"
+    else:  # kernel; argparse restricts the kinds
+        ds, full = gen_kernel_instance(
             args.n, args.rank, args.lam, make_rng(seed),
             eig_min=args.eig_min, eig_max=args.eig_max, noise_sigma=args.noise_sigma,
         )
-        manifest = save_dataset(out, ds, full_labels=full, stem="kernel")
-        print(f"d_lambda = {effective_dimension(eigs, args.lam):.17g}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown instance kind {kind!r}")
+        stem, name = "kernel", "d_lambda"
+    manifest = save_dataset(args.out, ds, full_labels=full, stem=stem)
+    if kind == "lower-bound":
+        save_block(args.out, "lower_bound_beta_tilde", beta_tilde)
+    print(f"{name} = {reduced_rank(ds):.17g}")
     print(f"manifest = {manifest}")
     return EXIT_OK
 
@@ -360,8 +355,8 @@ def _sweep_points(args, base_seed, cfgs):
 def _cmd_sweep(args) -> int:
     base_seed = _base_seed(args)
     # Every point's lambda and sampler config are checked before the first point runs.
-    if min(args.grid if args.axis == "lambda" else [args.lam]) < 0:
-        raise InvalidInputError("lambda must be nonnegative")
+    for lam in args.grid if args.axis == "lambda" else [args.lam]:
+        _check_lambda(lam)
     cfgs = [AsuraConfig(epsilon=eps, c0=args.c0)
             for eps in (args.grid if args.axis == "epsilon" else [args.epsilon])]
     rows = []

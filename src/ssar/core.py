@@ -4,12 +4,12 @@ This module holds the numerical substrate for the rest of the package: the
 ``Dataset`` instance, which holds its blocks as views of one stack, checks
 that stack for finite entries once and factors it once (``Dataset.svd``, read
 by the samplers, OPT and ``reduced_rank``) or keeps factors handed to it once
-they pass ``thin_svd``'s test, a thin SVD
-with relative rank truncation, row leverage scores, the unlabeled-mass trace
-``reduced_rank`` that governs label-query complexity, the regularized spectrum
-sums ``statistical_dimension`` and ``effective_dimension``.  The other
-operations are pure functions; a kernel's own checks and eigendecomposition
-live with its reduction, ``ssar.regression.kernel_ridge_to_ssal``.
+they pass ``thin_svd``'s test, a thin SVD with relative rank truncation, row
+leverage scores, and the unlabeled-mass trace ``reduced_rank`` that governs
+label-query complexity; on the ridge and kernel ridge reductions it is the
+statistical dimension and the effective dimension.  The other operations are
+pure functions; a kernel's own checks and eigendecomposition live with its
+reduction, ``ssar.regression.kernel_ridge_to_ssal``.
 
 ``thin_svd`` factors an input on its range, spanned by the Gram matrix's
 eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
@@ -39,8 +39,6 @@ __all__ = [
     "thin_svd",
     "leverage_scores",
     "reduced_rank",
-    "statistical_dimension",
-    "effective_dimension",
 ]
 
 # The relative rank truncation of every thin SVD: singular values at or below
@@ -414,36 +412,13 @@ def reduced_rank(ds: Dataset) -> float:
     It is summed from the unlabeled rows' leverage scores in ``ds.svd``, so
     it is well defined even when the stacked Gram matrix is singular, where
     the trace formula is not.
+
+    The reductions make it the regularized spectrum sum of the paper's
+    bounds.  On ``ridge_to_ssal(x1, lam)`` it is the statistical dimension
+    ``sd_lam = sum_i s_i^2 / (s_i^2 + lam)`` over the singular values ``s_i``
+    of ``x1``.  On ``kernel_ridge_to_ssal`` it is the effective dimension
+    ``d_lam = sum_i e_i / (e_i + lam)`` over the kernel's kept modes: the
+    eigenvalues ``e_i`` above the reduction's zero-mode clamp whose
+    ``sigma_i = sqrt(e_i (e_i + lam))`` the rank truncation keeps.
     """
     return float(leverage_scores(ds.svd)[: ds.n1].sum())
-
-
-def statistical_dimension(sigma, lam: float) -> float:
-    """Regularized spectrum sum ``sum_i sigma_i^2 / (sigma_i^2 + lam)``.
-
-    ``sigma`` are the singular values of the unlabeled design; at ``lam = 0``
-    this is the rank.  Equals :func:`reduced_rank` of the instance obtained by
-    stacking ``sqrt(lam) * I`` below the design with zero labels.
-    """
-    if lam < 0:
-        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    s = as_vector(sigma, "sigma")
-    if np.any(s <= 0):
-        raise InvalidInputError("singular values must be positive")
-    s2 = s * s
-    return float(np.sum(s2 / (s2 + lam)))
-
-
-def effective_dimension(eigs, lam: float) -> float:
-    """Regularized eigenvalue sum ``sum_i e_i / (e_i + lam)`` over positive ``e_i``.
-
-    ``eigs`` are eigenvalues of a PSD kernel matrix; nonpositive entries
-    (numerically zero modes) contribute nothing and are ignored.
-    """
-    if lam < 0:
-        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
-    e = as_vector(eigs, "eigs")
-    e = e[e > 0]
-    if e.size == 0:
-        return 0.0
-    return float(np.sum(e / (e + lam)))

@@ -179,6 +179,14 @@ def load_vector(path) -> np.ndarray:
     return np.zeros(0) if arr is None else arr
 
 
+def _whole(path, name: str, value) -> int:
+    """A count or index read from JSON file ``path``: it must be a JSON integer,
+    since ``int()`` would cut 9.7 to 9 and take ``"30"`` or ``true``."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{path}: {name} must be an integer, got {value!r}")
+    return value
+
+
 # Manifest keys of the stored thin SVD of the stacked design, and their fields.
 FACTOR_KEYS = {"path_u": "u", "path_sigma": "sigma", "path_v": "v"}
 
@@ -217,15 +225,16 @@ def save_dataset(out_dir, ds: Dataset, full_labels=None, stem: str = "instance")
 def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None]:
     """Read a manifest; returns the dataset and, in test mode, the full labels.
 
-    The ``x1`` and ``x2`` blocks are read into the two halves of one new
-    stack, which the dataset adopts (see :func:`_load_stack`).  Factors named
+    The counts ``d``, ``n1`` and ``n2`` must be JSON integers.  The ``x1``
+    and ``x2`` blocks are read into the two halves of one new stack, which
+    the dataset adopts (see :func:`_load_stack`).  Factors named
     by the manifest go to the dataset as candidates:
     :func:`~ssar.core.thin_svd` keeps them only if they factor the stack.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path) as fh, _reading(manifest_path):
         manifest = json.load(fh)
-        d, n1, n2 = (int(manifest[k]) for k in ("d", "n1", "n2"))
+        d, n1, n2 = (_whole(manifest_path, k, manifest[k]) for k in ("d", "n1", "n2"))
         x1_path, x2_path, y2_path = (
             os.path.join(base, manifest[k]) for k in ("path_x1", "path_x2", "path_y2")
         )
@@ -288,30 +297,24 @@ def load_trace(path) -> AsuraTrace:
     not finite and positive is refused as bad input naming the file.
     """
 
-    def whole(name, value):
-        # The sampler writes these as ints; int() would cut 9.7 to 9.
-        if type(value) is not int:
-            raise InvalidInputError(f"{path}: {name} must be an integer, got {value!r}")
-        return value
-
     with open(path) as fh, _reading(path):
         lines = [json.loads(line) for line in fh if line.strip()]
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
             raise InvalidInputError(f"{path} is not a trace dump")
         head, body = lines[0], lines[1:]
-        m = whole("m", head["m"])
+        m = _whole(path, "m", head["m"])
         if m < 0 or len(body) != m + 1:
             raise InvalidInputError(f"{path}: expected {m + 1} records, found {len(body)}")
         iters, trailer = body[:m], body[m]
         trace = AsuraTrace(
             gamma=float(head["gamma"]),
-            rank=whole("rank", head["rank"]),
-            n_rows=whole("n_rows", head["n_rows"]),
-            n_unlabeled=whole("n_unlabeled", head["n_unlabeled"]),
+            rank=_whole(path, "rank", head["rank"]),
+            n_rows=_whole(path, "n_rows", head["n_rows"]),
+            n_unlabeled=_whole(path, "n_unlabeled", head["n_unlabeled"]),
             phi_id=np.array([rec["phi_id"] for rec in iters], dtype=float),
             u=np.array([rec["u_j"] for rec in iters] + [trailer["u_j"]], dtype=float),
             l=np.array([rec["l_j"] for rec in iters] + [trailer["l_j"]], dtype=float),
-            sampled_index=np.array([whole("sampled_index", rec["sampled_index"])
+            sampled_index=np.array([_whole(path, "sampled_index", rec["sampled_index"])
                                     for rec in iters], dtype=np.int64),
             p_j=np.array([rec["p_j"] for rec in iters], dtype=float),
             px1_sum=np.array([rec["px1_sum"] for rec in iters], dtype=float),

@@ -79,7 +79,7 @@ def gen_kernel_instance(
     eig_min: float = 0.25,
     eig_max: float = 4.0,
     noise_sigma: float = 1.0,
-) -> tuple[Dataset, np.ndarray, np.ndarray]:
+) -> tuple[Dataset, np.ndarray]:
     """Kernel ridge instance on a random low-rank PSD kernel.
 
     The kernel ``K = Q diag(eigs) Q^T`` has ``min(rank, n)`` eigenvalues
@@ -90,19 +90,20 @@ def gen_kernel_instance(
     the kernel's eigenpairs, without ``K``: the reduction forms ``K`` from
     them in the top half of the instance's 2n x n stack and the root in the
     bottom half, so no other n x n array is held and ``K`` is never
-    eigendecomposed.  Returns the
-    kernel-ridge-reduced dataset, the full stacked label vector, and the
-    kernel's nonzero eigenvalues.
+    eigendecomposed.  Returns the kernel-ridge-reduced dataset and the full
+    stacked label vector; the dataset's ``reduced_rank`` is the kernel's
+    effective dimension ``d_lam``.
     """
-    if n < 1 or rank < 1 or not (0 < eig_min <= eig_max):
-        raise InvalidInputError("kernel generator needs n, rank >= 1 and 0 < eig-min <= eig-max")
+    if n < 1 or rank < 1 or not (0 < eig_min <= eig_max < math.inf):
+        raise InvalidInputError("kernel generator needs n, rank >= 1 and finite "
+                                "0 < eig-min <= eig-max")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InvalidInputError("noise_sigma must be finite and nonnegative")
     eigs = np.geomspace(eig_min, eig_max, min(rank, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, eigs.size)))
     ds = kernel_ridge_to_ssal(None, lam, eigenpairs=(eigs, q))
     y1 = ds.x_unlabeled @ rng.standard_normal(n) + noise_sigma * rng.standard_normal(n)
-    return ds, np.concatenate([y1, np.zeros(n)]), eigs
+    return ds, np.concatenate([y1, np.zeros(n)])
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,12 @@ def weighted_lsq(points, weights, labels) -> np.ndarray:
     return beta
 
 
+def _check_lambda(lam: float) -> None:
+    """Raise :class:`InvalidInputError` unless the regularizer ``lam`` is finite and >= 0."""
+    if not 0 <= lam < math.inf:  # a NaN fails the comparison
+        raise InvalidInputError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 def ridge_to_ssal(x1, lam: float) -> Dataset:
     """Cast ridge regression on ``x1`` as a semi-supervised instance.
 
@@ -146,8 +152,7 @@ def ridge_to_ssal(x1, lam: float) -> Dataset:
     ``||X1 b - Y1||^2 + lam ||b||^2`` for every ``b``.  Both blocks are written
     straight into the instance's stack.
     """
-    if lam < 0:
-        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
+    _check_lambda(lam)
     x1 = _matrix(x1, "x1")
     n, d = x1.shape
     stack = np.empty((n + d, d))
@@ -190,8 +195,7 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     whole stack, which is checked for finite entries, ``K`` and the root,
     when the instance adopts it.
     """
-    if lam < 0:
-        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
+    _check_lambda(lam)
     if (k is None) == (eigenpairs is None):
         raise InvalidInputError("a kernel needs exactly one of its matrix k and its eigenpairs")
     if k is None:

@@ -9,6 +9,10 @@ computes, or a construction from the analysis that the tests check:
   sampler's two-level block draw;
 * ``reduced_rank_inverse`` evaluates the unlabeled-mass trace formula
   directly, against the leverage-score route of ``ssar.core.reduced_rank``;
+* ``statistical_dimension`` and ``effective_dimension`` are the closed forms
+  ``sd_lambda`` and ``d_lambda`` that ``ssar.core.reduced_rank`` equals on
+  the ridge and kernel ridge reductions, from the design's singular values
+  or the kernel's eigenvalues;
 * ``exact_solution`` is the minimum-norm ``lstsq`` fit of a full instance,
   the reference for OPT;
 * ``kernel_eigh`` eigendecomposes a kernel's symmetric part on its own, the
@@ -122,6 +126,37 @@ def reduced_rank_inverse(ds: Dataset) -> float:
             "stacked Gram matrix is numerically singular; use ssar.core.reduced_rank"
         )
     return float(np.trace(np.linalg.solve(gram, g1)))
+
+
+def statistical_dimension(sigma, lam: float) -> float:
+    """Regularized spectrum sum ``sum_i sigma_i^2 / (sigma_i^2 + lam)``, the
+    closed form of :func:`ssar.core.reduced_rank` on ``ridge_to_ssal(x1, lam)``.
+
+    ``sigma`` are the singular values of ``x1``; at ``lam = 0`` this is the rank.
+    """
+    if lam < 0:
+        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
+    s = as_vector(sigma, "sigma")
+    if np.any(s <= 0):
+        raise InvalidInputError("singular values must be positive")
+    s2 = s * s
+    return float(np.sum(s2 / (s2 + lam)))
+
+
+def effective_dimension(eigs, lam: float) -> float:
+    """Regularized eigenvalue sum ``sum_i e_i / (e_i + lam)`` over positive
+    ``e_i``, the closed form of :func:`ssar.core.reduced_rank` on
+    ``kernel_ridge_to_ssal`` of a kernel with eigenvalues ``eigs``.
+
+    Nonpositive entries (numerically zero modes) contribute nothing.
+    """
+    if lam < 0:
+        raise InvalidInputError(f"lam must be nonnegative, got {lam}")
+    e = as_vector(eigs, "eigs")
+    e = e[e > 0]
+    if e.size == 0:
+        return 0.0
+    return float(np.sum(e / (e + lam)))
 
 
 def exact_solution(ds: Dataset, full_labels) -> tuple[np.ndarray, float]:

@@ -87,7 +87,14 @@ def test_pairs_print_each_sides_median_of_every_end_to_end_metric(tmp_path, monk
     assert out[3] == "w setup_s: change wins 3 of 3, 0 tied; median parent 0.4, change 0.2 (0.500x)"
     assert out[4:] == [
         "  end to end, median runs_per_s: parent 12, change 12 (1.000x); parent IQR 1",
+        "    evidence, runs_per_s: ratio of each side's maximum 1.000x; median per-pair ratio "
+        "1.000x parent first, 1.000x change first; bootstrap 95% interval of the median "
+        "per-pair ratio 1.000x to 1.000x",
         "  end to end, median setup_s: parent 0.4, change 0.2 (0.500x); parent IQR 0.1",
+        # Per-pair ratios 0.667, 0.2 and 0.75; the change ran first in pair 2.
+        "    evidence, setup_s: ratio of each side's minimum 0.333x; median per-pair ratio "
+        "0.708x parent first, 0.200x change first; bootstrap 95% interval of the median "
+        "per-pair ratio 0.200x to 0.750x",
     ]
 
 
@@ -128,7 +135,16 @@ def test_pairs_split_setup_s_into_the_import_and_the_warm_up_call(tmp_path, monk
     assert out[4:] == [
         "  end to end, median runs_per_s: parent 10, change 7 (0.700x); parent IQR 1; "
         "WORSE by more than its bound 0.25",
+        # Best runs 12 and 10; per-pair ratios 1, 0.7 and 0.583, the parent
+        # first in pairs 1 and 3; a resampled median of 3 ratios is one of them.
+        "    evidence, runs_per_s: ratio of each side's maximum 0.833x; median per-pair ratio "
+        "0.792x parent first, 0.700x change first; bootstrap 95% interval of the median "
+        "per-pair ratio 0.583x to 1.000x",
         "  end to end, median setup_s: parent 0.17, change 0.16 (0.941x); parent IQR 0.01",
+        # setup_s reads 0.16, 0.17, 0.18 against 0.15, 0.16, 0.17.
+        "    evidence, setup_s: ratio of each side's minimum 0.938x; median per-pair ratio "
+        "0.941x parent first, 0.941x change first; bootstrap 95% interval of the median "
+        "per-pair ratio 0.938x to 0.944x",
         "  setup_s split, median import_s: parent 0.12, change 0.1 (0.833x)",
         "  setup_s split, median setup_times_s: parent 0.05, change 0.06 (1.200x)",
     ]

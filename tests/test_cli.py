@@ -22,12 +22,12 @@ from ssar.errors import (
     NumericalBreakdownError,
     WellBalancedEventFailedError,
 )
-from ssar.instances import gen_kernel_instance
+from ssar.instances import gaussian_design, gen_kernel_instance
 from ssar.regression import LabelOracle
 from ssar.rngutil import derive_seed, make_rng
 from ssar.verify import HARD_LEMMA_IDS, check_well_balanced
 
-from reference import kernel_eigh, solve_active
+from reference import effective_dimension, kernel_eigh, solve_active, statistical_dimension
 
 
 def run_cli(capsys, *argv):
@@ -91,19 +91,24 @@ def test_gen_lower_bound_prints_instance_measure(tmp_path, capsys):
     assert beta_tilde.shape == (8,) and set(np.abs(beta_tilde)) == {3.0}
 
 
-def test_gen_ridge_zero_lambda_prints_rank(tmp_path, capsys):
+@pytest.mark.parametrize("lam", [0.0, 1.0], ids=["0", "1"])
+def test_gen_ridge_prints_statistical_dimension(tmp_path, capsys, lam):
     code, out = run_cli(capsys, "gen", "ridge", "--n1", "40", "--d", "5",
-                        "--lambda", "0", "--seed", "2", "--out", str(tmp_path))
+                        "--lambda", str(lam), "--seed", "2", "--out", str(tmp_path))
     assert code == EXIT_OK
     value = float(out.split("sd_lambda = ")[1].splitlines()[0])
-    assert value == pytest.approx(5.0, abs=1e-9)
+    x1 = gaussian_design(make_rng(2), 40, 5, 5)[0]  # the design gen ridge draws
+    sd = statistical_dimension(np.linalg.svd(x1, compute_uv=False), lam)
+    assert value == pytest.approx(sd, rel=1e-12)  # at lambda 0, the rank 5
 
 
 def test_gen_kernel_prints_effective_dimension(tmp_path, capsys):
     code, out = run_cli(capsys, "gen", "kernel", "--n", "40", "--rank", "4",
                         "--lambda", "1", "--seed", "3", "--out", str(tmp_path))
     assert code == EXIT_OK
-    assert "d_lambda = " in out
+    value = float(out.split("d_lambda = ")[1].splitlines()[0])
+    # The eigenvalues gen kernel draws at its default --eig-min and --eig-max.
+    assert value == pytest.approx(effective_dimension(np.geomspace(0.25, 4.0, 4), 1.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------- run
@@ -684,18 +689,31 @@ def test_config_file_bad_key_or_value_is_config_error(manifest, capsys, tmp_path
     ["gen", "ridge", "--n1", "6", "--d", "2", "--lambda", "1", "--noise-sigma", "nan"],
     ["gen", "kernel", "--n", "6", "--lambda", "1", "--noise-sigma", "nan"],
     ["gen", "kernel", "--n", "6", "--lambda", "1", "--noise-sigma", "inf"],
+    ["gen", "kernel", "--n", "6", "--lambda", "inf"],
+    ["gen", "kernel", "--n", "6", "--lambda", "nan"],
+    ["gen", "ridge", "--n1", "6", "--d", "2", "--lambda", "inf"],
+    ["gen", "ridge", "--n1", "6", "--d", "2", "--lambda", "nan"],
+    ["gen", "kernel", "--n", "6", "--lambda", "1", "--eig-max", "inf"],
+    ["sweep", "d", "--grid", "2", "--n1", "20", "--trials", "2", "--lambda", "nan"],
+    ["sweep", "epsilon", "--grid", "0.25", "--n1", "20", "--trials", "2", "--lambda", "inf"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a[0].isdigit()))
 def test_non_finite_values_are_config_errors(manifest, capsys, tmp_path, argv):
     # NaN passes "<= 0" checks, so each of these used to end in a traceback
     # or, for the generators, in labels that are NaN or silently noise-free.
+    # A non-finite lambda or eigenvalue bound failed later under another
+    # name or after a RuntimeWarning, and sweep's after its table header.
+    flag = next(a for a, value in zip(argv, argv[1:]) if value in ("nan", "inf"))
     if argv[0] == "run":
         argv = [*argv, "--manifest", manifest]
     if argv[0] == "gen":
         argv = [*argv, "--out", str(tmp_path)]
     code = main(argv)
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert code == EXIT_CONFIG
+    assert data_lines(captured.out) == []
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert flag[2:].replace("-", "_") in err[0].replace("-", "_")  # names its parameter
     assert not any(tmp_path.iterdir())
 
 
@@ -816,6 +834,8 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
             "sigma.csv": "1\n", "v.csv": "1\n0\n0\n"}, "u.npy"),
     (_RUN, {**_BLOCKS, "m.json": _FACTOR_MANIFEST, "u.npy": _GOOD_NPY,
             "sigma.csv": "x\n", "v.csv": "1\n0\n0\n"}, "sigma.csv"),
+    *((_RUN, {**_BLOCKS, "m.json": json.dumps({**_GOOD_MANIFEST, **count})}, "m.json")
+      for count in ({"d": 3.9}, {"n1": "1"}, {"n2": True}, {"d": 3.0})),
 ], ids=["manifest-not-json", "manifest-without-d", "csv-not-numeric", "path-not-string",
         "dump-without-m", "dump-without-px1-sum", "dump-nan-phi", "dump-nan-u",
         "dump-zero-gamma", "dump-nan-gamma", "dump-zero-rank", "dump-null-phi",
@@ -829,7 +849,8 @@ def _dump(gamma="0.25", rank="1", phi_id="0.25", sampled_index="0", p_j="0.5", u
         "npy-header-beyond-the-data", "npy-negative-shape",
         "npy-fortran-header-beyond-the-data", "npy-v3-header-beyond-the-data",
         "npy-fortran-truncated-data", "npy-x2-truncated-data",
-        "factor-npy-truncated", "factor-csv-not-numeric"])
+        "factor-npy-truncated", "factor-csv-not-numeric", "manifest-fractional-d",
+        "manifest-string-n1", "manifest-boolean-n2", "manifest-float-d"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_file_is_config_error(capsys, tmp_path, argv, files, bad):
     for name, data in files.items():

@@ -9,10 +9,8 @@ from ssar.core import (
     DEFAULT_RANK_TOL,
     Dataset,
     SvdFactors,
-    effective_dimension,
     leverage_scores,
     reduced_rank,
-    statistical_dimension,
     thin_svd,
 )
 from ssar.errors import InvalidInputError, NotPsdError
@@ -20,7 +18,12 @@ from ssar.regression import kernel_ridge_to_ssal, ridge_to_ssal
 from ssar.rngutil import make_rng
 
 from conftest import gaussian_dataset
-from reference import SingularMatrixError, reduced_rank_inverse
+from reference import (
+    SingularMatrixError,
+    effective_dimension,
+    reduced_rank_inverse,
+    statistical_dimension,
+)
 
 
 # ---------------------------------------------------------------- thin_svd

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssar.core import leverage_scores, reduced_rank, statistical_dimension, thin_svd
+from ssar.core import leverage_scores, reduced_rank, thin_svd
 from ssar.errors import InvalidInputError
 from ssar.instances import (
     LowerBoundSpec,
@@ -21,6 +21,7 @@ from reference import (
     construct_packing,
     exact_solution,
     packing_threshold,
+    statistical_dimension,
 )
 
 

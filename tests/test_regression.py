@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ssar import core, regression
 from ssar.asura import AsuraConfig
 from ssar.baselines import LeverageConfig, UniformConfig
-from ssar.core import DEFAULT_RANK_TOL, Dataset, effective_dimension, reduced_rank
+from ssar.core import DEFAULT_RANK_TOL, Dataset, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
@@ -22,7 +22,7 @@ from ssar.regression import (
 )
 from ssar.rngutil import make_rng
 
-from reference import exact_solution, kernel_eigh, solve_active
+from reference import effective_dimension, exact_solution, kernel_eigh, solve_active
 
 
 # ------------------------------------------------------------ weighted_lsq
@@ -489,7 +489,7 @@ def test_solve_active_rejects_a_non_config():
 
 
 def _kernel_instance():
-    ds, labels, _ = gen_kernel_instance(200, 10, 0.5, make_rng(14))
+    ds, labels = gen_kernel_instance(200, 10, 0.5, make_rng(14))
     return ds, labels
 
 
