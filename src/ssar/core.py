@@ -1,15 +1,16 @@
 """Dense linear-algebra primitives and instance-level complexity measures.
 
 This module holds the numerical substrate for the rest of the package: the
-``Dataset`` instance, which holds its blocks as views of one stack, checks
-that stack for finite entries once and factors it once (``Dataset.svd``, read
-by the samplers, OPT and ``reduced_rank``) or keeps factors handed to it once
-they pass ``thin_svd``'s test, a thin SVD with relative rank truncation, row
-leverage scores, and the unlabeled-mass trace ``reduced_rank`` that governs
-label-query complexity; on the ridge and kernel ridge reductions it is the
-statistical dimension and the effective dimension.  The other operations are
-pure functions; a kernel's own checks and eigendecomposition live with its
-reduction, ``ssar.regression.kernel_ridge_to_ssal``.
+``Dataset`` instance, one stacked design that it adopts without a copy, with
+its blocks as views, checks for finite entries once and factors once
+(``Dataset.svd``, read by the samplers, OPT and ``reduced_rank``) or keeps
+factors handed to it once they pass ``thin_svd``'s test, a thin SVD with
+relative rank truncation, row leverage scores, and the unlabeled-mass trace
+``reduced_rank`` that governs label-query complexity; on the ridge and
+kernel ridge reductions it is the statistical dimension and the effective
+dimension.  The other operations are pure functions; a kernel's own checks
+and eigendecomposition live with its reduction,
+``ssar.regression.kernel_ridge_to_ssal``.
 
 ``thin_svd`` factors an input on its range, spanned by the Gram matrix's
 eigenvectors whose eigenvalues exceed ``GRAM_TRUST`` times the largest (the
@@ -24,6 +25,7 @@ factors that miss that residual; and a Gram route whose Cholesky fails.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,7 +66,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _matrix(x, name: str, allow_empty: bool = False) -> np.ndarray:
+def _matrix(x, name: str) -> np.ndarray:
     """``x`` as a float64 2-D array, not scanned for non-finite entries; a float64 array is not copied."""
     try:
         arr = np.asarray(x, dtype=float)
@@ -72,7 +74,7 @@ def _matrix(x, name: str, allow_empty: bool = False) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a numeric array: {exc}") from None
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size == 0 and not allow_empty:
+    if arr.size == 0:
         raise InvalidInputError(f"{name} must be non-empty")
     return arr
 
@@ -100,61 +102,33 @@ def as_vector(x, name: str = "vector", allow_empty: bool = False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A semi-supervised regression instance.
+    """A semi-supervised regression instance: the stacked design ``stack``
+    and the labels ``y_labeled`` of its rows after the first ``n1``.
 
-    ``x_unlabeled`` holds the rows whose labels must be bought one by one;
-    ``x_labeled`` holds the rows whose labels ``y_labeled`` come for free.
-    Row ``i`` of the stacked design refers to ``x_unlabeled[i]`` for
-    ``i < n1`` and to ``x_labeled[i - n1]`` otherwise.
-
-    The instance owns one read-only, C-contiguous float64 stacked design:
-    the two blocks are views of it, and ``svd`` is its thin SVD, computed on
-    first use and kept.  Built from two blocks, the instance copies them once
-    into a new stack; :meth:`from_stack` adopts a stack it is handed, without
-    a copy.  Either way the stack is checked for finite entries once, there,
-    and not again when it is factored.
+    ``x_unlabeled = stack[:n1]``, a view, holds the rows whose labels must be
+    bought one by one; ``x_labeled = stack[n1:]`` holds the labeled rows.
+    ``stack`` must be a C-contiguous 2-D float64 array that owns its memory,
+    not a view.  It is checked for finite entries once, here and not again
+    when it is factored, marked read-only and kept, not copied: the caller
+    hands it over and keeps no writable view of it.  ``svd`` is its thin SVD,
+    computed on first use and kept.  ``factors``, such as the ones stored
+    with the instance, are handed to :func:`thin_svd`, which keeps them only
+    if they factor the stack.  No attribute can be set.
     """
 
-    x_unlabeled: np.ndarray
-    x_labeled: np.ndarray
-    y_labeled: np.ndarray
-
-    def __post_init__(self):
-        x1 = _matrix(self.x_unlabeled, "x_unlabeled")
-        x2 = _matrix(self.x_labeled, "x_labeled", allow_empty=True)
-        if x2.shape[1] != x1.shape[1]:
-            raise InvalidInputError(
-                f"column mismatch: x_unlabeled has {x1.shape[1]}, x_labeled has {x2.shape[1]}"
-            )
-        stack = np.empty((x1.shape[0] + x2.shape[0], x1.shape[1]))  # the one copy of the blocks
-        stack[: x1.shape[0]] = x1
-        stack[x1.shape[0]:] = x2
-        self._adopt(stack, x1.shape[0], self.y_labeled, None)
-
-    @classmethod
-    def from_stack(cls, stack: np.ndarray, n1: int, y_labeled,
-                   factors: SvdFactors | None = None) -> Dataset:
-        """The instance whose stacked design is ``stack`` itself, with the
-        unlabeled rows ``stack[:n1]`` first and ``y_labeled`` the labels of the
-        rest.  ``stack`` must be a C-contiguous 2-D float64 array that owns its
-        memory, not a view.  It is marked read-only and kept, not copied: the
-        caller hands it over and keeps no writable view of it.  ``factors``,
-        such as the ones stored with the instance, are handed to
-        :func:`thin_svd`, which keeps them only if they factor the stack."""
-        ds = object.__new__(cls)
-        ds._adopt(stack, n1, y_labeled, factors)
-        return ds
-
-    def _adopt(self, stack, n1: int, y_labeled, factors) -> None:
-        """Check ``stack``, mark it read-only and make the blocks views of it."""
+    def __init__(self, stack: np.ndarray, n1: int, y_labeled,
+                 factors: SvdFactors | None = None):
         # A view is refused: its base could still be written after the scan below.
         if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
                 and stack.ndim == 2 and stack.flags.c_contiguous and stack.flags.owndata):
             raise InvalidInputError(
                 "a stacked design must be a C-contiguous 2-D float64 array that owns its memory"
             )
+        try:
+            n1 = operator.index(n1)
+        except TypeError:
+            raise InvalidInputError(f"n1 must be an integer, got {type(n1).__name__}") from None
         n, d = stack.shape
         if not 1 <= n1 <= n or d == 0:
             raise InvalidInputError("x_unlabeled must be non-empty")
@@ -168,11 +142,14 @@ class Dataset:
         _require_finite(stack[:n1], "x_unlabeled")
         _require_finite(stack[n1:], "x_labeled")
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "x_unlabeled", stack[:n1])
-        object.__setattr__(self, "x_labeled", stack[n1:])
-        object.__setattr__(self, "y_labeled", y2)
-        object.__setattr__(self, "_candidate", factors)
+        self.__dict__.update(_stack=stack, x_unlabeled=stack[:n1], x_labeled=stack[n1:],
+                             y_labeled=y2, _candidate=factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Dataset is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Dataset is read-only: cannot delete {name!r}")
 
     @property
     def n1(self) -> int:
@@ -197,9 +174,9 @@ class Dataset:
     @cached_property
     def svd(self) -> SvdFactors:
         """Thin SVD of the stacked design, computed on first use."""
-        # The cache cannot go stale: the dataclass is frozen and its arrays are read-only.
+        # The cache cannot go stale: the instance and its arrays are read-only.
         factors = thin_svd(self, self._candidate)
-        object.__setattr__(self, "_candidate", None)  # rejected factors are not held
+        self.__dict__["_candidate"] = None  # rejected factors are not held
         return factors
 
 
@@ -301,8 +278,8 @@ def thin_svd(x, factors: SvdFactors | None = None) -> SvdFactors:
     ----------
     x : array_like, shape (n, d), or Dataset
         Design matrix.  All entries must be finite; a float64 array is not
-        copied.  A ``Dataset`` stands for its stacked design, which it checked
-        for finite entries when it was built, so it is not scanned again.
+        copied.  A ``Dataset`` stands for its stack, which its constructor
+        checked for finite entries, so it is not scanned again.
     factors : SvdFactors, optional
         Candidate factors of ``x``.
 

@@ -254,7 +254,7 @@ def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None]:
         factors = SvdFactors(u=load_matrix(factor_paths["path_u"]),
                              sigma=load_vector(factor_paths["path_sigma"]),
                              v=load_matrix(factor_paths["path_v"]))
-    ds = Dataset.from_stack(stack, n1, y2, factors=factors)
+    ds = Dataset(stack, n1, y2, factors=factors)
     full = None
     if y1_path:
         y1 = load_vector(y1_path)

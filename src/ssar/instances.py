@@ -44,7 +44,7 @@ def gen_random_instance(
     if n1 < 1 or n2 < 0 or d < 1 or n1 + n2 < d:
         raise InvalidInputError("need n1 >= 1, n2 >= 0 and n1 + n2 >= d")
     x, labels = gaussian_design(make_rng(seed), n1 + n2, d, d, noise_sigma)
-    ds = Dataset.from_stack(x, n1, labels[n1:])  # the drawn design is the stack
+    ds = Dataset(x, n1, labels[n1:])  # the drawn design is the stack
     return ds, labels
 
 

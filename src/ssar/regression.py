@@ -158,7 +158,7 @@ def ridge_to_ssal(x1, lam: float) -> Dataset:
     stack = np.empty((n + d, d))
     stack[:n] = x1
     np.multiply(np.sqrt(lam), np.eye(d), out=stack[n:])
-    return Dataset.from_stack(stack, n, np.zeros(d))
+    return Dataset(stack, n, np.zeros(d))
 
 
 def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
@@ -176,8 +176,12 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     ``(K + K^T) * 0.5``: asymmetry beyond ``PSD_ASYM_TOL`` times the largest
     |entry| raises :class:`InvalidInputError`.  The top half is then
     eigendecomposed, and an eigenvalue below ``-PSD_NEG_EIG_TOL`` times the
-    largest raises :class:`NotPsdError`.  ``eigenpairs``, such as the ones a
-    generator draws ``K`` from, are ``(e, Q)`` with ``e`` of shape (r,),
+    largest raises :class:`NotPsdError`.  The negative modes that tolerance
+    lets through, those below ``-PSD_ZERO_TOL`` times the largest, are
+    subtracted from the top half by row blocks, which is then made symmetric
+    again: ``K`` and its root hold the same modes, and none of them becomes
+    a direction of the unlabeled block alone.  ``eigenpairs``, such as the
+    ones a generator draws ``K`` from, are ``(e, Q)`` with ``e`` of shape (r,),
     finite, nonnegative, ascending and not all zero, and ``Q`` of shape
     (n, r) with orthonormal columns (``ORTHONORMALITY_TOL``); pairs that fail
     these checks raise :class:`InvalidInputError`.  ``K = Q diag(e) Q^T`` is
@@ -233,8 +237,15 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
         e, q = np.linalg.eigh(top)
         if e[0] < -PSD_NEG_EIG_TOL * max(e[-1], 1e-300):
             raise NotPsdError(f"kernel matrix has eigenvalue {e[0]:.3e}, below the PSD tolerance")
-    # The zero-mode clamp: K above is formed from the raw e, the root and the
-    # factors from the modes kept here, largest first.
+        # The tolerated negative modes leave K as they leave the root, a row block at a time.
+        neg = np.flatnonzero(e < -PSD_ZERO_TOL * max(e[-1], 0))
+        if neg.size:
+            qn, t = q[:, neg], SYMMETRIZE_TILE
+            for i in range(0, n, t):
+                top[i:i + t] -= (qn[i:i + t] * e[neg]) @ qn.T
+            _symmetrize(top)
+    # The zero-mode clamp: K above keeps the modes at it, of either sign; the
+    # root and the factors take the modes kept here, largest first.
     keep = np.flatnonzero(e > PSD_ZERO_TOL * max(e[-1], 0))[::-1]
     e, q = e[keep], q[:, keep]  # copies, so a full Q is freed here
     # The root from the kept pairs, made symmetric and scaled in its half of the stack.
@@ -244,12 +255,13 @@ def kernel_ridge_to_ssal(k, lam: float, eigenpairs=None) -> Dataset:
     root *= np.sqrt(lam)
     factors = None
     if keep.size:
+        q = np.ascontiguousarray(q)  # so that _truncated adopts it as V
         shift = np.sqrt(e + lam)
         u = np.empty((2 * n, keep.size))
         np.multiply(q, np.sqrt(e) / shift, out=u[:n])
         np.multiply(q, np.sqrt(lam) / shift, out=u[n:])
         factors = _truncated(u, np.sqrt(e) * shift, q)
-    return Dataset.from_stack(stack, n, np.zeros(n), factors=factors)
+    return Dataset(stack, n, np.zeros(n), factors=factors)
 
 
 def _symmetrize(a: np.ndarray) -> float:

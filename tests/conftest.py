@@ -14,4 +14,4 @@ def gaussian_dataset(n1: int, n2: int, d: int, seed: int) -> Dataset:
     r = make_rng(seed)
     x = r.standard_normal((n1 + n2, d)) / np.sqrt(d)
     y2 = r.standard_normal(n2)
-    return Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=y2)
+    return Dataset(x, n1, y2)

@@ -165,7 +165,7 @@ def test_criterion_02_unlabeled_mass_consistency():
         n2 = int(rng.integers(0, 11))
         n1 = int(rng.integers(max(1, d - n2), 25))
         x = rng.standard_normal((n1 + n2, d))
-        ds = Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=np.zeros(n2))
+        ds = Dataset(x, n1, np.zeros(n2))
         u, _, _ = np.linalg.svd(ds.stacked(), full_matrices=False)
         oracle = float((u[:n1] ** 2).sum())
         rr = reduced_rank(ds)

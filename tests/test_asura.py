@@ -38,7 +38,7 @@ def _svd(n1=24, n2=8, d=8, seed=5):
 def _dataset(x, n1=None):
     """The instance whose first ``n1`` rows of ``x`` (default: all) are unlabeled."""
     n1 = len(x) if n1 is None else n1
-    return Dataset(x_unlabeled=x[:n1], x_labeled=x[n1:], y_labeled=np.zeros(len(x) - n1))
+    return Dataset(x, n1, np.zeros(len(x) - n1))
 
 
 def _initial(rank, gamma):
@@ -695,11 +695,8 @@ def test_conditioning_sweep_skips_zero_rows():
     # Appending a zero row to X appends a zero row to U; it has p_x = 0 and
     # ||U(x)||^2 = 0 and is left out of the sweep rather than divided 0/0.
     ds, _ = _svd()
-    padded = Dataset(
-        x_unlabeled=ds.x_unlabeled,
-        x_labeled=np.vstack([ds.x_labeled, np.zeros((1, ds.d))]),
-        y_labeled=np.append(ds.y_labeled, 0.0),
-    )
+    padded = Dataset(np.vstack([ds.stacked(), np.zeros((1, ds.d))]), ds.n1,
+                     np.append(ds.y_labeled, 0.0))
     assert not padded.svd.u[-1].any()
     cfg = AsuraConfig(epsilon=0.25, c0=8.0)
     _, t = asura_sample(padded, cfg, 35)

@@ -272,11 +272,11 @@ def test_thin_svd_refactors_when_given_factors_fail_its_test(name):
 def test_dataset_hands_its_candidate_factors_to_thin_svd():
     ds = gaussian_dataset(30, 5, 4, seed=13)
     f = thin_svd(ds.stacked())
-    kept = Dataset.from_stack(ds.stacked().copy(), ds.n1, ds.y_labeled, factors=f)
+    kept = Dataset(ds.stacked().copy(), ds.n1, ds.y_labeled, factors=f)
     assert kept.svd is f
     stack = ds.stacked().copy()
     stack[: ds.n1] += 1.0
-    stale = Dataset.from_stack(stack, ds.n1, ds.y_labeled, factors=f)
+    stale = Dataset(stack, ds.n1, ds.y_labeled, factors=f)
     assert stale.svd is not f and stale._candidate is None
     np.testing.assert_array_equal(stale.svd.u, thin_svd(stale.stacked()).u, strict=True)
 
@@ -347,30 +347,37 @@ def test_dataset_owns_one_read_only_stack():
     assert ds.svd is ds.svd
 
 
+def test_dataset_attributes_are_read_only():
+    ds = gaussian_dataset(9, 3, 4, seed=5)
+    svd = ds.svd
+    for name, value in (("x_unlabeled", ds.x_labeled), ("n1", 3), ("svd", None)):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, value)
+        with pytest.raises(AttributeError):
+            delattr(ds, name)
+    assert ds.svd is svd and ds.n1 == 9
+
+
 def test_dataset_and_its_svd_copy_the_blocks_once():
     x1 = make_rng(8).standard_normal((100_000, 10))
     x2 = make_rng(9).standard_normal((20, 10))
-    stack_bytes = x1.nbytes + x2.nbytes
+    ds = Dataset(np.vstack([x1, x2]), 100_000, np.zeros(20))  # the one copy of the blocks
     tracemalloc.start()
     try:
-        ds = Dataset(x_unlabeled=x1, x_labeled=x2, y_labeled=np.zeros(20))
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         assert ds.svd.rank == 10
         svd_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # The stack plus the finiteness masks; then LAPACK's u plus one row block
-    # of the reconstruction check, with no copy of the stack.
-    assert build_peak < 1.25 * stack_bytes
-    assert svd_peak < 2 * stack_bytes
+    # LAPACK's u plus one row block of the reconstruction check, with no copy
+    # of the stack.
+    assert svd_peak < 2 * ds.stacked().nbytes
     # A rank-deficient stack of kernel shape (d = n/2) is factored on its
     # Gram range: the d x d Gram matrix, its eigenvectors and an n x k block,
     # but no n x d u.
     rng = make_rng(10)
     low = rng.standard_normal((1_200, 12)) @ rng.standard_normal((12, 600))
-    kernel = Dataset(low[:1_000], low[1_000:], np.zeros(200))
+    kernel = Dataset(low, 1_000, np.zeros(200))
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -379,34 +386,22 @@ def test_dataset_and_its_svd_copy_the_blocks_once():
     finally:
         tracemalloc.stop()
     assert kernel_peak < 1.25 * kernel.stacked().nbytes
-    fortran = Dataset(np.asfortranarray(x1[:50]), np.asfortranarray(x2), np.zeros(20))
-    assert fortran.stacked().flags.c_contiguous
 
 
-def test_dataset_from_stack_adopts_the_stack_it_is_handed():
+def test_dataset_adopts_the_stack_it_is_handed():
     a = make_rng(11).standard_normal((12, 3))
-    ds = Dataset.from_stack(a, 9, np.zeros(3))
+    ds = Dataset(a, 9, np.zeros(3))
     assert ds.stacked() is a and not a.flags.writeable
     assert np.shares_memory(ds.x_unlabeled, a) and np.shares_memory(ds.x_labeled, a)
     assert (ds.n1, ds.n2, ds.d) == (9, 3, 3)
-    built = Dataset(a[:9], a[9:], np.zeros(3))
-    assert not np.shares_memory(built.stacked(), a)
-    np.testing.assert_array_equal(built.stacked(), a, strict=True)
     b = make_rng(12).standard_normal((12, 3))
     # A view is refused even when C-contiguous: its base stays writable.
     views = (b[:12], b.reshape(-1).reshape(12, 3), np.empty((24, 3))[:12])
     for stack in (np.asfortranarray(b), b.astype(np.float32), b[:, :2], b[0], b.tolist(),
                   *views):
         with pytest.raises(InvalidInputError, match="C-contiguous"):
-            Dataset.from_stack(stack, 9, np.zeros(3))
+            Dataset(stack, 9, np.zeros(3))
     assert b.flags.writeable
-    for stack, n1, y in ((b, 0, np.zeros(12)), (b, 13, np.zeros(0)), (b, 9, np.zeros(2)),
-                         (b[:2].copy(), 1, np.zeros(1))):  # the last has n < d
-        with pytest.raises(InvalidInputError):
-            Dataset.from_stack(stack, n1, y)
-    b[10, 1] = np.nan
-    with pytest.raises(InvalidInputError, match="x_labeled contains non-finite"):
-        Dataset.from_stack(b, 9, np.zeros(3))
 
 
 def test_a_datasets_stack_is_checked_for_finite_entries_once(monkeypatch):
@@ -430,22 +425,14 @@ def test_a_datasets_stack_is_checked_for_finite_entries_once(monkeypatch):
 # ---------------------------------------------------------------- reduced_rank
 
 def test_reduced_rank_no_labeled_block_is_rank():
-    ds = Dataset(
-        x_unlabeled=make_rng(0).standard_normal((9, 4)),
-        x_labeled=np.zeros((0, 4)),
-        y_labeled=np.zeros(0),
-    )
+    ds = Dataset(make_rng(0).standard_normal((9, 4)), 9, np.zeros(0))
     assert reduced_rank(ds) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_reduced_rank_identity_blocks():
     lam = 3.0
     d = 5
-    ds = Dataset(
-        x_unlabeled=np.eye(d),
-        x_labeled=np.sqrt(lam) * np.eye(d),
-        y_labeled=np.zeros(d),
-    )
+    ds = Dataset(np.vstack([np.eye(d), np.sqrt(lam) * np.eye(d)]), d, np.zeros(d))
     assert reduced_rank(ds) == pytest.approx(d / (1 + lam), abs=1e-10)
 
 
@@ -462,7 +449,7 @@ def test_reduced_rank_matches_independent_oracles():
 
 def test_reduced_rank_inverse_mode_raises_on_singular_gram():
     x1 = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
-    ds = Dataset(x_unlabeled=x1, x_labeled=np.zeros((0, 3)), y_labeled=np.zeros(0))
+    ds = Dataset(x1, 3, np.zeros(0))
     with pytest.raises(SingularMatrixError):
         reduced_rank_inverse(ds)
     # The svd route stays well defined.
@@ -567,14 +554,19 @@ def test_psd_sqrt_clamps_tiny_negative_modes():
 # ---------------------------------------------------------------- Dataset
 
 def test_dataset_validation_errors():
-    with pytest.raises(InvalidInputError):
-        Dataset(np.eye(3), np.zeros((1, 2)), np.zeros(1))
-    with pytest.raises(InvalidInputError):
-        Dataset(np.eye(3), np.zeros((2, 3)), np.zeros(1))
-    with pytest.raises(InvalidInputError):
-        Dataset(np.ones((1, 3)), np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(InvalidInputError):
-        Dataset(np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.zeros(1))
+    b = make_rng(12).standard_normal((12, 3))
+    for stack, n1, y in ((b, 0, np.zeros(12)), (b, 13, np.zeros(0)), (b, 9, np.zeros(2)),
+                         (b[:2].copy(), 1, np.zeros(1))):  # the last has n < d
+        with pytest.raises(InvalidInputError):
+            Dataset(stack, n1, y)
+    # n1 is an integer: a float, or the labeled block of a two-block call, is refused.
+    for n1 in (9.0, np.zeros((3, 3))):
+        with pytest.raises(InvalidInputError, match="n1 must be an integer"):
+            Dataset(b, n1, np.zeros(3))
+    assert Dataset(b.copy(), np.int64(9), np.zeros(3)).n1 == 9
+    b[10, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="x_labeled contains non-finite"):
+        Dataset(b, 9, np.zeros(3))
 
 
 # ------------------------------------------- reduction consistency

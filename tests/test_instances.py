@@ -11,7 +11,7 @@ from ssar.instances import (
     gen_lower_bound_instance,
     gen_random_instance,
 )
-from ssar.regression import kernel_ridge_to_ssal
+from ssar.regression import PSD_NEG_EIG_TOL, kernel_ridge_to_ssal
 from ssar.rngutil import make_rng
 
 from reference import (
@@ -46,35 +46,44 @@ def test_gen_random_instance_keeps_its_drawn_design_as_the_stack():
 
 def test_gen_kernel_instance_holds_one_stack():
     gen_kernel_instance(20, 2, 1.0, make_rng(1))  # numpy's first-use allocations
-    tracemalloc.start()
-    try:
-        ds = gen_kernel_instance(400, 8, 1.0, make_rng(2))[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # K is formed in the top half of the 2n x n stack and the root in its
     # bottom half, so the stack is the one n x n-sized array; the rest is
-    # O(n rank) factors and row-block and tile temporaries.
-    assert peak < 1.25 * ds.stacked().nbytes
-    k = ds.x_unlabeled
-    np.testing.assert_array_equal(k, k.T, strict=True)
+    # O(n rank) factors and row-block and tile temporaries, with V adopted
+    # from the kept eigenvectors rather than copied once more.
+    for rank, bound in ((8, 1.25), (40, 1.28)):
+        tracemalloc.start()
+        try:
+            ds = gen_kernel_instance(400, rank, 1.0, make_rng(2))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * ds.stacked().nbytes
+        k = ds.x_unlabeled
+        np.testing.assert_array_equal(k, k.T, strict=True)
 
 
 def test_kernel_reduction_of_a_matrix_holds_its_stack_and_one_q():
     kernel_ridge_to_ssal(np.eye(3), 1.0)  # numpy's first-use allocations
     q, _ = np.linalg.qr(make_rng(3).standard_normal((1_000, 40)))
     k = (q * np.geomspace(0.25, 4.0, 40)) @ q.T
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        ds = kernel_ridge_to_ssal(k, 1.0)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    # k is checked, made symmetric and eigendecomposed in the top half of the
-    # 2n x n stack, so besides the stack only eigh's n x n Q is held, with
-    # O(n rank) factors and tile temporaries.
-    assert peak <= 1.6 * ds.stacked().nbytes
+    # The second kernel adds a negative mode at half the PSD tolerance, which
+    # the reduction subtracts from the top half by row blocks.
+    w = make_rng(4).standard_normal(1_000)
+    w -= q @ (q.T @ w)
+    w /= np.linalg.norm(w)
+    for kernel in (k, k - 0.5 * PSD_NEG_EIG_TOL * 4.0 * np.outer(w, w)):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            ds = kernel_ridge_to_ssal(kernel, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # k is checked, made symmetric and eigendecomposed in the top half of
+        # the 2n x n stack, so besides the stack only eigh's n x n Q is held,
+        # with O(n rank) factors and tile temporaries.
+        assert peak <= 1.6 * ds.stacked().nbytes
+        assert ds.svd.rank == 40
 
 
 def test_gen_random_noiseless_is_realizable():

@@ -13,6 +13,8 @@ from ssar.core import DEFAULT_RANK_TOL, Dataset, reduced_rank
 from ssar.errors import InvalidInputError, NotPsdError
 from ssar.instances import gen_kernel_instance, gen_random_instance
 from ssar.regression import (
+    PSD_ASYM_TOL,
+    PSD_NEG_EIG_TOL,
     PSD_ZERO_TOL,
     RATIO_SLACK,
     LabelOracle,
@@ -88,7 +90,7 @@ def test_exact_solution_realizable_case():
 
 
 def test_exact_solution_single_row_interpolates():
-    ds = Dataset(np.array([[2.0, 1.0]]), np.zeros((1, 2)), np.zeros(1))
+    ds = Dataset(np.array([[2.0, 1.0], [0.0, 0.0]]), 1, np.zeros(1))
     beta, opt = exact_solution(ds, [4.0, 0.0])
     assert opt == pytest.approx(0.0, abs=1e-20)
 
@@ -319,6 +321,42 @@ def test_kernel_reduction_zero_lambda_and_psd_gate():
         kernel_ridge_to_ssal(np.zeros((3, 3)), 1.0).svd
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([-500, -60, 0, 60, 500]), st.sampled_from([0.0, 1.0]),
+       st.integers(0, 10_000))
+def test_kernel_matrix_bounds_hold_at_every_scale(n, power, lam, seed):
+    # A kernel given as a matrix, scaled by 2**power, near the reduction's
+    # negative-mode and asymmetry bounds: half of either bound is accepted,
+    # twice it is refused.
+    rng = make_rng(seed)
+    pos = 2.0 ** power * np.sort(rng.uniform(0.1, 1.0, n - 1))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    for factor in (0.5, 2.0):
+        e = np.concatenate([[-factor * PSD_NEG_EIG_TOL * pos[-1]], pos])
+        k = (q * e) @ q.T
+        if factor > 1:
+            with pytest.raises(NotPsdError):
+                kernel_ridge_to_ssal(k, lam)
+            continue
+        # The tolerated negative mode leaves K as it leaves the root: the
+        # closed-form factors hold, and the unlabeled block gains no direction.
+        with mock.patch.object(core, "_range_factors", wraps=core._range_factors) as refactored:
+            ds = kernel_ridge_to_ssal(k, lam)
+            assert ds.svd.rank == n - 1
+        assert refactored.call_count == 0
+        assert reduced_rank(ds) == pytest.approx(effective_dimension(pos, lam), rel=0, abs=1e-9)
+    k = (q[:, 1:] * pos) @ q[:, 1:].T
+    for factor in (0.5, 2.0):
+        skewed = k.copy()
+        skewed[0, 1] += factor * PSD_ASYM_TOL * np.abs(k).max()
+        if factor > 1:
+            with pytest.raises(InvalidInputError, match="not symmetric"):
+                kernel_ridge_to_ssal(skewed, lam)
+        else:
+            # Half the skew splits the zero mode by about that much, either way.
+            assert kernel_ridge_to_ssal(skewed, lam).svd.rank in (n - 1, n)
+
+
 def _separately_eigendecomposed(k, lam):
     """The kernel reduction's stack and factors with ``k`` eigendecomposed on
     its own (``kernel_eigh``), mode for mode as the reduction forms them."""
@@ -358,16 +396,16 @@ def test_kernel_reduction_keeps_the_bits_of_a_separate_eigendecomposition(n, ran
 @pytest.mark.parametrize("call", [
     lambda bad: kernel_ridge_to_ssal(bad, 1.0),
     lambda bad: ridge_to_ssal(bad, 1.0),
-    lambda bad: Dataset(bad, np.eye(2), np.zeros(2)),
-    lambda bad: Dataset(np.eye(2), bad, np.zeros(2)),
-    lambda bad: Dataset(np.eye(2), np.eye(2), bad),
+    lambda bad: Dataset(bad, 1, np.zeros(1)),
+    lambda bad: Dataset(np.eye(2), bad, np.zeros(1)),
+    lambda bad: Dataset(np.eye(2), 1, bad),
     lambda bad: weighted_lsq(bad, [1.0, 1.0], [1.0, 2.0]),
     lambda bad: weighted_lsq(np.eye(2), bad, [1.0, 2.0]),
     lambda bad: weighted_lsq(np.eye(2), [1.0, 1.0], bad),
     lambda bad: LabelOracle(bad, 1),
     lambda bad: kernel_ridge_to_ssal(None, 1.0, eigenpairs=(bad, np.eye(2))),
     lambda bad: kernel_ridge_to_ssal(None, 1.0, eigenpairs=(np.ones(2), bad)),
-], ids=["kernel", "ridge", "x_unlabeled", "x_labeled", "y_labeled", "points", "weights",
+], ids=["kernel", "ridge", "stack", "n1", "y_labeled", "points", "weights",
         "labels", "oracle", "eigenpairs-e", "eigenpairs-q"])
 @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]], {"x": 1}],
                          ids=["ragged", "strings", "dict"])
@@ -386,11 +424,7 @@ def test_eigenpairs_that_are_not_a_pair_are_invalid_input(pairs):
 # ------------------------------------------------------------ solve_active
 
 def test_solve_active_zero_queries_when_unlabeled_rows_carry_no_mass():
-    ds = Dataset(
-        x_unlabeled=np.zeros((4, 3)),
-        x_labeled=np.eye(3),
-        y_labeled=np.array([1.0, 2.0, 3.0]),
-    )
+    ds = Dataset(np.vstack([np.zeros((4, 3)), np.eye(3)]), 4, np.array([1.0, 2.0, 3.0]))
     oracle = LabelOracle(np.concatenate([np.zeros(4), ds.y_labeled]), 4)
     sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.25), 2)
     assert sol.queries == 0
@@ -428,15 +462,12 @@ def test_solve_active_ratio_floor_and_samplers():
 def test_solve_active_square_instance_scores_round_off_opt_as_zero():
     # With n = d the fit is exact and OPT is round-off, so loss / OPT would be
     # noise; the ratio reads 1 instead of tripping the ratio floor.
-    ds = Dataset(
-        x_unlabeled=np.array([[-0.10298701, -0.06442248, -0.14489494, -0.63597164]]),
-        x_labeled=np.array([
-            [-0.70321745, 0.02170384, -0.27458445, 0.30600437],
-            [0.29653985, 0.47913959, 0.15971969, 0.36222023],
-            [0.84039213, 0.76335625, -0.09808467, -0.46912912],
-        ]),
-        y_labeled=np.array([-1.94983822, 0.59961341, -1.90236229]),
-    )
+    ds = Dataset(np.array([
+        [-0.10298701, -0.06442248, -0.14489494, -0.63597164],
+        [-0.70321745, 0.02170384, -0.27458445, 0.30600437],
+        [0.29653985, 0.47913959, 0.15971969, 0.36222023],
+        [0.84039213, 0.76335625, -0.09808467, -0.46912912],
+    ]), 1, np.array([-1.94983822, 0.59961341, -1.90236229]))
     for seed in range(10):
         oracle = LabelOracle(np.concatenate([[0.7], ds.y_labeled]), ds.n1)
         sol = solve_active(ds, oracle, AsuraConfig(epsilon=0.1), seed)
@@ -445,8 +476,8 @@ def test_solve_active_square_instance_scores_round_off_opt_as_zero():
 
 def _duplicated_column_instance():
     ds, labels = gen_random_instance(30, 6, 3, noise_sigma=1.0, seed=11)
-    x = ds.stacked()[:, [0, 1, 2, 2]]
-    return Dataset(x[:30], x[30:], ds.y_labeled), labels
+    x = np.ascontiguousarray(ds.stacked()[:, [0, 1, 2, 2]])  # the fancy index is F-order
+    return Dataset(x, 30, ds.y_labeled), labels
 
 
 @pytest.mark.parametrize("make", [
@@ -535,7 +566,7 @@ def test_solve_active_ratio_is_free_of_the_label_scale(power):
     # and the ratio must be those at unit scale, with no overflow warning.
     ds, labels = gen_random_instance(40, 20, 5, noise_sigma=1.0, seed=2)
     scale = 2.0 ** power
-    scaled = Dataset(ds.x_unlabeled, ds.x_labeled, ds.y_labeled * scale)
+    scaled = Dataset(ds.stacked().copy(), ds.n1, ds.y_labeled * scale)
     for cfg, seed in SCALE_CONFIGS:
         unit = solve_active(ds, LabelOracle(labels, ds.n1), cfg, seed)
         with warnings.catch_warnings():

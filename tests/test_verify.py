@@ -373,7 +373,7 @@ def test_query_bound_forced_pass_without_labeled_block():
     # keeps the mean under half of the bound.
     rng = np.random.default_rng(3)
     x1 = rng.standard_normal((30, 4))
-    ds = Dataset(x_unlabeled=x1, x_labeled=np.zeros((0, 4)), y_labeled=np.zeros(0))
+    ds = Dataset(x1, 30, np.zeros(0))
     labels = rng.standard_normal(30)
     sols = []
     for k in range(25):
