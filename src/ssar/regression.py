@@ -51,7 +51,9 @@ MAX_RESTARTS = 10
 PSD_ASYM_TOL = 1e-8
 PSD_NEG_EIG_TOL = 1e-8
 PSD_ZERO_TOL = 1e-12
-# _symmetrize's tile side: its temporaries are tiles of 32 KB.
+# _symmetrize's tile side: its temporaries are tiles of 32 KB.  It is also the
+# row-block height at which kernel_ridge_to_ssal subtracts a kernel's tolerated
+# negative modes from K.
 SYMMETRIZE_TILE = 64
 
 

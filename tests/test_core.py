@@ -564,6 +564,10 @@ def test_dataset_validation_errors():
         with pytest.raises(InvalidInputError, match="n1 must be an integer"):
             Dataset(b, n1, np.zeros(3))
     assert Dataset(b.copy(), np.int64(9), np.zeros(3)).n1 == 9
+    c = b.copy()
+    c[2, 0] = np.inf
+    with pytest.raises(InvalidInputError, match="x_unlabeled contains non-finite"):
+        Dataset(c, 9, np.zeros(3))
     b[10, 1] = np.nan
     with pytest.raises(InvalidInputError, match="x_labeled contains non-finite"):
         Dataset(b, 9, np.zeros(3))
